@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .characteristics import Characteristic
+import numpy as np
+
 from .gf2 import gf2_rref, parity
 from .theta import PeriodMatrix, Tolerance, block_diag, theta_constant_table
 
@@ -111,17 +112,28 @@ def _is_totally_even(g: int, elems) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _even_spans(g: int, i: int) -> tuple[tuple[int, ...], ...]:
-    """Element tuples of the totally-even i-dim subspaces of F2^2g.
+def _even_spans(g: int, i: int) -> np.ndarray:
+    """The totally-even i-dim subspaces of F2^2g, one row of elements each.
 
-    The parity of a characteristic is itself a quadratic form on F2^2g,
-    so this filter is independent of tau and safe to cache per (g, i).
+    Row order is the canonical enumeration order and each row is ascending.
+    An element x = eps * 2^g + delta is also the flat index of theta[eps;
+    delta] in a (2^g, 2^g) table, so the rows gather the products P_W.  The
+    parity of a characteristic is itself a quadratic form on F2^2g, so this
+    filter is independent of tau and safe to cache per (g, i).
     """
-    return tuple(
+    rows = [
         elems
         for subspace in enumerate_subspaces(2 * g, i)
         if _is_totally_even(g, elems := subspace.elements())
-    )
+    ]
+    index = np.array(rows, dtype=np.intp).reshape(len(rows), 1 << i)
+    index.setflags(write=False)
+    return index
+
+
+def _products(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Product of the table entries named by each row of a flat index array."""
+    return np.prod(table.ravel()[index], axis=-1)
 
 
 def P_W(tau: PeriodMatrix, W: Subspace, tol=Tolerance()) -> complex:
@@ -138,18 +150,16 @@ def P_W(tau: PeriodMatrix, W: Subspace, tol=Tolerance()) -> complex:
     if not _is_totally_even(g, elems):
         return 0j
     table = theta_constant_table(tau, tol)
-    out = 1 + 0j
-    for x in elems:
-        c = Characteristic.from_packed(g, x)
-        out *= complex(table[c.eps, c.delta])
-    return out
+    return complex(_products(table, np.array(elems, dtype=np.intp)))
 
 
 def P_i_g(tau: PeriodMatrix, g: int, i: int, tol=Tolerance()) -> complex:
     """Sum of P_W^(2^(4-i)) over the i-dimensional subspaces.
 
     Only totally-even subspaces contribute; the rest are skipped before
-    any numeric work.  Summation runs in canonical enumeration order.
+    any numeric work.  Each P_W is one gather from the theta-constant
+    table, and the terms are summed in canonical enumeration order by a
+    fixed numpy reduction, so the result is bit-reproducible.
     """
     if g != tau.g:
         raise ValueError(f"g={g} does not match tau (genus {tau.g})")
@@ -158,15 +168,7 @@ def P_i_g(tau: PeriodMatrix, g: int, i: int, tol=Tolerance()) -> complex:
     if not 0 <= i <= g:
         raise ValueError(f"need 0 <= i <= g, got i={i}, g={g}")
     table = theta_constant_table(tau, tol)
-    exponent = 1 << (4 - i)
-    total = 0j
-    mask = (1 << g) - 1
-    for elems in _even_spans(g, i):
-        prod = 1 + 0j
-        for x in elems:
-            prod *= complex(table[x >> g, x & mask])
-        total += prod**exponent
-    return total
+    return complex(np.sum(_products(table, _even_spans(g, i)) ** (1 << (4 - i))))
 
 
 def xi_g(tau: PeriodMatrix, g: int, tol=Tolerance()) -> complex:

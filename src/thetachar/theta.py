@@ -1,7 +1,16 @@
 """Riemann theta functions with characteristics on the Siegel space.
 
-theta[eps; delta](tau, z) = sum over m in Z^g of
-    exp(pi i (m + eps/2)' tau (m + eps/2) + 2 pi i (m + eps/2)' (z + delta/2)).
+Everything rests on one weight function of the lattice point m in Z^g,
+
+    w_eps(m; z) = exp(pi i (s' tau s + 2 s' z)),   s = m + eps/2,
+
+so that theta[eps; delta](tau, z) = sum over m of w_eps(m; z + delta/2):
+the lower characteristic is the half-period shift
+theta[eps; delta](tau, z) = theta[eps; 0](tau, z + delta/2).  A single
+evaluation sums the weights at z + delta/2.  The theta-constant table sums
+them at z = 0 per parity class m mod 2 and recovers every delta from the
+2^g class sums by a Walsh-Hadamard transform and a phase i^(eps.delta)
+(see theta_constant_table); theta_constant is a lookup into that table.
 
 The lattice sum is truncated to an infinity-norm box whose radius comes
 from the Gaussian tail bound with the smallest eigenvalue of Im tau
@@ -182,20 +191,35 @@ def _tail_bound(lam: float, g: int, z_im_norm: float, radius: int) -> float:
     return total
 
 
-def truncation_radius(tau: PeriodMatrix, z, tol) -> int:
-    """Smallest box radius R whose estimated tail is below the tolerance."""
-    tol = Tolerance.coerce(tol)
-    arg = ThetaArg.coerce(z, tau.g)
-    z_im_norm = math.sqrt(sum(w.imag**2 for w in arg.z))
+@lru_cache(maxsize=256)
+def _radius_and_tail(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tuple[int, float]:
+    """Smallest box radius whose tail bound is below abs_tol, and that bound.
+
+    A pure function of the genus, lambda_min(Im tau), |Im z| and the
+    tolerance, so the search runs once per distinct input: theta_report
+    reads its est_error here after truncation_radius has found the radius.
+    """
     for radius in range(1, _MAX_RADIUS + 1):
-        if (2 * radius + 1) ** tau.g > _MAX_LATTICE:
+        if (2 * radius + 1) ** g > _MAX_LATTICE:
             break
-        if _tail_bound(tau.im_lambda_min, tau.g, z_im_norm, radius) <= tol.abs_tol:
-            return radius
+        tail = _tail_bound(lam, g, z_im_norm, radius)
+        if tail <= abs_tol:
+            return radius, tail
     raise ValueError(
         "cannot reach the requested tolerance: Im tau too small or |Im z| too "
         "large for the supported truncation range (keep Im tau >= 0.3 I)"
     )
+
+
+def _numerics(tau: PeriodMatrix, arg: ThetaArg, tol: Tolerance) -> tuple[int, float]:
+    z_im_norm = math.sqrt(sum(w.imag**2 for w in arg.z))
+    return _radius_and_tail(tau.g, tau.im_lambda_min, z_im_norm, tol.abs_tol)
+
+
+def truncation_radius(tau: PeriodMatrix, z, tol) -> int:
+    """Smallest box radius R whose estimated tail is below the tolerance."""
+    tol = Tolerance.coerce(tol)
+    return _numerics(tau, ThetaArg.coerce(z, tau.g), tol)[0]
 
 
 @lru_cache(maxsize=32)
@@ -210,20 +234,52 @@ def _lattice(g: int, radius: int) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=32)
+def _parity_classes(g: int, radius: int) -> np.ndarray:
+    """m mod 2 for each box point, packed like a characteristic block.
+
+    Coordinate k sits at bit g-1-k, so the class is an index into F2^g
+    that pairs with eps and delta by bitwise and.
+    """
+    bits = _lattice(g, radius).astype(np.intp) & 1
+    classes = bits @ (1 << np.arange(g - 1, -1, -1))
+    classes.setflags(write=False)
+    return classes
+
+
 def _char_vec(block: int, g: int) -> np.ndarray:
     return np.array([(block >> (g - 1 - i)) & 1 for i in range(g)], dtype=float)
 
 
-def _theta_sum(tau: PeriodMatrix, arg: ThetaArg, c: Characteristic, radius: int) -> complex:
-    g = tau.g
-    m = _lattice(g, radius)
-    half_eps = _char_vec(c.eps, g) / 2.0
-    half_delta = _char_vec(c.delta, g) / 2.0
-    zvec = np.array(arg.z, dtype=complex)
-    shifted = m + half_eps
+def _weights(tau: PeriodMatrix, eps: int, z: np.ndarray, radius: int) -> np.ndarray:
+    """w_eps(m; z) = exp(pi i (s' tau s + 2 s' z)), s = m + eps/2, on the box.
+
+    The one weight function of the module and the only place a lattice sum
+    exponentiates: single evaluations sum it at z + delta/2, tables bin it
+    by parity at z = 0.
+    """
+    shifted = _lattice(tau.g, radius) + _char_vec(eps, tau.g) / 2.0
     quad = np.einsum("ij,jk,ik->i", shifted, tau.tau, shifted)
-    lin = shifted @ (zvec + half_delta)
-    return complex(np.sum(np.exp(1j * np.pi * (quad + 2.0 * lin))))
+    lin = shifted @ z
+    return np.exp(1j * np.pi * (quad + 2.0 * lin))
+
+
+def _theta_sum(tau: PeriodMatrix, arg: ThetaArg, c: Characteristic, radius: int) -> complex:
+    """theta[eps; delta](tau, z) = theta[eps; 0](tau, z + delta/2)."""
+    z = np.array(arg.z, dtype=complex) + _char_vec(c.delta, tau.g) / 2.0
+    return complex(np.sum(_weights(tau, c.eps, z, radius)))
+
+
+@lru_cache(maxsize=None)
+def _signs_and_phases(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """(-1)^(r.delta) over [r, delta] and i^(eps.delta) over [eps, delta]."""
+    n = 1 << g
+    dots = np.array([[bin(a & b).count("1") for b in range(n)] for a in range(n)])
+    signs = 1.0 - 2.0 * (dots & 1)
+    phases = np.array([1, 1j, -1, -1j])[dots & 3]
+    signs.setflags(write=False)
+    phases.setflags(write=False)
+    return signs, phases
 
 
 def theta_with_char(tau: PeriodMatrix, z, c: Characteristic, tol=Tolerance()) -> complex:
@@ -232,27 +288,33 @@ def theta_with_char(tau: PeriodMatrix, z, c: Characteristic, tol=Tolerance()) ->
         raise ValueError(f"genus mismatch: characteristic {c.g}, tau {tau.g}")
     tol = Tolerance.coerce(tol)
     arg = ThetaArg.coerce(z, tau.g)
-    radius = truncation_radius(tau, arg, tol)
+    radius, _ = _numerics(tau, arg, tol)
     return _theta_sum(tau, arg, c, radius)
 
 
 def theta_constant(tau: PeriodMatrix, c: Characteristic, tol=Tolerance()) -> complex:
-    """theta[c](tau, 0); vanishes identically for odd characteristics."""
-    return theta_with_char(tau, ThetaArg.zero(tau.g), c, tol)
+    """theta[c](tau, 0), read from theta_constant_table.
+
+    Vanishes identically for odd characteristics (numerically, to rounding).
+    """
+    if c.g != tau.g:
+        raise ValueError(f"genus mismatch: characteristic {c.g}, tau {tau.g}")
+    return complex(theta_constant_table(tau, tol)[c.eps, c.delta])
 
 
 def theta_report(tau: PeriodMatrix, z, c: Characteristic, tol=Tolerance()) -> dict:
     """Evaluation plus the numerics actually used (radius, error estimate)."""
     tol = Tolerance.coerce(tol)
     arg = ThetaArg.coerce(z, tau.g)
+    # The public call stays so that a wrapped truncation_radius sees the
+    # radius of every evaluation; the tail then comes from the same search.
     radius = truncation_radius(tau, arg, tol)
     value = _theta_sum(tau, arg, c, radius)
-    z_im_norm = math.sqrt(sum(w.imag**2 for w in arg.z))
     return {
         "re": value.real,
         "im": value.imag,
         "radius": radius,
-        "est_error": _tail_bound(tau.im_lambda_min, tau.g, z_im_norm, radius),
+        "est_error": _numerics(tau, arg, tol)[1],
     }
 
 
@@ -262,9 +324,17 @@ _TABLE_CACHE: dict = {}
 def theta_constant_table(tau: PeriodMatrix, tol=Tolerance()) -> np.ndarray:
     """All 2^2g theta constants as an array indexed [eps, delta].
 
-    One truncation radius (for z=0) is shared across characteristics; each
-    entry goes through the same summation path as theta_constant, so table
-    lookups and direct calls agree bit for bit.
+    At z = 0 the characteristic delta enters the weight w_eps(m; delta/2)
+    only as the phase exp(pi i s.delta) = i^(eps.delta) (-1)^(m.delta), and
+    (-1)^(m.delta) depends on m only through its class r = m mod 2.  With
+    the class sums A_eps(r) = sum over m = r (mod 2) of w_eps(m; 0),
+
+        theta[eps; delta](tau, 0) = i^(eps.delta) sum_r (-1)^(r.delta) A_eps(r),
+
+    a Walsh-Hadamard transform of the 2^g class sums and a phase.  A table
+    therefore takes 2^g weight vectors, not 4^g lattice sums.  The box and
+    its radius (for z = 0) are those of a single evaluation, and
+    theta_constant reads this table, so the two agree bit for bit.
     """
     tol = Tolerance.coerce(tol)
     key = (tau.tau.tobytes(), tau.g, tol.abs_tol)
@@ -272,14 +342,17 @@ def theta_constant_table(tau: PeriodMatrix, tol=Tolerance()) -> np.ndarray:
     if cached is not None:
         return cached
     g = tau.g
-    zero = ThetaArg.zero(g)
-    radius = truncation_radius(tau, zero, tol)
-    table = np.empty((1 << g, 1 << g), dtype=complex)
-    for eps in range(1 << g):
-        for delta in range(1 << g):
-            table[eps, delta] = _theta_sum(
-                tau, zero, Characteristic(g, eps, delta), radius
-            )
+    n = 1 << g
+    radius = truncation_radius(tau, ThetaArg.zero(g), tol)
+    classes = _parity_classes(g, radius)
+    zero = np.zeros(g, dtype=complex)
+    sums = np.empty((n, n), dtype=complex)
+    for eps in range(n):
+        w = _weights(tau, eps, zero, radius)
+        sums[eps].real = np.bincount(classes, w.real, n)
+        sums[eps].imag = np.bincount(classes, w.imag, n)
+    signs, phases = _signs_and_phases(g)
+    table = (sums @ signs) * phases
     table.setflags(write=False)
     if len(_TABLE_CACHE) >= 16:
         _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))

@@ -192,6 +192,31 @@ def mp_theta(tau, z, eps, delta, g, radius=30, dps=40):
         return total
 
 
+def np_theta_constants(tau, radius):
+    """All 4^g theta constants, one plain lattice sum per (eps, delta).
+
+    tau: g x g complex array.  Sums exp(pi i c'tau c + 2 pi i c'd/2),
+    c = m + eps/2, d = delta, over the full box |m|_inf <= radius in
+    np.ndindex order.  Returns a (2^g, 2^g) array indexed [eps, delta],
+    each block read most significant coordinate first.
+    """
+    import numpy as np
+
+    tau = np.asarray(tau, dtype=complex)
+    g = tau.shape[0]
+    m = np.array(list(np.ndindex(*(2 * radius + 1,) * g)), dtype=float) - radius
+    bits = [np.array([(k >> (g - 1 - i)) & 1 for i in range(g)], dtype=float)
+            for k in range(2**g)]
+    out = np.empty((2**g, 2**g), dtype=complex)
+    for eps in range(2**g):
+        c = m + bits[eps] / 2
+        quad = np.einsum("ij,jk,ik->i", c, tau, c)
+        for delta in range(2**g):
+            lin = c @ (bits[delta] / 2)
+            out[eps, delta] = np.exp(1j * np.pi * (quad + 2 * lin)).sum()
+    return out
+
+
 def mp_tail(tau_im_min, g, z_im_norm, radius, dps=30):
     """Crude but honest tail mass: sum of |term| bounds outside the box.
 

@@ -171,6 +171,30 @@ def test_P_i_g_is_deterministic_and_order_insensitive():
     assert abs(got - reordered) < 1e-12 * max(1.0, abs(got))
 
 
+def test_P_i_g_gather_matches_loop_over_spans():
+    # the array gather against a plain product-and-sum over the span rows
+    rnd = random.Random(31)
+    for g in (3, 4):
+        entries = [[0j] * g for _ in range(g)]
+        for a in range(g):
+            for b in range(a, g):
+                re = rnd.uniform(-0.3, 0.3)
+                im = rnd.uniform(0.8, 1.1) if a == b else rnd.uniform(-0.05, 0.05)
+                entries[a][b] = entries[b][a] = complex(re, im)
+        tau = PeriodMatrix(entries)
+        table = theta_constant_table(tau)
+        mask = (1 << g) - 1
+        for i in range(g + 1):
+            want = 0j
+            for row in _even_spans(g, i):
+                prod = 1 + 0j
+                for x in row:
+                    prod *= complex(table[int(x) >> g, int(x) & mask])
+                want += prod ** (1 << (4 - i))
+            got = P_i_g(tau, g, i)
+            assert abs(got - want) < 1e-13 * abs(want)
+
+
 def test_P_i_g_guards():
     with pytest.raises(ValueError):
         P_i_g(TAU_I, 5, 0)

@@ -1,9 +1,14 @@
 """End-to-end CLI behaviour: parsing, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thetachar
 from thetachar.amplitude import xi_g
 from thetachar.cli import main, parse_period_matrix, run
 from thetachar.theta import PeriodMatrix
@@ -103,6 +108,26 @@ def test_amplitude_report(capsys):
     assert [entry["i"] for entry in data["per_i"]] == [0, 1]
     assert run(["amplitude"]) == 1  # --genus/--tau missing
     capsys.readouterr()
+
+
+def test_amplitude_genus_4_is_byte_identical_across_processes():
+    tau = [[[0, 0.9], [0.1, 0.05], [0, 0], [-0.1, 0]],
+           [[0.1, 0.05], [0.2, 1.0], [0, 0.05], [0, 0]],
+           [[0, 0], [0, 0.05], [-0.3, 0.8], [0.05, 0]],
+           [[-0.1, 0], [0, 0], [0.05, 0], [0, 1.1]]]
+    src = str(Path(thetachar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "thetachar.cli", "amplitude", "--genus", "4",
+           "--tau", json.dumps(tau)]
+    procs = [
+        subprocess.Popen(cmd, env={**os.environ, "PYTHONPATH": path},
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for _ in range(2)
+    ]
+    outs = [p.communicate(timeout=120) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0], outs
+    assert outs[0][0] == outs[1][0]
+    assert json.loads(outs[0][0])["genus"] == 4
 
 
 def test_amplitude_check_factorization(capsys):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import mp_tail, mp_theta
+from oracles import mp_tail, mp_theta, np_theta_constants
 from thetachar.characteristics import Characteristic, all_characteristics
 from thetachar.theta import (
     PeriodMatrix,
@@ -217,6 +217,26 @@ def test_constant_table_agrees_bitwise_with_single_calls():
         assert table[c.eps, c.delta] == theta_constant(TAU_G2, c)
     # cached: identical object on repeat call
     assert theta_constant_table(TAU_G2) is table
+
+
+def test_constant_table_matches_per_characteristic_sums():
+    # the parity-binned Walsh-Hadamard table against 4^g separate lattice
+    # sums over the same box; odd entries vanish to the same bound
+    rng = np.random.default_rng(2024)
+    for g, count in ((3, 3), (4, 2)):
+        for _ in range(count):
+            re = rng.uniform(-0.3, 0.3, (g, g))
+            im = rng.uniform(-0.05, 0.05, (g, g))
+            entries = (re + re.T) / 2 + 1j * ((im + im.T) / 2 + 0.7 * np.eye(g))
+            tau = PeriodMatrix(entries)
+            radius = truncation_radius(tau, None, Tolerance())
+            bound = 1e-14 * (2 * radius + 1) ** g
+            want = np_theta_constants(tau.tau, radius)
+            got = theta_constant_table(tau)
+            assert np.abs(got - want).max() < bound
+            for c in all_characteristics(g):
+                if c.parity == 1:
+                    assert abs(got[c.eps, c.delta]) < bound
 
 
 def test_block_diagonal_theta_factorizes():
