@@ -13,22 +13,9 @@ Usage:
 import argparse
 import random
 
-import numpy as np
-
 from thetachar.amplitude import factorization_residual
-from thetachar.theta import PeriodMatrix, Tolerance
-
-
-def random_tau(rng: random.Random, g: int) -> PeriodMatrix:
-    """Random point of the Siegel space with Im tau >= 0.5 I."""
-    re = np.zeros((g, g))
-    for i in range(g):
-        for j in range(i, g):
-            re[i, j] = re[j, i] = rng.uniform(-0.45, 0.45)
-    factor = np.array([[rng.uniform(-0.4, 0.4) for _ in range(g)] for _ in range(g)])
-    gram = factor.T @ factor
-    im = (gram + gram.T) / 2.0 + 0.5 * np.eye(g)
-    return PeriodMatrix(re + 1j * im)
+from thetachar.theta import Tolerance
+from thetachar.verify import random_tau
 
 
 def main() -> None:
@@ -37,7 +24,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--max-genus", type=int, default=3, choices=(2, 3, 4),
-        help="largest total genus to scan (4 is slow: ~200k subspaces)",
+        help="largest total genus to scan",
     )
     parser.add_argument("--tol", type=float, default=1e-12)
     args = parser.parse_args()

@@ -38,7 +38,7 @@ from .characteristics import (
     sp_group_order,
     triple_sum,
 )
-from .config import RunConfig, thread_cap
+from .config import RunConfig
 from .picard import (
     DivClass,
     SlopeResult,

@@ -1,7 +1,9 @@
 """Subspace sums of theta constants and the genus-g measure candidate.
 
-The chain here is: enumerate subspaces W of F2^2g, take products P_W of
-theta constants over the elements of W, raise to 2^(4-i) and sum over
+The chain here is: generate the totally-even subspaces W of F2^2g (the
+totally singular subspaces of the parity form, built directly by the
+isotropic-subspace generator in symplectic), take products P_W of theta
+constants over the elements of W, raise to 2^(4-i) and sum over
 dimension-i subspaces to get P_i, then combine the P_i with alternating
 signed weights into Xi.  Everything is capped at g <= 4, where the
 exponents 2^(4-i) are still integers.
@@ -16,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf2 import gf2_rref, parity
+from .symplectic import _isotropic_bases, _span
 from .theta import PeriodMatrix, Tolerance, block_diag, theta_constant_table
 
 AMBIENT_CAP = 8
@@ -67,10 +70,7 @@ class Subspace:
 
     def elements(self) -> tuple[int, ...]:
         """All 2^dim elements, ascending (hence basis-independent)."""
-        span = [0]
-        for row in self.basis:
-            span += [x ^ row for x in span]
-        return tuple(sorted(span))
+        return tuple(sorted(_span(self.basis)))
 
     def __contains__(self, vector: int) -> bool:
         for row in self.basis:
@@ -115,17 +115,15 @@ def _is_totally_even(g: int, elems) -> bool:
 def _even_spans(g: int, i: int) -> np.ndarray:
     """The totally-even i-dim subspaces of F2^2g, one row of elements each.
 
-    Row order is the canonical enumeration order and each row is ascending.
-    An element x = eps * 2^g + delta is also the flat index of theta[eps;
-    delta] in a (2^g, 2^g) table, so the rows gather the products P_W.  The
-    parity of a characteristic is itself a quadratic form on F2^2g, so this
-    filter is independent of tau and safe to cache per (g, i).
+    The parity of a characteristic is the quadratic form q0(eps, delta) =
+    eps.delta on F2^2g, and these are its totally singular subspaces, read
+    from the isotropic-subspace generator.  Nothing depends on tau, so
+    each (g, i) is cached.  Row order is the canonical enumeration order of
+    enumerate_subspaces and each row is ascending.  An element x = eps *
+    2^g + delta is also the flat index of theta[eps; delta] in a (2^g, 2^g)
+    table, so the rows gather the products P_W.
     """
-    rows = [
-        elems
-        for subspace in enumerate_subspaces(2 * g, i)
-        if _is_totally_even(g, elems := subspace.elements())
-    ]
+    rows = [sorted(_span(basis)) for basis in _isotropic_bases(g, True)[i]]
     index = np.array(rows, dtype=np.intp).reshape(len(rows), 1 << i)
     index.setflags(write=False)
     return index

@@ -7,12 +7,14 @@ syzygetic when the four-term Arf sum vanishes, equivalently when the
 pairing of difference vectors <t1+t2, t1+t3> does; both routes are
 computed and compared on every call.
 
-Enumerators (tetrads, fundamental systems, maximal syzygetic systems,
-and the genus-3 Aronhold census) work at small genus by backtracking
-over characteristics in canonical (eps, delta) order.  The search prunes
-with the anchor reduction: a set has all triples azygetic (syzygetic)
-iff all triples through its first element do, which follows from
-bilinearity of the pairing on difference vectors.
+Syzygetic tetrads and Goepel (maximal syzygetic) systems are the cosets
+c + W of isotropic subspaces W of F2^2g, planes and Lagrangians
+respectively, so they are read from the isotropic-subspace generator in
+symplectic.  Azygetic sets (fundamental systems and the genus-3 Aronhold
+census) are not cosets; they come from backtracking over characteristics
+in canonical (eps, delta) order, pruned by the anchor reduction: a set
+has all triples azygetic iff all triples through its first element do,
+which follows from bilinearity of the pairing on difference vectors.
 """
 
 from __future__ import annotations
@@ -22,7 +24,14 @@ from itertools import combinations
 from math import factorial
 
 from .gf2 import gf2_rank, parity as bit_parity
-from .symplectic import F2Vector, QForm, form_difference, weil_pairing
+from .symplectic import (
+    F2Vector,
+    QForm,
+    _isotropic_bases,
+    _span,
+    form_difference,
+    weil_pairing,
+)
 
 __all__ = [
     "Characteristic",
@@ -201,20 +210,33 @@ def difference_rank(system: CharSystem) -> int:
     )
 
 
-def enumerate_syzygetic_tetrads(g: int) -> list[tuple[Characteristic, ...]]:
-    """All 4-sets {a, b, c, a+b+c} with {a, b, c} syzygetic; deduplicated.
+def _isotropic_cosets(g: int, dim: int) -> list[tuple[Characteristic, ...]]:
+    """The cosets c + W of the dim-dimensional isotropic subspaces W.
 
-    Exhaustive over all triples, so capped at genus 3 (C(64, 3) triples).
-    Output: sorted 4-tuples, list in lexicographic order.
+    A characteristic is read as the packed vector eps * 2^g + delta, which
+    is also its index in all_characteristics.  Output: sorted tuples, list
+    in lexicographic order; empty when dim > g.
+    """
+    if dim > g:
+        return []
+    cosets = set()
+    for basis in _isotropic_bases(g, False)[dim]:
+        span = _span(basis)
+        cosets.update(tuple(sorted(c ^ w for w in span)) for c in range(1 << (2 * g)))
+    chars = all_characteristics(g)
+    return [tuple(chars[x] for x in coset) for coset in sorted(cosets)]
+
+
+def enumerate_syzygetic_tetrads(g: int) -> list[tuple[Characteristic, ...]]:
+    """All 4-sets {a, b, c, a+b+c} with {a, b, c} syzygetic.
+
+    The differences a+b, a+c pair to zero, so these are the cosets of the
+    isotropic planes.  Capped at genus 3.  Output: sorted 4-tuples, list
+    in lexicographic order.
     """
     if not 1 <= g <= TETRAD_GENUS_CAP:
         raise ValueError(f"tetrad enumeration supports 1 <= g <= {TETRAD_GENUS_CAP}")
-    chars = all_characteristics(g)
-    seen = set()
-    for a, b, c in combinations(chars, 3):
-        if a.parity ^ b.parity ^ c.parity ^ triple_sum(a, b, c).parity == 0:
-            seen.add(tuple(sorted((a, b, c, triple_sum(a, b, c)))))
-    return sorted(seen)
+    return _isotropic_cosets(g, 2)
 
 
 def _extend_systems(chars, anchor_condition, target_size):
@@ -275,49 +297,12 @@ def enumerate_fundamental_systems(g: int) -> list[CharSystem]:
 def enumerate_gopel_systems(g: int) -> list[CharSystem]:
     """Inclusion-maximal sets in which every triple is syzygetic.
 
-    Each comes out with exactly 2^g members (asserted), the classical
-    cardinality; capped at genus 2.
+    These are the cosets c + L of the Lagrangian subspaces L, so each has
+    the classical 2^g members; capped at genus 2.  Sorted by members.
     """
     if not 1 <= g <= SYSTEM_GENUS_CAP:
         raise ValueError(f"Gopel-system search supports 1 <= g <= {SYSTEM_GENUS_CAP}")
-    chars = all_characteristics(g)
-
-    def syzygetic(anchor, s, t):
-        return _pair_bit(anchor, s, t) == 0
-
-    def extendable(members: set) -> bool:
-        ordered = sorted(members)
-        for t in chars:
-            if t in members:
-                continue
-            if all(_pair_bit(a, b, t) == 0 for a, b in combinations(ordered, 2)):
-                return True
-        return False
-
-    systems = []
-    n = len(chars)
-
-    def extend(chosen):
-        grew = False
-        start = chosen[-1] + 1 if chosen else 0
-        for idx in range(start, n):
-            t = chars[idx]
-            if len(chosen) < 2 or all(
-                syzygetic(chars[chosen[0]], chars[s], t) for s in chosen[1:]
-            ):
-                grew = True
-                chosen.append(idx)
-                extend(chosen)
-                chosen.pop()
-        if not grew and len(chosen) >= 2:
-            members = {chars[i] for i in chosen}
-            if not extendable(members):
-                system = CharSystem.sorted_system(members)
-                assert len(system.members) == 1 << g, system
-                systems.append(system)
-
-    extend([])
-    return systems
+    return [CharSystem(g, coset) for coset in _isotropic_cosets(g, g)]
 
 
 def sp_group_order(g: int) -> int:

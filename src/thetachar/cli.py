@@ -24,7 +24,7 @@ from .characteristics import (
     enumerate_syzygetic_tetrads,
     quartic_coordinate_check,
 )
-from .config import RunConfig, thread_cap
+from .config import RunConfig
 from .symplectic import arf, enumerate_forms
 from .theta import PeriodMatrix, Tolerance, theta_report
 from .verify import run_acceptance
@@ -330,7 +330,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        thread_cap()
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
         cfg = cfg.override(
             output=args.output,

@@ -3,35 +3,28 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs for numeric tolerance, enumeration limits and reproducibility.
+    """Knobs for numeric tolerance, output format and reproducibility.
 
     tolerance        absolute tolerance handed to the theta evaluator;
                      must lie in (1e-13, 1) — double precision cannot
                      honour anything tighter.
-    max_genus_exhaustive
-                     largest genus for which exhaustive enumerations are
-                     attempted by default.
     output           "json" or "table".
     seed             seed for every randomized check; identical seeds must
                      produce byte-identical reports.
     """
 
     tolerance: float = 1e-12
-    max_genus_exhaustive: int = 3
     output: str = "json"
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not (1e-13 < self.tolerance < 1.0):
             raise ValueError(f"tolerance must be in (1e-13, 1), got {self.tolerance}")
-        if self.max_genus_exhaustive < 1:
-            raise ValueError("max_genus_exhaustive must be >= 1")
         if self.output not in ("json", "table"):
             raise ValueError(f"output must be 'json' or 'table', got {self.output!r}")
         if not isinstance(self.seed, int):
@@ -44,7 +37,7 @@ class RunConfig:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("config file must contain a JSON object")
-        known = {"tolerance", "max_genus_exhaustive", "output", "seed"}
+        known = {"tolerance", "output", "seed"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -54,22 +47,3 @@ class RunConfig:
         kwargs = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **kwargs)
 
-
-def thread_cap() -> int:
-    """Parallelism cap from THETACHAR_THREADS (default 1).
-
-    Evaluation is currently single-process — per-call cost is dominated by
-    a one-time cached subspace classification, so any cap >= 1 is honoured
-    trivially — but the variable is validated here so misconfiguration
-    fails loudly rather than silently.
-    """
-    raw = os.environ.get("THETACHAR_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"THETACHAR_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"THETACHAR_THREADS must be >= 1, got {n}")
-    return n

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import gf2_inv, gf2_mul, parity as bit_parity
+from .gf2 import gf2_inv, gf2_mul, gf2_rref, parity as bit_parity
 
 __all__ = [
     "F2Vector",
@@ -186,6 +186,46 @@ class SpMatrix:
 def _packed_pairing(u: int, v: int, g: int) -> int:
     mask = (1 << g) - 1
     return bit_parity(((u >> g) & (v & mask)) ^ ((u & mask) & (v >> g)))
+
+
+@lru_cache(maxsize=None)
+def _isotropic_bases(g: int, singular: bool) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Reduced-echelon bases of the isotropic subspaces of F2^2g, by dimension.
+
+    Entry j holds the j-dimensional subspaces on which the pairing
+    vanishes, for j = 0..g.  With singular=True they must also be totally
+    singular for q0(v) = v_e.v_f, the parity form of characteristics, so
+    they are the totally-even spans.  Level j+1 extends each basis of
+    level j by every admissible vector that pairs to 0 with it, taking one
+    representative per coset of its span (the one free of pivot bits), and
+    deduplicates by rref.  Each level is sorted by (descending pivots,
+    rows), which is the order of enumerate_subspaces.
+    """
+    mask = (1 << g) - 1
+    admissible = [
+        v for v in range(1, 1 << (2 * g))
+        if not (singular and bit_parity((v >> g) & v & mask))
+    ]
+    levels = [((),)]
+    for _ in range(g):
+        found = set()
+        for basis in levels[-1]:
+            pivots = 0
+            for row in basis:
+                pivots |= 1 << (row.bit_length() - 1)
+            for v in admissible:
+                if not v & pivots and not any(_packed_pairing(v, row, g) for row in basis):
+                    found.add(gf2_rref(basis + (v,)))
+        levels.append(tuple(sorted(found, key=lambda b: ([-r.bit_length() for r in b], b))))
+    return tuple(levels)
+
+
+def _span(basis) -> list[int]:
+    """All 2^len(basis) sums of the rows, in no particular order."""
+    span = [0]
+    for row in basis:
+        span += [x ^ row for x in span]
+    return span
 
 
 def weil_pairing(u: F2Vector, v: F2Vector) -> int:

@@ -49,7 +49,7 @@ from .theta import PeriodMatrix, Tolerance, theta_constant, theta_constant_table
 _TOL = Tolerance(1e-12)
 
 
-def _random_tau(rng: random.Random, g: int) -> PeriodMatrix:
+def random_tau(rng: random.Random, g: int) -> PeriodMatrix:
     """A random period matrix with Im tau >= 0.5 I (eigenvalue-wise).
 
     Im tau = 0.5 I + L^T L keeps the spectrum in roughly [0.5, 3], where
@@ -134,7 +134,7 @@ def _check_parity_vanishing(cfg: RunConfig, rng: random.Random):
     for g in (1, 2, 3):
         odds = [c for c in all_characteristics(g) if c.parity == 1]
         for _ in range(20):
-            table = theta_constant_table(_random_tau(rng, g), _TOL)
+            table = theta_constant_table(random_tau(rng, g), _TOL)
             for c in odds:
                 worst = max(worst, abs(complex(table[c.eps, c.delta])))
                 n += 1
@@ -150,7 +150,7 @@ def _check_theta_value(cfg: RunConfig, rng: random.Random):
         return False, f"theta[0;0](i, 0) off by {err:.3e} (limit 1e-10)"
     worst = 0.0
     for _ in range(5):
-        table = theta_constant_table(_random_tau(rng, 1), _TOL)
+        table = theta_constant_table(random_tau(rng, 1), _TOL)
         quartic = table[0, 0] ** 4 - table[0, 1] ** 4 - table[1, 0] ** 4
         worst = max(worst, abs(complex(quartic)))
     ok = worst < 1e-9
@@ -160,7 +160,7 @@ def _check_theta_value(cfg: RunConfig, rng: random.Random):
 def _check_initial_condition(cfg: RunConfig, rng: random.Random):
     worst = 0.0
     for _ in range(5):
-        tau = _random_tau(rng, 1)
+        tau = random_tau(rng, 1)
         table = theta_constant_table(tau, _TOL)
         product = table[0, 0] ** 8 * table[0, 1] ** 4 * table[1, 0] ** 4
         rel = abs(xi_g(tau, 1, _TOL) - product) / abs(product)
@@ -181,7 +181,7 @@ def _check_factorization(cfg: RunConfig, rng: random.Random):
     worst: dict[str, float] = {}
     for label, limit, g, k in cases:
         residual = factorization_residual(
-            g, k, _random_tau(rng, k), _random_tau(rng, g - k), _TOL
+            g, k, random_tau(rng, k), random_tau(rng, g - k), _TOL
         )
         if not residual < limit:
             return False, f"{label}: residual {residual:.3e} exceeds {limit:.0e}"

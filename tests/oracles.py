@@ -163,6 +163,46 @@ def oracle_subspace_counts(g, dim):
 
 
 # ---------------------------------------------------------------------------
+# closed-form counts of isotropic subspaces of (F2^(2g), Weil pairing)
+
+
+def totally_singular_count(g, i):
+    """i-dim subspaces on which q0(eps, delta) = eps.delta vanishes.
+
+    prod_{j<i} (2^(g-j) - 1)(2^(g-j-1) + 1) / (2^(j+1) - 1), the standard
+    count of totally singular subspaces of a hyperbolic quadric of Witt
+    index g.
+    """
+    num = den = 1
+    for j in range(i):
+        num *= (2 ** (g - j) - 1) * (2 ** (g - j - 1) + 1)
+        den *= 2 ** (j + 1) - 1
+    count, rem = divmod(num, den)
+    assert rem == 0
+    return count
+
+
+def lagrangian_count(g):
+    """g-dim isotropic subspaces: prod_{i=1..g} (2^i + 1)."""
+    n = 1
+    for i in range(1, g + 1):
+        n *= 2**i + 1
+    return n
+
+
+def isotropic_plane_count(g):
+    """(4^g - 1)(2^(2g-1) - 2) / 6: ordered orthogonal pairs over |GL(2, F2)|."""
+    count, rem = divmod((4**g - 1) * (2 ** (2 * g - 1) - 2), 6)
+    assert rem == 0
+    return count
+
+
+def gopel_coset_count(g):
+    """Cosets c + L of Lagrangians, 2^g per L: 2^g prod (2^i + 1)."""
+    return 2**g * lagrangian_count(g)
+
+
+# ---------------------------------------------------------------------------
 # high-precision theta values (mpmath, direct summation, no truncation logic)
 
 
@@ -322,6 +362,12 @@ def main():
         for d in dims:
             tot, ev = oracle_subspace_counts(g, d)
             print(f"g={g} dim={d}: total {tot}  all-even {ev}")
+
+    print("\n== isotropic subspace closed forms ==")
+    for g in range(1, 5):
+        singular = [totally_singular_count(g, i) for i in range(g + 1)]
+        print(f"g={g}: totally singular {singular}  Lagrangian {lagrangian_count(g)}  "
+              f"planes {isotropic_plane_count(g)}  Gopel {gopel_coset_count(g)}")
 
     print("\n== theta reference values (40 digits) ==")
     with mpmath.workdps(40):

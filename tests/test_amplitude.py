@@ -7,9 +7,10 @@ span-building oracle: g=1 -> [1, 2], g=2 -> [1, 9, 6], g=3 -> [1, 35, 105,
 
 import random
 
+import numpy as np
 import pytest
 
-from oracles import oracle_subspace_counts
+from oracles import oracle_subspace_counts, totally_singular_count
 from thetachar.amplitude import (
     P_W,
     P_i_g,
@@ -21,6 +22,7 @@ from thetachar.amplitude import (
     _even_spans,
 )
 from thetachar.characteristics import Characteristic
+from thetachar.symplectic import _isotropic_bases
 from thetachar.theta import PeriodMatrix, Tolerance, block_diag, theta_constant_table
 
 TAU_I = PeriodMatrix([[1j]])
@@ -98,6 +100,24 @@ def test_even_span_cache_matches_frozen_g4_counts():
     # the heavy classification is cached per (g, i); g=4 is the cap
     for i in range(5):
         assert len(_even_spans(4, i)) == EVEN_COUNTS[4][i]
+
+
+def test_even_spans_match_filtered_enumeration_in_order():
+    # the generator against "enumerate every subspace, then filter", row for row
+    for g in (1, 2, 3):
+        for i in range(g + 1):
+            rows = [s.elements() for s in enumerate_subspaces(2 * g, i) if totally_even(g, s)]
+            want = np.array(rows, dtype=np.intp).reshape(len(rows), 1 << i)
+            got = _even_spans(g, i)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+def test_totally_singular_counts_match_closed_form():
+    for g in range(1, 5):
+        counts = [len(level) for level in _isotropic_bases(g, True)]
+        assert counts == [totally_singular_count(g, i) for i in range(g + 1)]
+        assert counts == EVEN_COUNTS[g]
 
 
 def test_P_W_small_cases():

@@ -11,14 +11,18 @@ import random
 import pytest
 
 from oracles import (
+    gopel_coset_count,
     is_azygetic_triple,
+    isotropic_plane_count,
     krazer_count,
+    lagrangian_count,
     oracle_fundamental_systems,
     oracle_gopel_systems,
     oracle_syzygetic_tetrads,
     sp_order,
 )
 from thetachar.characteristics import (
+    _isotropic_cosets,
     CharSystem,
     Characteristic,
     all_characteristics,
@@ -35,7 +39,13 @@ from thetachar.characteristics import (
     sp_group_order,
     triple_sum,
 )
-from thetachar.symplectic import arf, random_symplectic, sp_apply, translate_form
+from thetachar.symplectic import (
+    _isotropic_bases,
+    arf,
+    random_symplectic,
+    sp_apply,
+    translate_form,
+)
 
 
 def ch(text):
@@ -212,6 +222,34 @@ def test_gopel_systems_match_oracle():
         }
         want = {frozenset(s) for s in oracle_gopel_systems(g)}
         assert got == want
+
+
+def test_isotropic_counts_match_closed_forms():
+    for g in (1, 2, 3):
+        levels = _isotropic_bases(g, False)
+        assert len(levels) == g + 1
+        assert len(levels[g]) == lagrangian_count(g)
+        planes = levels[2] if g >= 2 else ()
+        assert len(planes) == isotropic_plane_count(g)
+        gopel = _isotropic_cosets(g, g)
+        assert len(gopel) == gopel_coset_count(g)
+        assert all(len(s) == 2**g for s in gopel)
+    assert _isotropic_cosets(1, 2) == []
+
+
+def test_gopel_cosets_at_genus_3_are_maximal_syzygetic():
+    # past the public cap: spot-check the coset description on a sample
+    systems = _isotropic_cosets(3, 3)
+    chars = all_characteristics(3)
+    for members in systems[::97]:
+        pairs = [as_pair(c) for c in members]
+        assert not any(is_azygetic_triple(*t) for t in itertools.combinations(pairs, 3))
+        for t in chars:
+            if t not in members:
+                assert any(
+                    is_azygetic_triple(a, b, as_pair(t))
+                    for a, b in itertools.combinations(pairs, 2)
+                )
 
 
 def test_enumeration_guards():

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: parsing, exit codes, output formats."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -50,6 +51,19 @@ def test_systems_counts(capsys):
     assert capsys.readouterr().out == "60\n"
     assert run(["systems", "--genus", "3", "--kind", "aronhold", "--count"]) == 0
     assert capsys.readouterr().out == "288\n"
+
+
+def test_systems_listing_is_frozen(capsys):
+    # sha256 of the full JSON listing: member order, system order and
+    # formatting are part of the output contract
+    frozen = {
+        ("2", "gopel"): "8b6701dca048c7ca21c817285e5b8e25d5decd79eaa45abdf9ff2a99caabe8db",
+        ("3", "tetrads"): "58c4d14a00fb205d12875dd85fbf1b3771460e626890315b85f3c38f4268f0ca",
+    }
+    for (genus, kind), digest in frozen.items():
+        assert run(["systems", "--genus", genus, "--kind", kind]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (genus, kind)
 
 
 def test_systems_listing_shape(capsys):
@@ -201,6 +215,17 @@ def test_config_file_round_trip(tmp_path, capsys):
     bad.write_text(json.dumps({"tolrance": 1e-10}))
     assert run(["forms", "--genus", "1", "--config", str(bad)]) == 1
     assert "tolrance" in capsys.readouterr().err
+
+
+def test_removed_knobs(tmp_path, capsys, monkeypatch):
+    # max_genus_exhaustive is no longer a config key; THETACHAR_THREADS is ignored
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"max_genus_exhaustive": 3}))
+    assert run(["forms", "--genus", "1", "--config", str(old)]) == 1
+    assert "max_genus_exhaustive" in capsys.readouterr().err
+    monkeypatch.setenv("THETACHAR_THREADS", "0")
+    assert run(["forms", "--genus", "1", "--count"]) == 0
+    assert capsys.readouterr().out == "4\n"
 
 
 def test_verify_subset_is_deterministic(capsys):
