@@ -316,7 +316,9 @@ def mat_mul(a: SpMatrix, b: SpMatrix) -> SpMatrix:
     return SpMatrix(a.g, tuple(gf2_mul(a.rows, b.rows)))
 
 
-@lru_cache(maxsize=512)
+# sp_apply maps one matrix over many forms in turn; a matrix that has gone
+# out of use (random_symplectic draws a new one each time) is not kept.
+@lru_cache(maxsize=4)
 def _inverse_rows(m: SpMatrix) -> tuple[int, ...]:
     return tuple(gf2_inv(m.rows))
 

@@ -12,6 +12,20 @@ them at z = 0 per parity class m mod 2 and recovers every delta from the
 2^g class sums by a Walsh-Hadamard transform and a phase i^(eps.delta)
 (see theta_constant_table); theta_constant is a lookup into that table.
 
+The kernel evaluates the exponent through one exact split,
+
+    s' tau s + 2 s' z = m' tau m + m'(tau eps + 2 z) + (eps' tau eps / 4 + eps' z),
+
+taken separately for X = Re tau and Y = Im tau.  Xm = m X and Ym = m Y
+and the row dots m'Xm, m'Ym come from real BLAS products over the box,
+once per call; everything else is a mat-vec or a constant.  Each weight is
+a real Gaussian magnitude exp(-pi (imaginary part)) times a unit-modulus
+phase exp(pi i (real part)).  The magnitude is always one exp of the whole
+imaginary part and is never split into factors: for an ill-conditioned Y
+the factors exp(-pi Ym[:, k]) overflow long before the product underflows
+(Y = [[50, 49.7], [49.7, 50]] at m = (-5, -5) gives exp(1566) times
+exp(-15661)).  Phases are unit-modulus, so the table may factor them.
+
 The lattice sum is truncated to an infinity-norm box whose radius comes
 from the Gaussian tail bound with the smallest eigenvalue of Im tau
 (computed by cyclic Jacobi iteration) and |Im z|; the bound is
@@ -77,7 +91,9 @@ class PeriodMatrix:
     """g x g complex symmetric matrix with positive-definite imaginary part.
 
     Symmetry must hold exactly as stored; positive definiteness is checked
-    numerically through the smallest Jacobi eigenvalue of Im tau.
+    numerically through the smallest Jacobi eigenvalue of Im tau.  Two
+    period matrices are equal, and hash alike, when their entries are equal
+    byte for byte, so caches can key on the matrix itself.
     """
 
     def __init__(self, entries) -> None:
@@ -95,6 +111,13 @@ class PeriodMatrix:
         self.tau = tau
         self.g = tau.shape[0]
         self.im_lambda_min = lam
+        self._key = tau.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PeriodMatrix) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"PeriodMatrix(g={self.g})"
@@ -247,27 +270,48 @@ def _parity_classes(g: int, radius: int) -> np.ndarray:
     return classes
 
 
+@lru_cache(maxsize=None)
 def _char_vec(block: int, g: int) -> np.ndarray:
-    return np.array([(block >> (g - 1 - i)) & 1 for i in range(g)], dtype=float)
+    vec = np.array([(block >> (g - 1 - i)) & 1 for i in range(g)], dtype=float)
+    vec.setflags(write=False)
+    return vec
 
 
-def _weights(tau: PeriodMatrix, eps: int, z: np.ndarray, radius: int) -> np.ndarray:
-    """w_eps(m; z) = exp(pi i (s' tau s + 2 s' z)), s = m + eps/2, on the box.
+def _cis(x: np.ndarray) -> np.ndarray:
+    """exp(pi i x), the unit-modulus phase of a real exponent part."""
+    return np.exp(1j * np.pi * x)
 
-    The one weight function of the module and the only place a lattice sum
-    exponentiates: single evaluations sum it at z + delta/2, tables bin it
-    by parity at z = 0.
-    """
-    shifted = _lattice(tau.g, radius) + _char_vec(eps, tau.g) / 2.0
-    quad = np.einsum("ij,jk,ik->i", shifted, tau.tau, shifted)
-    lin = shifted @ z
-    return np.exp(1j * np.pi * (quad + 2.0 * lin))
+
+def _quadratic(m: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """am = m a over the box and the row dots m'a m, both by real BLAS."""
+    am = m @ a
+    return am, (am * m) @ np.ones(a.shape[0])
+
+
+def _re_im(tau: PeriodMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Re tau and Im tau as contiguous real arrays, so products go to BLAS."""
+    return np.ascontiguousarray(tau.tau.real), np.ascontiguousarray(tau.tau.imag)
 
 
 def _theta_sum(tau: PeriodMatrix, arg: ThetaArg, c: Characteristic, radius: int) -> complex:
-    """theta[eps; delta](tau, z) = theta[eps; 0](tau, z + delta/2)."""
-    z = np.array(arg.z, dtype=complex) + _char_vec(c.delta, tau.g) / 2.0
-    return complex(np.sum(_weights(tau, c.eps, z, radius)))
+    """theta[eps; delta](tau, z) = theta[eps; 0](tau, z + delta/2).
+
+    The sum of w_eps(m; z + delta/2) over the box, by the split: one real
+    exp for the magnitudes and one complex exp for the phases.  The linear
+    coefficient tau eps + 2z and the constant are g-sized and stay complex.
+    """
+    g = tau.g
+    m = _lattice(g, radius)
+    x, y = _re_im(tau)
+    e = _char_vec(c.eps, g)
+    z = np.array(arg.z, dtype=complex) + _char_vec(c.delta, g) / 2.0
+    lin = tau.tau @ e + 2.0 * z
+    const = e @ tau.tau @ e / 4.0 + e @ z
+    _, mxm = _quadratic(m, x)
+    _, mym = _quadratic(m, y)
+    re = mxm + m @ lin.real + const.real
+    im = mym + m @ lin.imag + const.imag
+    return complex(np.sum(np.exp(-np.pi * im) * _cis(re)))
 
 
 @lru_cache(maxsize=None)
@@ -318,9 +362,6 @@ def theta_report(tau: PeriodMatrix, z, c: Characteristic, tol=Tolerance()) -> di
     }
 
 
-_TABLE_CACHE: dict = {}
-
-
 def theta_constant_table(tau: PeriodMatrix, tol=Tolerance()) -> np.ndarray:
     """All 2^2g theta constants as an array indexed [eps, delta].
 
@@ -335,28 +376,45 @@ def theta_constant_table(tau: PeriodMatrix, tol=Tolerance()) -> np.ndarray:
     therefore takes 2^g weight vectors, not 4^g lattice sums.  The box and
     its radius (for z = 0) are those of a single evaluation, and
     theta_constant reads this table, so the two agree bit for bit.
+
+    The weight vectors come from the split at z = 0.  The magnitude of
+    w_eps is exp(-pi (m'Ym + Ym.eps + eps'Y eps/4)) = exp(-pi s'Ys) <= 1,
+    one real exp per eps over the box.  The phase is
+
+        cis(pi m'Xm) prod_{k in eps} cis(pi Xm[:, k]) cis(pi eps'X eps/4),
+
+    so the box sees g + 1 complex exps per table, not 2^g; each weight
+    vector multiplies the columns of its eps in turn, and the constant
+    factor multiplies the 2^g class sums.  Working memory is O(N g) for
+    N box points.  Tables are cached per (tau, tol), 16 at a time.
     """
-    tol = Tolerance.coerce(tol)
-    key = (tau.tau.tobytes(), tau.g, tol.abs_tol)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _table(tau, Tolerance.coerce(tol))
+
+
+@lru_cache(maxsize=16)
+def _table(tau: PeriodMatrix, tol: Tolerance) -> np.ndarray:
     g = tau.g
     n = 1 << g
     radius = truncation_radius(tau, ThetaArg.zero(g), tol)
     classes = _parity_classes(g, radius)
-    zero = np.zeros(g, dtype=complex)
+    m = _lattice(g, radius)
+    x, y = _re_im(tau)
+    xm, mxm = _quadratic(m, x)
+    ym, mym = _quadratic(m, y)
+    base = _cis(mxm)
+    columns = [_cis(xm[:, k]) for k in range(g)]
     sums = np.empty((n, n), dtype=complex)
     for eps in range(n):
-        w = _weights(tau, eps, zero, radius)
+        e = _char_vec(eps, g)
+        w = np.exp(-np.pi * (mym + ym @ e + e @ y @ e / 4.0)) * base
+        for k in np.flatnonzero(e):
+            w *= columns[k]
         sums[eps].real = np.bincount(classes, w.real, n)
         sums[eps].imag = np.bincount(classes, w.imag, n)
+        sums[eps] *= _cis(e @ x @ e / 4.0)
     signs, phases = _signs_and_phases(g)
     table = (sums @ signs) * phases
     table.setflags(write=False)
-    if len(_TABLE_CACHE) >= 16:
-        _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-    _TABLE_CACHE[key] = table
     return table
 
 

@@ -232,6 +232,25 @@ def mp_theta(tau, z, eps, delta, g, radius=30, dps=40):
         return total
 
 
+def np_theta(tau, z, eps, delta, radius):
+    """theta[eps; delta](tau, z) as one plain lattice sum.
+
+    tau: g x g complex array; z: length-g complex; eps/delta: 0/1 lists.
+    Sums exp(pi i c'tau c + 2 pi i c'(z + d/2)), c = m + eps/2, over the
+    full box |m|_inf <= radius in np.ndindex order, with the quadratic form
+    taken by one complex einsum.
+    """
+    import numpy as np
+
+    tau = np.asarray(tau, dtype=complex)
+    g = tau.shape[0]
+    m = np.array(list(np.ndindex(*(2 * radius + 1,) * g)), dtype=float) - radius
+    c = m + np.asarray(eps, dtype=float) / 2
+    quad = np.einsum("ij,jk,ik->i", c, tau, c)
+    lin = c @ (np.asarray(z, dtype=complex) + np.asarray(delta, dtype=float) / 2)
+    return complex(np.exp(1j * np.pi * (quad + 2 * lin)).sum())
+
+
 def np_theta_constants(tau, radius):
     """All 4^g theta constants, one plain lattice sum per (eps, delta).
 

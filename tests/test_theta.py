@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import mp_tail, mp_theta, np_theta_constants
+from oracles import mp_tail, mp_theta, np_theta, np_theta_constants
 from thetachar.characteristics import Characteristic, all_characteristics
 from thetachar.theta import (
     PeriodMatrix,
@@ -237,6 +237,52 @@ def test_constant_table_matches_per_characteristic_sums():
             for c in all_characteristics(g):
                 if c.parity == 1:
                     assert abs(got[c.eps, c.delta]) < bound
+
+
+def _bits(block, g):
+    return [(block >> (g - 1 - i)) & 1 for i in range(g)]
+
+
+def test_single_evaluation_matches_plain_sum_off_zero():
+    # theta_with_char at Im z != 0 against one plain einsum sum over the
+    # same box, even and odd characteristics alike
+    rng = np.random.default_rng(4041)
+    for g in (3, 4):
+        re = rng.uniform(-0.3, 0.3, (g, g))
+        im = rng.uniform(-0.05, 0.05, (g, g))
+        tau = PeriodMatrix((re + re.T) / 2 + 1j * ((im + im.T) / 2 + 0.8 * np.eye(g)))
+        z = rng.uniform(-0.4, 0.4, g) + 1j * rng.uniform(-0.15, 0.15, g)
+        radius = truncation_radius(tau, z, Tolerance())
+        bound = 1e-14 * (2 * radius + 1) ** g
+        chars = all_characteristics(g)
+        for parity in (0, 1):
+            pool = [c for c in chars if c.parity == parity]
+            for k in rng.choice(len(pool), 3, replace=False):
+                c = pool[k]
+                want = np_theta(tau.tau, z, _bits(c.eps, g), _bits(c.delta, g), radius)
+                assert abs(theta_with_char(tau, z, c) - want) < bound
+
+
+def test_ill_conditioned_im_tau_does_not_overflow():
+    # Each magnitude is one exp of the whole s'Ys.  Split into factors,
+    # exp(-pi (m Im tau)_k) alone overflows on these matrices (lambda_min
+    # 0.3 and 0.35 against lambda_max 99.7 and 59.95) before the product
+    # underflows, and the sums turn to nan.
+    y2 = np.array([[50.0, 49.7], [49.7, 50.0]])
+    y4 = 0.35 * np.eye(4) + 14.9 * np.ones((4, 4))
+    for y in (y2, y4):
+        g = y.shape[0]
+        x = 0.1 * np.fromfunction(lambda i, j: np.cos(i + j + 1.0), (g, g))
+        tau = PeriodMatrix(x + 1j * y)
+        radius = truncation_radius(tau, None, Tolerance())
+        bound = 1e-14 * (2 * radius + 1) ** g
+        table = theta_constant_table(tau)
+        assert np.isfinite(table).all()
+        assert np.abs(table - np_theta_constants(tau.tau, radius)).max() < bound
+        z = [0.1 + 0.02j * (k + 1) for k in range(g)]
+        for c in all_characteristics(g)[:: 2 * g - 1]:
+            assert cmath.isfinite(theta_with_char(tau, z, c))
+            assert abs(theta_with_char(tau, None, c) - table[c.eps, c.delta]) < bound
 
 
 def test_block_diagonal_theta_factorizes():
