@@ -26,12 +26,10 @@ from .characteristics import (
     CharSystem,
     all_characteristics,
     char_difference,
-    char_to_form,
     difference_rank,
     enumerate_fundamental_systems,
     enumerate_gopel_systems,
     enumerate_syzygetic_tetrads,
-    form_to_char,
     fundamental_system_count,
     is_syzygetic,
     quartic_coordinate_check,
@@ -51,7 +49,6 @@ from .picard import (
 )
 from .symplectic import (
     F2Vector,
-    QForm,
     SpMatrix,
     arf,
     enumerate_forms,
@@ -69,7 +66,6 @@ from .theta import (
     ThetaArg,
     Tolerance,
     block_diag,
-    jacobi_eigenvalues,
     theta_constant,
     theta_constant_table,
     theta_report,

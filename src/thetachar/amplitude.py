@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import InvariantError
 from .gf2 import gf2_rref, parity
 from .symplectic import _isotropic_bases, _span
 from .theta import PeriodMatrix, Tolerance, block_diag, theta_constant_table
@@ -34,7 +35,8 @@ def gaussian_binomial(n: int, k: int) -> int:
         num *= (1 << n) - (1 << j)
         den *= (1 << k) - (1 << j)
     count, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise InvariantError(f"Gaussian binomial [{n} choose {k}]_2 is not integral")
     return count
 
 
@@ -102,7 +104,8 @@ def enumerate_subspaces(n: int, i: int) -> list[Subspace]:
                         row |= 1 << b
                 rows.append(row)
             out.append(Subspace(n, tuple(rows)))
-    assert len(out) == gaussian_binomial(n, i)
+    if len(out) != gaussian_binomial(n, i):
+        raise InvariantError(f"found {len(out)} subspaces of dimension {i} in F2^{n}")
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import InvariantError
 from .gf2 import gf2_kernel_masks
 from .picard import DivClass, pullback
 
@@ -137,7 +138,8 @@ def even_edge_sets(graph: DualGraph) -> list[EvenEdgeSet]:
         sets.append(EvenEdgeSet(tuple(ids)))
     sets.sort(key=lambda s: s.edges)
     b, _ = betti_and_genus(graph)
-    assert len(sets) == 1 << b
+    if len(sets) != 1 << b:
+        raise InvariantError(f"{len(sets)} even edge sets, expected 2^{b}")
     return sets
 
 
@@ -210,7 +212,7 @@ def th_components(graph: DualGraph) -> ThComponentReport:
 
     Each even set Delta contributes 2^(2g-2b) * 2^(b1(Delta)) components
     of multiplicity 2^(b - b1(Delta)); the total length is always the
-    fibre degree 2^(2g), which is asserted.  The fibre is reduced exactly
+    fibre degree 2^(2g), which is checked.  The fibre is reduced exactly
     for compact-type curves (b = 0).
     """
     b, g = betti_and_genus(graph)
@@ -229,7 +231,8 @@ def th_components(graph: DualGraph) -> ThComponentReport:
         )
     total_components = sum(e.component_count for e in entries)
     total_length = sum(e.component_count * e.multiplicity for e in entries)
-    assert total_length == 1 << (2 * g), (total_length, g)
+    if total_length != 1 << (2 * g):
+        raise InvariantError(f"fibre length {total_length} is not 2^(2g) at g={g}")
     return ThComponentReport(
         b=b,
         g=g,
@@ -246,7 +249,7 @@ def boundary_degrees_odd(g: int, i: int) -> tuple[int, int]:
     For i >= 1 the two add up to the number 2^(g-1) (2^g - 1) of odd
     theta characteristics; over Delta_0 the covering is simply ramified
     along B_0, so deg A_0 + 2 deg B_0 hits the same total.  Both
-    identities are asserted.
+    identities are checked.
     """
     if g < 2:
         raise ValueError(f"need g >= 2, got {g}")
@@ -257,11 +260,13 @@ def boundary_degrees_odd(g: int, i: int) -> tuple[int, int]:
     if i == 0:
         deg_a = 1 << (2 * g - 2)
         deg_b = quarter * ((1 << (g - 1)) - 1)
-        assert deg_a + 2 * deg_b == odd_total
+        total = deg_a + 2 * deg_b
     else:
         deg_a = quarter * ((1 << i) - 1) * ((1 << (g - i)) + 1)
         deg_b = quarter * ((1 << i) + 1) * ((1 << (g - i)) - 1)
-        assert deg_a + deg_b == odd_total
+        total = deg_a + deg_b
+    if total != odd_total:
+        raise InvariantError(f"boundary degrees at (g, i) = ({g}, {i}) miss the odd count")
     return deg_a, deg_b
 
 

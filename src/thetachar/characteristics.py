@@ -1,10 +1,11 @@
 """Characteristic calculus: parity, syzygy, and the classical systems.
 
-A characteristic [eps; delta] names the quadratic form q(x, y) = x.y +
-eps.x + delta.y, so parity eps.delta equals the Arf invariant of the
-induced form.  Triple sums are plain XOR on (eps, delta).  A triple is
-syzygetic when the four-term Arf sum vanishes, equivalently when the
-pairing of difference vectors <t1+t2, t1+t3> does; both routes are
+A characteristic [eps; delta] is the quadratic form q(x, y) = x.y +
+eps.x + delta.y (symplectic.Characteristic), so parity eps.delta is its
+Arf invariant and the difference of two characteristics is the vector
+form_difference gives.  Triple sums are plain XOR on (eps, delta).  A
+triple is syzygetic when the four-term Arf sum vanishes, equivalently when
+the pairing of difference vectors <t1+t2, t1+t3> does; both routes are
 computed and compared on every call.
 
 Syzygetic tetrads and Goepel (maximal syzygetic) systems are the cosets
@@ -15,20 +16,27 @@ census) are not cosets; they come from backtracking over characteristics
 in canonical (eps, delta) order, pruned by the anchor reduction: a set
 has all triples azygetic iff all triples through its first element do,
 which follows from bilinearity of the pairing on difference vectors.
+The searches run on packed ints eps * 2^g + delta, the index in
+all_characteristics: sums are XOR and the difference vector of a and s
+is a ^ s with its blocks swapped, which leaves the pairing unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import factorial
+from operator import xor
 
-from .gf2 import gf2_rank, parity as bit_parity
+from .config import InvariantError
+from .gf2 import gf2_rank
 from .symplectic import (
-    F2Vector,
-    QForm,
+    Characteristic,
     _isotropic_bases,
+    _packed_pairing,
     _span,
+    enumerate_forms,
     form_difference,
     weil_pairing,
 )
@@ -37,8 +45,6 @@ __all__ = [
     "Characteristic",
     "CharSystem",
     "all_characteristics",
-    "char_to_form",
-    "form_to_char",
     "triple_sum",
     "char_difference",
     "is_syzygetic",
@@ -55,67 +61,9 @@ TETRAD_GENUS_CAP = 3
 SYSTEM_GENUS_CAP = 2
 
 
-@dataclass(frozen=True, order=True)
-class Characteristic:
-    """[eps; delta] with g-bit blocks; ordering is by (g, eps, delta)."""
-
-    g: int
-    eps: int
-    delta: int
-
-    def __post_init__(self) -> None:
-        if self.g < 1:
-            raise ValueError(f"genus must be positive, got {self.g}")
-        for name, value in (("eps", self.eps), ("delta", self.delta)):
-            if not 0 <= value < (1 << self.g):
-                raise ValueError(f"{name} must be a {self.g}-bit value, got {value}")
-
-    @classmethod
-    def from_string(cls, text: str) -> "Characteristic":
-        """Parse 'epsbits;deltabits', e.g. '01;10'."""
-        eps_part, sep, delta_part = text.partition(";")
-        if not sep or len(eps_part) != len(delta_part) or not eps_part:
-            raise ValueError(f"expected 'eps;delta' bit strings, got {text!r}")
-        if set(eps_part + delta_part) - {"0", "1"}:
-            raise ValueError(f"non-binary digits in {text!r}")
-        return cls(len(eps_part), int(eps_part, 2), int(delta_part, 2))
-
-    @classmethod
-    def from_packed(cls, g: int, packed: int) -> "Characteristic":
-        """Read a packed F2^2g vector as a characteristic (e-block gives eps)."""
-        return cls(g, packed >> g, packed & ((1 << g) - 1))
-
-    @property
-    def parity(self) -> int:
-        return bit_parity(self.eps & self.delta)
-
-    @property
-    def bits(self) -> str:
-        return format(self.eps, f"0{self.g}b") + ";" + format(self.delta, f"0{self.g}b")
-
-    def to_json_dict(self) -> dict:
-        w = (self.g + 3) // 4
-        return {
-            "eps": f"{self.eps:0{w}x}",
-            "delta": f"{self.delta:0{w}x}",
-            "parity": self.parity,
-        }
-
-
 def all_characteristics(g: int) -> list[Characteristic]:
     """All 2^2g characteristics in canonical (eps, delta) order."""
-    return [
-        Characteristic(g, e, d) for e in range(1 << g) for d in range(1 << g)
-    ]
-
-
-def char_to_form(c: Characteristic) -> QForm:
-    """q(x, y) = x.y + eps.x + delta.y has basis values exactly (eps | delta)."""
-    return QForm(c.g, c.eps, c.delta)
-
-
-def form_to_char(q: QForm) -> Characteristic:
-    return Characteristic(q.g, q.qe, q.qf)
+    return enumerate_forms(g)
 
 
 def triple_sum(a: Characteristic, b: Characteristic, c: Characteristic) -> Characteristic:
@@ -124,10 +72,8 @@ def triple_sum(a: Characteristic, b: Characteristic, c: Characteristic) -> Chara
     return Characteristic(a.g, a.eps ^ b.eps ^ c.eps, a.delta ^ b.delta ^ c.delta)
 
 
-def char_difference(a: Characteristic, b: Characteristic) -> F2Vector:
-    """The 2-torsion vector between the induced forms (block-swapped XOR)."""
-    _same_genus(a, b)
-    return form_difference(char_to_form(a), char_to_form(b))
+# The 2-torsion vector between two characteristics (block-swapped XOR).
+char_difference = form_difference
 
 
 def is_syzygetic(a: Characteristic, b: Characteristic, c: Characteristic) -> bool:
@@ -142,23 +88,15 @@ def is_syzygetic(a: Characteristic, b: Characteristic, c: Characteristic) -> boo
     arf_sum = (
         a.parity ^ b.parity ^ c.parity ^ triple_sum(a, b, c).parity
     )
-    pairing = weil_pairing(char_difference(a, b), char_difference(a, c))
-    assert arf_sum == pairing, (a, b, c)
+    pairing = weil_pairing(form_difference(a, b), form_difference(a, c))
+    if arf_sum != pairing:
+        raise InvariantError(f"Arf sum and pairing disagree on {(a, b, c)}")
     return arf_sum == 0
 
 
 def _same_genus(*cs: Characteristic) -> None:
     if len({c.g for c in cs}) > 1:
         raise ValueError(f"genus mismatch among {cs}")
-
-
-def _pair_bit(anchor: Characteristic, s: Characteristic, t: Characteristic) -> int:
-    # <anchor+s, anchor+t> without building intermediate objects
-    ue = anchor.delta ^ s.delta
-    uf = anchor.eps ^ s.eps
-    ve = anchor.delta ^ t.delta
-    vf = anchor.eps ^ t.eps
-    return bit_parity(ue & vf) ^ bit_parity(uf & ve)
 
 
 @dataclass(frozen=True)
@@ -205,9 +143,7 @@ def difference_rank(system: CharSystem) -> int:
     2^g members; the difference set is a linear subspace there.
     """
     first = system.members[0]
-    return gf2_rank(
-        char_difference(first, m).packed for m in system.members[1:]
-    )
+    return gf2_rank(form_difference(first, m).packed for m in system.members[1:])
 
 
 def _isotropic_cosets(g: int, dim: int) -> list[tuple[Characteristic, ...]]:
@@ -239,31 +175,30 @@ def enumerate_syzygetic_tetrads(g: int) -> list[tuple[Characteristic, ...]]:
     return _isotropic_cosets(g, 2)
 
 
-def _extend_systems(chars, anchor_condition, target_size):
-    """Backtracking in index order; anchor_condition(anchor, s, t) gates pairs.
+def _extend_systems(points, g, target_size):
+    """Backtracking over the packed characteristics points, in their order.
 
-    Yields every index tuple of target_size whose triples through the first
-    element all satisfy the condition; by the anchor reduction these are
-    exactly the sets with the condition on all triples.
+    Yields every target_size-tuple of points whose triples through the
+    first element a are all azygetic, <a+s, a+t> = 1; by the anchor
+    reduction these are exactly the sets with every triple azygetic.
     """
-    n = len(chars)
+    n = len(points)
 
-    def extend(chosen):
+    def extend(chosen, start):
         if len(chosen) == target_size:
             yield tuple(chosen)
             return
-        start = chosen[-1] + 1 if chosen else 0
         # not enough candidates left to reach target_size
         for idx in range(start, n - (target_size - len(chosen)) + 1):
-            t = chars[idx]
+            t = points[idx]
             if len(chosen) < 2 or all(
-                anchor_condition(chars[chosen[0]], chars[s], t) for s in chosen[1:]
+                _packed_pairing(chosen[0] ^ s, chosen[0] ^ t, g) for s in chosen[1:]
             ):
-                chosen.append(idx)
-                yield from extend(chosen)
+                chosen.append(t)
+                yield from extend(chosen, idx + 1)
                 chosen.pop()
 
-    yield from extend([])
+    yield from extend([], 0)
 
 
 def enumerate_fundamental_systems(g: int) -> list[CharSystem]:
@@ -276,20 +211,14 @@ def enumerate_fundamental_systems(g: int) -> list[CharSystem]:
     if not 1 <= g <= SYSTEM_GENUS_CAP:
         raise ValueError(f"fundamental-system search supports 1 <= g <= {SYSTEM_GENUS_CAP}")
     chars = all_characteristics(g)
-    size = 2 * g + 2
-
-    def azygetic(anchor, s, t):
-        return _pair_bit(anchor, s, t) == 1
-
     systems = []
-    for idxs in _extend_systems(chars, azygetic, size):
-        members = tuple(chars[i] for i in idxs)
+    for points in _extend_systems(range(len(chars)), g, 2 * g + 2):
+        system = CharSystem(g, tuple(chars[p] for p in points))
         # independent full re-check, then the classical sum-zero law
-        assert all(
-            is_syzygetic(a, b, c) is False for a, b, c in combinations(members, 3)
-        )
-        system = CharSystem(g, members)
-        assert system.member_sum == (0, 0), system
+        if any(is_syzygetic(a, b, c) for a, b, c in combinations(system.members, 3)):
+            raise InvariantError(f"{system} has a syzygetic triple")
+        if system.member_sum != (0, 0):
+            raise InvariantError(f"{system} does not sum to zero")
         systems.append(system)
     return systems
 
@@ -334,22 +263,19 @@ def quartic_coordinate_check() -> dict:
     asserted equal.
     """
     g = 3
-    odds = [c for c in all_characteristics(g) if c.parity == 1]
-    evens = {c for c in all_characteristics(g) if c.parity == 0}
-
-    def azygetic(anchor, s, t):
-        return _pair_bit(anchor, s, t) == 1
+    chars = all_characteristics(g)
+    odds = [p for p, c in enumerate(chars) if c.parity == 1]
+    evens = {p for p, c in enumerate(chars) if c.parity == 0}
 
     odd_set = set(odds)
     count = failures = 0
     first_witness = None
-    for idxs in _extend_systems(odds, azygetic, 7):
+    for members in _extend_systems(odds, g, 7):
         count += 1
-        members = [odds[i] for i in idxs]
         if not _aronhold_structure_ok(members, odd_set, evens):
             failures += 1
             if first_witness is None:
-                first_witness = [c.bits for c in members]
+                first_witness = [chars[p].bits for p in members]
 
     return {
         "genus": g,
@@ -365,27 +291,19 @@ def quartic_coordinate_check() -> dict:
     }
 
 
-def _xor_chars(members) -> Characteristic:
-    g = members[0].g
-    e = d = 0
-    for c in members:
-        e ^= c.eps
-        d ^= c.delta
-    return Characteristic(g, e, d)
-
-
 def _aronhold_structure_ok(members, odds: set, evens: set) -> bool:
-    t8 = _xor_chars(members)
-    if t8.parity != 0:
+    """The Aronhold structure of one azygetic 7-set, all as packed ints."""
+    t8 = reduce(xor, members)
+    if t8 not in evens:
         return False
-    five_sums = {_xor_chars(sub) for sub in combinations(members, 5)}
+    five_sums = {reduce(xor, sub) for sub in combinations(members, 5)}
     if len(five_sums) != 21 or not five_sums <= odds:
         return False
     if five_sums & set(members):
         return False
     if set(members) | five_sums != odds:
         return False
-    three_sums = {_xor_chars(sub) for sub in combinations(members, 3)}
+    three_sums = {reduce(xor, sub) for sub in combinations(members, 3)}
     if len(three_sums) != 35 or t8 in three_sums:
         return False
     return three_sums | {t8} == evens

@@ -85,8 +85,8 @@ def _cmd_forms(args, cfg: RunConfig) -> int:
         return 0
     listed = []
     for q in forms:
-        qe_hex, qf_hex = q.to_hex().split(":")
-        listed.append({"qe": qe_hex, "qf": qf_hex, "arf": arf(q)})
+        blocks = q.to_json_dict()
+        listed.append({"qe": blocks["eps"], "qf": blocks["delta"], "arf": arf(q)})
     _emit(
         {"genus": args.genus, "parity": args.parity, "count": len(forms), "forms": listed},
         cfg,

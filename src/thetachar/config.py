@@ -1,9 +1,19 @@
-"""Run configuration shared by the CLI and the verification suite."""
+"""Run configuration shared by the CLI and the verification suite.
+
+InvariantError is the exception every runtime cross-check in the library
+raises.  It is an explicit raise, not an assert, so it survives python -O;
+it subclasses AssertionError, which the CLI reports as an invariant
+violation with exit code 1.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+
+
+class InvariantError(AssertionError):
+    """Two routes to one result disagree, or a proven identity failed."""
 
 
 @dataclass(frozen=True)

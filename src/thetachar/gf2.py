@@ -26,14 +26,7 @@ def parity(x: int) -> int:
 
 
 def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank by elimination on the leading bit; rows are consumed as ints."""
-    pivots: List[int] = []
-    for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-    return len(pivots)
+    return len(gf2_rref(rows))
 
 
 def gf2_rref(rows: Iterable[int]) -> tuple[int, ...]:

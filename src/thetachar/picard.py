@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .config import InvariantError
+
 SPACES = ("Mbar", "Sbar_minus", "Sbar_plus")
 
 # CLI spellings: the odd-spin space carries odd theta characteristics.
@@ -231,7 +233,7 @@ def slope_combination(g: int, space: str) -> SlopeResult:
     Mixes the space's natural theta class with the pulled-back
     Brill-Noether class, solving exactly for the unique scalar c that
     makes the beta_0 coefficient -3.  The alpha_0 coefficient must then
-    come out -2 on its own; that is asserted, not arranged.  Remaining
+    come out -2 on its own; that is checked, not arranged.  Remaining
     boundary coefficients are checked against the expected bounds
     (> 3 at i=1, >= 2 for i >= 2) and reported as warnings if violated.
     """
@@ -247,10 +249,9 @@ def slope_combination(g: int, space: str) -> SlopeResult:
     if denom == 0:
         raise ValueError("no beta_0 component to solve against; formula transcription error")
     c = (Fraction(-3) - base.coeff("beta_0")) / denom
-    assert c > 0, c
     combined = base + c * bn
-    assert combined.coeff("beta_0") == -3
-    assert combined.coeff("alpha_0") == -2, combined.coeff("alpha_0")
+    if c <= 0 or combined.coeff("beta_0") != -3 or combined.coeff("alpha_0") != -2:
+        raise InvariantError(f"c = {c} gives alpha_0 = {combined.coeff('alpha_0')}, not -2")
     warnings = []
     for i in range(1, g // 2 + 1):
         a_i = -combined.coeff(f"alpha_{i}")

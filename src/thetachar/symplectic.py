@@ -7,6 +7,11 @@ and evaluation anywhere follows from q(x+y) = q(x) + q(y) + <x, y>.  The
 Arf invariant sum q(e_i) q(f_i) splits the 2^2g forms into 2^(g-1)(2^g+1)
 even and 2^(g-1)(2^g-1) odd ones, the two orbits of Sp(F2^2g).
 
+A theta characteristic [eps; delta] is such a form, with basis values
+(eps | delta), so one class, Characteristic, stands for both.  Forms are
+an affine space over the vectors: translate_form adds a vector to a form
+and form_difference gives the vector between two forms.
+
 Bit packing: coordinate i of a block sits at bit g-1-i of the block int,
 so bit strings read left to right and the hex serialization below is
 most-significant-first within each block.
@@ -18,11 +23,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import gf2_inv, gf2_mul, gf2_rref, parity as bit_parity
+from .gf2 import _transpose, gf2_inv, gf2_matvec, gf2_mul, gf2_rref, parity as bit_parity
 
 __all__ = [
     "F2Vector",
-    "QForm",
+    "Characteristic",
     "SpMatrix",
     "weil_pairing",
     "eval_form",
@@ -104,41 +109,59 @@ class F2Vector:
         return F2Vector(self.g, self.e ^ other.e, self.f ^ other.f)
 
 
-@dataclass(frozen=True)
-class QForm:
-    """Quadratic form with the symplectic polarity, stored by basis values.
+@dataclass(frozen=True, order=True)
+class Characteristic:
+    """A theta characteristic [eps; delta], which is also its quadratic form.
 
-    qe holds (q(e_1), ..., q(e_g)) and qf holds (q(f_1), ..., q(f_g)) in
-    the same bit packing as F2Vector blocks.
+    The form is q(x) = x_e.x_f + eps.x_e + delta.x_f, whose polarity is the
+    pairing, so its basis values are the two blocks:
+    eps = (q(e_1), ..., q(e_g)) and delta = (q(f_1), ..., q(f_g)), in the
+    bit packing of F2Vector blocks.  Its Arf invariant is the parity
+    eps.delta.  Ordering is by (g, eps, delta), and the packed int
+    eps * 2^g + delta is the index in enumerate_forms(g).
     """
 
     g: int
-    qe: int
-    qf: int
+    eps: int
+    delta: int
 
     def __post_init__(self) -> None:
         if self.g < 1:
             raise ValueError(f"genus must be positive, got {self.g}")
-        _check_block(self.qe, self.g, "e basis values")
-        _check_block(self.qf, self.g, "f basis values")
+        _check_block(self.eps, self.g, "eps")
+        _check_block(self.delta, self.g, "delta")
 
     @classmethod
-    def from_basis_values(cls, bits: str) -> "QForm":
-        v = F2Vector.from_bits(bits)
-        return cls(v.g, v.e, v.f)
+    def from_string(cls, text: str) -> "Characteristic":
+        """Parse 'epsbits;deltabits', e.g. '01;10'."""
+        eps_part, sep, delta_part = text.partition(";")
+        if not sep or len(eps_part) != len(delta_part) or not eps_part:
+            raise ValueError(f"expected 'eps;delta' bit strings, got {text!r}")
+        if set(eps_part + delta_part) - {"0", "1"}:
+            raise ValueError(f"non-binary digits in {text!r}")
+        return cls(len(eps_part), int(eps_part, 2), int(delta_part, 2))
 
     @classmethod
-    def from_hex(cls, g: int, text: str) -> "QForm":
-        v = F2Vector.from_hex(g, text)
-        return cls(g, v.e, v.f)
+    def from_packed(cls, g: int, packed: int) -> "Characteristic":
+        """Read the packed int eps * 2^g + delta."""
+        return cls(g, packed >> g, packed & ((1 << g) - 1))
 
     @property
-    def basis_values(self) -> str:
-        return format(self.qe, f"0{self.g}b") + format(self.qf, f"0{self.g}b")
+    def parity(self) -> int:
+        """The Arf invariant sum q(e_i) q(f_i) = eps.delta mod 2."""
+        return bit_parity(self.eps & self.delta)
 
-    def to_hex(self) -> str:
+    @property
+    def bits(self) -> str:
+        return format(self.eps, f"0{self.g}b") + ";" + format(self.delta, f"0{self.g}b")
+
+    def to_json_dict(self) -> dict:
         w = _hex_width(self.g)
-        return f"{self.qe:0{w}x}:{self.qf:0{w}x}"
+        return {
+            "eps": f"{self.eps:0{w}x}",
+            "delta": f"{self.delta:0{w}x}",
+            "parity": self.parity,
+        }
 
 
 @dataclass(frozen=True)
@@ -158,29 +181,12 @@ class SpMatrix:
         for r in self.rows:
             if not 0 <= r < (1 << n):
                 raise ValueError(f"row out of range: {r}")
-        cols = self._columns()
+        cols = _transpose(self.rows, n)
         for j in range(n):
             for k in range(j + 1, n):
                 expected = 1 if k == j + self.g else 0
                 if _packed_pairing(cols[j], cols[k], self.g) != expected:
                     raise ValueError("matrix does not preserve the symplectic pairing")
-
-    def _columns(self) -> list[int]:
-        n = 2 * self.g
-        cols = [0] * n
-        for i, row in enumerate(self.rows):
-            for j in range(n):
-                if row >> (n - 1 - j) & 1:
-                    cols[j] |= 1 << (n - 1 - i)
-        return cols
-
-    def apply_packed(self, packed: int) -> int:
-        n = 2 * self.g
-        out = 0
-        for i, row in enumerate(self.rows):
-            if bit_parity(row & packed):
-                out |= 1 << (n - 1 - i)
-        return out
 
 
 def _packed_pairing(u: int, v: int, g: int) -> int:
@@ -235,41 +241,42 @@ def weil_pairing(u: F2Vector, v: F2Vector) -> int:
     return bit_parity(u.e & v.f) ^ bit_parity(u.f & v.e)
 
 
-def eval_form(q: QForm, x: F2Vector) -> int:
-    """q(x), by the closed form q(x) = x_e.x_f + qe.x_e + qf.x_f.
+def eval_form(q: Characteristic, x: F2Vector) -> int:
+    """q(x), by the closed form q(x) = x_e.x_f + eps.x_e + delta.x_f.
 
     This is what the polarity expansion collapses to in the split basis;
     the test suite checks it against a naive recursive expansion.
     """
     if q.g != x.g:
         raise ValueError(f"genus mismatch: {q.g} vs {x.g}")
-    return bit_parity(x.e & x.f) ^ bit_parity(q.qe & x.e) ^ bit_parity(q.qf & x.f)
+    return bit_parity(x.e & x.f) ^ bit_parity(q.eps & x.e) ^ bit_parity(q.delta & x.f)
 
 
-def arf(q: QForm) -> int:
-    """Arf invariant sum q(e_i) q(f_i) mod 2."""
-    return bit_parity(q.qe & q.qf)
+def arf(q: Characteristic) -> int:
+    """Arf invariant sum q(e_i) q(f_i) mod 2, the parity of q."""
+    return q.parity
 
 
-def translate_form(q: QForm, v: F2Vector) -> QForm:
+def translate_form(q: Characteristic, v: F2Vector) -> Characteristic:
     """(q + v)(x) = q(x) + <v, x>; note the block swap in basis values."""
     if q.g != v.g:
         raise ValueError(f"genus mismatch: {q.g} vs {v.g}")
-    return QForm(q.g, q.qe ^ v.f, q.qf ^ v.e)
+    return Characteristic(q.g, q.eps ^ v.f, q.delta ^ v.e)
 
 
-def form_difference(q1: QForm, q2: QForm) -> F2Vector:
+def form_difference(q1: Characteristic, q2: Characteristic) -> F2Vector:
     """The unique v with q1 + v == q2."""
     if q1.g != q2.g:
         raise ValueError(f"genus mismatch: {q1.g} vs {q2.g}")
-    return F2Vector(q1.g, q1.qf ^ q2.qf, q1.qe ^ q2.qe)
+    return F2Vector(q1.g, q1.delta ^ q2.delta, q1.eps ^ q2.eps)
 
 
-def enumerate_forms(g: int, parity: str = "all") -> list[QForm]:
+def enumerate_forms(g: int, parity: str = "all") -> list[Characteristic]:
     """All quadratic forms of genus g, optionally filtered by Arf parity.
 
     parity is "even", "odd" or "all".  Output is in ascending
-    (qe, qf) order, which is the canonical order used everywhere.
+    (eps, delta) order, which is the canonical order used everywhere; with
+    "all", entry eps * 2^g + delta is [eps; delta].
     """
     if g < 1:
         raise ValueError(f"genus must be positive, got {g}")
@@ -281,12 +288,8 @@ def enumerate_forms(g: int, parity: str = "all") -> list[QForm]:
     if parity not in ("even", "odd", "all"):
         raise ValueError(f"parity must be even|odd|all, got {parity!r}")
     want = {"even": (0,), "odd": (1,), "all": (0, 1)}[parity]
-    return [
-        QForm(g, qe, qf)
-        for qe in range(1 << g)
-        for qf in range(1 << g)
-        if bit_parity(qe & qf) in want
-    ]
+    forms = [Characteristic(g, eps, delta) for eps in range(1 << g) for delta in range(1 << g)]
+    return [q for q in forms if q.parity in want]
 
 
 def identity_matrix(g: int) -> SpMatrix:
@@ -319,30 +322,22 @@ def mat_mul(a: SpMatrix, b: SpMatrix) -> SpMatrix:
 # sp_apply maps one matrix over many forms in turn; a matrix that has gone
 # out of use (random_symplectic draws a new one each time) is not kept.
 @lru_cache(maxsize=4)
-def _inverse_rows(m: SpMatrix) -> tuple[int, ...]:
-    return tuple(gf2_inv(m.rows))
+def _inverse_columns(m: SpMatrix) -> tuple[F2Vector, ...]:
+    """The images M^-1 b_k of the basis vectors, e_1..e_g then f_1..f_g."""
+    n = 2 * m.g
+    return tuple(F2Vector.from_packed(m.g, col) for col in _transpose(gf2_inv(m.rows), n))
 
 
-def sp_apply(m: SpMatrix, t: F2Vector | QForm) -> F2Vector | QForm:
+def sp_apply(m: SpMatrix, t: F2Vector | Characteristic) -> F2Vector | Characteristic:
     """Apply the symplectic action: vectors linearly, forms by q(M^-1 x)."""
     if m.g != t.g:
         raise ValueError(f"genus mismatch: {m.g} vs {t.g}")
     if isinstance(t, F2Vector):
-        return F2Vector.from_packed(t.g, m.apply_packed(t.packed))
-    inv = _inverse_rows(m)
-    n = 2 * m.g
-    qe = qf = 0
-    for k in range(n):
-        col = 0
-        for i in range(n):
-            if inv[i] >> (n - 1 - k) & 1:
-                col |= 1 << (n - 1 - i)
-        val = eval_form(t, F2Vector.from_packed(m.g, col))
-        if k < m.g:
-            qe |= val << (m.g - 1 - k)
-        else:
-            qf |= val << (n - 1 - k)
-    return QForm(m.g, qe, qf)
+        return F2Vector.from_packed(t.g, gf2_matvec(m.rows, t.packed))
+    values = 0
+    for col in _inverse_columns(m):
+        values = values << 1 | eval_form(t, col)
+    return Characteristic.from_packed(m.g, values)
 
 
 def random_symplectic(g: int, rng: random.Random, n_factors: int | None = None) -> SpMatrix:

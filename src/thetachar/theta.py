@@ -11,6 +11,8 @@ evaluation sums the weights at z + delta/2.  The theta-constant table sums
 them at z = 0 per parity class m mod 2 and recovers every delta from the
 2^g class sums by a Walsh-Hadamard transform and a phase i^(eps.delta)
 (see theta_constant_table); theta_constant is a lookup into that table.
+A characteristic is a symplectic.Characteristic, the quadratic form with
+basis values (eps | delta); only its two g-bit blocks are read here.
 
 The kernel evaluates the exponent through one exact split,
 
@@ -28,7 +30,7 @@ exp(-15661)).  Phases are unit-modulus, so the table may factor them.
 
 The lattice sum is truncated to an infinity-norm box whose radius comes
 from the Gaussian tail bound with the smallest eigenvalue of Im tau
-(computed by cyclic Jacobi iteration) and |Im z|; the bound is
+(numpy's symmetric eigensolver) and |Im z|; the bound is
 conservative and the claimed absolute error is <= the requested
 tolerance.  Summation order is fixed — shells of increasing |m|_inf,
 lexicographic within a shell — so repeated evaluations are
@@ -44,17 +46,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .characteristics import Characteristic
+from .symplectic import Characteristic
 
 __all__ = [
     "PeriodMatrix",
     "ThetaArg",
     "Tolerance",
-    "jacobi_eigenvalues",
     "truncation_radius",
     "theta_with_char",
     "theta_constant",
@@ -91,7 +91,7 @@ class PeriodMatrix:
     """g x g complex symmetric matrix with positive-definite imaginary part.
 
     Symmetry must hold exactly as stored; positive definiteness is checked
-    numerically through the smallest Jacobi eigenvalue of Im tau.  Two
+    numerically through the smallest eigenvalue of Im tau.  Two
     period matrices are equal, and hash alike, when their entries are equal
     byte for byte, so caches can key on the matrix itself.
     """
@@ -104,7 +104,7 @@ class PeriodMatrix:
             raise ValueError("period matrix entries must be finite")
         if not np.array_equal(tau, tau.T):
             raise ValueError("period matrix must be exactly symmetric")
-        lam = jacobi_eigenvalues(tau.imag)[0]
+        lam = float(np.linalg.eigvalsh(tau.imag)[0])
         if lam <= 0.0:
             raise ValueError(f"Im tau must be positive definite (lambda_min={lam})")
         tau.setflags(write=False)
@@ -150,50 +150,6 @@ class ThetaArg:
     @classmethod
     def zero(cls, g: int) -> "ThetaArg":
         return cls((0j,) * g)
-
-
-def jacobi_eigenvalues(matrix, tol: float = 1e-13) -> list[float]:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi, ascending.
-
-    Sweeps Givens rotations over all off-diagonal pairs until their
-    Frobenius mass drops below tol (relative to the matrix norm).
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
-        raise ValueError("jacobi_eigenvalues needs an exactly symmetric matrix")
-    n = a.shape[0]
-    if n == 1:
-        return [float(a[0, 0])]
-    scale = max(1.0, float(np.sqrt((a * a).sum())))
-    for _ in range(60):
-        mass = a * a
-        np.fill_diagonal(mass, 0.0)
-        off = math.sqrt(float(mass.sum()))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 0.1 * tol * scale / (n * n):
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = a[q, p] = 0.0
-    else:
-        raise ValueError("Jacobi iteration failed to converge")
-    return sorted(float(x) for x in np.diag(a))
 
 
 def _tail_bound(lam: float, g: int, z_im_norm: float, radius: int) -> float:

@@ -6,10 +6,15 @@ existed; the heavier cross-checks below re-derive them in-process.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thetachar
 from oracles import (
     gopel_coset_count,
     is_azygetic_triple,
@@ -27,12 +32,10 @@ from thetachar.characteristics import (
     Characteristic,
     all_characteristics,
     char_difference,
-    char_to_form,
     difference_rank,
     enumerate_fundamental_systems,
     enumerate_gopel_systems,
     enumerate_syzygetic_tetrads,
-    form_to_char,
     fundamental_system_count,
     is_syzygetic,
     quartic_coordinate_check,
@@ -40,8 +43,11 @@ from thetachar.characteristics import (
     triple_sum,
 )
 from thetachar.symplectic import (
+    F2Vector,
     _isotropic_bases,
     arf,
+    enumerate_forms,
+    eval_form,
     random_symplectic,
     sp_apply,
     translate_form,
@@ -65,22 +71,25 @@ def test_parity_counts():
 
 
 def test_char_form_dictionary():
-    assert char_to_form(ch("0;0")).basis_values == "00"
+    # eps = (q(e_1), ..., q(e_g)) and delta = (q(f_1), ..., q(f_g))
+    for g in (1, 2, 3):
+        for c in all_characteristics(g):
+            basis = [F2Vector.from_packed(g, 1 << k) for k in range(2 * g - 1, -1, -1)]
+            values = "".join(str(eval_form(c, x)) for x in basis)
+            assert values[:g] + ";" + values[g:] == c.bits
     # [1;1] is the unique odd form at g=1
     odd = [c for c in all_characteristics(1) if c.parity == 1]
     assert odd == [ch("1;1")]
-    assert arf(char_to_form(ch("1;1"))) == 1
-    # bijectivity at g=2: 16 characteristics onto 16 forms
-    images = {char_to_form(c) for c in all_characteristics(2)}
-    assert len(images) == 16
-    for c in all_characteristics(2):
-        assert form_to_char(char_to_form(c)) == c
+    assert arf(ch("1;1")) == 1
+    # one list, in one order, under both names
+    assert all_characteristics(2) == enumerate_forms(2)
+    assert [Characteristic.from_packed(2, p) for p in range(16)] == all_characteristics(2)
 
 
 def test_parity_equals_arf_up_to_g3():
     for g in (1, 2, 3):
         for c in all_characteristics(g):
-            assert c.parity == arf(char_to_form(c))
+            assert c.parity == arf(c)
 
 
 def test_triple_sum_is_xor():
@@ -94,7 +103,7 @@ def test_triple_sum_agrees_with_extended_space_arithmetic():
     chars = all_characteristics(2)
     for a, b, c in itertools.product(chars, repeat=3):
         v = char_difference(a, b) + char_difference(a, c)
-        expected = form_to_char(translate_form(char_to_form(a), v))
+        expected = translate_form(a, v)
         assert triple_sum(a, b, c) == expected
 
 
@@ -123,13 +132,36 @@ def test_is_syzygetic_matches_oracle_exhaustively():
 
 
 def test_is_syzygetic_dual_criteria_agree_at_g3():
-    # the function computes the arf-sum and pairing criteria and asserts they
+    # the function computes the arf-sum and pairing criteria and checks they
     # match internally; drive it through 10^5 random distinct triples
     rnd = random.Random(97)
     chars = all_characteristics(3)
     for _ in range(100_000):
         a, b, c = rnd.sample(chars, 3)
         is_syzygetic(a, b, c)
+
+
+def test_syzygy_cross_check_survives_python_O():
+    # python -O strips assert statements; a broken pairing must still raise,
+    # and the CLI must still report it as an invariant violation (exit 1)
+    code = "\n".join([
+        "import thetachar.characteristics as ch",
+        "from thetachar.cli import run",
+        "from thetachar.config import InvariantError",
+        "real = ch.weil_pairing",
+        "ch.weil_pairing = lambda u, v: 1 - real(u, v)",
+        "a, b, c = ch.all_characteristics(2)[:3]",
+        "try:",
+        "    ch.is_syzygetic(a, b, c)",
+        "except InvariantError:",
+        "    print('raised', __debug__, run(['systems', '--genus', '1', '--kind', 'fundamental']))",
+    ])
+    src = str(Path(thetachar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.stdout == "raised False 1\n", proc.stderr
+    assert "invariant violation" in proc.stderr
 
 
 def test_tetrad_enumeration():
@@ -193,9 +225,7 @@ def test_fundamental_systems_are_sp_stable():
         }
         m = random_symplectic(g, rnd)
         for s in list(systems)[:6]:
-            image = frozenset(
-                form_to_char(sp_apply(m, char_to_form(c))) for c in s
-            )
+            image = frozenset(sp_apply(m, c) for c in s)
             assert image in systems
 
 

@@ -54,16 +54,26 @@ def test_systems_counts(capsys):
 
 
 def test_systems_listing_is_frozen(capsys):
-    # sha256 of the full JSON listing: member order, system order and
+    # sha256 of the full JSON listing: member order, system order, keys and
     # formatting are part of the output contract
     frozen = {
-        ("2", "gopel"): "8b6701dca048c7ca21c817285e5b8e25d5decd79eaa45abdf9ff2a99caabe8db",
-        ("3", "tetrads"): "58c4d14a00fb205d12875dd85fbf1b3771460e626890315b85f3c38f4268f0ca",
+        ("systems", "--genus", "2", "--kind", "gopel"):
+            "8b6701dca048c7ca21c817285e5b8e25d5decd79eaa45abdf9ff2a99caabe8db",
+        ("systems", "--genus", "3", "--kind", "tetrads"):
+            "58c4d14a00fb205d12875dd85fbf1b3771460e626890315b85f3c38f4268f0ca",
+        ("systems", "--genus", "2", "--kind", "fundamental"):
+            "ce6b1524a6daf8acbab8b3ab7cf09c090592ea8e5698d019139519e495233977",
+        ("systems", "--genus", "3", "--kind", "aronhold"):
+            "a76613f68e343f4b2c78cb60f803ea0d210b3e4c200b6d92cd8d70465e3d1637",
+        ("forms", "--genus", "2"):
+            "f4b736e50a8abbc649b3aaee703f9aa0b61d7f10e61e0f8bbcc5f18e28a7eb6c",
+        ("forms", "--genus", "3", "--parity", "odd"):
+            "a8648ab27a79bce67abd735b20e07ca5d99b6949a43f968ef736d763a4ced172",
     }
-    for (genus, kind), digest in frozen.items():
-        assert run(["systems", "--genus", genus, "--kind", kind]) == 0
+    for argv, digest in frozen.items():
+        assert run(list(argv)) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, (genus, kind)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_systems_listing_shape(capsys):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_arf, oracle_form_eval, tuple_pairing
 from thetachar.symplectic import (
+    Characteristic,
     F2Vector,
-    QForm,
     SpMatrix,
     arf,
     enumerate_forms,
@@ -29,7 +29,13 @@ def vec(bits):
 
 
 def form(bits):
-    return QForm.from_basis_values(bits)
+    """The form with basis values bits, e-values first."""
+    g = len(bits) // 2
+    return Characteristic.from_string(bits[:g] + ";" + bits[g:])
+
+
+def basis_values(q):
+    return tuple(int(b) for b in q.bits if b != ";")
 
 
 def all_vectors(g):
@@ -81,7 +87,7 @@ def test_eval_form_forced_by_polarity():
 def test_eval_form_matches_expansion_oracle():
     for g in (1, 2):
         for q in enumerate_forms(g):
-            basis_vals = tuple(int(b) for b in q.basis_values)
+            basis_vals = basis_values(q)
             for x in all_vectors(g):
                 xt = tuple(int(b) for b in x.bits)
                 assert eval_form(q, x) == oracle_form_eval(basis_vals, xt, g)
@@ -104,7 +110,7 @@ def test_polarity_identity_exhaustive_g3():
 )
 @settings(max_examples=25)
 def test_polarity_identity_randomized_large_genus(g, rnd):
-    q = QForm(g, rnd.randrange(1 << g), rnd.randrange(1 << g))
+    q = Characteristic(g, rnd.randrange(1 << g), rnd.randrange(1 << g))
     for _ in range(20):
         x = F2Vector.from_packed(g, rnd.randrange(1 << (2 * g)))
         y = F2Vector.from_packed(g, rnd.randrange(1 << (2 * g)))
@@ -122,8 +128,7 @@ def test_arf_small_cases():
 def test_arf_matches_zero_count_oracle():
     for g in (1, 2):
         for q in enumerate_forms(g):
-            basis_vals = tuple(int(b) for b in q.basis_values)
-            assert arf(q) == oracle_arf(basis_vals, g)
+            assert arf(q) == oracle_arf(basis_values(q), g)
 
 
 def test_form_counts_match_closed_formulas():
@@ -170,7 +175,7 @@ def test_form_difference_inverts_translation():
     assert form_difference(q, q).is_zero
     assert form_difference(form("00"), form("01")) == vec("10")
     for g in (1, 2, 3):
-        q0 = QForm(g, 0, (1 << g) - 1)
+        q0 = Characteristic(g, 0, (1 << g) - 1)
         for v in all_vectors(g):
             assert form_difference(q0, translate_form(q0, v)) == v
 
@@ -221,7 +226,7 @@ def test_random_symplectic_preserves_pairing_and_arf():
             u = F2Vector.from_packed(g, rnd.randrange(1 << (2 * g)))
             v = F2Vector.from_packed(g, rnd.randrange(1 << (2 * g)))
             assert weil_pairing(sp_apply(m, u), sp_apply(m, v)) == weil_pairing(u, v)
-            q = QForm(g, rnd.randrange(1 << g), rnd.randrange(1 << g))
+            q = Characteristic(g, rnd.randrange(1 << g), rnd.randrange(1 << g))
             assert arf(sp_apply(m, q)) == arf(q)
 
 
@@ -229,7 +234,7 @@ def test_sp_orbit_covers_each_parity_class():
     # products of random generators reach every form of the same parity
     for g in (1, 2):
         rnd = random.Random(g)
-        start = QForm(g, 0, 0)
+        start = Characteristic(g, 0, 0)
         seen = {start}
         current = start
         for _ in range(4000):
@@ -242,9 +247,9 @@ def test_serialization_round_trips():
     v = vec("101101")
     assert F2Vector.from_hex(3, v.to_hex()) == v
     assert F2Vector.from_bits(v.bits) == v
-    q = QForm(3, 0b101, 0b110)
-    assert QForm.from_hex(3, q.to_hex()) == q
-    assert QForm.from_basis_values(q.basis_values) == q
+    q = Characteristic(3, 0b101, 0b110)
+    assert Characteristic.from_string(q.bits) == q
+    assert Characteristic.from_packed(3, 0b101110) == q
     assert vec("1011").to_hex() == "2:3"
 
 
@@ -265,12 +270,12 @@ def test_eval_uniquely_determined_by_basis_values_g2():
     table = {}
     for q in enumerate_forms(g):
         key = tuple(eval_form(q, x) for x in all_vectors(g))
-        table[q.basis_values] = key
+        table[basis_values(q)] = key
     assert len(set(table.values())) == len(table) == 16
     for q in enumerate_forms(g):
-        vals = table[q.basis_values]
+        vals = table[basis_values(q)]
         packed = [
             vals[x.packed]
             for x in [F2Vector.from_packed(g, 1 << k) for k in range(2 * g - 1, -1, -1)]
         ]
-        assert "".join(map(str, packed)) == q.basis_values
+        assert tuple(packed) == basis_values(q)

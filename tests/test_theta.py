@@ -18,7 +18,6 @@ from thetachar.theta import (
     ThetaArg,
     Tolerance,
     block_diag,
-    jacobi_eigenvalues,
     theta_constant,
     theta_constant_table,
     theta_report,
@@ -65,6 +64,9 @@ def test_period_matrix_validation():
         PeriodMatrix([[1j, 0], [0, 1j], [0, 0]])
     with pytest.raises(ValueError):
         PeriodMatrix([[complex("nan")]])
+    with pytest.raises(ValueError):
+        PeriodMatrix([[1j, 2j], [2j, 1j]])  # positive diagonal, but indefinite
+    assert PeriodMatrix(np.diag([2.25j, 0.5j, 4j, 1j])).im_lambda_min == 0.5
 
 
 def test_theta_arg_coercion():
@@ -75,32 +77,6 @@ def test_theta_arg_coercion():
         ThetaArg.coerce([1, 2, 3], 2)
     with pytest.raises(ValueError):
         ThetaArg(())
-
-
-def test_jacobi_matches_numpy_on_random_symmetric_matrices():
-    rng = np.random.default_rng(12)
-    for n in (1, 2, 3, 5, 8):
-        for _ in range(5):
-            raw = rng.uniform(-2, 2, size=(n, n))
-            sym = (raw + raw.T) / 2
-            got = jacobi_eigenvalues(sym)
-            want = np.linalg.eigvalsh(sym)
-            assert np.allclose(got, want, atol=1e-10)
-
-
-def test_jacobi_handles_exactly_diagonal_input():
-    # regression: the off-diagonal mass must be measured directly, not as a
-    # difference of two large sums, or diagonal matrices never "converge"
-    diag = np.diag([0.5, 1.0, 2.25, 4.0])
-    assert jacobi_eigenvalues(diag) == [0.5, 1.0, 2.25, 4.0]
-    assert jacobi_eigenvalues(np.eye(6)) == [1.0] * 6
-
-
-def test_jacobi_rejects_bad_input():
-    with pytest.raises(ValueError):
-        jacobi_eigenvalues([[0, 1], [2, 0]])
-    with pytest.raises(ValueError):
-        jacobi_eigenvalues([[1, 2, 3]])
 
 
 def test_truncation_radius_grows_as_tolerance_shrinks():
