@@ -11,20 +11,25 @@ computed and compared on every call.
 Syzygetic tetrads and Goepel (maximal syzygetic) systems are the cosets
 c + W of isotropic subspaces W of F2^2g, planes and Lagrangians
 respectively, so they are read from the isotropic-subspace generator in
-symplectic.  Azygetic sets (fundamental systems and the genus-3 Aronhold
-census) are not cosets; they come from backtracking over characteristics
-in canonical (eps, delta) order, pruned by the anchor reduction: a set
-has all triples azygetic iff all triples through its first element do,
-which follows from bilinearity of the pairing on difference vectors.
+symplectic, one coset representative (the one free of pivot bits) each.
+Azygetic sets (fundamental systems and the genus-3 Aronhold census) are
+not cosets; they come from backtracking over characteristics in
+canonical (eps, delta) order, pruned by the anchor reduction: a set has
+all triples azygetic iff all triples through its first element do, which
+follows from bilinearity of the pairing on difference vectors.
 The searches run on packed ints eps * 2^g + delta, the index in
 all_characteristics: sums are XOR and the difference vector of a and s
 is a ^ s with its blocks swapped, which leaves the pairing unchanged.
+Bilinearity also gives <a+s, a+t> = <d, a> + <d, t> with d = a ^ s, so
+the points t still admissible after choosing s are one precomputed
+4^g-bit set {t : <d, t> = 1} (or its complement, when <d, a> = 1), ANDed
+into a candidate bitmask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import factorial
 from operator import xor
@@ -35,6 +40,7 @@ from .symplectic import (
     Characteristic,
     _isotropic_bases,
     _packed_pairing,
+    _pivot_mask,
     _span,
     enumerate_forms,
     form_difference,
@@ -150,15 +156,20 @@ def _isotropic_cosets(g: int, dim: int) -> list[tuple[Characteristic, ...]]:
     """The cosets c + W of the dim-dimensional isotropic subspaces W.
 
     A characteristic is read as the packed vector eps * 2^g + delta, which
-    is also its index in all_characteristics.  Output: sorted tuples, list
-    in lexicographic order; empty when dim > g.
+    is also its index in all_characteristics.  Each coset is built once,
+    from its member free of pivot bits.  Output: sorted tuples, list in
+    lexicographic order; empty when dim > g.
     """
     if dim > g:
         return []
-    cosets = set()
+    cosets = []
     for basis in _isotropic_bases(g, False)[dim]:
+        pivots = _pivot_mask(basis)
         span = _span(basis)
-        cosets.update(tuple(sorted(c ^ w for w in span)) for c in range(1 << (2 * g)))
+        cosets += (
+            tuple(sorted(c ^ w for w in span))
+            for c in range(1 << (2 * g)) if not c & pivots
+        )
     chars = all_characteristics(g)
     return [tuple(chars[x] for x in coset) for coset in sorted(cosets)]
 
@@ -175,30 +186,59 @@ def enumerate_syzygetic_tetrads(g: int) -> list[tuple[Characteristic, ...]]:
     return _isotropic_cosets(g, 2)
 
 
+@lru_cache(maxsize=None)
+def _pairing_masks(g: int) -> tuple[int, ...]:
+    """Entry d is the 4^g-bit set {t : <d, t> = 1} of packed vectors t.
+
+    The pairing is linear in d, so each entry past a basis vector is the
+    XOR of two earlier ones.
+    """
+    n = 1 << (2 * g)
+    masks = [0] * n
+    for d in range(1, n):
+        low = d & -d
+        if d == low:
+            masks[d] = sum(1 << t for t in range(n) if _packed_pairing(d, t, g))
+        else:
+            masks[d] = masks[low] ^ masks[d ^ low]
+    return tuple(masks)
+
+
 def _extend_systems(points, g, target_size):
-    """Backtracking over the packed characteristics points, in their order.
+    """Backtracking over the packed characteristics points, ascending.
 
     Yields every target_size-tuple of points whose triples through the
     first element a are all azygetic, <a+s, a+t> = 1; by the anchor
     reduction these are exactly the sets with every triple azygetic.
+    The candidates for the next point are a bitmask over packed indices.
+    By bilinearity <a+s, a+t> = <d, a> + <d, t> with d = a ^ s, so
+    choosing s ANDs the candidates with the mask {t : <d, t> = 1}, or with
+    its complement when <d, a> = 1.  Candidates are taken lowest bit
+    first, so tuples come out in lexicographic order, and a branch stops
+    once fewer candidates remain than points are still needed.
     """
-    n = len(points)
+    masks = _pairing_masks(g)
 
-    def extend(chosen, start):
-        if len(chosen) == target_size:
+    def extend(chosen, cand):
+        need = target_size - len(chosen)
+        if not need:
             yield tuple(chosen)
             return
-        # not enough candidates left to reach target_size
-        for idx in range(start, n - (target_size - len(chosen)) + 1):
-            t = points[idx]
-            if len(chosen) < 2 or all(
-                _packed_pairing(chosen[0] ^ s, chosen[0] ^ t, g) for s in chosen[1:]
-            ):
-                chosen.append(t)
-                yield from extend(chosen, idx + 1)
-                chosen.pop()
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            t = low.bit_length() - 1
+            if chosen:
+                d = chosen[0] ^ t
+                mask = masks[d]
+                rest = cand & ~mask if mask >> chosen[0] & 1 else cand & mask
+            else:
+                rest = cand
+            chosen.append(t)
+            yield from extend(chosen, rest)
+            chosen.pop()
 
-    yield from extend([], 0)
+    yield from extend([], sum(1 << p for p in points))
 
 
 def enumerate_fundamental_systems(g: int) -> list[CharSystem]:

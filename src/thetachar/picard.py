@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .config import InvariantError
 
@@ -27,7 +28,13 @@ def resolve_space(space: str) -> str:
     return name
 
 
+_ZERO = Fraction(0)
+
+
 def _exact(value) -> Fraction:
+    """value as a Fraction; a Fraction is returned as it is, a float rejected."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise ValueError(
             f"coefficients must be exact (int, Fraction or rational string), got {value!r}"
@@ -49,6 +56,12 @@ def basis_symbols(space: str, g: int) -> tuple[str, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _basis_order(space: str, g: int) -> dict[str, int]:
+    """Position of each basis symbol; space must already be resolved."""
+    return {s: i for i, s in enumerate(basis_symbols(space, g))}
+
+
 @dataclass(frozen=True)
 class DivClass:
     """A rational divisor class, held as exact coefficients on the basis.
@@ -64,13 +77,14 @@ class DivClass:
 
     def __post_init__(self) -> None:
         space = resolve_space(self.space)
-        order = {s: i for i, s in enumerate(basis_symbols(space, self.g))}
+        order = _basis_order(space, self.g)
         items = self.coeffs.items() if isinstance(self.coeffs, dict) else self.coeffs
         acc: dict[str, Fraction] = {}
         for sym, val in items:
             if sym not in order:
                 raise ValueError(f"{sym!r} is not in the basis of {space}(g={self.g})")
-            acc[sym] = acc.get(sym, Fraction(0)) + _exact(val)
+            val = _exact(val)
+            acc[sym] = acc[sym] + val if sym in acc else val
         canon = tuple((s, acc[s]) for s in sorted(acc, key=order.__getitem__) if acc[s])
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "coeffs", canon)
@@ -79,9 +93,9 @@ class DivClass:
         for sym, val in self.coeffs:
             if sym == symbol:
                 return val
-        if symbol not in basis_symbols(self.space, self.g):
+        if symbol not in _basis_order(self.space, self.g):
             raise ValueError(f"{symbol!r} is not in the basis of {self.space}(g={self.g})")
-        return Fraction(0)
+        return _ZERO
 
     def __add__(self, other: "DivClass") -> "DivClass":
         if not isinstance(other, DivClass):

@@ -216,14 +216,24 @@ def _isotropic_bases(g: int, singular: bool) -> tuple[tuple[tuple[int, ...], ...
     for _ in range(g):
         found = set()
         for basis in levels[-1]:
-            pivots = 0
-            for row in basis:
-                pivots |= 1 << (row.bit_length() - 1)
+            pivots = _pivot_mask(basis)
             for v in admissible:
                 if not v & pivots and not any(_packed_pairing(v, row, g) for row in basis):
                     found.add(gf2_rref(basis + (v,)))
         levels.append(tuple(sorted(found, key=lambda b: ([-r.bit_length() for r in b], b))))
     return tuple(levels)
+
+
+def _pivot_mask(basis) -> int:
+    """The leading bits of the rows.
+
+    For a reduced basis, every coset of its span has exactly one member
+    with none of these bits set.
+    """
+    pivots = 0
+    for row in basis:
+        pivots |= 1 << (row.bit_length() - 1)
+    return pivots
 
 
 def _span(basis) -> list[int]:
@@ -292,25 +302,33 @@ def enumerate_forms(g: int, parity: str = "all") -> list[Characteristic]:
     return [q for q in forms if q.parity in want]
 
 
-def identity_matrix(g: int) -> SpMatrix:
+def _identity_rows(g: int) -> tuple[int, ...]:
     n = 2 * g
-    return SpMatrix(g, tuple(1 << (n - 1 - i) for i in range(n)))
+    return tuple(1 << (n - 1 - i) for i in range(n))
 
 
-def transvection(v: F2Vector) -> SpMatrix:
-    """t_v(x) = x + <x, v> v; an involution, and a generator of Sp."""
-    if v.is_zero:
-        raise ValueError("transvection direction must be nonzero")
-    n = 2 * v.g
-    functional = (v.f << v.g) | v.e  # row vector of x -> <x, v>
-    packed = v.packed
+def identity_matrix(g: int) -> SpMatrix:
+    return SpMatrix(g, _identity_rows(g))
+
+
+def _transvection_rows(g: int, packed: int) -> tuple[int, ...]:
+    """Rows of t_v for the nonzero vector v with the given packed value."""
+    n = 2 * g
+    functional = ((packed & ((1 << g) - 1)) << g) | (packed >> g)  # x -> <x, v>
     rows = []
     for i in range(n):
         row = 1 << (n - 1 - i)
         if packed >> (n - 1 - i) & 1:
             row ^= functional
         rows.append(row)
-    return SpMatrix(v.g, tuple(rows))
+    return tuple(rows)
+
+
+def transvection(v: F2Vector) -> SpMatrix:
+    """t_v(x) = x + <x, v> v; an involution, and a generator of Sp."""
+    if v.is_zero:
+        raise ValueError("transvection direction must be nonzero")
+    return SpMatrix(v.g, _transvection_rows(v.g, v.packed))
 
 
 def mat_mul(a: SpMatrix, b: SpMatrix) -> SpMatrix:
@@ -341,11 +359,14 @@ def sp_apply(m: SpMatrix, t: F2Vector | Characteristic) -> F2Vector | Characteri
 
 
 def random_symplectic(g: int, rng: random.Random, n_factors: int | None = None) -> SpMatrix:
-    """Product of random transvections; n_factors defaults to 2g..4g."""
+    """Product of random transvections; n_factors defaults to 2g..4g.
+
+    The factors are multiplied as raw rows and only the product is built
+    as an SpMatrix, so the pairing check runs once per draw.
+    """
     if n_factors is None:
         n_factors = rng.randint(2 * g, 4 * g)
-    m = identity_matrix(g)
+    rows = _identity_rows(g)
     for _ in range(n_factors):
-        packed = rng.randrange(1, 1 << (2 * g))
-        m = mat_mul(m, transvection(F2Vector.from_packed(g, packed)))
-    return m
+        rows = gf2_mul(rows, _transvection_rows(g, rng.randrange(1, 1 << (2 * g))))
+    return SpMatrix(g, tuple(rows))

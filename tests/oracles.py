@@ -5,14 +5,20 @@ convention as possible) with the package: characteristics are plain
 ``(eps, delta)`` integer pairs, vectors are 0/1 tuples, enumeration is
 ``itertools.combinations`` with no pruning, and the Arf invariant is read
 off from the count of zeros of the form rather than any closed formula.
+The one exception is oracle_extend_systems, the plain azygetic
+backtracker on packed ints that the library's bitmask search must match
+tuple for tuple; it tests every candidate by the pairing itself.
 
-Run as a script to reprint every frozen reference value used by the suite::
+Run as a script to reprint every frozen reference value used by the suite,
+and the azygetic-search counts of the backtracker next to the library's::
 
     python tests/oracles.py
 """
 
+import sys
 from itertools import combinations, product
 from math import factorial
+from pathlib import Path
 
 # ---------------------------------------------------------------------------
 # characteristics as (eps, delta) pairs of g-bit ints
@@ -126,6 +132,44 @@ def oracle_gopel_systems(g):
         for S in candidates
         if not any(all_syzygetic(S | {t}) for t in chars if t not in S)
     ]
+
+
+def packed_pairing(u, v, g):
+    """<u, v> on packed 2g-bit ints (e-block high, f-block low)."""
+    low = 2**g - 1
+    return bin(((u >> g) & v & low) ^ (u & low & (v >> g))).count("1") % 2
+
+
+def oracle_extend_systems(points, g, target_size):
+    """The plain backtracker: every target_size-tuple of points, in order,
+    with <a+s, a+t> = 1 for the first point a and all later s, t.
+
+    Points are packed characteristics eps * 2^g + delta.  Each candidate t
+    is tested against every chosen s by the pairing itself; nothing is
+    precomputed.
+    """
+    points = list(points)
+    n = len(points)
+
+    def extend(chosen, start):
+        if len(chosen) == target_size:
+            yield tuple(chosen)
+            return
+        for idx in range(start, n - (target_size - len(chosen)) + 1):
+            t = points[idx]
+            if len(chosen) < 2 or all(
+                packed_pairing(chosen[0] ^ s, chosen[0] ^ t, g) for s in chosen[1:]
+            ):
+                chosen.append(t)
+                yield from extend(chosen, idx + 1)
+                chosen.pop()
+
+    yield from extend([], 0)
+
+
+def packed_odds(g):
+    """The odd characteristics as packed ints, ascending."""
+    return [p for p in range(4**g) if parity(p >> g, p & (2**g - 1))]
 
 
 def sp_order(g):
@@ -369,6 +413,23 @@ def main():
         print(f"g={g}: count {len(systems)}  formula {krazer_count(g)}  "
               f"sums {sums}")
     print(f"g=3: formula {krazer_count(3)} (no brute force)")
+
+    print("\n== azygetic search: plain backtracker vs library ==")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    from thetachar.characteristics import (
+        enumerate_fundamental_systems,
+        quartic_coordinate_check,
+    )
+
+    for g in (1, 2):
+        oracle = sum(1 for _ in oracle_extend_systems(range(4**g), g, 2 * g + 2))
+        library = len(enumerate_fundamental_systems(g))
+        print(f"g={g} fundamental systems: oracle {oracle}  library {library}  "
+              f"{'agree' if oracle == library else 'DISAGREE'}")
+    oracle = sum(1 for _ in oracle_extend_systems(packed_odds(3), 3, 7))
+    library = quartic_coordinate_check()["azygetic_odd_7set_count"]
+    print(f"g=3 Aronhold 7-sets: oracle {oracle}  library {library}  "
+          f"{'agree' if oracle == library else 'DISAGREE'}")
 
     print("\n== maximal syzygetic systems ==")
     for g in (1, 2):

@@ -21,13 +21,17 @@ from oracles import (
     isotropic_plane_count,
     krazer_count,
     lagrangian_count,
+    oracle_extend_systems,
     oracle_fundamental_systems,
     oracle_gopel_systems,
     oracle_syzygetic_tetrads,
+    packed_odds,
     sp_order,
 )
 from thetachar.characteristics import (
+    _extend_systems,
     _isotropic_cosets,
+    _pairing_masks,
     CharSystem,
     Characteristic,
     all_characteristics,
@@ -51,6 +55,7 @@ from thetachar.symplectic import (
     random_symplectic,
     sp_apply,
     translate_form,
+    weil_pairing,
 )
 
 
@@ -207,6 +212,30 @@ def test_fundamental_systems_match_unpruned_oracle():
         }
         want = {frozenset(s) for s in oracle_fundamental_systems(g)}
         assert got == want
+
+
+def test_azygetic_search_matches_plain_backtracker():
+    # same tuples in the same order as the pairing-per-candidate search
+    for g in (1, 2):
+        got = list(_extend_systems(range(4**g), g, 2 * g + 2))
+        assert got == list(oracle_extend_systems(range(4**g), g, 2 * g + 2))
+        assert len(got) == krazer_count(g)
+    odds = packed_odds(3)
+    assert len(odds) == 28
+    got = list(_extend_systems(odds, 3, 7))
+    assert len(got) == 288
+    assert got == list(oracle_extend_systems(odds, 3, 7))
+
+
+def test_pairing_masks_match_weil_pairing():
+    for g in (1, 2, 3):
+        masks = _pairing_masks(g)
+        assert len(masks) == 4**g
+        vectors = [F2Vector.from_packed(g, p) for p in range(4**g)]
+        for d, u in enumerate(vectors):
+            assert masks[d] >> 4**g == 0
+            for t, v in enumerate(vectors):
+                assert masks[d] >> t & 1 == weil_pairing(u, v)
 
 
 def test_fundamental_count_formula():

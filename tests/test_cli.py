@@ -202,6 +202,21 @@ def test_picard_reports(capsys):
     assert "BN_pullback" in data["classes"]
 
 
+def test_picard_slopes_and_verdicts_are_frozen(capsys):
+    # sha256 of the concatenated stdout for g = 4..30, odd then even cover
+    frozen = {
+        "slope": "c0fc049b67ae18e646153de1039004c4c8fdc401c6cc6fff963cbc7c85e6b8a1",
+        "verdict": "ec7ff5574e64dd23a5462d473b014454c719b39a2e8c0c5eaf9f23ee28f1f99f",
+    }
+    for report, digest in frozen.items():
+        out = []
+        for g in range(4, 31):
+            for space in ("odd", "even"):
+                assert run(["picard", "--genus", str(g), "--space", space, "--report", report]) == 0
+                out.append(capsys.readouterr().out)
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == digest, report
+
+
 def test_output_table_flag_in_both_positions(capsys):
     assert run(["--output", "table", "picard", "--genus", "12", "--space", "odd"]) == 0
     before = capsys.readouterr().out

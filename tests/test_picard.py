@@ -64,6 +64,24 @@ def test_divclass_canonicalization():
         DivClass("Mbar", 4, {"lambda": 0.25})  # floats never sneak in
 
 
+def test_divclass_edge_cases():
+    # a repeated symbol accumulates, and a sum that cancels to zero is dropped
+    c = DivClass("Mbar", 5, (("lambda", 2), ("delta_1", F(1, 3)), ("lambda", F(-2))))
+    assert c.coeffs == (("delta_1", F(1, 3)),)
+    assert c.coeff("lambda") == 0
+    assert c == mbar(5, delta_1=F(1, 3))
+    # a Fraction coefficient is kept as given, exactly
+    x = F(10**30 + 1, 3**40)
+    d = mbar(5, delta_2=x, **{"lambda": "7/12"})
+    assert d.coeff("delta_2") is x
+    assert d.coeff("lambda") == F(7, 12) and type(d.coeff("lambda")) is F
+    # a float is rejected wherever a coefficient enters
+    with pytest.raises(ValueError):
+        DivClass("Mbar", 5, (("lambda", 1), ("lambda", 0.5)))
+    with pytest.raises(ValueError):
+        0.5 * d
+
+
 coeff_st = st.integers(min_value=-12, max_value=12).map(lambda n: F(n, 3))
 
 
