@@ -331,19 +331,33 @@ def quartic_coordinate_check() -> dict:
     }
 
 
+_PAIRS = tuple(combinations(range(7), 2))
+# a four-subset i<j<k<l as the positions of pairs (i, j) and (k, l) in _PAIRS
+_QUADS = tuple(
+    (_PAIRS.index((i, j)), _PAIRS.index((k, l))) for i, j, k, l in combinations(range(7), 4)
+)
+
+
 def _aronhold_structure_ok(members, odds: set, evens: set) -> bool:
-    """The Aronhold structure of one azygetic 7-set, all as packed ints."""
+    """The Aronhold structure of one azygetic 7-set, all as packed ints.
+
+    With t8 the sum of all seven, a five-sum is t8 plus the pair left out
+    and a three-sum is t8 plus the four left out, so both families come
+    from the 21 pairwise sums: a four-subset i<j<k<l sums to pair (i, j)
+    plus pair (k, l).
+    """
     t8 = reduce(xor, members)
     if t8 not in evens:
         return False
-    five_sums = {reduce(xor, sub) for sub in combinations(members, 5)}
+    pairs = [members[i] ^ members[j] for i, j in _PAIRS]
+    five_sums = {t8 ^ p for p in pairs}
     if len(five_sums) != 21 or not five_sums <= odds:
         return False
     if five_sums & set(members):
         return False
     if set(members) | five_sums != odds:
         return False
-    three_sums = {reduce(xor, sub) for sub in combinations(members, 3)}
+    three_sums = {t8 ^ pairs[a] ^ pairs[b] for a, b in _QUADS}
     if len(three_sums) != 35 or t8 in three_sums:
         return False
     return three_sums | {t8} == evens

@@ -18,9 +18,10 @@ The kernel evaluates the exponent through one exact split,
 
     s' tau s + 2 s' z = m' tau m + m'(tau eps + 2 z) + (eps' tau eps / 4 + eps' z),
 
-taken separately for X = Re tau and Y = Im tau.  Xm = m X and Ym = m Y
-and the row dots m'Xm, m'Ym come from real BLAS products over the box,
-once per call; everything else is a mat-vec or a constant.  Each weight is
+taken separately for X = Re tau and Y = Im tau.  Ym = m Y and the row
+dots m'Ym come from real BLAS products over the box, Xm = m X and m'Xm
+over the points kept inside it (below), once per call; everything else
+is a mat-vec or a constant.  Each weight is
 a real Gaussian magnitude exp(-pi (imaginary part)) times a unit-modulus
 phase exp(pi i (real part)).  The magnitude is always one exp of the whole
 imaginary part and is never split into factors: for an ill-conditioned Y
@@ -28,13 +29,20 @@ the factors exp(-pi Ym[:, k]) overflow long before the product underflows
 (Y = [[50, 49.7], [49.7, 50]] at m = (-5, -5) gives exp(1566) times
 exp(-15661)).  Phases are unit-modulus, so the table may factor them.
 
-The lattice sum is truncated to an infinity-norm box whose radius comes
-from the Gaussian tail bound with the smallest eigenvalue of Im tau
-(numpy's symmetric eigensolver) and |Im z|; the bound is
-conservative and the claimed absolute error is <= the requested
-tolerance.  Summation order is fixed — shells of increasing |m|_inf,
-lexicographic within a shell — so repeated evaluations are
-bit-reproducible.
+The lattice sum is truncated in two steps.  The infinity-norm box of
+radius R comes from the Gaussian tail bound T with the smallest
+eigenvalue of Im tau (numpy's symmetric eigensolver) and |Im z|.  Inside
+the box only the points whose term can exceed exp(-pi C) are summed
+(the ellipsoid cut of Deconinck, Heil, Bobenko, van Hoeij and Schmies,
+Math. Comp. 73, 2004): C is at least the exponent of the tail bound's
+first excluded shell, and large enough that the N box points can drop at
+most tol - T together.  A single evaluation keeps the points whose
+imaginary exponent is below C; a table keeps the rows inside
+||m||_Y < sqrt(C) + max_eps ||eps/2||_Y, which by the triangle inequality
+hold every per-eps ellipsoid {s'Ys < C}.  With K points kept, the error
+bound is T + (N - K) exp(-pi C) <= tol.  Summation order is fixed —
+shells of increasing |m|_inf, lexicographic within a shell, and the
+kept points in that order — so repeated evaluations are bit-reproducible.
 
 Accuracy contract: double precision throughout; tolerances below 1e-13
 are rejected, and callers should keep Im tau >= 0.3 I (the truncation
@@ -176,7 +184,7 @@ def _radius_and_tail(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tu
 
     A pure function of the genus, lambda_min(Im tau), |Im z| and the
     tolerance, so the search runs once per distinct input: theta_report
-    reads its est_error here after truncation_radius has found the radius.
+    reads its tail here after truncation_radius has found the radius.
     """
     for radius in range(1, _MAX_RADIUS + 1):
         if (2 * radius + 1) ** g > _MAX_LATTICE:
@@ -190,9 +198,27 @@ def _radius_and_tail(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tu
     )
 
 
-def _numerics(tau: PeriodMatrix, arg: ThetaArg, tol: Tolerance) -> tuple[int, float]:
+@lru_cache(maxsize=256)
+def _box(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tuple[int, float, float]:
+    """Box radius R, box tail T and cutoff exponent C for one set of numerics.
+
+    A box point is summed when its term can exceed exp(-pi C).  C is at
+    least the exponent lambda_min (R+1/2)^2 - 2 sqrt(g) (R+3/2) |Im z| of
+    _tail_bound's first excluded shell, and large enough that the N box
+    points together can drop at most N exp(-pi C) <= tol - T.  When
+    T = tol there is no room left and C is infinite: the whole box counts.
+    """
+    radius, tail = _radius_and_tail(g, lam, z_im_norm, abs_tol)
+    if tail >= abs_tol:
+        return radius, tail, math.inf
+    shell = lam * (radius + 0.5) ** 2 - 2.0 * math.sqrt(g) * (radius + 1.5) * z_im_norm
+    budget = math.log((2 * radius + 1) ** g / (abs_tol - tail)) / math.pi
+    return radius, tail, max(shell, budget)
+
+
+def _numerics(tau: PeriodMatrix, arg: ThetaArg, tol: Tolerance) -> tuple[int, float, float]:
     z_im_norm = math.sqrt(sum(w.imag**2 for w in arg.z))
-    return _radius_and_tail(tau.g, tau.im_lambda_min, z_im_norm, tol.abs_tol)
+    return _box(tau.g, tau.im_lambda_min, z_im_norm, tol.abs_tol)
 
 
 def truncation_radius(tau: PeriodMatrix, z, tol) -> int:
@@ -227,15 +253,27 @@ def _parity_classes(g: int, radius: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _char_vec(block: int, g: int) -> np.ndarray:
-    vec = np.array([(block >> (g - 1 - i)) & 1 for i in range(g)], dtype=float)
-    vec.setflags(write=False)
-    return vec
+def _blocks(g: int) -> np.ndarray:
+    """Every g-bit block as a 0/1 row: row b is block b, coordinate k bit g-1-k."""
+    bits = (np.arange(1 << g)[:, None] >> np.arange(g - 1, -1, -1)) & 1
+    arr = bits.astype(float)
+    arr.setflags(write=False)
+    return arr
 
 
 def _cis(x: np.ndarray) -> np.ndarray:
     """exp(pi i x), the unit-modulus phase of a real exponent part."""
     return np.exp(1j * np.pi * x)
+
+
+def _kept(exponent: np.ndarray, cutoff: float) -> np.ndarray:
+    """The box rows whose exponent is below the cutoff, in box (shell) order.
+
+    The one selection both lattice sums make: what it leaves out is charged
+    to the error bound, and the rows it keeps are a subsequence of the box,
+    so sums over them stay bit-reproducible.
+    """
+    return (exponent < cutoff).nonzero()[0]
 
 
 def _quadratic(m: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,25 +287,32 @@ def _re_im(tau: PeriodMatrix) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(tau.tau.real), np.ascontiguousarray(tau.tau.imag)
 
 
-def _theta_sum(tau: PeriodMatrix, arg: ThetaArg, c: Characteristic, radius: int) -> complex:
-    """theta[eps; delta](tau, z) = theta[eps; 0](tau, z + delta/2).
+def _theta_sum(
+    tau: PeriodMatrix, arg: ThetaArg, c: Characteristic, radius: int, cutoff: float
+) -> tuple[complex, int]:
+    """theta[eps; delta](tau, z) = theta[eps; 0](tau, z + delta/2), and its point count.
 
-    The sum of w_eps(m; z + delta/2) over the box, by the split: one real
-    exp for the magnitudes and one complex exp for the phases.  The linear
+    The sum of w_eps(m; z + delta/2) over the box points whose imaginary
+    exponent is below the cutoff, by the split: the imaginary part is
+    taken over the box, the real part, one real exp for the magnitudes and
+    one complex exp for the phases over the kept points only.  The linear
     coefficient tau eps + 2z and the constant are g-sized and stay complex.
     """
     g = tau.g
     m = _lattice(g, radius)
     x, y = _re_im(tau)
-    e = _char_vec(c.eps, g)
-    z = np.array(arg.z, dtype=complex) + _char_vec(c.delta, g) / 2.0
-    lin = tau.tau @ e + 2.0 * z
-    const = e @ tau.tau @ e / 4.0 + e @ z
-    _, mxm = _quadratic(m, x)
+    e = _blocks(g)[c.eps]
+    z = np.array(arg.z, dtype=complex) + _blocks(g)[c.delta] / 2.0
+    te = tau.tau @ e
+    lin = te + 2.0 * z
+    const = e @ te / 4.0 + e @ z
     _, mym = _quadratic(m, y)
-    re = mxm + m @ lin.real + const.real
     im = mym + m @ lin.imag + const.imag
-    return complex(np.sum(np.exp(-np.pi * im) * _cis(re)))
+    keep = _kept(im, cutoff)
+    m = m[keep]
+    _, mxm = _quadratic(m, x)
+    re = mxm + m @ lin.real + const.real
+    return complex(np.sum(np.exp(-np.pi * im[keep]) * _cis(re))), keep.size
 
 
 @lru_cache(maxsize=None)
@@ -288,8 +333,8 @@ def theta_with_char(tau: PeriodMatrix, z, c: Characteristic, tol=Tolerance()) ->
         raise ValueError(f"genus mismatch: characteristic {c.g}, tau {tau.g}")
     tol = Tolerance.coerce(tol)
     arg = ThetaArg.coerce(z, tau.g)
-    radius, _ = _numerics(tau, arg, tol)
-    return _theta_sum(tau, arg, c, radius)
+    radius, _, cutoff = _numerics(tau, arg, tol)
+    return _theta_sum(tau, arg, c, radius, cutoff)[0]
 
 
 def theta_constant(tau: PeriodMatrix, c: Characteristic, tol=Tolerance()) -> complex:
@@ -303,18 +348,26 @@ def theta_constant(tau: PeriodMatrix, c: Characteristic, tol=Tolerance()) -> com
 
 
 def theta_report(tau: PeriodMatrix, z, c: Characteristic, tol=Tolerance()) -> dict:
-    """Evaluation plus the numerics actually used (radius, error estimate)."""
+    """Evaluation plus the numerics actually used.
+
+    radius is the box radius R, points the number K of box points summed,
+    and est_error = T + (N - K) exp(-pi C) bounds everything not summed:
+    the tail T outside the box of N points, plus the box points dropped
+    at the cutoff C, each of modulus at most exp(-pi C).
+    """
     tol = Tolerance.coerce(tol)
     arg = ThetaArg.coerce(z, tau.g)
     # The public call stays so that a wrapped truncation_radius sees the
     # radius of every evaluation; the tail then comes from the same search.
     radius = truncation_radius(tau, arg, tol)
-    value = _theta_sum(tau, arg, c, radius)
+    _, tail, cutoff = _numerics(tau, arg, tol)
+    value, points = _theta_sum(tau, arg, c, radius, cutoff)
     return {
         "re": value.real,
         "im": value.imag,
         "radius": radius,
-        "est_error": _numerics(tau, arg, tol)[1],
+        "points": points,
+        "est_error": tail + ((2 * radius + 1) ** tau.g - points) * math.exp(-math.pi * cutoff),
     }
 
 
@@ -329,45 +382,72 @@ def theta_constant_table(tau: PeriodMatrix, tol=Tolerance()) -> np.ndarray:
         theta[eps; delta](tau, 0) = i^(eps.delta) sum_r (-1)^(r.delta) A_eps(r),
 
     a Walsh-Hadamard transform of the 2^g class sums and a phase.  A table
-    therefore takes 2^g weight vectors, not 4^g lattice sums.  The box and
-    its radius (for z = 0) are those of a single evaluation, and
-    theta_constant reads this table, so the two agree bit for bit.
+    therefore takes 2^g weight vectors, not 4^g lattice sums, and
+    theta_constant reads it.
 
-    The weight vectors come from the split at z = 0.  The magnitude of
-    w_eps is exp(-pi (m'Ym + Ym.eps + eps'Y eps/4)) = exp(-pi s'Ys) <= 1,
-    one real exp per eps over the box.  The phase is
+    The box is that of a single evaluation at z = 0.  One BLAS pass over
+    it gives m'Ym, and only the K rows with ||m||_Y < sqrt(C) + rho,
+    rho = max_eps ||eps/2||_Y, are summed (see _table_rows): every other
+    box point has s'Ys >= C for every eps, so each entry misses at most
+    T + (N - K) exp(-pi C) <= tol.  The weight vectors come from the
+    split at z = 0, over the kept rows.  The magnitude of w_eps is
+    exp(-pi (m'Ym + Ym.eps + eps'Y eps/4)) = exp(-pi s'Ys) <= 1, one real
+    exp per eps.  The phase is
 
         cis(pi m'Xm) prod_{k in eps} cis(pi Xm[:, k]) cis(pi eps'X eps/4),
 
-    so the box sees g + 1 complex exps per table, not 2^g; each weight
-    vector multiplies the columns of its eps in turn, and the constant
-    factor multiplies the 2^g class sums.  Working memory is O(N g) for
-    N box points.  Tables are cached per (tau, tol), 16 at a time.
+    so a table takes g + 1 complex exps over the kept rows, not 2^g; each
+    weight vector multiplies the columns of its eps in turn, and the
+    constant factor multiplies the 2^g class sums.  Working memory is
+    O(N g) for N box points.  Tables are cached per (tau, tol), 16 at a
+    time.
     """
     return _table(tau, Tolerance.coerce(tol))
+
+
+def _table_rows(
+    tau: PeriodMatrix, radius: int, cutoff: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The box rows a table sums: every m with ||m||_Y < sqrt(C) + rho.
+
+    rho = max over eps of ||eps/2||_Y, so by the triangle inequality these
+    rows hold every per-eps ellipsoid {s'Ys < C}, s = m + eps/2; a row left
+    out has s'Ys >= C for every eps.  m'Ym comes from one BLAS pass over the
+    box.  Returns the kept indices, Ym and m'Ym on them, and eps'Y eps/4
+    for every eps (rho^2 is its maximum).
+    """
+    g = tau.g
+    m = _lattice(g, radius)
+    y = _re_im(tau)[1]
+    ym, mym = _quadratic(m, y)
+    corners = np.array([e @ y @ e for e in _blocks(g)]) / 4.0
+    keep = _kept(mym, (math.sqrt(cutoff) + math.sqrt(corners.max())) ** 2)
+    return keep, ym[keep], mym[keep], corners
 
 
 @lru_cache(maxsize=16)
 def _table(tau: PeriodMatrix, tol: Tolerance) -> np.ndarray:
     g = tau.g
     n = 1 << g
-    radius = truncation_radius(tau, ThetaArg.zero(g), tol)
-    classes = _parity_classes(g, radius)
-    m = _lattice(g, radius)
-    x, y = _re_im(tau)
+    arg = ThetaArg.zero(g)
+    radius = truncation_radius(tau, arg, tol)
+    keep, ym, mym, corners = _table_rows(tau, radius, _numerics(tau, arg, tol)[2])
+    classes = _parity_classes(g, radius)[keep]
+    m = _lattice(g, radius)[keep]
+    x = _re_im(tau)[0]
     xm, mxm = _quadratic(m, x)
-    ym, mym = _quadratic(m, y)
     base = _cis(mxm)
     columns = [_cis(xm[:, k]) for k in range(g)]
+    blocks = _blocks(g)
     sums = np.empty((n, n), dtype=complex)
     for eps in range(n):
-        e = _char_vec(eps, g)
-        w = np.exp(-np.pi * (mym + ym @ e + e @ y @ e / 4.0)) * base
+        e = blocks[eps]
+        w = np.exp(-np.pi * (mym + ym @ e + corners[eps])) * base
         for k in np.flatnonzero(e):
             w *= columns[k]
         sums[eps].real = np.bincount(classes, w.real, n)
         sums[eps].imag = np.bincount(classes, w.imag, n)
-        sums[eps] *= _cis(e @ x @ e / 4.0)
+    sums *= _cis(np.array([e @ x @ e for e in blocks]) / 4.0)[:, None]
     signs, phases = _signs_and_phases(g)
     table = (sums @ signs) * phases
     table.setflags(write=False)

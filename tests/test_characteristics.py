@@ -29,6 +29,7 @@ from oracles import (
     sp_order,
 )
 from thetachar.characteristics import (
+    _aronhold_structure_ok,
     _extend_systems,
     _isotropic_cosets,
     _pairing_masks,
@@ -332,6 +333,21 @@ def test_quartic_coordinate_check_census():
     # the Krazer value counts full fundamental systems, not Aronhold 7-sets;
     # the report carries both without equating them
     assert report["krazer_formula_count"] == 2304
+
+
+def test_aronhold_structure_check_rejects_a_planted_member():
+    # the check reads the five- and three-sums off the pairwise sums; it
+    # passes every census set and fails each set with one member swapped
+    # for an odd characteristic outside it
+    odds = set(packed_odds(3))
+    evens = set(range(64)) - odds
+    census = list(_extend_systems(sorted(odds), 3, 7))
+    assert all(_aronhold_structure_ok(s, odds, evens) for s in census)
+    for members in census[::41]:
+        for i in range(7):
+            for other in odds - set(members):
+                planted = members[:i] + (other,) + members[i + 1 :]
+                assert not _aronhold_structure_ok(planted, odds, evens)
 
 
 def test_char_system_canonicalization_and_validation():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import mp_tail, mp_theta, np_theta, np_theta_constants
+from thetachar import theta
 from thetachar.characteristics import Characteristic, all_characteristics
 from thetachar.theta import (
     PeriodMatrix,
@@ -259,6 +260,61 @@ def test_ill_conditioned_im_tau_does_not_overflow():
         for c in all_characteristics(g)[:: 2 * g - 1]:
             assert cmath.isfinite(theta_with_char(tau, z, c))
             assert abs(theta_with_char(tau, None, c) - table[c.eps, c.delta]) < bound
+
+
+def test_ellipsoid_cut_is_honest():
+    # Inside the box, a table sums the rows with ||m||_Y < sqrt(C) + rho and
+    # a single evaluation the points whose exponent is below C; every point
+    # left out has a term below exp(-pi C) and is charged to est_error.
+    # (a) Both sums agree with the plain full-box sums within the charge
+    # plus rounding, (b) the table keeps every point of every per-eps
+    # ellipsoid {s'Ys < C}, s = m + eps/2, and (c) est_error <= tol.
+    rng = np.random.default_rng(3141)
+    cases = []
+    for g, count in ((2, 2), (3, 2), (4, 1)):
+        for _ in range(count):
+            q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+            lam = np.concatenate([[rng.uniform(0.3, 0.6)], rng.uniform(0.6, 2.0, g - 1)])
+            y = q @ np.diag(lam) @ q.T
+            x = rng.uniform(-0.3, 0.3, (g, g))
+            cases.append((x + x.T) / 2 + 1j * (y + y.T) / 2)
+    # the two ill-conditioned Im tau of the overflow test
+    for y in (np.array([[50.0, 49.7], [49.7, 50.0]]), 0.35 * np.eye(4) + 14.9 * np.ones((4, 4))):
+        g = y.shape[0]
+        x = 0.1 * np.fromfunction(lambda i, j: np.cos(i + j + 1.0), (g, g))
+        cases.append(x + 1j * y)
+    tol = Tolerance()
+    for entries in cases:
+        tau = PeriodMatrix(entries)
+        g = tau.g
+        radius, tail, cutoff = theta._numerics(tau, ThetaArg.zero(g), tol)
+        assert radius == truncation_radius(tau, None, tol)
+        box = (2 * radius + 1) ** g
+        keep = theta._table_rows(tau, radius, cutoff)[0]
+        assert len(keep) < box  # the cut is not vacuous
+        charge = (box - len(keep)) * math.exp(-math.pi * cutoff)
+        assert tail + charge <= tol.abs_tol  # (c), table
+        m = theta._lattice(g, radius)
+        y = tau.tau.imag
+        inside = np.zeros(len(m), dtype=bool)
+        for eps in range(1 << g):
+            s = m + np.array(_bits(eps, g)) / 2
+            inside |= np.einsum("ij,jk,ik->i", s, y, s) < cutoff
+        assert np.isin(np.flatnonzero(inside), keep).all()  # (b)
+        want = np_theta_constants(tau.tau, radius)
+        assert np.abs(theta_constant_table(tau) - want).max() < charge + 1e-14 * box  # (a)
+        z = rng.uniform(-0.4, 0.4, g) + 1j * rng.uniform(-0.1, 0.1, g)
+        eval_tail = theta._numerics(tau, ThetaArg.coerce(z, g), tol)[1]
+        for k in rng.choice(4**g, 3, replace=False):
+            c = Characteristic(g, int(k) >> g, int(k) & ((1 << g) - 1))
+            rep = theta_report(tau, z, c, tol)
+            value = complex(rep["re"], rep["im"])
+            assert value == theta_with_char(tau, z, c, tol)
+            assert rep["points"] <= (2 * rep["radius"] + 1) ** g
+            assert rep["est_error"] <= tol.abs_tol  # (c), single evaluation
+            bound = rep["est_error"] - eval_tail + 1e-14 * (2 * rep["radius"] + 1) ** g
+            want = np_theta(tau.tau, z, _bits(c.eps, g), _bits(c.delta, g), rep["radius"])
+            assert abs(value - want) < bound  # (a)
 
 
 def test_block_diagonal_theta_factorizes():
