@@ -29,7 +29,7 @@ into a candidate bitmask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
 from math import factorial
 from operator import xor
@@ -39,7 +39,7 @@ from .gf2 import gf2_rank
 from .symplectic import (
     Characteristic,
     _isotropic_bases,
-    _packed_pairing,
+    _pairing_masks,
     _pivot_mask,
     _span,
     enumerate_forms,
@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 TETRAD_GENUS_CAP = 3
+GOPEL_GENUS_CAP = 3
 SYSTEM_GENUS_CAP = 2
 
 
@@ -186,24 +187,6 @@ def enumerate_syzygetic_tetrads(g: int) -> list[tuple[Characteristic, ...]]:
     return _isotropic_cosets(g, 2)
 
 
-@lru_cache(maxsize=None)
-def _pairing_masks(g: int) -> tuple[int, ...]:
-    """Entry d is the 4^g-bit set {t : <d, t> = 1} of packed vectors t.
-
-    The pairing is linear in d, so each entry past a basis vector is the
-    XOR of two earlier ones.
-    """
-    n = 1 << (2 * g)
-    masks = [0] * n
-    for d in range(1, n):
-        low = d & -d
-        if d == low:
-            masks[d] = sum(1 << t for t in range(n) if _packed_pairing(d, t, g))
-        else:
-            masks[d] = masks[low] ^ masks[d ^ low]
-    return tuple(masks)
-
-
 def _extend_systems(points, g, target_size):
     """Backtracking over the packed characteristics points, ascending.
 
@@ -267,10 +250,11 @@ def enumerate_gopel_systems(g: int) -> list[CharSystem]:
     """Inclusion-maximal sets in which every triple is syzygetic.
 
     These are the cosets c + L of the Lagrangian subspaces L, so each has
-    the classical 2^g members; capped at genus 2.  Sorted by members.
+    the classical 2^g members; capped at genus 3 (1,080 systems).  Sorted
+    by members.
     """
-    if not 1 <= g <= SYSTEM_GENUS_CAP:
-        raise ValueError(f"Gopel-system search supports 1 <= g <= {SYSTEM_GENUS_CAP}")
+    if not 1 <= g <= GOPEL_GENUS_CAP:
+        raise ValueError(f"Gopel-system search supports 1 <= g <= {GOPEL_GENUS_CAP}")
     return [CharSystem(g, coset) for coset in _isotropic_cosets(g, g)]
 
 

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import _transpose, gf2_inv, gf2_matvec, gf2_mul, gf2_rref, parity as bit_parity
+from .gf2 import _transpose, gf2_inv, gf2_matvec, gf2_mul, parity as bit_parity
 
 __all__ = [
     "F2Vector",
@@ -195,32 +195,71 @@ def _packed_pairing(u: int, v: int, g: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _pairing_masks(g: int) -> tuple[int, ...]:
+    """Entry d is the 4^g-bit set {t : <d, t> = 1} of packed vectors t.
+
+    The pairing is linear in d, so each entry past a basis vector is the
+    XOR of two earlier ones.
+    """
+    n = 1 << (2 * g)
+    masks = [0] * n
+    for d in range(1, n):
+        low = d & -d
+        if d == low:
+            masks[d] = sum(1 << t for t in range(n) if _packed_pairing(d, t, g))
+        else:
+            masks[d] = masks[low] ^ masks[d ^ low]
+    return tuple(masks)
+
+
+@lru_cache(maxsize=None)
 def _isotropic_bases(g: int, singular: bool) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Reduced-echelon bases of the isotropic subspaces of F2^2g, by dimension.
 
     Entry j holds the j-dimensional subspaces on which the pairing
     vanishes, for j = 0..g.  With singular=True they must also be totally
     singular for q0(v) = v_e.v_f, the parity form of characteristics, so
-    they are the totally-even spans.  Level j+1 extends each basis of
-    level j by every admissible vector that pairs to 0 with it, taking one
-    representative per coset of its span (the one free of pivot bits), and
-    deduplicates by rref.  Each level is sorted by (descending pivots,
-    rows), which is the order of enumerate_subspaces.
+    they are the totally-even spans.
+
+    This is a reverse search: the parent of a subspace is the span of its
+    reduced basis without the last row (the lowest pivot), so each
+    subspace is built exactly once, from its parent, and nothing is
+    reduced or deduplicated.  A basis r_1..r_j with lowest pivot p_j is
+    extended by v when v is admissible (nonzero, and q0(v) = 0 if
+    singular), pairs to 0 with every row, and has its leading bit below
+    p_j and set in no row; then r_1..r_j, v is reduced as it stands (v,
+    being below p_j, misses every pivot).  The admissible vectors that
+    pair to 0 with every row are one 4^g-bit mask, carried down the
+    search and cut by the complement of _pairing_masks(g)[v] at each
+    step.  Each level is sorted by (descending pivots, rows), which is the
+    order of enumerate_subspaces.
     """
+    n = 1 << (2 * g)
     mask = (1 << g) - 1
-    admissible = [
-        v for v in range(1, 1 << (2 * g))
+    masks = _pairing_masks(g)
+    admissible = sum(
+        1 << v for v in range(1, n)
         if not (singular and bit_parity((v >> g) & v & mask))
-    ]
+    )
+    # (basis, candidate mask, lowest pivot, union of the rows' bits)
+    nodes = [((), admissible, 2 * g, 0)]
     levels = [((),)]
     for _ in range(g):
-        found = set()
-        for basis in levels[-1]:
-            pivots = _pivot_mask(basis)
-            for v in admissible:
-                if not v & pivots and not any(_packed_pairing(v, row, g) for row in basis):
-                    found.add(gf2_rref(basis + (v,)))
-        levels.append(tuple(sorted(found, key=lambda b: ([-r.bit_length() for r in b], b))))
+        children = []
+        for basis, cand, low, used in nodes:
+            for p in range(low):
+                if used >> p & 1:
+                    continue
+                lead = 1 << p
+                block = cand >> lead & ((1 << lead) - 1)
+                while block:
+                    bit = block & -block
+                    block ^= bit
+                    v = lead | (bit.bit_length() - 1)
+                    children.append((basis + (v,), cand & ~masks[v], p, used | v))
+        children.sort(key=lambda node: ([-r.bit_length() for r in node[0]], node[0]))
+        nodes = children
+        levels.append(tuple(node[0] for node in nodes))
     return tuple(levels)
 
 

@@ -229,12 +229,14 @@ def truncation_radius(tau: PeriodMatrix, z, tol) -> int:
 
 @lru_cache(maxsize=32)
 def _lattice(g: int, radius: int) -> np.ndarray:
-    """Integer points of the box, shells of increasing |m|_inf, lex inside."""
-    pts = sorted(
-        np.ndindex(*(2 * radius + 1,) * g),
-        key=lambda idx: (max(abs(k - radius) for k in idx), idx),
-    )
-    arr = np.array(pts, dtype=float) - radius
+    """Integer points of the box, shells of increasing |m|_inf, lex inside.
+
+    np.indices lists the box in lex order; a stable argsort on the shell
+    index |m|_inf keeps that order inside each shell.
+    """
+    pts = np.indices((2 * radius + 1,) * g).reshape(g, -1).T - radius
+    shell = np.abs(pts).max(axis=1)
+    arr = pts[np.argsort(shell, kind="stable")].astype(float)
     arr.setflags(write=False)
     return arr
 

@@ -5,9 +5,12 @@ convention as possible) with the package: characteristics are plain
 ``(eps, delta)`` integer pairs, vectors are 0/1 tuples, enumeration is
 ``itertools.combinations`` with no pruning, and the Arf invariant is read
 off from the count of zeros of the form rather than any closed formula.
-The one exception is oracle_extend_systems, the plain azygetic
-backtracker on packed ints that the library's bitmask search must match
-tuple for tuple; it tests every candidate by the pairing itself.
+The exceptions are the earlier, plainer routes that the library's fast
+ones must match element for element: oracle_extend_systems, the azygetic
+backtracker on packed ints, which tests every candidate by the pairing
+itself; oracle_isotropic_bases, which extends isotropic bases by every
+admissible vector and deduplicates by reduction; and oracle_lattice, the
+truncation box sorted by a Python key.
 
 Run as a script to reprint every frozen reference value used by the suite,
 and the azygetic-search counts of the backtracker next to the library's::
@@ -206,6 +209,47 @@ def oracle_subspace_counts(g, dim):
     return len(spans), even
 
 
+def rref(rows):
+    """Reduced row-echelon basis of packed rows, by descending pivot."""
+    basis = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+    basis.sort(reverse=True)
+    for i, b in enumerate(basis):
+        pivot = 1 << (b.bit_length() - 1)
+        for j in range(i):
+            if basis[j] & pivot:
+                basis[j] ^= b
+    return tuple(basis)
+
+
+def oracle_isotropic_bases(g, singular):
+    """The isotropic subspaces of F2^(2g) by extension, reduction and dedup.
+
+    Level j+1 extends every basis of level j by every admissible vector
+    (nonzero, and eps.delta even when singular) that pairs to 0 with each
+    row and has no bit on a pivot, reduces the extended basis and keeps one
+    copy per subspace.  Each level is sorted by (descending pivots, rows).
+    """
+    admissible = [
+        v for v in range(1, 4**g)
+        if not (singular and parity(v >> g, v & (2**g - 1)))
+    ]
+    levels = [((),)]
+    for _ in range(g):
+        found = set()
+        for basis in levels[-1]:
+            pivots = sum(1 << (row.bit_length() - 1) for row in basis)
+            for v in admissible:
+                if not v & pivots and not any(packed_pairing(v, row, g) for row in basis):
+                    found.add(rref(basis + (v,)))
+        levels.append(tuple(sorted(found, key=lambda b: ([-r.bit_length() for r in b], b))))
+    return tuple(levels)
+
+
 # ---------------------------------------------------------------------------
 # closed-form counts of isotropic subspaces of (F2^(2g), Weil pairing)
 
@@ -274,6 +318,18 @@ def mp_theta(tau, z, eps, delta, g, radius=30, dps=40):
                 lin += c[i] * (mpmath.mpc(z[i]) + mpmath.mpf(delta[i]) / 2)
             total += mpmath.exp(ipi * quad + i2pi * lin)
         return total
+
+
+def oracle_lattice(g, radius):
+    """The box |m|_inf <= radius as floats: shells of increasing |m|_inf,
+    lexicographic inside a shell, by a Python sort of np.ndindex tuples."""
+    import numpy as np
+
+    pts = sorted(
+        np.ndindex(*(2 * radius + 1,) * g),
+        key=lambda idx: (max(abs(k - radius) for k in idx), idx),
+    )
+    return np.array(pts, dtype=float) - radius
 
 
 def np_theta(tau, z, eps, delta, radius):
@@ -430,6 +486,26 @@ def main():
     library = quartic_coordinate_check()["azygetic_odd_7set_count"]
     print(f"g=3 Aronhold 7-sets: oracle {oracle}  library {library}  "
           f"{'agree' if oracle == library else 'DISAGREE'}")
+
+    print("\n== isotropic subspaces: extend-and-dedup vs library reverse search ==")
+    from thetachar.symplectic import _isotropic_bases
+    from thetachar.theta import _lattice
+
+    for g in (1, 2, 3):
+        for singular in (True, False):
+            oracle = oracle_isotropic_bases(g, singular)
+            library = _isotropic_bases(g, singular)
+            print(f"g={g} singular={singular}: levels {[len(l) for l in oracle]}  "
+                  f"{'agree' if oracle == library else 'DISAGREE'}")
+
+    print("\n== truncation box: sorted ndindex vs library argsort ==")
+    for g, radius in ((1, 1), (1, 3), (2, 6), (3, 5), (4, 4), (4, 8)):
+        oracle = oracle_lattice(g, radius)
+        library = _lattice(g, radius)
+        same = (oracle.dtype == library.dtype and oracle.shape == library.shape
+                and oracle.tobytes() == library.tobytes())
+        print(f"g={g} radius={radius}: {len(oracle)} points  "
+              f"{'agree' if same else 'DISAGREE'}")
 
     print("\n== maximal syzygetic systems ==")
     for g in (1, 2):

@@ -5,6 +5,7 @@ span-building oracle: g=1 -> [1, 2], g=2 -> [1, 9, 6], g=3 -> [1, 35, 105,
 30], g=4 -> [1, 135, 1575, 2025, 270].  Genus <= 2 is re-derived live.
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -111,6 +112,26 @@ def test_even_spans_match_filtered_enumeration_in_order():
             got = _even_spans(g, i)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+
+
+def test_genus_4_subspaces_are_frozen():
+    # sha256 of dtype, shape and bytes of each span array, and of the repr of
+    # every isotropic level; frozen from the extend-and-dedup generator
+    spans = [
+        "8229783c01ac4fc3cc556e93fb5b57db5cf118b39a768f10edf034f236f2ea1c",
+        "5f2c2f543872f3e875d6772c215f9d5247e51edc0ec6a6b754cf0573f15e382f",
+        "25a79840ae07c88706fc7ea92091736c6e199a75fecccafe5b5e39672ea5f706",
+        "6ea56c9f893aa113b870f378a580684e41d4012d1798848651dab304a85e41da",
+        "4ae816b47737d63bc687b648c4bb0a634c0dcbd4a91bbd7f22defe4fecbeceb6",
+    ]
+    for i, digest in enumerate(spans):
+        a = _even_spans(4, i)
+        data = str(a.dtype).encode() + repr(a.shape).encode() + a.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest, i
+    levels = repr(_isotropic_bases(4, False)).encode()
+    assert hashlib.sha256(levels).hexdigest() == (
+        "2c5627ca62b308b15f63a481cb9197cd06062569577a5110578d0372bf3c88a0"
+    )
 
 
 def test_totally_singular_counts_match_closed_form():

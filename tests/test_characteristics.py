@@ -24,6 +24,7 @@ from oracles import (
     oracle_extend_systems,
     oracle_fundamental_systems,
     oracle_gopel_systems,
+    oracle_isotropic_bases,
     oracle_syzygetic_tetrads,
     packed_odds,
     sp_order,
@@ -32,7 +33,6 @@ from thetachar.characteristics import (
     _aronhold_structure_ok,
     _extend_systems,
     _isotropic_cosets,
-    _pairing_masks,
     CharSystem,
     Characteristic,
     all_characteristics,
@@ -50,6 +50,7 @@ from thetachar.characteristics import (
 from thetachar.symplectic import (
     F2Vector,
     _isotropic_bases,
+    _pairing_masks,
     arf,
     enumerate_forms,
     eval_form,
@@ -297,11 +298,22 @@ def test_isotropic_counts_match_closed_forms():
     assert _isotropic_cosets(1, 2) == []
 
 
+def test_isotropic_bases_match_extend_and_dedup_oracle():
+    # the reverse search against the rref-and-dedup extension, tuple for tuple
+    for g in (1, 2, 3):
+        for singular in (True, False):
+            assert _isotropic_bases(g, singular) == oracle_isotropic_bases(g, singular)
+
+
 def test_gopel_cosets_at_genus_3_are_maximal_syzygetic():
-    # past the public cap: spot-check the coset description on a sample
-    systems = _isotropic_cosets(3, 3)
+    systems = enumerate_gopel_systems(3)
+    assert len(systems) == gopel_coset_count(3) == 1080
+    assert [s.members for s in systems] == sorted(s.members for s in systems)
+    # spot-check the coset description on a sample
     chars = all_characteristics(3)
-    for members in systems[::97]:
+    for system in systems[::97]:
+        members = system.members
+        assert difference_rank(system) == 3
         pairs = [as_pair(c) for c in members]
         assert not any(is_azygetic_triple(*t) for t in itertools.combinations(pairs, 3))
         for t in chars:
@@ -318,7 +330,7 @@ def test_enumeration_guards():
     with pytest.raises(ValueError):
         enumerate_fundamental_systems(3)
     with pytest.raises(ValueError):
-        enumerate_gopel_systems(3)
+        enumerate_gopel_systems(4)
 
 
 def test_quartic_coordinate_check_census():

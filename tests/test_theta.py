@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import mp_tail, mp_theta, np_theta, np_theta_constants
+from oracles import mp_tail, mp_theta, np_theta, np_theta_constants, oracle_lattice
 from thetachar import theta
 from thetachar.characteristics import Characteristic, all_characteristics
 from thetachar.theta import (
@@ -315,6 +315,14 @@ def test_ellipsoid_cut_is_honest():
             bound = rep["est_error"] - eval_tail + 1e-14 * (2 * rep["radius"] + 1) ** g
             want = np_theta(tau.tau, z, _bits(c.eps, g), _bits(c.delta, g), rep["radius"])
             assert abs(value - want) < bound  # (a)
+
+
+def test_lattice_matches_sorted_ndindex_oracle():
+    for g, radius in ((1, 1), (1, 3), (2, 6), (3, 5), (4, 4), (4, 8)):
+        got = theta._lattice(g, radius)
+        want = oracle_lattice(g, radius)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_block_diagonal_theta_factorizes():
