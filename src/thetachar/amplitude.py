@@ -18,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .config import InvariantError
-from .gf2 import gf2_rref, parity
-from .symplectic import _isotropic_bases, _span
+from .gf2 import gf2_rref
+from .symplectic import _isotropic_bases, _q0, _span
 from .theta import PeriodMatrix, Tolerance, block_diag, theta_constant_table
 
 AMBIENT_CAP = 8
@@ -109,11 +109,6 @@ def enumerate_subspaces(n: int, i: int) -> list[Subspace]:
     return out
 
 
-def _is_totally_even(g: int, elems) -> bool:
-    mask = (1 << g) - 1
-    return all(parity((x >> g) & x & mask) == 0 for x in elems)
-
-
 @lru_cache(maxsize=None)
 def _even_spans(g: int, i: int) -> np.ndarray:
     """The totally-even i-dim subspaces of F2^2g, one row of elements each.
@@ -148,7 +143,7 @@ def P_W(tau: PeriodMatrix, W: Subspace, tol=Tolerance()) -> complex:
     if W.n != 2 * g:
         raise ValueError(f"subspace lives in F2^{W.n}, tau needs F2^{2 * g}")
     elems = W.elements()
-    if not _is_totally_even(g, elems):
+    if any(_q0(x, g) for x in elems):
         return 0j
     table = theta_constant_table(tau, tol)
     return complex(_products(table, np.array(elems, dtype=np.intp)))

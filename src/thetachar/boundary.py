@@ -26,7 +26,7 @@ class Vertex:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"vertex id must be a nonempty string, got {self.id!r}")
-        if not isinstance(self.genus, int) or self.genus < 0:
+        if isinstance(self.genus, bool) or not isinstance(self.genus, int) or self.genus < 0:
             raise ValueError(f"vertex {self.id!r}: genus must be a nonnegative integer")
 
 
@@ -41,6 +41,8 @@ class Edge:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"edge id must be a nonempty string, got {self.id!r}")
+        if not (isinstance(self.u, str) and isinstance(self.v, str)):
+            raise ValueError(f"edge {self.id!r}: endpoints must be vertex ids")
 
 
 @dataclass(frozen=True)
@@ -83,18 +85,10 @@ class DualGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DualGraph":
-        if set(data) != {"vertices", "edges"}:
-            raise ValueError(f"graph JSON needs keys vertices/edges, got {sorted(data)}")
-        vertices = []
-        for entry in data["vertices"]:
-            if set(entry) != {"id", "genus"}:
-                raise ValueError(f"vertex entry needs keys id/genus, got {sorted(entry)}")
-            vertices.append(Vertex(entry["id"], entry["genus"]))
-        edges = []
-        for entry in data["edges"]:
-            if set(entry) != {"id", "u", "v"}:
-                raise ValueError(f"edge entry needs keys id/u/v, got {sorted(entry)}")
-            edges.append(Edge(entry["id"], entry["u"], entry["v"]))
+        if not isinstance(data, dict) or set(data) != {"vertices", "edges"}:
+            raise ValueError("graph JSON must be an object with keys vertices/edges")
+        vertices = [Vertex(*entry) for entry in _entries(data, "vertices", ("id", "genus"))]
+        edges = [Edge(*entry) for entry in _entries(data, "edges", ("id", "u", "v"))]
         return cls(tuple(vertices), tuple(edges))
 
     def to_json_dict(self) -> dict:
@@ -102,6 +96,17 @@ class DualGraph:
             "vertices": [{"id": v.id, "genus": v.genus} for v in self.vertices],
             "edges": [{"id": e.id, "u": e.u, "v": e.v} for e in self.edges],
         }
+
+
+def _entries(data: dict, key: str, fields: tuple[str, ...]) -> list[tuple]:
+    """Field values of each entry of data[key], a list of objects with these keys."""
+    entries = data[key]
+    if not isinstance(entries, list):
+        raise ValueError(f"graph JSON {key} must be a list, got {entries!r}")
+    for entry in entries:
+        if not isinstance(entry, dict) or set(entry) != set(fields):
+            raise ValueError(f"{key} entries need keys {'/'.join(fields)}, got {entry!r}")
+    return [tuple(entry[f] for f in fields) for entry in entries]
 
 
 def betti_and_genus(graph: DualGraph) -> tuple[int, int]:

@@ -33,12 +33,14 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, (int, float)):
+            raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
         if not (1e-13 < self.tolerance < 1.0):
             raise ValueError(f"tolerance must be in (1e-13, 1), got {self.tolerance}")
         if self.output not in ("json", "table"):
             raise ValueError(f"output must be 'json' or 'table', got {self.output!r}")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

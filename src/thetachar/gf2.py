@@ -13,7 +13,6 @@ from typing import Iterable, List, Sequence
 __all__ = [
     "parity",
     "gf2_rank",
-    "gf2_inv",
     "gf2_matvec",
     "gf2_mul",
     "gf2_rref",
@@ -80,28 +79,6 @@ def _transpose(rows: Sequence[int], n: int) -> List[int]:
             if row >> (n - 1 - j) & 1:
                 out[j] |= 1 << (n - 1 - i)
     return out
-
-
-def gf2_inv(rows: Sequence[int]) -> List[int]:
-    """Inverse of a square bit matrix via Gauss-Jordan on [A | I].
-
-    Raises ValueError if the matrix is singular.
-    """
-    n = len(rows)
-    aug = [(r << n) | (1 << (n - 1 - i)) for i, r in enumerate(rows)]
-    row = 0
-    for col in range(n - 1, -1, -1):
-        bit = 1 << (col + n)
-        piv = next((k for k in range(row, n) if aug[k] & bit), None)
-        if piv is None:
-            raise ValueError("matrix is singular over GF(2)")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        for k in range(n):
-            if k != row and aug[k] & bit:
-                aug[k] ^= aug[row]
-        row += 1
-    mask = (1 << n) - 1
-    return [a & mask for a in aug]
 
 
 def gf2_kernel_masks(vecs: Sequence[int]) -> List[int]:

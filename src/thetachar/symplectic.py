@@ -12,6 +12,13 @@ A theta characteristic [eps; delta] is such a form, with basis values
 an affine space over the vectors: translate_form adds a vector to a form
 and form_difference gives the vector between two forms.
 
+Sp(2g, F2) moves q to q o M^-1.  M preserves the pairing, whose matrix
+is J = (0 I; I 0), so M^-1 = J M^T J needs no inversion: for M = (A B; C D)
+its columns are the rows of (D C; B A).  With q(x) = x_e.x_f + eps.x_e +
+delta.x_f this is Igusa's affine map (Theta Functions, 1972, ch. V)
+
+    M.[eps; delta] = (D C; B A)(eps; delta) + (diag C D^T; diag A B^T) mod 2.
+
 Bit packing: coordinate i of a block sits at bit g-1-i of the block int,
 so bit strings read left to right and the hex serialization below is
 most-significant-first within each block.
@@ -23,7 +30,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import _transpose, gf2_inv, gf2_matvec, gf2_mul, parity as bit_parity
+from .gf2 import _transpose, gf2_matvec, gf2_mul, parity as bit_parity
 
 __all__ = [
     "F2Vector",
@@ -168,7 +175,12 @@ class Characteristic:
 class SpMatrix:
     """2g x 2g bit matrix preserving the pairing; checked at construction.
 
-    rows[i] is the i-th row in the F2Vector packed order (e-block high).
+    rows[i] is row i in the F2Vector packed order (e-block high): coordinate
+    i of M x is the parity of rows[i] & x, so M = (A B; C D) lists the rows
+    of (A B) first.  A lift acts by tau -> (A tau + B)(C tau + D)^-1, and
+    |theta[M c](M tau)| = |det(C tau + D)|^(1/2) |theta[c](tau)| with c
+    moved by sp_apply: (I B; 0 I) is tau -> tau + B, J = (0 I; I 0) is
+    tau -> -tau^-1.
     """
 
     g: int
@@ -192,6 +204,16 @@ class SpMatrix:
 def _packed_pairing(u: int, v: int, g: int) -> int:
     mask = (1 << g) - 1
     return bit_parity(((u >> g) & (v & mask)) ^ ((u & mask) & (v >> g)))
+
+
+def _swap(v: int, g: int) -> int:
+    """J v: the e and f halves of a packed vector exchanged."""
+    return (v & ((1 << g) - 1)) << g | v >> g
+
+
+def _q0(v: int, g: int) -> int:
+    """q0(v) = v_e.v_f on a packed vector: the parity of the characteristic v."""
+    return bit_parity((v >> g) & v & ((1 << g) - 1))
 
 
 @lru_cache(maxsize=None)
@@ -235,12 +257,8 @@ def _isotropic_bases(g: int, singular: bool) -> tuple[tuple[tuple[int, ...], ...
     order of enumerate_subspaces.
     """
     n = 1 << (2 * g)
-    mask = (1 << g) - 1
     masks = _pairing_masks(g)
-    admissible = sum(
-        1 << v for v in range(1, n)
-        if not (singular and bit_parity((v >> g) & v & mask))
-    )
+    admissible = sum(1 << v for v in range(1, n) if not (singular and _q0(v, g)))
     # (basis, candidate mask, lowest pivot, union of the rows' bits)
     nodes = [((), admissible, 2 * g, 0)]
     levels = [((),)]
@@ -287,7 +305,7 @@ def weil_pairing(u: F2Vector, v: F2Vector) -> int:
     """<u, v> = sum_i u_ei v_fi + u_fi v_ei mod 2."""
     if u.g != v.g:
         raise ValueError(f"genus mismatch: {u.g} vs {v.g}")
-    return bit_parity(u.e & v.f) ^ bit_parity(u.f & v.e)
+    return _packed_pairing(u.packed, v.packed, u.g)
 
 
 def eval_form(q: Characteristic, x: F2Vector) -> int:
@@ -353,7 +371,7 @@ def identity_matrix(g: int) -> SpMatrix:
 def _transvection_rows(g: int, packed: int) -> tuple[int, ...]:
     """Rows of t_v for the nonzero vector v with the given packed value."""
     n = 2 * g
-    functional = ((packed & ((1 << g) - 1)) << g) | (packed >> g)  # x -> <x, v>
+    functional = _swap(packed, g)  # x -> <x, v>
     rows = []
     for i in range(n):
         row = 1 << (n - 1 - i)
@@ -379,22 +397,29 @@ def mat_mul(a: SpMatrix, b: SpMatrix) -> SpMatrix:
 # sp_apply maps one matrix over many forms in turn; a matrix that has gone
 # out of use (random_symplectic draws a new one each time) is not kept.
 @lru_cache(maxsize=4)
-def _inverse_columns(m: SpMatrix) -> tuple[F2Vector, ...]:
-    """The images M^-1 b_k of the basis vectors, e_1..e_g then f_1..f_g."""
-    n = 2 * m.g
-    return tuple(F2Vector.from_packed(m.g, col) for col in _transpose(gf2_inv(m.rows), n))
+def _form_action(m: SpMatrix) -> tuple[tuple[int, ...], int]:
+    """(L, d) of Igusa's map c -> L c + d on packed forms eps * 2^g + delta.
+
+    L's rows are the columns of M^-1 = J M^T J, the rows of M with the last
+    g first and each row's halves swapped; bit 2g-1-k of d is q0(L_k).
+    """
+    g = m.g
+    lin = tuple(_swap(r, g) for r in m.rows[g:] + m.rows[:g])
+    return lin, sum(_q0(row, g) << (2 * g - 1 - k) for k, row in enumerate(lin))
 
 
 def sp_apply(m: SpMatrix, t: F2Vector | Characteristic) -> F2Vector | Characteristic:
-    """Apply the symplectic action: vectors linearly, forms by q(M^-1 x)."""
+    """Apply the symplectic action: vectors linearly, forms by q o M^-1.
+
+    A form moves by Igusa's affine map (see the module docstring), read off
+    the rows of M, so no inverse is taken.
+    """
     if m.g != t.g:
         raise ValueError(f"genus mismatch: {m.g} vs {t.g}")
     if isinstance(t, F2Vector):
         return F2Vector.from_packed(t.g, gf2_matvec(m.rows, t.packed))
-    values = 0
-    for col in _inverse_columns(m):
-        values = values << 1 | eval_form(t, col)
-    return Characteristic.from_packed(m.g, values)
+    lin, shift = _form_action(m)
+    return Characteristic.from_packed(m.g, gf2_matvec(lin, (t.eps << t.g) | t.delta) ^ shift)
 
 
 def random_symplectic(g: int, rng: random.Random, n_factors: int | None = None) -> SpMatrix:

@@ -179,41 +179,30 @@ def _tail_bound(lam: float, g: int, z_im_norm: float, radius: int) -> float:
 
 
 @lru_cache(maxsize=256)
-def _radius_and_tail(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tuple[int, float]:
-    """Smallest box radius whose tail bound is below abs_tol, and that bound.
-
-    A pure function of the genus, lambda_min(Im tau), |Im z| and the
-    tolerance, so the search runs once per distinct input: theta_report
-    reads its tail here after truncation_radius has found the radius.
-    """
-    for radius in range(1, _MAX_RADIUS + 1):
-        if (2 * radius + 1) ** g > _MAX_LATTICE:
-            break
-        tail = _tail_bound(lam, g, z_im_norm, radius)
-        if tail <= abs_tol:
-            return radius, tail
-    raise ValueError(
-        "cannot reach the requested tolerance: Im tau too small or |Im z| too "
-        "large for the supported truncation range (keep Im tau >= 0.3 I)"
-    )
-
-
-@lru_cache(maxsize=256)
 def _box(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tuple[int, float, float]:
     """Box radius R, box tail T and cutoff exponent C for one set of numerics.
 
+    R is the smallest radius whose _tail_bound T is at most the tolerance.
     A box point is summed when its term can exceed exp(-pi C).  C is at
     least the exponent lambda_min (R+1/2)^2 - 2 sqrt(g) (R+3/2) |Im z| of
     _tail_bound's first excluded shell, and large enough that the N box
     points together can drop at most N exp(-pi C) <= tol - T.  When
     T = tol there is no room left and C is infinite: the whole box counts.
     """
-    radius, tail = _radius_and_tail(g, lam, z_im_norm, abs_tol)
-    if tail >= abs_tol:
-        return radius, tail, math.inf
-    shell = lam * (radius + 0.5) ** 2 - 2.0 * math.sqrt(g) * (radius + 1.5) * z_im_norm
-    budget = math.log((2 * radius + 1) ** g / (abs_tol - tail)) / math.pi
-    return radius, tail, max(shell, budget)
+    for radius in range(1, _MAX_RADIUS + 1):
+        if (2 * radius + 1) ** g > _MAX_LATTICE:
+            break
+        tail = _tail_bound(lam, g, z_im_norm, radius)
+        if tail == abs_tol:
+            return radius, tail, math.inf
+        if tail < abs_tol:
+            shell = lam * (radius + 0.5) ** 2 - 2.0 * math.sqrt(g) * (radius + 1.5) * z_im_norm
+            budget = math.log((2 * radius + 1) ** g / (abs_tol - tail)) / math.pi
+            return radius, tail, max(shell, budget)
+    raise ValueError(
+        "cannot reach the requested tolerance: Im tau too small or |Im z| too "
+        "large for the supported truncation range (keep Im tau >= 0.3 I)"
+    )
 
 
 def _numerics(tau: PeriodMatrix, arg: ThetaArg, tol: Tolerance) -> tuple[int, float, float]:

@@ -9,8 +9,9 @@ The exceptions are the earlier, plainer routes that the library's fast
 ones must match element for element: oracle_extend_systems, the azygetic
 backtracker on packed ints, which tests every candidate by the pairing
 itself; oracle_isotropic_bases, which extends isotropic bases by every
-admissible vector and deduplicates by reduction; and oracle_lattice, the
-truncation box sorted by a Python key.
+admissible vector and deduplicates by reduction; oracle_lattice, the
+truncation box sorted by a Python key; and oracle_sp_apply_form, which
+moves a form by a Gauss-Jordan inverse and 2g evaluations.
 
 Run as a script to reprint every frozen reference value used by the suite,
 and the azygetic-search counts of the backtracker next to the library's::
@@ -189,6 +190,51 @@ def krazer_count(g):
     den = factorial(2 * g + 2)
     assert num % den == 0, (g, num, den)
     return num // den
+
+
+# ---------------------------------------------------------------------------
+# the Sp(2g, F2) action on forms by inverse and evaluation
+
+
+def gf2_inv(rows):
+    """Inverse of a square bit matrix via Gauss-Jordan on [A | I].
+
+    Raises ValueError if the matrix is singular.
+    """
+    n = len(rows)
+    aug = [(r << n) | (1 << (n - 1 - i)) for i, r in enumerate(rows)]
+    row = 0
+    for col in range(n - 1, -1, -1):
+        bit = 1 << (col + n)
+        piv = next((k for k in range(row, n) if aug[k] & bit), None)
+        if piv is None:
+            raise ValueError("matrix is singular over GF(2)")
+        aug[row], aug[piv] = aug[piv], aug[row]
+        for k in range(n):
+            if k != row and aug[k] & bit:
+                aug[k] ^= aug[row]
+        row += 1
+    mask = (1 << n) - 1
+    return [a & mask for a in aug]
+
+
+def oracle_sp_apply_form(rows, g, eps, delta):
+    """(eps, delta) of the form q o M^-1, for M given by its packed rows.
+
+    Inverts M by Gauss-Jordan, then evaluates q(x) = x_e.x_f + eps.x_e +
+    delta.x_f on each column M^-1 b_k, e_1..e_g then f_1..f_g: those 2g
+    values are the new basis values.
+    """
+    n = 2 * g
+    low = 2**g - 1
+    inv = gf2_inv(rows)
+    values = 0
+    for k in range(n):
+        col = sum((inv[i] >> (n - 1 - k) & 1) << (n - 1 - i) for i in range(n))
+        xe, xf = col >> g, col & low
+        q = parity(xe, xf) ^ parity(eps, xe) ^ parity(delta, xf)
+        values = values << 1 | q
+    return values >> g, values & low
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +543,26 @@ def main():
             library = _isotropic_bases(g, singular)
             print(f"g={g} singular={singular}: levels {[len(l) for l in oracle]}  "
                   f"{'agree' if oracle == library else 'DISAGREE'}")
+
+    print("\n== Sp action on forms: inverse-and-evaluate vs library affine map ==")
+    import random
+
+    from thetachar.symplectic import Characteristic, random_symplectic, sp_apply
+
+    rng = random.Random(9)
+    for g in range(1, 9):
+        chars = all_chars(g) if g <= 4 else [
+            (rng.randrange(2**g), rng.randrange(2**g)) for _ in range(64)
+        ]
+        matrices = [random_symplectic(g, rng) for _ in range(100 if g <= 3 else 10)]
+        same = all(
+            Characteristic(g, *oracle_sp_apply_form(m.rows, g, e, d))
+            == sp_apply(m, Characteristic(g, e, d))
+            for m in matrices
+            for e, d in chars
+        )
+        print(f"g={g}: {len(matrices)} matrices x {len(chars)} forms  "
+              f"inverse-and-evaluate vs library {'agree' if same else 'DISAGREE'}")
 
     print("\n== truncation box: sorted ndindex vs library argsort ==")
     for g, radius in ((1, 1), (1, 3), (2, 6), (3, 5), (4, 4), (4, 8)):

@@ -242,6 +242,28 @@ def test_config_file_round_trip(tmp_path, capsys):
     assert "tolrance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [{"tolerance": "abc"}, {"tolerance": None}, {"seed": True}])
+def test_malformed_config_is_an_error(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run(["verify", "--only", "1", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("graph", [
+    [{"a": 1}],
+    {"vertices": 5, "edges": []},
+    {"vertices": [["a", 1]], "edges": []},
+    {"vertices": [{"id": "a", "genus": True}], "edges": []},
+    {"vertices": [{"id": "a", "genus": 1}], "edges": [{"id": "e", "u": ["a"], "v": "a"}]},
+])
+def test_malformed_graph_is_an_error(tmp_path, capsys, graph):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    assert run(["boundary", "--graph", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_removed_knobs(tmp_path, capsys, monkeypatch):
     # max_genus_exhaustive is no longer a config key; THETACHAR_THREADS is ignored
     old = tmp_path / "old.json"

@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import gf2_inv
 from thetachar.gf2 import (
-    gf2_inv,
     gf2_kernel_masks,
     gf2_matvec,
     gf2_mul,

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_arf, oracle_form_eval, tuple_pairing
+from oracles import oracle_arf, oracle_form_eval, oracle_sp_apply_form, tuple_pairing
 from thetachar.symplectic import (
     Characteristic,
     F2Vector,
@@ -228,6 +228,20 @@ def test_random_symplectic_preserves_pairing_and_arf():
             assert weil_pairing(sp_apply(m, u), sp_apply(m, v)) == weil_pairing(u, v)
             q = Characteristic(g, rnd.randrange(1 << g), rnd.randrange(1 << g))
             assert arf(sp_apply(m, q)) == arf(q)
+
+
+def test_sp_apply_matches_inverse_and_evaluate_oracle():
+    # every form at g <= 4, 64 sampled forms at g = 5..8
+    rnd = random.Random(1972)
+    for g, n_matrices in ((1, 300), (2, 300), (3, 300), (4, 30), (5, 8), (6, 8), (7, 8), (8, 8)):
+        forms = enumerate_forms(g) if g <= 4 else [
+            Characteristic(g, rnd.randrange(1 << g), rnd.randrange(1 << g)) for _ in range(64)
+        ]
+        for _ in range(n_matrices):
+            m = random_symplectic(g, rnd)
+            for q in forms:
+                expected = oracle_sp_apply_form(m.rows, g, q.eps, q.delta)
+                assert sp_apply(m, q) == Characteristic(g, *expected)
 
 
 def test_sp_orbit_covers_each_parity_class():

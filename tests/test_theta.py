@@ -14,6 +14,7 @@ import pytest
 from oracles import mp_tail, mp_theta, np_theta, np_theta_constants, oracle_lattice
 from thetachar import theta
 from thetachar.characteristics import Characteristic, all_characteristics
+from thetachar.symplectic import SpMatrix, sp_apply
 from thetachar.theta import (
     PeriodMatrix,
     ThetaArg,
@@ -238,6 +239,36 @@ def test_single_evaluation_matches_plain_sum_off_zero():
                 c = pool[k]
                 want = np_theta(tau.tau, z, _bits(c.eps, g), _bits(c.delta, g), radius)
                 assert abs(theta_with_char(tau, z, c) - want) < bound
+
+
+def test_sp_action_matches_theta_transformations():
+    # |theta[c](M tau)| = |det(C tau + D)|^(1/2) |theta[M^-1 c](tau)| for the
+    # generators tau -> tau + B, M = (I B; 0 I), and tau -> -tau^-1, M = J;
+    # both are their own inverses mod 2.  This pins the row convention of
+    # SpMatrix against the numerics.
+    rng = np.random.default_rng(1972)
+    for g in (1, 2, 3):
+        ident = [1 << (g - 1 - i) for i in range(g)]
+        for _ in range(3):
+            re = rng.uniform(-0.5, 0.5, (g, g))
+            a = rng.uniform(-0.3, 0.3, (g, g))
+            tau = (re + re.T) / 2 + 1j * (0.9 * np.eye(g) + a @ a.T)
+            table = theta_constant_table(PeriodMatrix(tau))
+            b = rng.integers(-2, 3, (g, g))
+            b = np.triu(b) + np.triu(b, 1).T
+            b_rows = [sum(int(b[i, j] % 2) << (g - 1 - j) for j in range(g)) for i in range(g)]
+            shift = SpMatrix(g, tuple(e << g | r for e, r in zip(ident, b_rows)) + tuple(ident))
+            inv = np.linalg.inv(tau)
+            flip = SpMatrix(g, tuple(ident) + tuple(e << g for e in ident))
+            for m, image, scale in (
+                (shift, tau + b, 1.0),
+                (flip, -(inv + inv.T) / 2, abs(np.linalg.det(tau)) ** 0.5),
+            ):
+                moved = theta_constant_table(PeriodMatrix(image))
+                for c in all_characteristics(g):
+                    mc = sp_apply(m, c)
+                    lhs, rhs = abs(moved[c.eps, c.delta]), scale * abs(table[mc.eps, mc.delta])
+                    assert abs(lhs - rhs) < 1e-12
 
 
 def test_ill_conditioned_im_tau_does_not_overflow():
