@@ -6,7 +6,9 @@ fibre of the spin compactification over such a curve decomposes by
 *even* edge sets — subsets meeting every vertex in an even number of
 edge-ends — and this module computes that decomposition, its component
 counts and multiplicities, plus the push-pull bookkeeping the divisor
-calculus consumes.
+calculus consumes.  Connectivity, the even sets (the cycle space) and the
+Betti number of each even set all come from one spanning-forest pass,
+_forest.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import InvariantError
-from .gf2 import gf2_kernel_masks
 from .picard import DivClass, pullback
 
 
@@ -65,23 +66,8 @@ class DualGraph:
         for e in self.edges:
             if e.u not in known or e.v not in known:
                 raise ValueError(f"edge {e.id!r} touches unknown vertices ({e.u!r}, {e.v!r})")
-        if not self._connected():
+        if _forest(vids, [(e.u, e.v) for e in self.edges])[0] != 1:
             raise ValueError("graph is not connected")
-
-    def _connected(self) -> bool:
-        adj: dict[str, list[str]] = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        seen = {self.vertices[0].id}
-        frontier = [self.vertices[0].id]
-        while frontier:
-            nxt = frontier.pop()
-            for other in adj[nxt]:
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        return len(seen) == len(self.vertices)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DualGraph":
@@ -109,6 +95,39 @@ def _entries(data: dict, key: str, fields: tuple[str, ...]) -> list[tuple]:
     return [tuple(entry[f] for f in fields) for entry in entries]
 
 
+def _forest(vertex_ids, edges) -> tuple[int, list[int]]:
+    """(component count, cycle basis) of a multigraph, in one pass over edges.
+
+    edges is a sequence of (u, v) pairs; bit j of a mask is edges[j].
+    tree[v] is the member list of v's tree, one list shared by all its
+    members, and path[v] the edge mask of v's path from the tree's root.
+    Edge j inside one tree closes the cycle 1<<j ^ path[u] ^ path[v]
+    (a self-loop closes 1<<j).  Edge j between two trees grafts the smaller
+    tree onto the larger, and the grafted paths change by that same mask.
+    Each cycle holds its own closing edge and no other, so the cycles are
+    independent: there are E - V + components of them, a basis of the
+    cycle space.
+    """
+    tree = {v: [v] for v in vertex_ids}
+    path = dict.fromkeys(tree, 0)
+    components = len(tree)
+    cycles = []
+    for j, (u, v) in enumerate(edges):
+        mask = 1 << j ^ path[u] ^ path[v]
+        big, small = tree[u], tree[v]
+        if big is small:
+            cycles.append(mask)
+            continue
+        if len(big) < len(small):
+            big, small = small, big
+        for w in small:
+            tree[w] = big
+            path[w] ^= mask
+        big += small
+        components -= 1
+    return components, cycles
+
+
 def betti_and_genus(graph: DualGraph) -> tuple[int, int]:
     """(b, g): first Betti number and total arithmetic genus."""
     b = len(graph.edges) - len(graph.vertices) + 1
@@ -126,17 +145,14 @@ def even_edge_sets(graph: DualGraph) -> list[EvenEdgeSet]:
     """The even edge sets = the cycle space of the graph, all 2^b of them.
 
     A set is even when every vertex meets it in an even number of
-    edge-ends (a self-loop contributes two, hence never obstructs), i.e.
-    exactly when its incidence columns sum to zero over F2.  Returned in
+    edge-ends (a self-loop contributes two, hence never obstructs); these
+    are the sums of subsets of the cycle basis from _forest.  Returned in
     lexicographic edge-id order.
     """
-    vindex = {v.id: n for n, v in enumerate(graph.vertices)}
-    columns = []
-    for e in graph.edges:
-        columns.append(0 if e.u == e.v else (1 << vindex[e.u]) | (1 << vindex[e.v]))
+    _, cycles = _forest([v.id for v in graph.vertices], [(e.u, e.v) for e in graph.edges])
     masks = [0]
-    for basis_mask in gf2_kernel_masks(columns):
-        masks += [m ^ basis_mask for m in masks]
+    for cycle in cycles:
+        masks += [m ^ cycle for m in masks]
     sets = []
     for mask in masks:
         ids = sorted(e.id for j, e in enumerate(graph.edges) if (mask >> j) & 1)
@@ -146,34 +162,6 @@ def even_edge_sets(graph: DualGraph) -> list[EvenEdgeSet]:
     if len(sets) != 1 << b:
         raise InvariantError(f"{len(sets)} even edge sets, expected 2^{b}")
     return sets
-
-
-def _sub_betti(graph: DualGraph, edge_ids) -> int:
-    """Betti number of the subgraph on edge_ids and its incident vertices.
-
-    Components are counted separately (E - V + #components), so the
-    empty set gives 0 and a pair of disjoint cycles gives 2.
-    """
-    wanted = set(edge_ids)
-    chosen = [e for e in graph.edges if e.id in wanted]
-    parent = {}
-    for e in chosen:
-        parent.setdefault(e.u, e.u)
-        parent.setdefault(e.v, e.v)
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = len(parent)
-    for e in chosen:
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[ru] = rv
-            components -= 1
-    return len(chosen) - len(parent) + components
 
 
 @dataclass(frozen=True)
@@ -223,9 +211,11 @@ def th_components(graph: DualGraph) -> ThComponentReport:
     b, g = betti_and_genus(graph)
     if g < 1:
         raise ValueError(f"need total genus >= 1, got {g}")
+    ends = {e.id: (e.u, e.v) for e in graph.edges}
     entries = []
     for delta in even_edge_sets(graph):
-        b1 = _sub_betti(graph, delta.edges)
+        chosen = [ends[i] for i in delta.edges]
+        b1 = len(_forest({x for pair in chosen for x in pair}, chosen)[1])
         entries.append(
             FibreStratum(
                 even_set=delta,

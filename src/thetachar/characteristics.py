@@ -146,11 +146,14 @@ class CharSystem:
 def difference_rank(system: CharSystem) -> int:
     """GF(2) rank of {first - m : m in members}, as packed 2g-bit vectors.
 
-    For a maximal syzygetic system this equals g even though the system has
-    2^g members; the difference set is a linear subspace there.
+    The difference vector is first.packed ^ m.packed with its blocks
+    swapped (form_difference); the swap is invertible and linear, so the
+    rank is read off the plain XORs.  For a maximal syzygetic system this
+    equals g even though the system has 2^g members; the difference set is
+    a linear subspace there.
     """
-    first = system.members[0]
-    return gf2_rank(form_difference(first, m).packed for m in system.members[1:])
+    first = system.members[0].packed
+    return gf2_rank(first ^ m.packed for m in system.members[1:])
 
 
 def _isotropic_cosets(g: int, dim: int) -> list[tuple[Characteristic, ...]]:

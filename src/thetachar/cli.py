@@ -106,7 +106,7 @@ def _cmd_systems(args, cfg: RunConfig) -> int:
         _emit(census, cfg)
         return 0
     if args.kind == "tetrads":
-        systems = [CharSystem.sorted_system(t) for t in enumerate_syzygetic_tetrads(g)]
+        systems = [CharSystem(g, t) for t in enumerate_syzygetic_tetrads(g)]
     elif args.kind == "fundamental":
         systems = enumerate_fundamental_systems(g)
     else:

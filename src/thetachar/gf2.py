@@ -16,7 +16,6 @@ __all__ = [
     "gf2_matvec",
     "gf2_mul",
     "gf2_rref",
-    "gf2_kernel_masks",
 ]
 
 
@@ -80,24 +79,3 @@ def _transpose(rows: Sequence[int], n: int) -> List[int]:
                 out[j] |= 1 << (n - 1 - i)
     return out
 
-
-def gf2_kernel_masks(vecs: Sequence[int]) -> List[int]:
-    """Basis of combination masks m with XOR of {vecs[j] : bit j of m} = 0.
-
-    Mask bit j refers to vecs[j] (plain index order, bit 0 = first vector).
-    The masks span the kernel of the map F2^len(vecs) -> span(vecs).
-    """
-    pivots: List[tuple[int, int]] = []  # (reduced vector, combination mask)
-    kernel: List[int] = []
-    for j, v in enumerate(vecs):
-        mask = 1 << j
-        for pv, pm in pivots:
-            if pv and (v ^ pv) < v:
-                v ^= pv
-                mask ^= pm
-        if v == 0:
-            kernel.append(mask)
-        else:
-            pivots.append((v, mask))
-            pivots.sort(key=lambda t: -t[0])
-    return kernel

@@ -154,6 +154,11 @@ class Characteristic:
         return cls(g, packed >> g, packed & ((1 << g) - 1))
 
     @property
+    def packed(self) -> int:
+        """The packed int eps * 2^g + delta, inverse to from_packed."""
+        return (self.eps << self.g) | self.delta
+
+    @property
     def parity(self) -> int:
         """The Arf invariant sum q(e_i) q(f_i) = eps.delta mod 2."""
         return bit_parity(self.eps & self.delta)
@@ -419,7 +424,7 @@ def sp_apply(m: SpMatrix, t: F2Vector | Characteristic) -> F2Vector | Characteri
     if isinstance(t, F2Vector):
         return F2Vector.from_packed(t.g, gf2_matvec(m.rows, t.packed))
     lin, shift = _form_action(m)
-    return Characteristic.from_packed(m.g, gf2_matvec(lin, (t.eps << t.g) | t.delta) ^ shift)
+    return Characteristic.from_packed(m.g, gf2_matvec(lin, t.packed) ^ shift)
 
 
 def random_symplectic(g: int, rng: random.Random, n_factors: int | None = None) -> SpMatrix:

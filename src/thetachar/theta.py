@@ -188,11 +188,16 @@ def _box(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tuple[int, flo
     _tail_bound's first excluded shell, and large enough that the N box
     points together can drop at most N exp(-pi C) <= tol - T.  When
     T = tol there is no room left and C is infinite: the whole box counts.
+    A tolerance that no radius within the caps reaches is a ValueError,
+    and so is a tail term too large for a float.
     """
     for radius in range(1, _MAX_RADIUS + 1):
         if (2 * radius + 1) ** g > _MAX_LATTICE:
             break
-        tail = _tail_bound(lam, g, z_im_norm, radius)
+        try:
+            tail = _tail_bound(lam, g, z_im_norm, radius)
+        except OverflowError:
+            break
         if tail == abs_tol:
             return radius, tail, math.inf
         if tail < abs_tol:

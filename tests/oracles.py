@@ -491,6 +491,21 @@ def oracle_b1(subset, edges):
     return len(subset) - len(verts) + comps
 
 
+def oracle_connected(n_vertices, edges):
+    """True iff the multigraph on range(n_vertices) is connected (union-find)."""
+    parent = list(range(n_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    return len({find(v) for v in range(n_vertices)}) == 1
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -572,6 +587,37 @@ def main():
                 and oracle.tobytes() == library.tobytes())
         print(f"g={g} radius={radius}: {len(oracle)} points  "
               f"{'agree' if same else 'DISAGREE'}")
+
+    print("\n== dual graphs: one-pass forest vs 2^E scan and union-find ==")
+    from thetachar.boundary import DualGraph, Edge, Vertex, even_edge_sets, th_components
+
+    rng = random.Random(12)
+    graphs = connected = 0
+    same = True
+    for _ in range(500):
+        n = rng.randrange(1, 7)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(9))]
+        try:
+            graph = DualGraph(
+                tuple(Vertex(f"v{k}", 1) for k in range(n)),
+                tuple(Edge(f"e{j}", f"v{u}", f"v{v}") for j, (u, v) in enumerate(edges)),
+            )
+        except ValueError:
+            same &= not oracle_connected(n, edges)
+            graphs += 1
+            continue
+        same &= oracle_connected(n, edges)
+        want = sorted(tuple(f"e{j}" for j in sorted(S))
+                      for S in oracle_even_edge_sets(n, edges))
+        same &= [s.edges for s in even_edge_sets(graph)] == want
+        same &= all(
+            e.b1 == oracle_b1({int(i[1:]) for i in e.even_set.edges}, edges)
+            for e in th_components(graph).entries
+        )
+        graphs += 1
+        connected += 1
+    print(f"dual graphs: one-pass forest vs 2^E scan {'agree' if same else 'DISAGREE'} "
+          f"({graphs} random multigraphs, {connected} connected)")
 
     print("\n== maximal syzygetic systems ==")
     for g in (1, 2):

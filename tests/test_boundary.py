@@ -1,10 +1,12 @@
 """Dual graphs, even node sets, and the spin-fibre component counts."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from oracles import oracle_b1, oracle_even_edge_sets
+from oracles import oracle_b1, oracle_connected, oracle_even_edge_sets
 from thetachar.boundary import (
     DualGraph,
     Edge,
@@ -128,6 +130,69 @@ def test_th_components_length_invariant_on_random_graphs():
             # b1 of the sub-edge-set agrees with the naive union-find oracle
             ids = {int(i[1:]) for i in e.even_set.edges}
             assert e.b1 == oracle_b1(ids, pairs)
+
+
+def test_connectivity_and_cycles_match_the_oracles_on_random_multigraphs():
+    # edges in random order, so trees of any size get grafted onto each other
+    rnd = random.Random(17)
+    for _ in range(400):
+        n = rnd.randrange(1, 8)
+        pairs = [(rnd.randrange(n), rnd.randrange(n)) for _ in range(rnd.randrange(10))]
+        if not oracle_connected(n, pairs):
+            with pytest.raises(ValueError, match="not connected"):
+                graph([1] * n, pairs)
+            continue
+        report = th_components(graph([1] * n, pairs))
+        got = {e.even_set.edges: e.b1 for e in report.entries}
+        want = {
+            tuple(f"e{j}" for j in sorted(subset)): oracle_b1(subset, pairs)
+            for subset in oracle_even_edge_sets(n, pairs)
+        }
+        assert got == want
+
+
+def test_th_components_is_frozen_on_random_multigraphs():
+    # sha256 over 2,400 seeded multigraphs (1..6 vertices, 0..8 edges,
+    # self-loops and disconnected ones included) of each report's JSON or
+    # error text; frozen from the DFS / kernel-mask / union-find version
+    rnd = random.Random(2024)
+    h = hashlib.sha256()
+    for _ in range(2400):
+        n = rnd.randrange(1, 7)
+        pairs = [(rnd.randrange(n), rnd.randrange(n)) for _ in range(rnd.randrange(9))]
+        genera = [rnd.randrange(3) for _ in range(n)]
+        try:
+            line = json.dumps(th_components(graph(genera, pairs)).to_json_dict(), sort_keys=True)
+        except ValueError as exc:
+            line = f"error: {exc}"
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == "6841422a81f0b152b3ac8ac5731313e4e92632f72f686d287ab37d5de9d600d4"
+
+
+def test_th_components_on_a_3000_vertex_graph():
+    # a random tree, its edges in shuffled order so many trees get grafted,
+    # plus six extra edges (one a self-loop): b = 6, 64 even sets
+    rnd = random.Random(8)
+    n = 3000
+    pairs = [(rnd.randrange(k), k) for k in range(1, n)]
+    rnd.shuffle(pairs)
+    pairs += [(rnd.randrange(n), rnd.randrange(n)) for _ in range(5)] + [(7, 7)]
+    g = graph([0] * n, pairs)
+    report = th_components(g)
+    assert (report.b, report.g) == (6, 6)
+    assert len({e.even_set.edges for e in report.entries}) == 64
+    assert report.total_length == 1 << 12
+    for e in report.entries:
+        ids = {int(i[1:]) for i in e.even_set.edges}
+        degree = [0] * n
+        for j in ids:
+            u, v = pairs[j]
+            degree[u] += 1
+            degree[v] += 1
+        assert not any(d & 1 for d in degree)
+        assert e.b1 == oracle_b1(ids, pairs)
+    with pytest.raises(ValueError, match="not connected"):
+        graph([0] * (n + 1), pairs)  # one isolated vertex more
 
 
 def test_boundary_degrees_odd_examples():

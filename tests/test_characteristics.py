@@ -27,6 +27,7 @@ from oracles import (
     oracle_isotropic_bases,
     oracle_syzygetic_tetrads,
     packed_odds,
+    rref,
     sp_order,
 )
 from thetachar.characteristics import (
@@ -273,6 +274,18 @@ def test_gopel_systems():
         for a, b, c in itertools.combinations(s.members, 3):
             assert triple_sum(a, b, c) in s.members
         assert difference_rank(s) == 2
+
+
+def test_difference_rank_matches_the_difference_vectors():
+    # the rank of the block-swapped differences, by the oracle elimination
+    rnd = random.Random(23)
+    for g in (1, 2, 3):
+        chars = all_characteristics(g)
+        for _ in range(100):
+            system = CharSystem(g, tuple(rnd.sample(chars, rnd.randint(1, min(8, len(chars))))))
+            first = system.members[0]
+            vectors = [char_difference(first, m).packed for m in system.members[1:]]
+            assert difference_rank(system) == len(rref(vectors))
 
 
 def test_gopel_systems_match_oracle():

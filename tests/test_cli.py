@@ -110,6 +110,9 @@ def test_theta_input_errors(capsys):
     bad_tau = ["theta", "--genus", "2", "--tau", "[[0.5], [1]]", "--char", "00;00"]
     assert run(bad_tau) == 1
     assert "tau row" in capsys.readouterr().err
+    huge_z = ["theta", "--genus", "1", "--tau", TAU_1_JSON, "--char", "0;0", "--z", "[[0, 40]]"]
+    assert run(huge_z) == 1
+    assert capsys.readouterr().err.startswith("error: cannot reach the requested tolerance")
 
 
 def test_parse_period_matrix_conventions():

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from oracles import gf2_inv
 from thetachar.gf2 import (
-    gf2_kernel_masks,
     gf2_matvec,
     gf2_mul,
     gf2_rank,
@@ -84,33 +83,6 @@ def test_matvec_matches_column_picking():
         v = 1 << (2 - k)
         col = sum((rows[i] >> (2 - k) & 1) << (2 - i) for i in range(3))
         assert gf2_matvec(rows, v) == col
-
-
-@given(row_lists)
-def test_kernel_masks_annihilate_and_are_complete(vecs):
-    kernel = gf2_kernel_masks(vecs)
-    for mask in kernel:
-        acc = 0
-        for j, v in enumerate(vecs):
-            if mask >> j & 1:
-                acc ^= v
-        assert acc == 0
-    assert len(kernel) == len(vecs) - gf2_rank(vecs)
-    assert gf2_rank(kernel) == len(kernel)
-
-
-def test_kernel_masks_span_all_vanishing_combinations():
-    vecs = [0b101, 0b011, 0b110, 0b101, 0b000]
-    kernel = gf2_kernel_masks(vecs)
-    want = set()
-    for mask in range(1 << len(vecs)):
-        acc = 0
-        for j, v in enumerate(vecs):
-            if mask >> j & 1:
-                acc ^= v
-        if acc == 0:
-            want.add(mask)
-    assert span_of(kernel) == want
 
 
 @given(st.integers(min_value=0))

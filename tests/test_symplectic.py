@@ -264,6 +264,9 @@ def test_serialization_round_trips():
     q = Characteristic(3, 0b101, 0b110)
     assert Characteristic.from_string(q.bits) == q
     assert Characteristic.from_packed(3, 0b101110) == q
+    assert q.packed == 0b101110
+    for g in range(1, 5):
+        assert [c.packed for c in enumerate_forms(g)] == list(range(1 << (2 * g)))
     assert vec("1011").to_hex() == "2:3"
 
 

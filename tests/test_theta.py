@@ -107,6 +107,14 @@ def test_truncation_radius_unreachable_tolerance():
         truncation_radius(thin, None, Tolerance(1e-12))
 
 
+def test_box_reports_an_overflowing_tail_as_unreachable():
+    # the shell exponent 2 pi sqrt(g) (s + 1/2) |Im z| passes 709 before
+    # the tail can be compared with the tolerance
+    for args in ((1, 0.001, 5.0, 1e-12), (1, 1.0, 40.0, 1e-12), (3, 0.53, 7.8, 1e-12)):
+        with pytest.raises(ValueError, match="cannot reach the requested tolerance"):
+            theta._box(*args)
+
+
 def test_theta_constant_reference_values_g1():
     assert abs(theta_constant(TAU_I, ch("0;0")) - THETA00_I) < 1e-12
     assert abs(theta_constant(TAU_I, ch("0;1")) - THETA01_I) < 1e-12
