@@ -146,10 +146,18 @@ def even_edge_sets(graph: DualGraph) -> list[EvenEdgeSet]:
 
     A set is even when every vertex meets it in an even number of
     edge-ends (a self-loop contributes two, hence never obstructs); these
-    are the sums of subsets of the cycle basis from _forest.  Returned in
-    lexicographic edge-id order.
+    are the sums of subsets of the cycle basis from _forest, each checked
+    to be even.  Returned in lexicographic edge-id order.
     """
-    _, cycles = _forest([v.id for v in graph.vertices], [(e.u, e.v) for e in graph.edges])
+    ends = [(e.u, e.v) for e in graph.edges]
+    _, cycles = _forest([v.id for v in graph.vertices], ends)
+    for cycle in cycles:
+        odd = set()
+        for j, (u, v) in enumerate(ends):
+            if cycle >> j & 1:
+                odd ^= {u} ^ {v}  # a self-loop meets its vertex twice
+        if odd:
+            raise InvariantError(f"cycle {cycle:#x} has odd degree at {sorted(odd)}")
     masks = [0]
     for cycle in cycles:
         masks += [m ^ cycle for m in masks]
@@ -205,8 +213,8 @@ def th_components(graph: DualGraph) -> ThComponentReport:
 
     Each even set Delta contributes 2^(2g-2b) * 2^(b1(Delta)) components
     of multiplicity 2^(b - b1(Delta)); the total length is always the
-    fibre degree 2^(2g), which is checked.  The fibre is reduced exactly
-    for compact-type curves (b = 0).
+    fibre degree 2^(2g), which is checked, as is b1 >= 1 for nonempty
+    Delta.  The fibre is reduced exactly for compact-type curves (b = 0).
     """
     b, g = betti_and_genus(graph)
     if g < 1:
@@ -216,6 +224,8 @@ def th_components(graph: DualGraph) -> ThComponentReport:
     for delta in even_edge_sets(graph):
         chosen = [ends[i] for i in delta.edges]
         b1 = len(_forest({x for pair in chosen for x in pair}, chosen)[1])
+        if chosen and not b1:
+            raise InvariantError(f"even set {list(delta.edges)} has b1 = 0")
         entries.append(
             FibreStratum(
                 even_set=delta,

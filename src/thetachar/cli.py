@@ -287,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--tau1", required=True)
     q.add_argument("--tau2", required=True)
-    q.add_argument("--tol", type=float, help="absolute truncation tolerance")
+    q.add_argument(
+        "--tol", type=float, default=argparse.SUPPRESS, help="absolute truncation tolerance"
+    )
     _add_common(p)
     _add_common(q)
     p.set_defaults(handler=_cmd_amplitude, mode=None)

@@ -16,13 +16,20 @@ class InvariantError(AssertionError):
     """Two routes to one result disagree, or a proven identity failed."""
 
 
+def check_tolerance(tol: float) -> None:
+    """The range of an absolute theta tolerance, for RunConfig and Tolerance."""
+    if not 1e-13 < tol < 1.0:
+        raise ValueError(
+            f"tolerance must be in (1e-13, 1), 1e-13 being the double precision floor; got {tol}"
+        )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs for numeric tolerance, output format and reproducibility.
 
     tolerance        absolute tolerance handed to the theta evaluator;
-                     must lie in (1e-13, 1) — double precision cannot
-                     honour anything tighter.
+                     must lie in (1e-13, 1), see check_tolerance.
     output           "json" or "table".
     seed             seed for every randomized check; identical seeds must
                      produce byte-identical reports.
@@ -35,8 +42,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, (int, float)):
             raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
-        if not (1e-13 < self.tolerance < 1.0):
-            raise ValueError(f"tolerance must be in (1e-13, 1), got {self.tolerance}")
+        check_tolerance(self.tolerance)
         if self.output not in ("json", "table"):
             raise ValueError(f"output must be 'json' or 'table', got {self.output!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):

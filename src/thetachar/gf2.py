@@ -3,7 +3,7 @@
 Vectors are Python ints; a length-n vector stores coordinate k (k = 0
 leftmost) at bit position n-1-k, so ``int(bits, 2)`` and ``format(v,
 f"0{n}b")`` convert to and from bit strings directly.  Matrices are lists
-of row ints in the same packing.
+of row ints in the same packing, and every operation works on whole rows.
 """
 
 from __future__ import annotations
@@ -59,23 +59,17 @@ def gf2_matvec(rows: Sequence[int], v: int) -> int:
 
 
 def gf2_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Matrix product a @ b for square bit matrices of equal size n x n."""
-    n = len(a)
-    bt = _transpose(b, n)
-    return [
-        sum(
-            (parity(arow & bt[j]) << (n - 1 - j))
-            for j in range(n)
-        )
-        for arow in a
-    ]
+    """Matrix product a @ b for square bit matrices of equal size n x n.
 
-
-def _transpose(rows: Sequence[int], n: int) -> List[int]:
-    out = [0] * n
-    for i, row in enumerate(rows):
-        for j in range(n):
-            if row >> (n - 1 - j) & 1:
-                out[j] |= 1 << (n - 1 - i)
+    Row i of the product is the XOR of the rows of b that row i of a
+    selects, so b is never transposed.
+    """
+    n = len(b)
+    out = []
+    for arow in a:
+        acc = 0
+        for j, brow in enumerate(b):
+            if arow >> (n - 1 - j) & 1:
+                acc ^= brow
+        out.append(acc)
     return out
-

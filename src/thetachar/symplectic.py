@@ -12,12 +12,16 @@ A theta characteristic [eps; delta] is such a form, with basis values
 an affine space over the vectors: translate_form adds a vector to a form
 and form_difference gives the vector between two forms.
 
-Sp(2g, F2) moves q to q o M^-1.  M preserves the pairing, whose matrix
-is J = (0 I; I 0), so M^-1 = J M^T J needs no inversion: for M = (A B; C D)
-its columns are the rows of (D C; B A).  With q(x) = x_e.x_f + eps.x_e +
-delta.x_f this is Igusa's affine map (Theta Functions, 1972, ch. V)
+Sp(2g, F2) moves q to q o M^-1.  With q(x) = x_e.x_f + eps.x_e +
+delta.x_f and M = (A B; C D) this is Igusa's affine map (Theta Functions,
+1972, ch. V)
 
     M.[eps; delta] = (D C; B A)(eps; delta) + (diag C D^T; diag A B^T) mod 2.
+
+For J = (0 I; I 0), the pairing's matrix, (D C; B A) = J M J and the
+shift is J q^ with q^_i = q0(row i of M): c = (eps; delta) goes to
+J(M(J c) + q^).  So every matrix operation works on M's rows, with no
+inverse or transpose; the pairing check M J M^T = J is <row_j, row_k> = J_jk.
 
 Bit packing: coordinate i of a block sits at bit g-1-i of the block int,
 so bit strings read left to right and the hex serialization below is
@@ -28,9 +32,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .gf2 import _transpose, gf2_matvec, gf2_mul, parity as bit_parity
+from .gf2 import gf2_matvec, gf2_mul, parity as bit_parity
 
 __all__ = [
     "F2Vector",
@@ -198,12 +202,17 @@ class SpMatrix:
         for r in self.rows:
             if not 0 <= r < (1 << n):
                 raise ValueError(f"row out of range: {r}")
-        cols = _transpose(self.rows, n)
-        for j in range(n):
+        for j, row in enumerate(self.rows):
             for k in range(j + 1, n):
                 expected = 1 if k == j + self.g else 0
-                if _packed_pairing(cols[j], cols[k], self.g) != expected:
+                if _packed_pairing(row, self.rows[k], self.g) != expected:
                     raise ValueError("matrix does not preserve the symplectic pairing")
+
+    @cached_property
+    def _row_parities(self) -> int:
+        """q^ as a packed vector: bit 2g-1-i is q0(rows[i]), the shift of sp_apply."""
+        n = 2 * self.g
+        return sum(_q0(row, self.g) << (n - 1 - i) for i, row in enumerate(self.rows))
 
 
 def _packed_pairing(u: int, v: int, g: int) -> int:
@@ -373,24 +382,17 @@ def identity_matrix(g: int) -> SpMatrix:
     return SpMatrix(g, _identity_rows(g))
 
 
-def _transvection_rows(g: int, packed: int) -> tuple[int, ...]:
-    """Rows of t_v for the nonzero vector v with the given packed value."""
-    n = 2 * g
-    functional = _swap(packed, g)  # x -> <x, v>
-    rows = []
-    for i in range(n):
-        row = 1 << (n - 1 - i)
-        if packed >> (n - 1 - i) & 1:
-            row ^= functional
-        rows.append(row)
-    return tuple(rows)
+def _transvect(rows: tuple[int, ...], packed: int, g: int) -> tuple[int, ...]:
+    """Rows of M t_v, v = packed: as row i of t_v is e_i + v_i J v, r -> r + (r.v) J v."""
+    jv = _swap(packed, g)
+    return tuple(r ^ jv if bit_parity(r & packed) else r for r in rows)
 
 
 def transvection(v: F2Vector) -> SpMatrix:
     """t_v(x) = x + <x, v> v; an involution, and a generator of Sp."""
     if v.is_zero:
         raise ValueError("transvection direction must be nonzero")
-    return SpMatrix(v.g, _transvection_rows(v.g, v.packed))
+    return SpMatrix(v.g, _transvect(_identity_rows(v.g), v.packed, v.g))
 
 
 def mat_mul(a: SpMatrix, b: SpMatrix) -> SpMatrix:
@@ -399,43 +401,30 @@ def mat_mul(a: SpMatrix, b: SpMatrix) -> SpMatrix:
     return SpMatrix(a.g, tuple(gf2_mul(a.rows, b.rows)))
 
 
-# sp_apply maps one matrix over many forms in turn; a matrix that has gone
-# out of use (random_symplectic draws a new one each time) is not kept.
-@lru_cache(maxsize=4)
-def _form_action(m: SpMatrix) -> tuple[tuple[int, ...], int]:
-    """(L, d) of Igusa's map c -> L c + d on packed forms eps * 2^g + delta.
-
-    L's rows are the columns of M^-1 = J M^T J, the rows of M with the last
-    g first and each row's halves swapped; bit 2g-1-k of d is q0(L_k).
-    """
-    g = m.g
-    lin = tuple(_swap(r, g) for r in m.rows[g:] + m.rows[:g])
-    return lin, sum(_q0(row, g) << (2 * g - 1 - k) for k, row in enumerate(lin))
-
-
 def sp_apply(m: SpMatrix, t: F2Vector | Characteristic) -> F2Vector | Characteristic:
     """Apply the symplectic action: vectors linearly, forms by q o M^-1.
 
-    A form moves by Igusa's affine map (see the module docstring), read off
-    the rows of M, so no inverse is taken.
+    A form c moves by Igusa's affine map c -> J(M(J c) + q^) (see the
+    module docstring), read off the rows of M, so no inverse is taken.
     """
     if m.g != t.g:
         raise ValueError(f"genus mismatch: {m.g} vs {t.g}")
     if isinstance(t, F2Vector):
         return F2Vector.from_packed(t.g, gf2_matvec(m.rows, t.packed))
-    lin, shift = _form_action(m)
-    return Characteristic.from_packed(m.g, gf2_matvec(lin, t.packed) ^ shift)
+    # J c is (delta | eps), and J swaps the halves of the result back
+    moved = gf2_matvec(m.rows, t.delta << m.g | t.eps) ^ m._row_parities
+    return Characteristic(m.g, moved & ((1 << m.g) - 1), moved >> m.g)
 
 
 def random_symplectic(g: int, rng: random.Random, n_factors: int | None = None) -> SpMatrix:
     """Product of random transvections; n_factors defaults to 2g..4g.
 
-    The factors are multiplied as raw rows and only the product is built
-    as an SpMatrix, so the pairing check runs once per draw.
+    Each factor is a rank-one row update (_transvect), not a product, and
+    only the result is built as an SpMatrix: one pairing check per draw.
     """
     if n_factors is None:
         n_factors = rng.randint(2 * g, 4 * g)
     rows = _identity_rows(g)
     for _ in range(n_factors):
-        rows = gf2_mul(rows, _transvection_rows(g, rng.randrange(1, 1 << (2 * g))))
-    return SpMatrix(g, tuple(rows))
+        rows = _transvect(rows, rng.randrange(1, 1 << (2 * g)), g)
+    return SpMatrix(g, rows)

@@ -57,6 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import check_tolerance
 from .symplectic import Characteristic
 
 __all__ = [
@@ -82,11 +83,7 @@ class Tolerance:
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (1e-13 < self.abs_tol < 1.0):
-            raise ValueError(
-                f"tolerance must be in (1e-13, 1), got {self.abs_tol}; "
-                "double precision cannot go tighter"
-            )
+        check_tolerance(self.abs_tol)
 
     @classmethod
     def coerce(cls, tol) -> "Tolerance":

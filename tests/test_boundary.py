@@ -1,15 +1,18 @@
 """Dual graphs, even node sets, and the spin-fibre component counts."""
 
 import hashlib
+import inspect
 import json
 import random
 
 import pytest
 
 from oracles import oracle_b1, oracle_connected, oracle_even_edge_sets
+from thetachar import boundary
 from thetachar.boundary import (
     DualGraph,
     Edge,
+    EvenEdgeSet,
     Vertex,
     betti_and_genus,
     boundary_degrees_odd,
@@ -17,7 +20,9 @@ from thetachar.boundary import (
     pullback_relations,
     th_components,
 )
+from thetachar.config import InvariantError
 from thetachar.picard import DivClass
+from thetachar.verify import run_acceptance
 
 
 def graph(vertex_genera, edge_pairs):
@@ -193,6 +198,29 @@ def test_th_components_on_a_3000_vertex_graph():
         assert e.b1 == oracle_b1(ids, pairs)
     with pytest.raises(ValueError, match="not connected"):
         graph([0] * (n + 1), pairs)  # one isolated vertex more
+
+
+def test_a_wrong_cycle_basis_is_caught_at_run_time(monkeypatch):
+    # the mutant drops path[u] from the graft shift: its cycles stay
+    # independent, so only the degree and b1 checks can see them
+    source = inspect.getsource(boundary._forest)
+    assert source.count("path[w] ^= mask") == 1
+    namespace = {}
+    exec(source.replace("path[w] ^= mask", "path[w] ^= 1 << j ^ path[v]"), vars(boundary), namespace)
+    monkeypatch.setattr(boundary, "_forest", namespace["_forest"])
+    # e2 grafts {v2, v3} onto {v0, v1} through v1, whose path e0 the mutant
+    # leaves out, so e3 closes e1 + e3 instead of the whole square
+    square = graph([0, 0, 0, 0], [(0, 1), (2, 3), (1, 2), (3, 0)])
+    with pytest.raises(InvariantError, match=r"cycle 0xa has odd degree at \['v0', 'v2'\]"):
+        th_components(square)
+    (result,) = run_acceptance(only=[9]).results
+    assert not result.passed
+    assert result.details.startswith("InvariantError: ")
+    # a nonempty set with no cycle is not even, whatever produced it
+    odd_sets = [EvenEdgeSet(()), EvenEdgeSet(("e0",))]
+    monkeypatch.setattr(boundary, "even_edge_sets", lambda _: odd_sets)
+    with pytest.raises(InvariantError, match=r"even set \['e0'\] has b1 = 0"):
+        th_components(square)
 
 
 def test_boundary_degrees_odd_examples():

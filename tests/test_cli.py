@@ -171,6 +171,19 @@ def test_amplitude_check_factorization(capsys):
     assert data["residual"] < 1e-8
 
 
+def test_check_factorization_tol_in_both_positions(capsys):
+    tail = ["--g", "2", "--k", "1", "--tau1", TAU_1_JSON, "--tau2", TAU_1_JSON]
+    tolerances = []
+    for args in (
+        ["amplitude", "--tol", "1e-6", "check-factorization", *tail],
+        ["amplitude", "check-factorization", "--tol", "1e-6", *tail],
+        ["amplitude", "check-factorization", *tail],
+    ):
+        assert run(args) == 0
+        tolerances.append(json.loads(capsys.readouterr().out)["tolerance"])
+    assert tolerances == [1e-6, 1e-6, 1e-12]
+
+
 def test_boundary_reports(tmp_path, capsys):
     path = tmp_path / "banana.json"
     path.write_text(json.dumps(BANANA))

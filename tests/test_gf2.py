@@ -90,6 +90,15 @@ def test_parity_is_popcount_mod_2(x):
     assert parity(x) == bin(x).count("1") % 2
 
 
+def test_products_compose_as_maps():
+    rnd = random.Random(8)
+    for _ in range(300):
+        n = rnd.randrange(1, 9)
+        a, b = ([rnd.randrange(1 << n) for _ in range(n)] for _ in range(2))
+        v = rnd.randrange(1 << n)
+        assert gf2_matvec(gf2_mul(a, b), v) == gf2_matvec(a, gf2_matvec(b, v))
+
+
 def test_random_products_associate():
     rnd = random.Random(5)
     for _ in range(20):

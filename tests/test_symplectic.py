@@ -1,11 +1,14 @@
 """Symplectic F2 arithmetic: pairing, quadratic forms, Arf, Sp action."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_arf, oracle_form_eval, oracle_sp_apply_form, tuple_pairing
+from thetachar.characteristics import sp_group_order
 from thetachar.symplectic import (
     Characteristic,
     F2Vector,
@@ -195,6 +198,44 @@ def test_sp_matrix_constructor_rejects_non_symplectic():
         SpMatrix(1, (0b10, 0b10))
     with pytest.raises(ValueError):
         SpMatrix(1, (0b11, 0b11))
+
+
+def test_sp_matrix_accepts_exactly_the_group():
+    # every 2g x 2g bit matrix at g = 1, 2; the accepted set is closed under
+    # transposition, so the row check M J M^T = J is the column check too
+    for g in (1, 2):
+        n = 2 * g
+        accepted = set()
+        for rows in itertools.product(range(1 << n), repeat=n):
+            try:
+                SpMatrix(g, rows)
+            except ValueError:
+                continue
+            accepted.add(rows)
+        assert len(accepted) == sp_group_order(g)
+        for rows in accepted:
+            cols = tuple(
+                sum((rows[i] >> (n - 1 - j) & 1) << (n - 1 - i) for i in range(n))
+                for j in range(n)
+            )
+            assert cols in accepted
+
+
+def test_random_symplectic_is_the_product_of_its_transvections():
+    # the same draws replayed through transvection and mat_mul; the digest
+    # pins the matrices themselves, taken from the transpose-based version
+    digest = hashlib.sha256()
+    for g in range(1, 6):
+        for seed in range(48):
+            m = random_symplectic(g, random.Random(seed))
+            rng = random.Random(seed)
+            product = identity_matrix(g)
+            for _ in range(rng.randint(2 * g, 4 * g)):
+                v = F2Vector.from_packed(g, rng.randrange(1, 1 << (2 * g)))
+                product = mat_mul(product, transvection(v))
+            assert m == product
+            digest.update(repr(m.rows).encode())
+    assert digest.hexdigest() == "2d27821361074bae3b0dd8da7e35642dc303ba8460744a908ad2954900ea11d5"
 
 
 def test_transvections_are_involutions_fixing_their_vector():
