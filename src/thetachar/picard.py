@@ -4,14 +4,16 @@ Classes live in the rational Picard group of one of three spaces: the
 moduli of stable curves ("Mbar", basis lambda, delta_0..delta_{g//2}) or
 the odd/even spin compactifications ("Sbar_minus"/"Sbar_plus", basis
 lambda, alpha_i, beta_i).  The bases are treated as free, so everything
-here is formal linear algebra over Fraction — no floats anywhere.
+here is formal linear algebra over the rationals, held as integer
+numerators over one common denominator (see DivClass) — no floats anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .config import InvariantError
 
@@ -62,40 +64,69 @@ def _basis_order(space: str, g: int) -> dict[str, int]:
     return {s: i for i, s in enumerate(basis_symbols(space, g))}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DivClass:
-    """A rational divisor class, held as exact coefficients on the basis.
+    """A rational divisor class: integer numerators over one denominator.
 
-    coeffs may be given as a mapping or as (symbol, value) pairs; it is
-    canonicalized to basis order with zeros dropped, so == and hash agree
-    with equality of classes.
+    coeffs may be given as a mapping or as (symbol, value) pairs.  The
+    class is held as one integer numerator per basis symbol, in basis
+    order, over one positive denominator, in lowest terms; so == and hash
+    agree with equality of classes, and +, scaling and pullback are
+    integer work.  A Fraction is built only when coeffs or coeff() is
+    read; a class built from given coefficients reads them out as given.
     """
 
     space: str
     g: int
-    coeffs: tuple[tuple[str, Fraction], ...] = ()
+    _den: int
+    _num: tuple[int, ...]
+    _given: dict[str, Fraction] | None = field(compare=False)
 
-    def __post_init__(self) -> None:
-        space = resolve_space(self.space)
-        order = _basis_order(space, self.g)
-        items = self.coeffs.items() if isinstance(self.coeffs, dict) else self.coeffs
+    def __init__(self, space: str, g: int, coeffs=()) -> None:
+        space = resolve_space(space)
+        order = _basis_order(space, g)
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         acc: dict[str, Fraction] = {}
         for sym, val in items:
             if sym not in order:
-                raise ValueError(f"{sym!r} is not in the basis of {space}(g={self.g})")
+                raise ValueError(f"{sym!r} is not in the basis of {space}(g={g})")
             val = _exact(val)
             acc[sym] = acc[sym] + val if sym in acc else val
-        canon = tuple((s, acc[s]) for s in sorted(acc, key=order.__getitem__) if acc[s])
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coeffs", canon)
+        given = {s: acc[s] for s in sorted(acc, key=order.__getitem__) if acc[s]}
+        den = lcm(*(v.denominator for v in given.values()))
+        num = [0] * len(order)
+        for s, v in given.items():
+            num[order[s]] = v.numerator * (den // v.denominator)
+        self.__dict__.update(space=space, g=g, _den=den, _num=tuple(num), _given=given)
+
+    @classmethod
+    def _of(cls, space: str, g: int, num, den: int) -> "DivClass":
+        """The class sum(num[i] * basis[i]) / den, brought to lowest terms."""
+        d = gcd(den, *num)
+        if d > 1:
+            num, den = (n // d for n in num), den // d
+        c = object.__new__(cls)
+        c.__dict__.update(space=space, g=g, _den=den, _num=tuple(num), _given=None)
+        return c
+
+    @property
+    def coeffs(self) -> tuple[tuple[str, Fraction], ...]:
+        """Nonzero coefficients in basis order, as (symbol, Fraction) pairs."""
+        if self._given is not None:
+            return tuple(self._given.items())
+        order = _basis_order(self.space, self.g)
+        return tuple((s, Fraction(n, self._den)) for s, n in zip(order, self._num) if n)
 
     def coeff(self, symbol: str) -> Fraction:
-        for sym, val in self.coeffs:
-            if sym == symbol:
-                return val
-        if symbol not in _basis_order(self.space, self.g):
+        i = _basis_order(self.space, self.g).get(symbol)
+        if i is None:
             raise ValueError(f"{symbol!r} is not in the basis of {self.space}(g={self.g})")
-        return _ZERO
+        if self._given is not None:
+            return self._given.get(symbol, _ZERO)
+        return Fraction(self._num[i], self._den)
+
+    def __repr__(self) -> str:
+        return f"DivClass(space={self.space!r}, g={self.g!r}, coeffs={self.coeffs!r})"
 
     def __add__(self, other: "DivClass") -> "DivClass":
         if not isinstance(other, DivClass):
@@ -105,22 +136,27 @@ class DivClass:
                 f"cannot add classes on {self.space}(g={self.g}) "
                 f"and {other.space}(g={other.g})"
             )
-        return DivClass(self.space, self.g, self.coeffs + other.coeffs)
+        den = lcm(self._den, other._den)
+        p, q = den // self._den, den // other._den
+        num = [p * x + q * y for x, y in zip(self._num, other._num)]
+        return DivClass._of(self.space, self.g, num, den)
 
     def __sub__(self, other: "DivClass") -> "DivClass":
         return self + (-1) * other
 
     def __mul__(self, scalar) -> "DivClass":
         s = _exact(scalar)
-        return DivClass(self.space, self.g, tuple((sym, s * v) for sym, v in self.coeffs))
+        p, q = s.numerator, s.denominator
+        return DivClass._of(self.space, self.g, [p * n for n in self._num], q * self._den)
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for sym, val in self.coeffs:
+        for sym, val in coeffs:
             sign = "-" if val < 0 else "+"
             mag = -val if val < 0 else val
             term = sym if mag == 1 else f"{mag}*{sym}"
@@ -148,16 +184,11 @@ def pullback(c: DivClass, space: str = "Sbar_minus") -> DivClass:
     target = resolve_space(space)
     if target == "Mbar":
         raise ValueError("pullback lands on a spin cover, not Mbar")
-    out: list[tuple[str, Fraction]] = []
-    for sym, val in c.coeffs:
-        if sym == "lambda":
-            out.append(("lambda", val))
-        elif sym == "delta_0":
-            out += [("alpha_0", val), ("beta_0", 2 * val)]
-        else:
-            i = int(sym.removeprefix("delta_"))
-            out += [(f"alpha_{i}", val), (f"beta_{i}", val)]
-    return DivClass(target, c.g, tuple(out))
+    n = c._num  # (lambda, delta_0, delta_1, ...) to (lambda, alpha_0, beta_0, alpha_1, ...)
+    num = [n[0], n[1], 2 * n[1]]
+    for x in n[2:]:
+        num += (x, x)
+    return DivClass._of(target, c.g, num, c._den)
 
 
 def canonical_class(g: int, space: str) -> DivClass:
@@ -241,16 +272,8 @@ class SlopeResult:
         }
 
 
-def slope_combination(g: int, space: str) -> SlopeResult:
-    """Effective combination normalized against the canonical-class shape.
-
-    Mixes the space's natural theta class with the pulled-back
-    Brill-Noether class, solving exactly for the unique scalar c that
-    makes the beta_0 coefficient -3.  The alpha_0 coefficient must then
-    come out -2 on its own; that is checked, not arranged.  Remaining
-    boundary coefficients are checked against the expected bounds
-    (> 3 at i=1, >= 2 for i >= 2) and reported as warnings if violated.
-    """
+def _combination(g: int, space: str) -> tuple[Fraction, DivClass]:
+    """The scalar c and the combination base + c * pullback(BN), both checked."""
     space = resolve_space(space)
     if g < 4:
         raise ValueError(f"slope combination needs g >= 4, got {g}")
@@ -266,17 +289,31 @@ def slope_combination(g: int, space: str) -> SlopeResult:
     combined = base + c * bn
     if c <= 0 or combined.coeff("beta_0") != -3 or combined.coeff("alpha_0") != -2:
         raise InvariantError(f"c = {c} gives alpha_0 = {combined.coeff('alpha_0')}, not -2")
+    return c, combined
+
+
+def slope_combination(g: int, space: str) -> SlopeResult:
+    """Effective combination normalized against the canonical-class shape.
+
+    Mixes the space's natural theta class with the pulled-back
+    Brill-Noether class, solving exactly for the unique scalar c that
+    makes the beta_0 coefficient -3.  The alpha_0 coefficient must then
+    come out -2 on its own; that is checked, not arranged.  Remaining
+    boundary coefficients are checked against the expected bounds
+    (> 3 at i=1, >= 2 for i >= 2) and reported as warnings if violated.
+    """
+    c, combined = _combination(g, space)
+    # a_i = -n/den for the numerator n of alpha_i, at index 2i + 1; b_i likewise at 2i + 2
+    num, den = combined._num, combined._den
     warnings = []
-    for i in range(1, g // 2 + 1):
-        a_i = -combined.coeff(f"alpha_{i}")
-        b_i = -combined.coeff(f"beta_{i}")
-        for label, value in ((f"a_{i}", a_i), (f"b_{i}", b_i)):
-            if i == 1 and not value > 3:
-                warnings.append(f"{label} = {value} fails the bound > 3")
-            elif i > 1 and not value >= 2:
-                warnings.append(f"{label} = {value} fails the bound >= 2")
+    for i, pair in enumerate(zip(num[3::2], num[4::2]), start=1):
+        for label, n in zip("ab", pair):
+            if i == 1 and not -n > 3 * den:
+                warnings.append(f"{label}_{i} = {Fraction(-n, den)} fails the bound > 3")
+            elif i > 1 and not -n >= 2 * den:
+                warnings.append(f"{label}_{i} = {Fraction(-n, den)} fails the bound >= 2")
     return SlopeResult(
-        space=space,
+        space=combined.space,
         g=g,
         c_coefficient=c,
         combined=combined,
@@ -293,7 +330,7 @@ def general_type_test(g: int, space: str) -> str:
     case; above 13 the test proves nothing ("inconclusive", never "not
     general type").
     """
-    slope = slope_combination(g, space).lambda_slope
+    slope = _combination(g, space)[1].coeff("lambda")
     if slope < 13:
         return "general_type"
     if slope == 13:

@@ -12,6 +12,7 @@ import pytest
 import thetachar
 from thetachar.amplitude import xi_g
 from thetachar.cli import main, parse_period_matrix, run
+from thetachar.picard import slope_combination
 from thetachar.theta import PeriodMatrix
 
 TAU_1_JSON = "[[0, 1]]"
@@ -231,6 +232,26 @@ def test_picard_slopes_and_verdicts_are_frozen(capsys):
                 assert run(["picard", "--genus", str(g), "--space", space, "--report", report]) == 0
                 out.append(capsys.readouterr().out)
         assert hashlib.sha256("".join(out).encode()).hexdigest() == digest, report
+
+
+def test_picard_classes_and_combinations_are_frozen(capsys):
+    # sha256 of every classes report (exit code, then stdout) for g = 2..31,
+    # odd then even cover, and of str(combined) for g = 4..30; both taken
+    # when a class was still a tuple of (symbol, Fraction) pairs
+    out = []
+    for g in range(2, 32):
+        for space in ("odd", "even"):
+            code = run(["picard", "--genus", str(g), "--space", space, "--report", "classes"])
+            out.append(f"{code}\n{capsys.readouterr().out}")
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "0f772250f693e2272076f3e7aa6de709a52252c166cd0ec179b8ec40e9460f6f"
+    combined = "".join(
+        f"{slope_combination(g, space).combined}\n"
+        for g in range(4, 31)
+        for space in ("odd", "even")
+    )
+    digest = hashlib.sha256(combined.encode()).hexdigest()
+    assert digest == "77026608bfcfa655b4b285c3aa414d800f88ba2d5c4689bc0cea5720a0025a86"
 
 
 def test_output_table_flag_in_both_positions(capsys):

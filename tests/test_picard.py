@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from thetachar import picard, verify
+from thetachar.config import InvariantError
 from thetachar.picard import (
     DivClass,
     basis_symbols,
@@ -16,6 +18,7 @@ from thetachar.picard import (
     resolve_space,
     slope_combination,
 )
+from thetachar.verify import run_acceptance
 
 F = Fraction
 
@@ -94,6 +97,44 @@ def test_divclass_is_a_rational_vector_space(x, y, z):
     assert (3 * a).coeff("lambda") == 3 * x == (a * 3).coeff("lambda")
     assert (a + b) - b == a
     assert F(1, 2) * (a + a) == a
+
+
+mixed_st = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9]))
+mbar7_st = st.dictionaries(st.sampled_from(basis_symbols("Mbar", 7)), mixed_st)
+
+
+def _same_class(got, space, g, coeffs):
+    want = DivClass(space, g, coeffs)
+    assert got == want and hash(got) == hash(want)
+    assert got.coeffs == want.coeffs
+    assert str(got) == str(want)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+@given(mbar7_st, mbar7_st, mixed_st)
+def test_arithmetic_agrees_with_the_constructor(x, y, q):
+    # classes that come out of +, -, scaling and pullback are read from their
+    # integer numerators; those built from coefficients keep the Fractions
+    a, b = DivClass("Mbar", 7, x), DivClass("Mbar", 7, y)
+    syms = basis_symbols("Mbar", 7)
+    _same_class(a + b, "Mbar", 7, {s: x.get(s, 0) + y.get(s, 0) for s in syms})
+    _same_class(a - b, "Mbar", 7, {s: x.get(s, 0) - y.get(s, 0) for s in syms})
+    _same_class(q * a, "Mbar", 7, {s: q * x.get(s, 0) for s in syms})
+    d = [x.get(f"delta_{i}", 0) for i in range(4)]
+    image = {"lambda": x.get("lambda", 0), "alpha_0": d[0], "beta_0": 2 * d[0]}
+    for i in range(1, 4):
+        image[f"alpha_{i}"] = image[f"beta_{i}"] = d[i]
+    _same_class(pullback(a, "even"), "Sbar_plus", 7, image)
+    halved = F(1, 2) * (a + a)
+    assert halved == a and hash(halved) == hash(a)
+    zero = a + (-1) * a
+    assert zero == DivClass("Mbar", 7) and hash(zero) == hash(DivClass("Mbar", 7))
+    assert str(zero) == "0" and zero.coeffs == ()
+    for c in (a, a + b):
+        with pytest.raises(AttributeError):
+            c.g = 8
+        with pytest.raises(AttributeError):
+            c.coeffs = ()
 
 
 def test_divclass_rendering():
@@ -218,3 +259,64 @@ def test_general_type_verdicts():
         assert general_type_test(g, "even") == "general_type"
     with pytest.raises(ValueError):
         general_type_test(3, "odd")
+
+
+@pytest.mark.parametrize("g", [101, 1000, 4001])
+def test_slope_closed_forms_at_large_genus(g):
+    odd = slope_combination(g, "odd")
+    assert odd.c_coefficient == F(3 * (3 * g - 10), (g + 1) * (g - 2))
+    assert odd.lambda_slope == F(11 * g + 37, g + 1)
+    even = slope_combination(g, "even")
+    assert even.c_coefficient == F(9, g + 1)
+    assert even.lambda_slope == F(11 * g + 29, g + 1)
+    assert odd.warnings == even.warnings == ()
+    assert general_type_test(g, "odd") == general_type_test(g, "even") == "general_type"
+
+
+def test_bound_warnings_read_the_combined_coefficients(monkeypatch):
+    # a pullback that drops every delta_i with i >= 1 leaves alpha_0, beta_0
+    # and c alone, so the checks pass but the boundary bounds fail
+    real = picard.pullback
+
+    def truncated(c, space):
+        image = real(c, space)
+        return DivClass(space, c.g, {s: image.coeff(s) for s in ("lambda", "alpha_0", "beta_0")})
+
+    monkeypatch.setattr(picard, "pullback", truncated)
+    for g in (5, 12, 17):
+        for space in ("Sbar_minus", "Sbar_plus"):
+            res = slope_combination(g, space)
+            want = []
+            for i in range(1, g // 2 + 1):
+                for label, sym in (("a", "alpha"), ("b", "beta")):
+                    value = -res.combined.coeff(f"{sym}_{i}")
+                    if i == 1 and not value > 3:
+                        want.append(f"{label}_{i} = {value} fails the bound > 3")
+                    elif i > 1 and not value >= 2:
+                        want.append(f"{label}_{i} = {value} fails the bound >= 2")
+            assert res.warnings == tuple(want) != ()
+    # at g = 12, b_i = 4i/10 on the odd cover: b_5 = 2 meets its bound exactly
+    assert slope_combination(12, "odd").warnings == (
+        "b_1 = 2/5 fails the bound > 3",
+        "b_2 = 4/5 fails the bound >= 2",
+        "b_3 = 6/5 fails the bound >= 2",
+        "b_4 = 8/5 fails the bound >= 2",
+    )
+
+
+def test_a_wrong_pullback_is_caught_at_run_time(monkeypatch):
+    # the mutant forgets the ramification along B_0: delta_0 -> alpha_0 + beta_0
+    def unramified(c, space="Sbar_minus"):
+        image = {"lambda": c.coeff("lambda")}
+        for i in range(c.g // 2 + 1):
+            image[f"alpha_{i}"] = image[f"beta_{i}"] = c.coeff(f"delta_{i}")
+        return DivClass(space, c.g, image)
+
+    monkeypatch.setattr(picard, "pullback", unramified)
+    monkeypatch.setattr(verify, "pullback", unramified)
+    with pytest.raises(InvariantError, match="not -2"):
+        slope_combination(12, "odd")
+    canonical, slopes = run_acceptance(only=[11, 12]).results
+    assert not canonical.passed and not slopes.passed
+    assert canonical.details == "K identity fails on Sbar_minus at g=4"
+    assert slopes.details == "InvariantError: c = 6/5 gives alpha_0 = -5/2, not -2"
