@@ -128,8 +128,18 @@ def _even_spans(g: int, i: int) -> np.ndarray:
 
 
 def _products(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Product of the table entries named by each row of a flat index array."""
-    return np.prod(table.ravel()[index], axis=-1)
+    """Product of the table entries named by each row of a flat index array.
+
+    The gather goes through a C-contiguous copy of index.T, so each of the
+    2^i element positions is one contiguous row, and the rows are
+    multiplied by halving: i vector products instead of a reduction over
+    a short axis.
+    """
+    factors = table.ravel()[np.ascontiguousarray(index.T)]
+    while len(factors) > 1:
+        half = len(factors) // 2
+        factors = factors[:half] * factors[half:]
+    return factors[0]
 
 
 def P_W(tau: PeriodMatrix, W: Subspace, tol=Tolerance()) -> complex:
@@ -154,8 +164,9 @@ def P_i_g(tau: PeriodMatrix, g: int, i: int, tol=Tolerance()) -> complex:
 
     Only totally-even subspaces contribute; the rest are skipped before
     any numeric work.  Each P_W is one gather from the theta-constant
-    table, and the terms are summed in canonical enumeration order by a
-    fixed numpy reduction, so the result is bit-reproducible.
+    table, raised to 2^(4-i) by 4 - i squarings, and the terms are summed
+    in canonical enumeration order by a fixed numpy reduction, so the
+    result is bit-reproducible.
     """
     if g != tau.g:
         raise ValueError(f"g={g} does not match tau (genus {tau.g})")
@@ -163,8 +174,10 @@ def P_i_g(tau: PeriodMatrix, g: int, i: int, tol=Tolerance()) -> complex:
         raise ValueError(f"g={g} > {GENUS_CAP}: exponent 2^(4-i) turns fractional")
     if not 0 <= i <= g:
         raise ValueError(f"need 0 <= i <= g, got i={i}, g={g}")
-    table = theta_constant_table(tau, tol)
-    return complex(np.sum(_products(table, _even_spans(g, i)) ** (1 << (4 - i))))
+    terms = _products(theta_constant_table(tau, tol), _even_spans(g, i))
+    for _ in range(4 - i):
+        terms = terms * terms
+    return complex(np.sum(terms))
 
 
 def xi_g(tau: PeriodMatrix, g: int, tol=Tolerance()) -> complex:

@@ -27,7 +27,20 @@ phase exp(pi i (real part)).  The magnitude is always one exp of the whole
 imaginary part and is never split into factors: for an ill-conditioned Y
 the factors exp(-pi Ym[:, k]) overflow long before the product underflows
 (Y = [[50, 49.7], [49.7, 50]] at m = (-5, -5) gives exp(1566) times
-exp(-15661)).  Phases are unit-modulus, so the table may factor them.
+exp(-15661)).  Phases are unit-modulus, so the table factors them and
+reads the factors of cis(pi Xm[:, k]) from a lookup table.
+
+Real parts are reduced exactly before summing.  For integral symmetric S
+and integral n,
+
+    theta[eps; delta](tau + 2S, z) = i^(eps'S eps) theta[eps; delta](tau, z),
+    theta[eps; delta](tau, z + n)  = (-1)^(eps.n) theta[eps; delta](tau, z),
+
+so both paths sum on Re tau - 2S with S = round(Re tau / 2), every entry
+in [-1, 1] (once per PeriodMatrix), and a single evaluation on Re z - n
+with n = round(Re z) when some |Re z_k| > 1/2; the factors are half turns
+added to the phase exponent, read off S mod 4 and n mod 2.  Without this a
+large real part leaves nothing of the phases' digits.
 
 The lattice sum is truncated in two steps.  The infinity-norm box of
 radius R comes from the Gaussian tail bound T with the smallest
@@ -37,12 +50,13 @@ the box only the points whose term can exceed exp(-pi C) are summed
 Math. Comp. 73, 2004): C is at least the exponent of the tail bound's
 first excluded shell, and large enough that the N box points can drop at
 most tol - T together.  A single evaluation keeps the points whose
-imaginary exponent is below C; a table keeps the rows inside
-||m||_Y < sqrt(C) + max_eps ||eps/2||_Y, which by the triangle inequality
-hold every per-eps ellipsoid {s'Ys < C}.  With K points kept, the error
-bound is T + (N - K) exp(-pi C) <= tol.  Summation order is fixed —
+imaginary exponent is below C; a table keeps the rows with
+m'Ym + sum_k min(0, (Ym)_k) < C, a lower bound on s'Ys for every eps, so
+they hold every per-eps ellipsoid {s'Ys < C}.  With K points kept, the
+error bound is T + (N - K) exp(-pi C) <= tol.  Summation order is fixed —
 shells of increasing |m|_inf, lexicographic within a shell, and the
-kept points in that order — so repeated evaluations are bit-reproducible.
+kept points in that order (a table groups them by parity class first) —
+so repeated evaluations are bit-reproducible.
 
 Accuracy contract: double precision throughout; tolerances below 1e-13
 are rejected, and callers should keep Im tau >= 0.3 I (the truncation
@@ -51,13 +65,14 @@ radius guard trips otherwise).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .config import check_tolerance
+from .config import InvariantError, check_tolerance
 from .symplectic import Characteristic
 
 __all__ = [
@@ -74,6 +89,8 @@ __all__ = [
 
 _MAX_RADIUS = 64
 _MAX_LATTICE = 4_000_000
+_BLOCK = 16  # eps values per block of weight rows in a table
+_U = 2.0**-53  # unit roundoff of a double
 
 
 @dataclass(frozen=True)
@@ -105,9 +122,12 @@ class PeriodMatrix:
         tau = np.array(entries, dtype=complex)
         if tau.ndim != 2 or tau.shape[0] != tau.shape[1] or tau.shape[0] == 0:
             raise ValueError(f"period matrix must be square, got shape {tau.shape}")
-        if not np.all(np.isfinite(tau)):
+        # Checked on Python lists: at g <= 4 that is several times faster
+        # than the numpy reductions, which matters once per evaluation.
+        flat = tau.ravel().tolist()
+        if not all(map(cmath.isfinite, flat)):
             raise ValueError("period matrix entries must be finite")
-        if not np.array_equal(tau, tau.T):
+        if flat != tau.T.ravel().tolist():
             raise ValueError("period matrix must be exactly symmetric")
         lam = float(np.linalg.eigvalsh(tau.imag)[0])
         if lam <= 0.0:
@@ -117,6 +137,18 @@ class PeriodMatrix:
         self.g = tau.shape[0]
         self.im_lambda_min = lam
         self._key = tau.tobytes()
+        # The sums run on tau - 2S, S = round(Re tau / 2) integral symmetric,
+        # so |Re| <= 1 there (see _turns); _shift is S mod 4, None for S = 0,
+        # which is the case exactly when every |Re tau_jk| <= 1.
+        x = np.ascontiguousarray(tau.real)
+        self._y = np.ascontiguousarray(tau.imag)
+        if max(map(abs, x.ravel().tolist())) <= 1.0:
+            self._x, self._shift, self._reduced = x, None, tau
+        else:
+            s = np.round(x / 2.0)
+            self._x = x - 2.0 * s
+            self._shift = np.mod(s, 4.0)
+            self._reduced = self._x + 1j * self._y
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PeriodMatrix) and self._key == other._key
@@ -208,7 +240,7 @@ def _box(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tuple[int, flo
 
 
 def _numerics(tau: PeriodMatrix, arg: ThetaArg, tol: Tolerance) -> tuple[int, float, float]:
-    z_im_norm = math.sqrt(sum(w.imag**2 for w in arg.z))
+    z_im_norm = math.hypot(*(w.imag for w in arg.z))
     return _box(tau.g, tau.im_lambda_min, z_im_norm, tol.abs_tol)
 
 
@@ -237,10 +269,11 @@ def _parity_classes(g: int, radius: int) -> np.ndarray:
     """m mod 2 for each box point, packed like a characteristic block.
 
     Coordinate k sits at bit g-1-k, so the class is an index into F2^g
-    that pairs with eps and delta by bitwise and.
+    that pairs with eps and delta by bitwise and.  Stored as uint16, for
+    which numpy's stable argsort is a radix sort.
     """
     bits = _lattice(g, radius).astype(np.intp) & 1
-    classes = bits @ (1 << np.arange(g - 1, -1, -1))
+    classes = (bits @ (1 << np.arange(g - 1, -1, -1))).astype(np.uint16)
     classes.setflags(write=False)
     return classes
 
@@ -275,9 +308,16 @@ def _quadratic(m: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return am, (am * m) @ np.ones(a.shape[0])
 
 
-def _re_im(tau: PeriodMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Re tau and Im tau as contiguous real arrays, so products go to BLAS."""
-    return np.ascontiguousarray(tau.tau.real), np.ascontiguousarray(tau.tau.imag)
+def _turns(tau: PeriodMatrix, e: np.ndarray) -> np.ndarray | float:
+    """(eps'S eps mod 4) / 2 for the 0/1 rows e, S = round(Re tau / 2).
+
+    theta[eps; delta](tau, z) = i^(eps'S eps) theta[eps; delta](tau - 2S, z),
+    so the sums run on tau - 2S and add this many half turns to the phase
+    exponent.  Exact: S enters only mod 4.
+    """
+    if tau._shift is None:
+        return 0.0
+    return np.mod(((e @ tau._shift) * e).sum(axis=-1), 4.0) / 2.0
 
 
 def _theta_sum(
@@ -290,21 +330,29 @@ def _theta_sum(
     taken over the box, the real part, one real exp for the magnitudes and
     one complex exp for the phases over the kept points only.  The linear
     coefficient tau eps + 2z and the constant are g-sized and stay complex.
+    The sum runs on Re tau reduced mod 2 (_turns) and, when some
+    |Re z_k| > 1/2, on z - n, n = round(Re z), by
+    theta[eps; delta](tau, z + n) = (-1)^(eps.n) theta[eps; delta](tau, z).
     """
     g = tau.g
     m = _lattice(g, radius)
-    x, y = _re_im(tau)
     e = _blocks(g)[c.eps]
-    z = np.array(arg.z, dtype=complex) + _blocks(g)[c.delta] / 2.0
-    te = tau.tau @ e
+    z = arg.z
+    turns = _turns(tau, e)
+    n = [round(w.real) for w in z]  # exact, and so is each w - k below
+    if any(n):
+        z = [w - k for w, k in zip(z, n)]
+        turns += sum(k for k, bit in zip(n, e.tolist()) if bit) % 2
+    z = np.array(z, dtype=complex) + _blocks(g)[c.delta] / 2.0
+    te = tau._reduced @ e
     lin = te + 2.0 * z
     const = e @ te / 4.0 + e @ z
-    _, mym = _quadratic(m, y)
+    _, mym = _quadratic(m, tau._y)
     im = mym + m @ lin.imag + const.imag
     keep = _kept(im, cutoff)
     m = m[keep]
-    _, mxm = _quadratic(m, x)
-    re = mxm + m @ lin.real + const.real
+    _, mxm = _quadratic(m, tau._x)
+    re = mxm + m @ lin.real + (const.real + turns)
     return complex(np.sum(np.exp(-np.pi * im[keep]) * _cis(re))), keep.size
 
 
@@ -379,43 +427,90 @@ def theta_constant_table(tau: PeriodMatrix, tol=Tolerance()) -> np.ndarray:
     theta_constant reads it.
 
     The box is that of a single evaluation at z = 0.  One BLAS pass over
-    it gives m'Ym, and only the K rows with ||m||_Y < sqrt(C) + rho,
-    rho = max_eps ||eps/2||_Y, are summed (see _table_rows): every other
-    box point has s'Ys >= C for every eps, so each entry misses at most
-    T + (N - K) exp(-pi C) <= tol.  The weight vectors come from the
-    split at z = 0, over the kept rows.  The magnitude of w_eps is
-    exp(-pi (m'Ym + Ym.eps + eps'Y eps/4)) = exp(-pi s'Ys) <= 1, one real
-    exp per eps.  The phase is
+    it gives Ym and m'Ym, and only the K rows with
+    m'Ym + sum_k min(0, (Ym)_k) < C are summed (see _table_rows): every
+    other box point has s'Ys >= C for every eps, so each entry misses at
+    most T + (N - K) exp(-pi C) <= tol.  The weights come from the split
+    at z = 0, over the kept rows.  The magnitude of w_eps is
+    exp(-pi (m'Ym + Ym.eps + eps'Y eps/4)) = exp(-pi s'Ys) <= 1.  The
+    phase is
 
         cis(pi m'Xm) prod_{k in eps} cis(pi Xm[:, k]) cis(pi eps'X eps/4),
 
-    so a table takes g + 1 complex exps over the kept rows, not 2^g; each
-    weight vector multiplies the columns of its eps in turn, and the
-    constant factor multiplies the 2^g class sums.  Working memory is
-    O(N g) for N box points.  Tables are cached per (tau, tol), 16 at a
-    time.
+    and cis(pi Xm[:, k]) = prod_j cis(pi X_jk m_j) is read from a
+    g x g x (2R + 1) table of factors (_phase_columns), so a kept row takes
+    one complex exp, for cis(pi m'Xm), not one per eps.  The eps run in
+    blocks of 16 weight rows (all 2^g of them for g <= 4): the phases of a
+    block by doubling (row eps + 2^j is row eps times one column), the
+    magnitudes by one real exp over the block, and the class sums by one
+    reduction over the rows grouped by class.  The constant factor
+    multiplies the 2^g class sums.  Working memory is O(N g) for N box
+    points: two box-sized arrays for the cut, then two 16 x K blocks.
+    Every odd entry must vanish to twice the truncation charge plus a
+    rounding bound, or the table raises InvariantError (_check_odd).
+    Tables are cached per (tau, tol), 16 at a time.
     """
     return _table(tau, Tolerance.coerce(tol))
 
 
-def _table_rows(
-    tau: PeriodMatrix, radius: int, cutoff: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The box rows a table sums: every m with ||m||_Y < sqrt(C) + rho.
+def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """The box rows a table sums: every m with m'Ym + sum_k min(0, (Ym)_k) < C.
 
-    rho = max over eps of ||eps/2||_Y, so by the triangle inequality these
-    rows hold every per-eps ellipsoid {s'Ys < C}, s = m + eps/2; a row left
-    out has s'Ys >= C for every eps.  m'Ym comes from one BLAS pass over the
-    box.  Returns the kept indices, Ym and m'Ym on them, and eps'Y eps/4
-    for every eps (rho^2 is its maximum).
+    With s = m + eps/2, s'Ys = m'Ym + Ym.eps + eps'Y eps/4, where
+    Ym.eps >= sum_k min(0, (Ym)_k) for a 0/1 eps and eps'Y eps >= 0: the
+    left side bounds s'Ys from below for every eps at once, so a row left
+    out has s'Ys >= C for every eps.  One BLAS pass over the box, with no
+    more than two box-sized arrays alive at once.  Every parity class keeps
+    a row: for the 0/1 vector r, m = -r has Ym = -Yr and left side at most
+    r'Yr - sum_(k in r) (Yr)_k = 0 < C.  Returns the kept indices grouped
+    by parity class (box order inside a class) and their classes.
     """
     g = tau.g
     m = _lattice(g, radius)
-    y = _re_im(tau)[1]
-    ym, mym = _quadratic(m, y)
-    corners = np.array([e @ y @ e for e in _blocks(g)]) / 4.0
-    keep = _kept(mym, (math.sqrt(cutoff) + math.sqrt(corners.max())) ** 2)
-    return keep, ym[keep], mym[keep], corners
+    ym = m @ tau._y
+    low = ym * m
+    low += np.minimum(ym, 0.0, out=ym)
+    del ym
+    keep = _kept(low @ np.ones(g), cutoff)
+    del low
+    classes = _parity_classes(g, radius)[keep]
+    order = np.argsort(classes, kind="stable")
+    return keep[order], classes[order]
+
+
+def _phase_columns(x: np.ndarray, m: np.ndarray, radius: int) -> np.ndarray:
+    """cis(pi (Xm)_k) for the integer rows m, as a (g, K) array, by lookup.
+
+    cis(pi (Xm)_k) = prod_j cis(pi X_jk m_j), and m_j is one of the 2R + 1
+    integers -R..R: the factors are one g x g x (2R + 1) table of complex
+    exps, and a column takes g gathers and products instead of an exp per
+    row.
+    """
+    factors = _cis(x[:, :, None] * np.arange(-radius, radius + 1.0))
+    index = (m.T + radius).astype(np.intp, order="C")
+    columns = factors[0][:, index[0]]
+    for j in range(1, x.shape[0]):
+        columns *= factors[j][:, index[j]]
+    return columns
+
+
+def _check_odd(table: np.ndarray, odd: np.ndarray, charge: float, scale: np.ndarray) -> None:
+    """Every odd entry must vanish to twice the truncation charge plus rounding.
+
+    theta[eps; delta](tau, 0) = 0 for odd eps.delta, so a computed odd entry
+    is what truncation and rounding left: at most the charge
+    T + (N - K) exp(-pi C) per side of the symmetry m -> -m - eps, plus
+    scale[eps] = sum over the kept rows of |w_eps| times the relative
+    rounding bound of a table (see _table).
+    """
+    slack = 2.0 * charge + scale
+    bad = odd & ~(np.abs(table) <= slack[:, None])
+    if bad.any():
+        eps, delta = (int(v) for v in np.argwhere(bad)[0])
+        raise InvariantError(
+            f"odd theta[{eps};{delta}] = {abs(table[eps, delta]):.3e} exceeds its "
+            f"bound {slack[eps]:.3e}"
+        )
 
 
 @lru_cache(maxsize=16)
@@ -424,25 +519,54 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> np.ndarray:
     n = 1 << g
     arg = ThetaArg.zero(g)
     radius = truncation_radius(tau, arg, tol)
-    keep, ym, mym, corners = _table_rows(tau, radius, _numerics(tau, arg, tol)[2])
-    classes = _parity_classes(g, radius)[keep]
+    _, tail, cutoff = _numerics(tau, arg, tol)
+    keep, classes = _table_rows(tau, radius, cutoff)
     m = _lattice(g, radius)[keep]
-    x = _re_im(tau)[0]
-    xm, mxm = _quadratic(m, x)
-    base = _cis(mxm)
-    columns = [_cis(xm[:, k]) for k in range(g)]
+    x, y = tau._x, tau._y
     blocks = _blocks(g)
+    ym, mym = _quadratic(m, y)
+    base = _cis(_quadratic(m, x)[1])
+    columns = _phase_columns(x, m, radius)
+    counts = np.bincount(classes, minlength=n)
+    starts = np.cumsum(counts) - counts  # no class is empty (see _table_rows)
+    corners = ((blocks @ y) * blocks) @ np.ones(g) / 4.0
+    # The weights of b eps at a time, b = 2^low, low = min(g, 4): the
+    # phases by doubling over the last low coordinates (row eps + 2^j is
+    # row eps times column g-1-j), the magnitudes by one real exp of the
+    # block.  Two (b, K) buffers serve every block.
+    b = min(n, _BLOCK)
+    low = b.bit_length() - 1
+    w = np.empty((b, len(keep)), dtype=complex)
+    mag = np.empty((b, len(keep)))
     sums = np.empty((n, n), dtype=complex)
-    for eps in range(n):
-        e = blocks[eps]
-        w = np.exp(-np.pi * (mym + ym @ e + corners[eps])) * base
-        for k in np.flatnonzero(e):
-            w *= columns[k]
-        sums[eps].real = np.bincount(classes, w.real, n)
-        sums[eps].imag = np.bincount(classes, w.imag, n)
-    sums *= _cis(np.array([e @ x @ e for e in blocks]) / 4.0)[:, None]
+    mass = np.empty(n)
+    for h in range(0, n, b):
+        w[0] = base
+        for k in np.flatnonzero(blocks[h, : g - low]):
+            w[0] *= columns[k]
+        for j in range(low):
+            np.multiply(w[: 1 << j], columns[g - 1 - j], out=w[1 << j : 2 << j])
+        np.matmul(blocks[h : h + b], ym.T, out=mag)
+        mag += mym
+        mag += corners[h : h + b, None]
+        mag *= -np.pi
+        np.exp(mag, out=mag)
+        mass[h : h + b] = mag.sum(axis=1)
+        w *= mag
+        sums[h : h + b] = np.add.reduceat(w, starts, axis=1)
+    sums *= _cis(((blocks @ x) * blocks) @ np.ones(g) / 4.0 + _turns(tau, blocks))[:, None]
     signs, phases = _signs_and_phases(g)
     table = (sums @ signs) * phases
+    # Rounding to first order, in units of u times the mass sum_m |w_eps(m)|
+    # of an entry's eps: an exponent (real or imaginary part) is at most
+    # (R + 1)^2 sum_jk |tau_jk| in size and takes at most 3g + 4 roundings,
+    # which its exp or cis scales by pi; a weight adds 5g^2 + 16 from its
+    # exps and complex products; the class sums and the transform add
+    # K + 2^g.
+    norm = np.abs(x).sum() + np.abs(y).sum()
+    rel = len(keep) + n + 5 * g * g + 16 + math.pi * (3 * g + 4) * (radius + 1) ** 2 * norm
+    charge = tail + ((2 * radius + 1) ** g - len(keep)) * math.exp(-math.pi * cutoff)
+    _check_odd(table, signs < 0, charge, _U * rel * mass)  # (-1)^(eps.delta) = -1: odd
     table.setflags(write=False)
     return table
 

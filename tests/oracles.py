@@ -14,7 +14,8 @@ truncation box sorted by a Python key; and oracle_sp_apply_form, which
 moves a form by a Gauss-Jordan inverse and 2g evaluations.
 
 Run as a script to reprint every frozen reference value used by the suite,
-and the azygetic-search counts of the backtracker next to the library's::
+the azygetic-search counts of the backtracker next to the library's, and
+the library's theta tables against plain full-box sums at g = 1..5::
 
     python tests/oracles.py
 """
@@ -587,6 +588,34 @@ def main():
                 and oracle.tobytes() == library.tobytes())
         print(f"g={g} radius={radius}: {len(oracle)} points  "
               f"{'agree' if same else 'DISAGREE'}")
+
+    print("\n== theta table: plain full-box sums vs library ==")
+    import math
+
+    import numpy as np
+
+    from thetachar.theta import (
+        PeriodMatrix,
+        ThetaArg,
+        Tolerance,
+        _numerics,
+        _table_rows,
+        theta_constant_table,
+    )
+
+    rng = np.random.default_rng(2718)
+    for g, lam in ((1, 0.5), (2, 0.6), (3, 0.7), (4, 0.9), (5, 2.0)):
+        a = rng.uniform(-0.25, 0.25, (g, g))
+        x = rng.uniform(-0.6, 0.6, (g, g))
+        tau = PeriodMatrix((x + x.T) / 2 + 1j * (lam * np.eye(g) + a @ a.T))
+        radius, tail, cutoff = _numerics(tau, ThetaArg.zero(g), Tolerance())
+        box = (2 * radius + 1) ** g
+        kept = len(_table_rows(tau, radius, cutoff)[0])
+        charge = tail + (box - kept) * math.exp(-math.pi * cutoff)
+        gap = np.abs(theta_constant_table(tau) - np_theta_constants(tau.tau, radius)).max()
+        bound = charge + 1e-14 * box
+        print(f"g={g} radius={radius}: {kept} of {box} rows, max gap {gap:.1e}, "
+              f"bound {bound:.1e}  {'agree' if gap < bound else 'DISAGREE'}")
 
     print("\n== dual graphs: one-pass forest vs 2^E scan and union-find ==")
     from thetachar.boundary import DualGraph, Edge, Vertex, even_edge_sets, th_components

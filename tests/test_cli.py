@@ -116,6 +116,33 @@ def test_theta_input_errors(capsys):
     assert capsys.readouterr().err.startswith("error: cannot reach the requested tolerance")
 
 
+def test_large_real_parts_give_true_values(capsys):
+    # Re tau is reduced mod 2 and Re z mod 1 exactly before summing; at
+    # Re tau = 1e17 or Re z = 1e300 the unreduced sums lost every digit
+    tau_17 = "[[[1e17, 1], [0, 0]], [[0, 0], [0, 1]]]"
+    assert run(["theta", "--genus", "2", "--tau", tau_17, "--char", "00;00"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert abs(complex(data["re"], data["im"]) - 1.1803405990160962) < 1e-12  # theta(i I_2)
+    args = ["theta", "--genus", "1", "--tau", TAU_1_JSON, "--char", "0;0", "--z", "[[1e300, 0]]"]
+    assert run(args) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert abs(complex(data["re"], data["im"]) - 1.0864348112133082) < 1e-12  # theta_3(i)
+    assert run(["amplitude", "--genus", "1", "--tau", "[[[1e308, 1]]]"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    want = xi_g(PeriodMatrix([[1j]]), 1)
+    assert abs(complex(data["xi_re"], data["xi_im"]) - want) < 1e-12
+
+
+def test_an_overflowing_im_z_is_an_error(capsys):
+    # |Im z| = 1e308 squared overflows; its norm does not, and the tail
+    # bound then reports the tolerance as unreachable
+    args = ["theta", "--genus", "1", "--tau", TAU_1_JSON, "--char", "0;0", "--z", "[[0, 1e308]]"]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot reach the requested tolerance")
+
+
 def test_parse_period_matrix_conventions():
     tau = parse_period_matrix(TAU_2_JSON, 2)
     assert isinstance(tau, PeriodMatrix)

@@ -6,6 +6,7 @@ cross-check against that oracle stays in the suite.
 """
 
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from oracles import mp_tail, mp_theta, np_theta, np_theta_constants, oracle_lattice
 from thetachar import theta
 from thetachar.characteristics import Characteristic, all_characteristics
+from thetachar.config import InvariantError
 from thetachar.symplectic import SpMatrix, sp_apply
 from thetachar.theta import (
     PeriodMatrix,
@@ -26,6 +28,7 @@ from thetachar.theta import (
     theta_with_char,
     truncation_radius,
 )
+from thetachar.verify import run_acceptance
 
 TAU_I = PeriodMatrix([[1j]])
 TAU_G1 = PeriodMatrix([[0.25 + 1.1j]])
@@ -229,6 +232,74 @@ def _bits(block, g):
     return [(block >> (g - 1 - i)) & 1 for i in range(g)]
 
 
+def test_genus_5_table_runs_in_blocks_and_matches_plain_sums():
+    # at g = 5 the 32 eps values take two blocks of 16 weight rows
+    rng = np.random.default_rng(55)
+    a = rng.uniform(-0.25, 0.25, (5, 5))
+    x = rng.uniform(-0.6, 0.6, (5, 5))
+    tau = PeriodMatrix((x + x.T) / 2 + 1j * (2.0 * np.eye(5) + a @ a.T))
+    radius = truncation_radius(tau, None, Tolerance())
+    assert radius == 2
+    want = np_theta_constants(tau.tau, radius)
+    assert np.abs(theta_constant_table(tau) - want).max() < 1e-14 * (2 * radius + 1) ** 5
+
+
+def test_large_real_parts_are_reduced_exactly():
+    # theta[eps; delta](tau + 2S, z + n) = i^(eps'S eps) (-1)^(eps.n) theta[eps; delta](tau, z)
+    # for integral symmetric S and integral n.  Re tau and Re z sit on a
+    # 1/64 grid, so tau + 2S and z + n are exact and the plain sum on the
+    # unshifted tau is the reference.
+    rng = np.random.default_rng(1717)
+    for g in (1, 2, 3):
+        for scale in (3, 10**6, 2**40):
+            re = np.round(rng.uniform(-0.5, 0.5, (g, g)) * 64) / 64
+            a = rng.uniform(-0.3, 0.3, (g, g))
+            tau = (re + re.T) / 2 + 1j * (0.8 * np.eye(g) + a @ a.T)
+            s = rng.integers(-scale, scale + 1, (g, g))
+            s = np.triu(s) + np.triu(s, 1).T
+            n = rng.integers(-scale, scale + 1, g)
+            z = np.round(rng.uniform(-0.5, 0.5, g) * 64) / 64 + 1j * rng.uniform(-0.1, 0.1, g)
+            shifted = PeriodMatrix(tau + 2 * s)
+            radius = truncation_radius(shifted, z, Tolerance())
+            bound = 1e-14 * (2 * radius + 1) ** g
+            table = theta_constant_table(shifted)
+            want = np_theta_constants(tau, truncation_radius(shifted, None, Tolerance()))
+            for c in all_characteristics(g):
+                e = np.array(_bits(c.eps, g))
+                turn = 1j ** int(e @ s @ e % 4)
+                assert abs(table[c.eps, c.delta] - turn * want[c.eps, c.delta]) < bound
+                sign = -1 if int(e @ n) % 2 else 1
+                got = theta_with_char(shifted, z + n, c)
+                ref = np_theta(tau, z, _bits(c.eps, g), _bits(c.delta, g), radius)
+                assert abs(got - turn * sign * ref) < bound
+
+
+def test_odd_entries_are_checked_at_run_time(monkeypatch):
+    # the mutant reads coordinate j's factor at m_(j-1): the phases are
+    # no longer those of Xm and the odd entries stop vanishing.  (A lookup
+    # shifted in m_j alone multiplies each eps by a constant phase, which
+    # odd vanishing cannot see; the plain-sum tests above do.)
+    passing = run_acceptance(only=[5]).results[0]
+    assert passing.passed
+    monkeypatch.setattr(theta, "_check_odd", lambda *args: None)
+    theta._table.cache_clear()
+    assert run_acceptance(only=[5]).results[0] == passing  # the check prints nothing
+    monkeypatch.undo()
+    source = inspect.getsource(theta._phase_columns)
+    assert source.count("index[j]]") == 1
+    namespace = {}
+    exec(source.replace("index[j]]", "index[j - 1]]"), vars(theta), namespace)
+    monkeypatch.setattr(theta, "_phase_columns", namespace["_phase_columns"])
+    theta._table.cache_clear()
+    with pytest.raises(InvariantError, match=r"odd theta\[2;2\] = .* exceeds its bound"):
+        theta_constant_table(TAU_G2)
+    (result,) = run_acceptance(only=[5]).results
+    assert not result.passed
+    assert result.details.startswith("InvariantError: odd theta[")
+    monkeypatch.undo()
+    theta._table.cache_clear()
+
+
 def test_single_evaluation_matches_plain_sum_off_zero():
     # theta_with_char at Im z != 0 against one plain einsum sum over the
     # same box, even and odd characteristics alike
@@ -302,12 +373,14 @@ def test_ill_conditioned_im_tau_does_not_overflow():
 
 
 def test_ellipsoid_cut_is_honest():
-    # Inside the box, a table sums the rows with ||m||_Y < sqrt(C) + rho and
-    # a single evaluation the points whose exponent is below C; every point
-    # left out has a term below exp(-pi C) and is charged to est_error.
-    # (a) Both sums agree with the plain full-box sums within the charge
-    # plus rounding, (b) the table keeps every point of every per-eps
-    # ellipsoid {s'Ys < C}, s = m + eps/2, and (c) est_error <= tol.
+    # Inside the box, a table sums the rows with
+    # m'Ym + sum_k min(0, (Ym)_k) < C and a single evaluation the points
+    # whose exponent is below C; every point left out has a term below
+    # exp(-pi C) and is charged to est_error.  (a) Both sums agree with the
+    # plain full-box sums within the charge plus rounding, (b) the table
+    # keeps every point of every per-eps ellipsoid {s'Ys < C}, s = m + eps/2,
+    # and (c) est_error <= tol.  The table cut keeps no more rows than the
+    # triangle rule ||m||_Y < sqrt(C) + max_eps ||eps/2||_Y did.
     rng = np.random.default_rng(3141)
     cases = []
     for g, count in ((2, 2), (3, 2), (4, 1)):
@@ -340,6 +413,9 @@ def test_ellipsoid_cut_is_honest():
             s = m + np.array(_bits(eps, g)) / 2
             inside |= np.einsum("ij,jk,ik->i", s, y, s) < cutoff
         assert np.isin(np.flatnonzero(inside), keep).all()  # (b)
+        rho = max(np.sqrt(e @ y @ e) / 2 for e in theta._blocks(g))
+        mym = np.einsum("ij,jk,ik->i", m, y, m)
+        assert len(keep) <= np.count_nonzero(mym < (math.sqrt(cutoff) + rho) ** 2)
         want = np_theta_constants(tau.tau, radius)
         assert np.abs(theta_constant_table(tau) - want).max() < charge + 1e-14 * box  # (a)
         z = rng.uniform(-0.4, 0.4, g) + 1j * rng.uniform(-0.1, 0.1, g)
