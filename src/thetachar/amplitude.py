@@ -182,15 +182,20 @@ def P_i_g(tau: PeriodMatrix, g: int, i: int, tol=Tolerance()) -> complex:
 
 def xi_g(tau: PeriodMatrix, g: int, tol=Tolerance()) -> complex:
     """The alternating combination (1/2^g) sum_i (-1)^i 2^(i(i-1)/2) P_i."""
+    return _xi_terms(tau, g, tol)[0]
+
+
+def _xi_terms(tau: PeriodMatrix, g: int, tol: Tolerance) -> tuple[complex, list[complex]]:
+    """Xi and the P_0..P_g it is summed from, each P_i computed once."""
     if not 1 <= g <= GENUS_CAP:
         raise ValueError(f"need 1 <= g <= {GENUS_CAP}, got {g}")
     if g != tau.g:
         raise ValueError(f"g={g} does not match tau (genus {tau.g})")
-    total = 0j
-    for i in range(g + 1):
-        weight = (1 << (i * (i - 1) // 2)) * (-1 if i & 1 else 1)
-        total += weight * P_i_g(tau, g, i, tol)
-    return total / (1 << g)
+    terms = [P_i_g(tau, g, i, tol) for i in range(g + 1)]
+    total = 0j  # summed in order: sum() may compensate, which changes the last bits
+    for i, p in enumerate(terms):
+        total += (1 << (i * (i - 1) // 2)) * (-1) ** i * p
+    return total / (1 << g), terms
 
 
 def factorization_residual(

@@ -153,17 +153,13 @@ def _cmd_amplitude(args, cfg: RunConfig) -> int:
     if args.genus is None or args.tau is None:
         raise ValueError("amplitude needs --genus and --tau")
     tau = parse_period_matrix(args.tau, args.genus)
-    xi = amp.xi_g(tau, args.genus, tol)
-    per_i = []
-    for i in range(args.genus + 1):
-        value = amp.P_i_g(tau, args.genus, i, tol)
-        per_i.append({"i": i, "re": value.real, "im": value.imag})
+    xi, terms = amp._xi_terms(tau, args.genus, tol)
     _emit(
         {
             "genus": args.genus,
             "xi_re": xi.real,
             "xi_im": xi.imag,
-            "per_i": per_i,
+            "per_i": [{"i": i, "re": p.real, "im": p.imag} for i, p in enumerate(terms)],
             "tolerance": tol.abs_tol,
         },
         cfg,

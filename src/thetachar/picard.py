@@ -4,13 +4,14 @@ Classes live in the rational Picard group of one of three spaces: the
 moduli of stable curves ("Mbar", basis lambda, delta_0..delta_{g//2}) or
 the odd/even spin compactifications ("Sbar_minus"/"Sbar_plus", basis
 lambda, alpha_i, beta_i).  The bases are treated as free, so everything
-here is formal linear algebra over the rationals, held as integer
-numerators over one common denominator (see DivClass) — no floats anywhere.
+here is formal linear algebra over the rationals, held only as integer
+numerators over one common denominator (see DivClass): an integer
+coefficient never becomes a Fraction, and no float enters anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -30,12 +31,9 @@ def resolve_space(space: str) -> str:
     return name
 
 
-_ZERO = Fraction(0)
-
-
-def _exact(value) -> Fraction:
-    """value as a Fraction; a Fraction is returned as it is, a float rejected."""
-    if isinstance(value, Fraction):
+def _exact(value) -> int | Fraction:
+    """An int or a Fraction as it is, anything else parsed as a Fraction; floats rejected."""
+    if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, float):
         raise ValueError(
@@ -68,36 +66,35 @@ def _basis_order(space: str, g: int) -> dict[str, int]:
 class DivClass:
     """A rational divisor class: integer numerators over one denominator.
 
-    coeffs may be given as a mapping or as (symbol, value) pairs.  The
-    class is held as one integer numerator per basis symbol, in basis
-    order, over one positive denominator, in lowest terms; so == and hash
-    agree with equality of classes, and +, scaling and pullback are
-    integer work.  A Fraction is built only when coeffs or coeff() is
-    read; a class built from given coefficients reads them out as given.
+    coeffs (ints, Fractions or rational strings) may be given as a mapping
+    or as (symbol, value) pairs, where a repeated symbol accumulates.  The
+    class is only one integer numerator per basis symbol, in basis order,
+    over one positive denominator, in lowest terms; so == and hash agree
+    with equality of classes, construction, +, scaling and pullback are
+    integer work, and a Fraction is built only when coeffs or coeff() is read.
     """
 
     space: str
     g: int
     _den: int
     _num: tuple[int, ...]
-    _given: dict[str, Fraction] | None = field(compare=False)
 
     def __init__(self, space: str, g: int, coeffs=()) -> None:
         space = resolve_space(space)
         order = _basis_order(space, g)
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        acc: dict[str, Fraction] = {}
+        num, den = [0] * len(order), 1
         for sym, val in items:
-            if sym not in order:
+            i = order.get(sym)
+            if i is None:
                 raise ValueError(f"{sym!r} is not in the basis of {space}(g={g})")
             val = _exact(val)
-            acc[sym] = acc[sym] + val if sym in acc else val
-        given = {s: acc[s] for s in sorted(acc, key=order.__getitem__) if acc[s]}
-        den = lcm(*(v.denominator for v in given.values()))
-        num = [0] * len(order)
-        for s, v in given.items():
-            num[order[s]] = v.numerator * (den // v.denominator)
-        self.__dict__.update(space=space, g=g, _den=den, _num=tuple(num), _given=given)
+            q = val.denominator
+            if den % q:  # a new denominator: rescale what is summed so far
+                scale = q // gcd(den, q)
+                num, den = [n * scale for n in num], den * scale
+            num[i] += val.numerator * (den // q)
+        self.__dict__.update(vars(DivClass._of(space, g, num, den)))
 
     @classmethod
     def _of(cls, space: str, g: int, num, den: int) -> "DivClass":
@@ -106,14 +103,12 @@ class DivClass:
         if d > 1:
             num, den = (n // d for n in num), den // d
         c = object.__new__(cls)
-        c.__dict__.update(space=space, g=g, _den=den, _num=tuple(num), _given=None)
+        c.__dict__.update(space=space, g=g, _den=den, _num=tuple(num))
         return c
 
     @property
     def coeffs(self) -> tuple[tuple[str, Fraction], ...]:
         """Nonzero coefficients in basis order, as (symbol, Fraction) pairs."""
-        if self._given is not None:
-            return tuple(self._given.items())
         order = _basis_order(self.space, self.g)
         return tuple((s, Fraction(n, self._den)) for s, n in zip(order, self._num) if n)
 
@@ -121,8 +116,6 @@ class DivClass:
         i = _basis_order(self.space, self.g).get(symbol)
         if i is None:
             raise ValueError(f"{symbol!r} is not in the basis of {self.space}(g={self.g})")
-        if self._given is not None:
-            return self._given.get(symbol, _ZERO)
         return Fraction(self._num[i], self._den)
 
     def __repr__(self) -> str:

@@ -368,14 +368,28 @@ def _signs_and_phases(g: int) -> tuple[np.ndarray, np.ndarray]:
     return signs, phases
 
 
-def theta_with_char(tau: PeriodMatrix, z, c: Characteristic, tol=Tolerance()) -> complex:
-    """theta[c](tau, z) with absolute truncation error below tol."""
+def _charge(tail: float, g: int, radius: int, points: int, cutoff: float) -> float:
+    """T + (N - K) exp(-pi C): the tail, plus the box points dropped at the cutoff."""
+    return tail + ((2 * radius + 1) ** g - points) * math.exp(-math.pi * cutoff)
+
+
+def _evaluate(tau: PeriodMatrix, z, c: Characteristic, tol) -> tuple[complex, int, int, float]:
+    """theta[c](tau, z), the radius R, the points K summed and their charge."""
     if c.g != tau.g:
         raise ValueError(f"genus mismatch: characteristic {c.g}, tau {tau.g}")
     tol = Tolerance.coerce(tol)
     arg = ThetaArg.coerce(z, tau.g)
-    radius, _, cutoff = _numerics(tau, arg, tol)
-    return _theta_sum(tau, arg, c, radius, cutoff)[0]
+    # The public call stays so that a wrapped truncation_radius sees the
+    # radius of every evaluation; the tail then comes from the same search.
+    radius = truncation_radius(tau, arg, tol)
+    _, tail, cutoff = _numerics(tau, arg, tol)
+    value, points = _theta_sum(tau, arg, c, radius, cutoff)
+    return value, radius, points, _charge(tail, tau.g, radius, points, cutoff)
+
+
+def theta_with_char(tau: PeriodMatrix, z, c: Characteristic, tol=Tolerance()) -> complex:
+    """theta[c](tau, z) with absolute truncation error below tol."""
+    return _evaluate(tau, z, c, tol)[0]
 
 
 def theta_constant(tau: PeriodMatrix, c: Characteristic, tol=Tolerance()) -> complex:
@@ -396,20 +410,8 @@ def theta_report(tau: PeriodMatrix, z, c: Characteristic, tol=Tolerance()) -> di
     the tail T outside the box of N points, plus the box points dropped
     at the cutoff C, each of modulus at most exp(-pi C).
     """
-    tol = Tolerance.coerce(tol)
-    arg = ThetaArg.coerce(z, tau.g)
-    # The public call stays so that a wrapped truncation_radius sees the
-    # radius of every evaluation; the tail then comes from the same search.
-    radius = truncation_radius(tau, arg, tol)
-    _, tail, cutoff = _numerics(tau, arg, tol)
-    value, points = _theta_sum(tau, arg, c, radius, cutoff)
-    return {
-        "re": value.real,
-        "im": value.imag,
-        "radius": radius,
-        "points": points,
-        "est_error": tail + ((2 * radius + 1) ** tau.g - points) * math.exp(-math.pi * cutoff),
-    }
+    value, radius, points, est_error = _evaluate(tau, z, c, tol)
+    return dict(re=value.real, im=value.imag, radius=radius, points=points, est_error=est_error)
 
 
 def theta_constant_table(tau: PeriodMatrix, tol=Tolerance()) -> np.ndarray:
@@ -565,7 +567,7 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> np.ndarray:
     # K + 2^g.
     norm = np.abs(x).sum() + np.abs(y).sum()
     rel = len(keep) + n + 5 * g * g + 16 + math.pi * (3 * g + 4) * (radius + 1) ** 2 * norm
-    charge = tail + ((2 * radius + 1) ** g - len(keep)) * math.exp(-math.pi * cutoff)
+    charge = _charge(tail, g, radius, len(keep), cutoff)
     _check_odd(table, signs < 0, charge, _U * rel * mass)  # (-1)^(eps.delta) = -1: odd
     table.setflags(write=False)
     return table

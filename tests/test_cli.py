@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import thetachar
-from thetachar.amplitude import xi_g
+from thetachar import amplitude
+from thetachar.amplitude import P_i_g, xi_g
 from thetachar.cli import main, parse_period_matrix, run
 from thetachar.picard import slope_combination
 from thetachar.theta import PeriodMatrix
@@ -163,6 +164,23 @@ def test_amplitude_report(capsys):
     assert [entry["i"] for entry in data["per_i"]] == [0, 1]
     assert run(["amplitude"]) == 1  # --genus/--tau missing
     capsys.readouterr()
+
+
+def test_amplitude_report_computes_each_P_i_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(tau, g, i, tol):
+        calls.append(i)
+        return P_i_g(tau, g, i, tol)
+
+    monkeypatch.setattr(amplitude, "P_i_g", counted)
+    for g, tau in ((1, TAU_1_JSON), (2, TAU_2_JSON)):
+        calls.clear()
+        assert run(["amplitude", "--genus", str(g), "--tau", tau]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert calls == list(range(g + 1))
+        want = xi_g(parse_period_matrix(tau, g), g)
+        assert complex(data["xi_re"], data["xi_im"]) == want
 
 
 def test_amplitude_genus_4_is_byte_identical_across_processes():

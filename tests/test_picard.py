@@ -73,16 +73,70 @@ def test_divclass_edge_cases():
     assert c.coeffs == (("delta_1", F(1, 3)),)
     assert c.coeff("lambda") == 0
     assert c == mbar(5, delta_1=F(1, 3))
-    # a Fraction coefficient is kept as given, exactly
+    # a Fraction coefficient is read back exactly
     x = F(10**30 + 1, 3**40)
     d = mbar(5, delta_2=x, **{"lambda": "7/12"})
-    assert d.coeff("delta_2") is x
+    assert d.coeff("delta_2") == x
     assert d.coeff("lambda") == F(7, 12) and type(d.coeff("lambda")) is F
     # a float is rejected wherever a coefficient enters
     with pytest.raises(ValueError):
         DivClass("Mbar", 5, (("lambda", 1), ("lambda", 0.5)))
     with pytest.raises(ValueError):
         0.5 * d
+
+
+SPIN6 = basis_symbols("Sbar_minus", 6)
+# one term: a symbol, a value, its spelling, and the spelling of its negation
+# when the term is cancelled again later in the list (None: not cancelled)
+spelling_st = st.sampled_from(["int", "Fraction", "p/q"])
+term_st = st.tuples(
+    st.sampled_from(SPIN6),
+    st.builds(F, st.integers(-40, 40), st.sampled_from([1, 1, 2, 3, 4, 6, 8, 9, 16])),
+    spelling_st,
+    st.none() | spelling_st,
+)
+
+
+def _spell(x, spelling):
+    """x as an int (when integral), a Fraction or a "p/q" string."""
+    if spelling == "int" and x.denominator == 1:
+        return int(x)
+    if spelling == "p/q":
+        return f"{x.numerator}/{x.denominator}"
+    return x
+
+
+def _render(terms):
+    # the str of a class, written out independently of DivClass.__str__
+    out = ""
+    for sym, val in terms:
+        term = sym if abs(val) == 1 else f"{abs(val)}*{sym}"
+        sign = ("-" if val < 0 else "") if not out else (" - " if val < 0 else " + ")
+        out += sign + term
+    return out or "0"
+
+
+@given(st.lists(term_st, max_size=12), st.randoms(use_true_random=False))
+def test_constructor_agrees_with_a_plain_fraction_sum(terms, rng):
+    pairs = [(sym, _spell(x, spelling)) for sym, x, spelling, _ in terms]
+    pairs += [(sym, _spell(-x, undo)) for sym, x, _, undo in terms if undo]
+    want = {s: sum((F(v) for t, v in pairs if t == s), F(0)) for s in SPIN6}
+    c = DivClass("Sbar_minus", 6, pairs)
+    nonzero = tuple((s, want[s]) for s in SPIN6 if want[s])
+    assert c.coeffs == nonzero
+    for s in SPIN6:
+        assert c.coeff(s) == want[s] and type(c.coeff(s)) is F
+    assert all(type(n) is int for n in (c._den, *c._num))
+    rng.shuffle(pairs)
+    for other in (DivClass("Sbar_minus", 6, pairs), DivClass("Sbar_minus", 6, dict(nonzero))):
+        assert other == c and hash(other) == hash(c)
+    assert (c == DivClass("Sbar_minus", 6)) == (not nonzero)
+    assert str(c) == _render(nonzero)
+    assert c.to_json_dict() == {
+        "space": "Sbar_minus",
+        "g": 6,
+        "coeffs": {s: str(want[s]) for s in SPIN6},
+    }
 
 
 coeff_st = st.integers(min_value=-12, max_value=12).map(lambda n: F(n, 3))
@@ -113,8 +167,8 @@ def _same_class(got, space, g, coeffs):
 
 @given(mbar7_st, mbar7_st, mixed_st)
 def test_arithmetic_agrees_with_the_constructor(x, y, q):
-    # classes that come out of +, -, scaling and pullback are read from their
-    # integer numerators; those built from coefficients keep the Fractions
+    # classes that come out of +, -, scaling and pullback hold the same integer
+    # numerators over one denominator as those built from coefficients
     a, b = DivClass("Mbar", 7, x), DivClass("Mbar", 7, y)
     syms = basis_symbols("Mbar", 7)
     _same_class(a + b, "Mbar", 7, {s: x.get(s, 0) + y.get(s, 0) for s in syms})

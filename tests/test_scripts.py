@@ -2,6 +2,7 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,34 @@ def test_factorization_scan_script():
     proc = _script("factorization_scan.py", "--trials", "1", "--max-genus", "2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1].split()[:3] == ["2", "1", "1"]
+
+
+def test_loc_counts_add_up():
+    proc = _script("loc.py", "--src", str(ROOT / "src"))
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, total = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["module", "lines", "code"]
+    modules = sorted((ROOT / "src" / "thetachar").glob("*.py"))
+    assert [row[0] for row in rows] == [path.name for path in modules]
+    for (_, lines, code), path in zip(rows, modules):
+        assert int(lines) == len(path.read_text(encoding="utf-8").splitlines())
+        assert 0 < int(code) < int(lines)
+    assert total == ["total", *(str(sum(int(row[k]) for row in rows)) for k in (1, 2))]
+
+
+def test_loc_skips_blanks_comments_and_docstrings():
+    count = runpy.run_path(str(ROOT / "scripts" / "loc.py"))["count"]
+    source = (
+        '"""Module docstring."""\n'
+        "\n"
+        "# a comment\n"
+        'x = """a string on\n'
+        'two lines"""  # code, not a docstring\n'
+        "\n"
+        "\n"
+        "def f():\n"
+        '    """A docstring\n'
+        '    on two lines."""\n'
+        "    return x\n"
+    )
+    assert count(source) == (11, 4)

@@ -154,6 +154,10 @@ def test_genus_mismatch_rejected():
         theta_constant(TAU_G2, ch("0;0"))
     with pytest.raises(ValueError):
         theta_with_char(TAU_G1, [0.1, 0.2], ch("1;0"))
+    with pytest.raises(ValueError):
+        theta_report(TAU_G2, None, ch("1;1"))
+    with pytest.raises(ValueError):
+        theta_report(TAU_G2, None, ch("101;011"))
 
 
 def test_odd_characteristics_vanish_at_zero():
