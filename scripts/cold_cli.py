@@ -32,6 +32,16 @@ TAU_G4 = json.dumps([
     [[-0.1, 0], [0, 0], [0.05, 0], [0, 1.1]],
 ])
 
+# a genus-4 point with lambda_min(Im tau) = 0.307 and |Im z| = 0.19, whose
+# single evaluation has truncation radius 8 (an 83,521-point box)
+TAU_G4_THIN = json.dumps([
+    [[0, 0.31], [0.1, 0.02], [0, 0], [-0.1, 0]],
+    [[0.1, 0.02], [0.2, 0.45], [0, 0], [0, 0]],
+    [[0, 0], [0, 0], [-0.3, 0.55], [0.05, 0]],
+    [[-0.1, 0], [0, 0], [0.05, 0], [0, 0.7]],
+])
+Z_G4_THIN = json.dumps([[0.1, 0.095], [0, 0.095], [-0.2, 0.095], [0.3, 0.095]])
+
 FLOOR = {
     "python -c pass": ["-c", "pass"],
     "import thetachar.cli": ["-c", "import thetachar.cli"],
@@ -40,6 +50,9 @@ FLOOR = {
 COMMANDS = {
     "verify": ["verify"],
     "amplitude --genus 4": ["amplitude", "--genus", "4", "--tau", TAU_G4],
+    "theta --genus 4": [
+        "theta", "--genus", "4", "--tau", TAU_G4_THIN, "--char", "1010;0110", "--z", Z_G4_THIN,
+    ],
     "systems --genus 3 --kind tetrads": ["systems", "--genus", "3", "--kind", "tetrads"],
     "systems --genus 3 --kind aronhold": ["systems", "--genus", "3", "--kind", "aronhold"],
     "systems --genus 3 --kind gopel": ["systems", "--genus", "3", "--kind", "gopel"],

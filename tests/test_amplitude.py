@@ -255,6 +255,28 @@ def test_xi_g1_is_the_classical_measure():
         assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
+def test_xi_is_a_modular_form_of_weight_8():
+    # Xi(tau + B) = Xi(tau) for integral symmetric B with even diagonal, and
+    # Xi(-tau^-1) = det(tau)^8 Xi(tau).  Im tau has its spectrum in
+    # [0.6, 1.4] and Re tau is small, so lambda_min(Im) >= 0.5 on both sides
+    # of each pair (asserted).
+    rng = np.random.default_rng(808)
+    for g in (2, 3, 4):
+        for _ in range(3):
+            q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+            y = q @ np.diag(rng.uniform(0.6, 1.4, g)) @ q.T
+            x = rng.uniform(-0.15, 0.15, (g, g))
+            tau = (x + x.T) / 2 + 1j * (y + y.T) / 2
+            b = np.triu(rng.integers(-1, 2, (g, g)), 1)
+            b = b + b.T + np.diag(2 * rng.integers(-1, 2, g))
+            inv = -np.linalg.inv(tau)
+            xi = xi_g(PeriodMatrix(tau), g)
+            for image, factor in ((tau + b, 1.0), ((inv + inv.T) / 2, np.linalg.det(tau) ** 8)):
+                assert np.linalg.eigvalsh(image.imag)[0] >= 0.5
+                got, want = xi_g(PeriodMatrix(image), g), factor * xi
+                assert abs(got - want) <= 1e-10 * max(abs(got), abs(want))
+
+
 def test_xi_guards():
     with pytest.raises(ValueError):
         xi_g(TAU_I, 5)

@@ -8,6 +8,7 @@ cross-check against that oracle stays in the suite.
 import cmath
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ THETA01_I = 0.913579138156116821407242593401
 G1_GENERIC = 0.495604493108855091510631851831 + 0.562066523037489638309688859001j
 G2_0110 = 0.840170455448058234531361817547 + 0.0272205510795270998315384857669j
 G2_0011 = 0.903988532529950793701694735419 - 0.00135558911962719192353350109846j
+
+# A genus-4 point with lambda_min(Im tau) = 0.307 and |Im z| = 0.19: its
+# single evaluation has truncation radius 8, an 83,521-point box.
+THIN_G4_TAU = [[0, 0.1, 0, -0.1], [0.1, 0.2, 0, 0], [0, 0, -0.3, 0.05], [-0.1, 0, 0.05, 0]]
+THIN_G4_IM = [[0.31, 0.02, 0, 0], [0.02, 0.45, 0, 0], [0, 0, 0.55, 0], [0, 0, 0, 0.7]]
+THIN_G4_Z = [0.1 + 0.095j, 0.095j, -0.2 + 0.095j, 0.3 + 0.095j]
 
 
 def ch(text):
@@ -384,7 +391,8 @@ def test_ellipsoid_cut_is_honest():
     # plain full-box sums within the charge plus rounding, (b) the table
     # keeps every point of every per-eps ellipsoid {s'Ys < C}, s = m + eps/2,
     # and (c) est_error <= tol.  The table cut keeps no more rows than the
-    # triangle rule ||m||_Y < sqrt(C) + max_eps ||eps/2||_Y did.
+    # triangle rule ||m||_Y < sqrt(C) + max_eps ||eps/2||_Y did.  The last
+    # case's single evaluations cut an 83,521-point box by lines.
     rng = np.random.default_rng(3141)
     cases = []
     for g, count in ((2, 2), (3, 2), (4, 1)):
@@ -393,14 +401,15 @@ def test_ellipsoid_cut_is_honest():
             lam = np.concatenate([[rng.uniform(0.3, 0.6)], rng.uniform(0.6, 2.0, g - 1)])
             y = q @ np.diag(lam) @ q.T
             x = rng.uniform(-0.3, 0.3, (g, g))
-            cases.append((x + x.T) / 2 + 1j * (y + y.T) / 2)
+            cases.append(((x + x.T) / 2 + 1j * (y + y.T) / 2, None))
     # the two ill-conditioned Im tau of the overflow test
     for y in (np.array([[50.0, 49.7], [49.7, 50.0]]), 0.35 * np.eye(4) + 14.9 * np.ones((4, 4))):
         g = y.shape[0]
         x = 0.1 * np.fromfunction(lambda i, j: np.cos(i + j + 1.0), (g, g))
-        cases.append(x + 1j * y)
+        cases.append((x + 1j * y, None))
+    cases.append((np.array(THIN_G4_TAU) + 1j * np.array(THIN_G4_IM), THIN_G4_Z))
     tol = Tolerance()
-    for entries in cases:
+    for entries, fixed_z in cases:
         tau = PeriodMatrix(entries)
         g = tau.g
         radius, tail, cutoff = theta._numerics(tau, ThetaArg.zero(g), tol)
@@ -423,6 +432,8 @@ def test_ellipsoid_cut_is_honest():
         want = np_theta_constants(tau.tau, radius)
         assert np.abs(theta_constant_table(tau) - want).max() < charge + 1e-14 * box  # (a)
         z = rng.uniform(-0.4, 0.4, g) + 1j * rng.uniform(-0.1, 0.1, g)
+        if fixed_z is not None:
+            z = np.array(fixed_z)
         eval_tail = theta._numerics(tau, ThetaArg.coerce(z, g), tol)[1]
         for k in rng.choice(4**g, 3, replace=False):
             c = Characteristic(g, int(k) >> g, int(k) & ((1 << g) - 1))
@@ -430,10 +441,76 @@ def test_ellipsoid_cut_is_honest():
             value = complex(rep["re"], rep["im"])
             assert value == theta_with_char(tau, z, c, tol)
             assert rep["points"] <= (2 * rep["radius"] + 1) ** g
+            if fixed_z is not None:  # the line cut runs
+                assert (2 * rep["radius"] + 1) ** g > theta._LINE_CUT
             assert rep["est_error"] <= tol.abs_tol  # (c), single evaluation
             bound = rep["est_error"] - eval_tail + 1e-14 * (2 * rep["radius"] + 1) ** g
             want = np_theta(tau.tau, z, _bits(c.eps, g), _bits(c.delta, g), rep["radius"])
             assert abs(value - want) < bound  # (a)
+
+
+def test_line_cut_keeps_the_box_rows_in_box_order():
+    # A single evaluation on a large box drops whole lines along the last
+    # coordinate before it computes any row's exponent.  It must keep exactly
+    # the rows one pass over the box keeps, in box order, with the same
+    # exponents, whichever of the two the size rule would pick.  delta only
+    # shifts Re z, so it never reaches the imaginary exponent m'Ym + b.m + c0
+    # with b = Y eps + 2 Im z and c0 = eps'Y eps/4 + eps.Im z.
+    rng = np.random.default_rng(2029)
+    cases = []
+    for g, radii in ((4, range(4, 10)), (5, range(3, 6))):
+        for radius in radii:
+            q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+            y = q @ np.diag(rng.uniform(0.3, 2.0, g)) @ q.T
+            cases.append(((y + y.T) / 2, radius))
+    # the ill-conditioned Im tau of the overflow test
+    cases += [(0.35 * np.eye(4) + 14.9 * np.ones((4, 4)), radius) for radius in range(4, 10)]
+    for y, radius in cases:
+        g = len(y)
+        cutoff = np.linalg.eigvalsh(y)[0] * (radius + 0.5) ** 2
+        for _ in range(3):
+            eps = rng.integers(0, 2, g).astype(float)
+            zim = rng.uniform(-0.2, 0.2, g)
+            zim *= min(1.0, 0.2 / np.linalg.norm(zim))  # |Im z| <= 0.2
+            b, c0 = y @ eps + 2.0 * zim, eps @ y @ eps / 4.0 + eps @ zim
+            keep, im = theta._box_rows(g, radius, y, b, c0, cutoff)
+            assert 0 < len(keep) < (2 * radius + 1) ** g
+            line_keep, line_im = theta._line_rows(g, radius, y, b, c0, cutoff)
+            assert np.array_equal(line_keep, keep)
+            assert line_im.tobytes() == im.tobytes()
+
+
+def test_lines_index_the_box():
+    # Row p of the position index holds where (p, -R)..(p, R) sit in the
+    # shell-ordered box, and the heads p run in lex order.
+    for g, radius in ((4, 6), (4, 8), (5, 4)):
+        heads, where = theta._lines(g, radius)
+        side = 2 * radius + 1
+        box = oracle_lattice(g, radius)
+        lex = np.indices((side,) * (g - 1)).reshape(g - 1, -1).T - radius
+        assert np.array_equal(heads, lex)
+        assert np.array_equal(np.sort(where.ravel()), np.arange(side**g))
+        lines = box[where]
+        assert np.array_equal(lines[:, :, :-1], np.repeat(heads[:, None], side, axis=1))
+        assert np.array_equal(lines[:, :, -1], np.broadcast_to(np.arange(-radius, radius + 1.0), where.shape))
+
+
+def test_single_evaluation_memory_is_the_kept_points_not_the_box():
+    # A warm theta_report at g = 4, radius 8 keeps 4,843 of the 83,521 box
+    # points; its working memory must stay below one box-sized float array
+    # (N g 8 bytes), which a pass over the whole box exceeds.
+    tau = PeriodMatrix(np.array(THIN_G4_TAU) + 1j * np.array(THIN_G4_IM))
+    c = Characteristic(4, 0b1010, 0b0110)
+    theta_report(tau, THIN_G4_Z, c)
+    tracemalloc.start()
+    try:
+        report = theta_report(tau, THIN_G4_Z, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    box = (2 * report["radius"] + 1) ** 4
+    assert report["radius"] == 8 and report["points"] == 4843
+    assert peak < box * 4 * 8
 
 
 def test_lattice_matches_sorted_ndindex_oracle():
