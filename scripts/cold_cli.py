@@ -1,13 +1,16 @@
-"""Cold-process wall time of the thetachar CLI.
+"""Cold-process wall and CPU time of the thetachar CLI.
 
 Each command is run in a fresh Python process, N times in turn, and the
 best wall time is printed next to the process floor: a bare interpreter
 (`python -c pass`) and one that only imports thetachar.cli.  Every call
 pays the one-time enumeration and lattice set-up again, so this is the
-end-to-end cost a CLI user sees.  BLAS runs on one thread
-(OPENBLAS_NUM_THREADS=1) and stdout is discarded.  A command that exits
-non-zero (say, one past a genus cap of the tree timed) is reported as
-failed, with no time.
+end-to-end cost a CLI user sees.  Next to it stands the least CPU time
+(user plus sys) of the child process, the change in
+getrusage(RUSAGE_CHILDREN) around it: on a shared machine the wall time
+also counts the time the child waits for a core, and the CPU time does
+not.  BLAS runs on one thread (OPENBLAS_NUM_THREADS=1) and stdout is
+discarded.  A command that exits non-zero (say, one past a genus cap of
+the tree timed) is reported as failed, with no time.
 
 Usage:
     python scripts/cold_cli.py [--repeat 3] [--src PATH] [--json]
@@ -19,6 +22,7 @@ src/ next to this script), so two checkouts can be timed the same way.
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -61,17 +65,25 @@ COMMANDS = {
 }
 
 
-def best_time(argv: list[str], env: dict, repeat: int) -> float | None:
-    best = float("inf")
+def _child_cpu() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def best_times(argv: list[str], env: dict, repeat: int) -> tuple[float, float] | None:
+    """The least wall time and the least child CPU time over repeat runs."""
+    wall = cpu = float("inf")
     for _ in range(repeat):
+        cpu_start = _child_cpu()
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, *argv], env=env,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         elapsed = time.perf_counter() - start
         if proc.returncode != 0:
             return None
-        best = min(best, elapsed)
-    return best
+        wall = min(wall, elapsed)
+        cpu = min(cpu, _child_cpu() - cpu_start)
+    return wall, cpu
 
 
 def main() -> None:
@@ -84,17 +96,22 @@ def main() -> None:
         parser.error("need --repeat >= 1")
 
     env = {**os.environ, "PYTHONPATH": args.src, "OPENBLAS_NUM_THREADS": "1"}
-    rows = {name: best_time(argv, env, args.repeat) for name, argv in FLOOR.items()}
+    rows = {name: best_times(argv, env, args.repeat) for name, argv in FLOOR.items()}
     for name, argv in COMMANDS.items():
-        rows[name] = best_time(["-m", "thetachar.cli", *argv], env, args.repeat)
+        rows[name] = best_times(["-m", "thetachar.cli", *argv], env, args.repeat)
 
     if args.json:
-        print(json.dumps({"repeat": args.repeat, "best_s": rows}, indent=2))
+        wall = {name: None if times is None else times[0] for name, times in rows.items()}
+        cpu = {name: None if times is None else times[1] for name, times in rows.items()}
+        print(json.dumps({"repeat": args.repeat, "best_s": wall, "cpu_s": cpu}, indent=2))
         return
     width = max(map(len, rows))
-    print(f"{'command':<{width}}  best of {args.repeat}")
-    for name, seconds in rows.items():
-        print(f"{name:<{width}}  " + (f"{'failed':>7}" if seconds is None else f"{seconds:7.3f} s"))
+    print(f"{'command':<{width}}  best of {args.repeat}  cpu (user+sys)")
+    for name, times in rows.items():
+        if times is None:
+            print(f"{name:<{width}}  {'failed':>9}")
+        else:
+            print(f"{name:<{width}}  {times[0]:7.3f} s  {times[1]:7.3f} s")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ exponents 2^(4-i) are still integers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .config import InvariantError
 from .gf2 import gf2_rref
-from .symplectic import _isotropic_bases, _q0, _span
+from .symplectic import _isotropic_bases, _q0, _reverse_search, _span
 from .theta import PeriodMatrix, Tolerance, block_diag, theta_constant_table
 
 AMBIENT_CAP = 8
@@ -83,27 +82,18 @@ class Subspace:
 def enumerate_subspaces(n: int, i: int) -> list[Subspace]:
     """All i-dimensional subspaces of F2^n, one canonical basis each.
 
-    Reduced echelon bases are generated directly: pick the pivot bits in
-    descending order, then fill the free positions below each pivot (and
-    off the other pivots) in every possible way.
+    The reduced echelon bases come from the reverse search behind the
+    isotropic subspaces (symplectic._reverse_search), with every nonzero
+    vector admissible and no pairing, in order of descending pivots, then
+    rows.
     """
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
     if n > AMBIENT_CAP:
         raise ValueError(f"ambient dimension {n} > {AMBIENT_CAP} not supported")
-    out = []
-    for pivots in itertools.combinations(range(n - 1, -1, -1), i):
-        pivot_set = set(pivots)
-        free = [[b for b in range(p) if b not in pivot_set] for p in pivots]
-        for fills in itertools.product(*(range(1 << len(f)) for f in free)):
-            rows = []
-            for p, positions, fill in zip(pivots, free, fills):
-                row = 1 << p
-                for idx, b in enumerate(positions):
-                    if (fill >> idx) & 1:
-                        row |= 1 << b
-                rows.append(row)
-            out.append(Subspace(n, tuple(rows)))
+    size = 1 << n
+    bases = _reverse_search(n, (1 << size) - 2, (0,) * size, i)[i]
+    out = [Subspace(n, basis) for basis in bases]
     if len(out) != gaussian_binomial(n, i):
         raise InvariantError(f"found {len(out)} subspaces of dimension {i} in F2^{n}")
     return out
@@ -189,9 +179,7 @@ def _xi_terms(tau: PeriodMatrix, g: int, tol: Tolerance) -> tuple[complex, list[
     """Xi and the P_0..P_g it is summed from, each P_i computed once."""
     if not 1 <= g <= GENUS_CAP:
         raise ValueError(f"need 1 <= g <= {GENUS_CAP}, got {g}")
-    if g != tau.g:
-        raise ValueError(f"g={g} does not match tau (genus {tau.g})")
-    terms = [P_i_g(tau, g, i, tol) for i in range(g + 1)]
+    terms = [P_i_g(tau, g, i, tol) for i in range(g + 1)]  # P_0 checks g against tau
     total = 0j  # summed in order: sum() may compensate, which changes the last bits
     for i, p in enumerate(terms):
         total += (1 << (i * (i - 1) // 2)) * (-1) ** i * p

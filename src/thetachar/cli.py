@@ -191,8 +191,12 @@ def _cmd_picard(args, cfg: RunConfig) -> int:
     if args.report == "slope":
         _emit(pic.slope_combination(g, space).to_json_dict(), cfg)
         return 0
-    theta_name = "Z_odd" if space == "Sbar_minus" else "ThetaNull"
-    classes = {theta_name: pic.named_class(g, theta_name).to_json_dict()}
+    if g < 2:
+        raise ValueError(f"divisor classes need g >= 2, got {g}")
+    theta_name, theta_from = ("Z_odd", 3) if space == "Sbar_minus" else ("ThetaNull", 2)
+    classes = {}
+    if g >= theta_from:
+        classes[theta_name] = pic.named_class(g, theta_name).to_json_dict()
     if g >= 4:
         classes["canonical"] = pic.canonical_class(g, space).to_json_dict()
     if g >= 3:
@@ -221,37 +225,33 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    # Also accepted after the subcommand; SUPPRESS keeps an absent flag
-    # from clobbering the value parsed by the main parser.
-    p.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    p.add_argument(
-        "--output",
-        choices=("json", "table"),
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # The shared flags go on the main parser and on every subparser, so they
+    # are accepted before and after the subcommand.  SUPPRESS keeps an absent
+    # flag out of the namespace, so it never clobbers a value parsed earlier;
+    # when both positions are given, the later (inner) parser wins.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", help="JSON file overriding the run configuration")
+    common.add_argument("--output", choices=("json", "table"), help="report format (default json)")
+    tol = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    tol.add_argument("--tol", type=float, help="absolute truncation tolerance")
+
     parser = argparse.ArgumentParser(
         prog="thetachar",
         description="Theta characteristics: enumeration, numerics, and moduli slopes.",
-    )
-    parser.add_argument("--config", help="JSON file overriding the run configuration")
-    parser.add_argument(
-        "--output", choices=("json", "table"), help="report format (default json)"
+        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("forms", help="enumerate quadratic forms / characteristics")
+    p = sub.add_parser(
+        "forms", parents=[common], help="enumerate quadratic forms / characteristics"
+    )
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--parity", choices=("even", "odd", "all"), default="all")
     p.add_argument("--count", action="store_true", help="print only the count")
-    _add_common(p)
     p.set_defaults(handler=_cmd_forms)
 
-    p = sub.add_parser("systems", help="enumerate characteristic systems")
+    p = sub.add_parser("systems", parents=[common], help="enumerate characteristic systems")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument(
         "--kind",
@@ -259,54 +259,48 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--count", action="store_true", help="print only the count")
-    _add_common(p)
     p.set_defaults(handler=_cmd_systems)
 
-    p = sub.add_parser("theta", help="evaluate a theta function with characteristic")
+    p = sub.add_parser(
+        "theta", parents=[common, tol], help="evaluate a theta function with characteristic"
+    )
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--tau", required=True, help="period matrix as JSON rows of [re, im]")
     p.add_argument("--char", required=True, help="characteristic 'epsbits;deltabits'")
     p.add_argument("--z", help="argument vector as JSON (default 0)")
-    p.add_argument("--tol", type=float, help="absolute truncation tolerance")
-    _add_common(p)
     p.set_defaults(handler=_cmd_theta)
 
-    p = sub.add_parser("amplitude", help="subspace sums and the Xi combination")
+    p = sub.add_parser(
+        "amplitude", parents=[common, tol], help="subspace sums and the Xi combination"
+    )
     p.add_argument("--genus", type=int)
     p.add_argument("--tau", help="period matrix as JSON rows of [re, im]")
-    p.add_argument("--tol", type=float, help="absolute truncation tolerance")
-    amp_sub = p.add_subparsers(dest="mode")
-    q = amp_sub.add_parser(
-        "check-factorization", help="residual of Xi(diag) against the product"
+    p.set_defaults(handler=_cmd_amplitude, mode=None)
+    q = p.add_subparsers(dest="mode").add_parser(
+        "check-factorization",
+        parents=[common, tol],
+        help="residual of Xi(diag) against the product",
     )
     q.add_argument("--g", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--tau1", required=True)
     q.add_argument("--tau2", required=True)
-    q.add_argument(
-        "--tol", type=float, default=argparse.SUPPRESS, help="absolute truncation tolerance"
-    )
-    _add_common(p)
-    _add_common(q)
-    p.set_defaults(handler=_cmd_amplitude, mode=None)
     q.set_defaults(handler=_cmd_amplitude, mode="check-factorization")
 
-    p = sub.add_parser("boundary", help="dual-graph fibre reports")
+    p = sub.add_parser("boundary", parents=[common], help="dual-graph fibre reports")
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--report", choices=("components", "degrees"), default="components")
-    _add_common(p)
     p.set_defaults(handler=_cmd_boundary)
 
-    p = sub.add_parser("picard", help="divisor classes, slopes, verdicts")
+    p = sub.add_parser("picard", parents=[common], help="divisor classes, slopes, verdicts")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument(
         "--space", choices=("odd", "even", "Sbar_minus", "Sbar_plus"), required=True
     )
     p.add_argument("--report", choices=("classes", "slope", "verdict"), default="slope")
-    _add_common(p)
     p.set_defaults(handler=_cmd_picard)
 
-    p = sub.add_parser("verify", help="run the acceptance criteria")
+    p = sub.add_parser("verify", parents=[common], help="run the acceptance criteria")
     p.add_argument("--seed", type=int, help="seed for randomized checks")
     p.add_argument(
         "--only",
@@ -315,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="run only these 1-based criteria",
     )
-    _add_common(p)
     p.set_defaults(handler=_cmd_verify, only=None)
 
     return parser
@@ -328,9 +321,10 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+        config = getattr(args, "config", None)
+        cfg = RunConfig.from_file(config) if config else RunConfig()
         cfg = cfg.override(
-            output=args.output,
+            output=getattr(args, "output", None),
             tolerance=getattr(args, "tol", None),
             seed=getattr(args, "seed", None),
         )

@@ -61,6 +61,11 @@ def _check_block(value: int, g: int, what: str) -> None:
         raise ValueError(f"{what} must be a {g}-bit value, got {value}")
 
 
+def _same_genus(a, b) -> None:
+    if a.g != b.g:
+        raise ValueError(f"genus mismatch: {a.g} vs {b.g}")
+
+
 def _hex_width(g: int) -> int:
     return (g + 3) // 4
 
@@ -115,8 +120,7 @@ class F2Vector:
         return f"{self.e:0{w}x}:{self.f:0{w}x}"
 
     def __add__(self, other: "F2Vector") -> "F2Vector":
-        if self.g != other.g:
-            raise ValueError(f"genus mismatch: {self.g} vs {other.g}")
+        _same_genus(self, other)
         return F2Vector(self.g, self.e ^ other.e, self.f ^ other.f)
 
 
@@ -248,6 +252,57 @@ def _pairing_masks(g: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def _reverse_search(
+    n: int, admissible: int, masks: tuple[int, ...], depth: int
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Reduced-echelon bases of subspaces of F2^n, by dimension 0..depth.
+
+    Listed are the subspaces with a basis of admissible vectors (bit v of
+    the int admissible) that pair to 0 with each other, where masks[v] is
+    the 2^n-bit set {t : <v, t> = 1} of a pairing; with an all-zero table
+    nothing pairs to 1, and every subspace with an admissible basis is
+    listed.
+
+    This is a reverse search: the parent of a subspace is the span of its
+    reduced basis without the last row (the lowest pivot), so each
+    subspace is built exactly once, from its parent, and nothing is
+    reduced or deduplicated.  A basis r_1..r_j with lowest pivot p_j is
+    extended by v when v is admissible, pairs to 0 with every row, and has
+    its leading bit below p_j and set in no row; then r_1..r_j, v is
+    reduced as it stands (v, being below p_j, misses every pivot).  The
+    admissible vectors that pair to 0 with every row are one 2^n-bit mask,
+    carried down the search and cut by the complement of masks[v] at each
+    step.
+
+    Each level is in (descending pivots, rows) order, the canonical order
+    of subspace lists, with no sort of the bases: the children with pivot
+    set Q all have parents with pivot set Q minus its lowest pivot, so
+    with the parents in order, each extended by ascending v, the bucket of
+    Q fills in row order; the buckets are joined by descending pivot mask,
+    which is the order of descending pivots.
+    """
+    # (basis, candidate mask, pivot mask, union of the rows' bits)
+    nodes = [((), admissible, 0, 0)]
+    levels = [((),)]
+    for _ in range(depth):
+        children = {}
+        for basis, cand, pivots, used in nodes:
+            for p in range(basis[-1].bit_length() - 1 if basis else n):
+                if used >> p & 1:
+                    continue
+                lead = 1 << p
+                block = cand >> lead & ((1 << lead) - 1)
+                bucket = children.setdefault(pivots | lead, [])
+                while block:
+                    bit = block & -block
+                    block ^= bit
+                    v = lead | (bit.bit_length() - 1)
+                    bucket.append((basis + (v,), cand & ~masks[v], pivots | lead, used | v))
+        nodes = [node for key in sorted(children, reverse=True) for node in children[key]]
+        levels.append(tuple(node[0] for node in nodes))
+    return tuple(levels)
+
+
 @lru_cache(maxsize=None)
 def _isotropic_bases(g: int, singular: bool) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Reduced-echelon bases of the isotropic subspaces of F2^2g, by dimension.
@@ -255,44 +310,12 @@ def _isotropic_bases(g: int, singular: bool) -> tuple[tuple[tuple[int, ...], ...
     Entry j holds the j-dimensional subspaces on which the pairing
     vanishes, for j = 0..g.  With singular=True they must also be totally
     singular for q0(v) = v_e.v_f, the parity form of characteristics, so
-    they are the totally-even spans.
-
-    This is a reverse search: the parent of a subspace is the span of its
-    reduced basis without the last row (the lowest pivot), so each
-    subspace is built exactly once, from its parent, and nothing is
-    reduced or deduplicated.  A basis r_1..r_j with lowest pivot p_j is
-    extended by v when v is admissible (nonzero, and q0(v) = 0 if
-    singular), pairs to 0 with every row, and has its leading bit below
-    p_j and set in no row; then r_1..r_j, v is reduced as it stands (v,
-    being below p_j, misses every pivot).  The admissible vectors that
-    pair to 0 with every row are one 4^g-bit mask, carried down the
-    search and cut by the complement of _pairing_masks(g)[v] at each
-    step.  Each level is sorted by (descending pivots, rows), which is the
-    order of enumerate_subspaces.
+    they are the totally-even spans.  A _reverse_search with the pairing
+    masks; admissible rows are the nonzero vectors, and with singular=True
+    only those with q0(v) = 0.
     """
-    n = 1 << (2 * g)
-    masks = _pairing_masks(g)
-    admissible = sum(1 << v for v in range(1, n) if not (singular and _q0(v, g)))
-    # (basis, candidate mask, lowest pivot, union of the rows' bits)
-    nodes = [((), admissible, 2 * g, 0)]
-    levels = [((),)]
-    for _ in range(g):
-        children = []
-        for basis, cand, low, used in nodes:
-            for p in range(low):
-                if used >> p & 1:
-                    continue
-                lead = 1 << p
-                block = cand >> lead & ((1 << lead) - 1)
-                while block:
-                    bit = block & -block
-                    block ^= bit
-                    v = lead | (bit.bit_length() - 1)
-                    children.append((basis + (v,), cand & ~masks[v], p, used | v))
-        children.sort(key=lambda node: ([-r.bit_length() for r in node[0]], node[0]))
-        nodes = children
-        levels.append(tuple(node[0] for node in nodes))
-    return tuple(levels)
+    admissible = sum(1 << v for v in range(1, 4**g) if not (singular and _q0(v, g)))
+    return _reverse_search(2 * g, admissible, _pairing_masks(g), g)
 
 
 def _pivot_mask(basis) -> int:
@@ -317,8 +340,7 @@ def _span(basis) -> list[int]:
 
 def weil_pairing(u: F2Vector, v: F2Vector) -> int:
     """<u, v> = sum_i u_ei v_fi + u_fi v_ei mod 2."""
-    if u.g != v.g:
-        raise ValueError(f"genus mismatch: {u.g} vs {v.g}")
+    _same_genus(u, v)
     return _packed_pairing(u.packed, v.packed, u.g)
 
 
@@ -328,8 +350,7 @@ def eval_form(q: Characteristic, x: F2Vector) -> int:
     This is what the polarity expansion collapses to in the split basis;
     the test suite checks it against a naive recursive expansion.
     """
-    if q.g != x.g:
-        raise ValueError(f"genus mismatch: {q.g} vs {x.g}")
+    _same_genus(q, x)
     return bit_parity(x.e & x.f) ^ bit_parity(q.eps & x.e) ^ bit_parity(q.delta & x.f)
 
 
@@ -340,15 +361,13 @@ def arf(q: Characteristic) -> int:
 
 def translate_form(q: Characteristic, v: F2Vector) -> Characteristic:
     """(q + v)(x) = q(x) + <v, x>; note the block swap in basis values."""
-    if q.g != v.g:
-        raise ValueError(f"genus mismatch: {q.g} vs {v.g}")
+    _same_genus(q, v)
     return Characteristic(q.g, q.eps ^ v.f, q.delta ^ v.e)
 
 
 def form_difference(q1: Characteristic, q2: Characteristic) -> F2Vector:
     """The unique v with q1 + v == q2."""
-    if q1.g != q2.g:
-        raise ValueError(f"genus mismatch: {q1.g} vs {q2.g}")
+    _same_genus(q1, q2)
     return F2Vector(q1.g, q1.delta ^ q2.delta, q1.eps ^ q2.eps)
 
 
@@ -396,8 +415,7 @@ def transvection(v: F2Vector) -> SpMatrix:
 
 
 def mat_mul(a: SpMatrix, b: SpMatrix) -> SpMatrix:
-    if a.g != b.g:
-        raise ValueError(f"genus mismatch: {a.g} vs {b.g}")
+    _same_genus(a, b)
     return SpMatrix(a.g, tuple(gf2_mul(a.rows, b.rows)))
 
 
@@ -407,8 +425,7 @@ def sp_apply(m: SpMatrix, t: F2Vector | Characteristic) -> F2Vector | Characteri
     A form c moves by Igusa's affine map c -> J(M(J c) + q^) (see the
     module docstring), read off the rows of M, so no inverse is taken.
     """
-    if m.g != t.g:
-        raise ValueError(f"genus mismatch: {m.g} vs {t.g}")
+    _same_genus(m, t)
     if isinstance(t, F2Vector):
         return F2Vector.from_packed(t.g, gf2_matvec(m.rows, t.packed))
     # J c is (delta | eps), and J swaps the halves of the result back

@@ -59,14 +59,13 @@ line that stays at or above C before any of its points is touched
 (Deconinck et al., section 5; Agostini and Chua, 2021).  The rows of the
 lines left take the same BLAS products as the whole box would and go
 back to box order, so the same points are summed in the same order.  On
-smaller boxes one pass over the whole box is cheaper (the two cross
-between 6,561 and 14,641 points at g = 4).  A table keeps the rows with
-m'Ym + sum_k min(0, (Ym)_k) < C, a lower bound on s'Ys for every eps, so
-they hold every per-eps ellipsoid {s'Ys < C}.  With K points kept, the
-error bound is T + (N - K) exp(-pi C) <= tol.  Summation order is fixed —
-shells of increasing |m|_inf, lexicographic within a shell, and the
-kept points in that order (a table groups them by parity class first) —
-so repeated evaluations are bit-reproducible.
+smaller boxes one pass over the whole box is cheaper (see _LINE_CUT).  A
+table keeps the rows with m'Ym + sum_k min(0, (Ym)_k) < C, a lower bound
+on s'Ys for every eps, so they hold every per-eps ellipsoid {s'Ys < C}.
+With K points kept, the error bound is T + (N - K) exp(-pi C) <= tol.
+Summation order is fixed — shells of increasing |m|_inf, lexicographic
+within a shell, and the kept points in that order (a table groups them
+by parity class first) — so repeated evaluations are bit-reproducible.
 
 Accuracy contract: double precision throughout; tolerances below 1e-13
 are rejected, and callers should keep Im tau >= 0.3 I (the truncation
@@ -326,14 +325,7 @@ def _kept(exponent: np.ndarray, cutoff: float) -> np.ndarray:
 
     The one selection both lattice sums make: what it leaves out is charged
     to the error bound, and the rows it keeps are a subsequence of the box,
-    so sums over them stay bit-reproducible.  On a large box a single
-    evaluation first uses it to drop whole lines along the last coordinate
-    (_line_rows: a line whose minimum over real m_g is at least C holds no
-    point below C) and then on the rows of the lines left, which go back
-    to box order by their positions in the box.  On a box of at most
-    _LINE_CUT points it runs once over the whole box (_box_rows), which
-    is cheaper there: the two cross between 6,561 and 14,641 points at
-    g = 4 (see _LINE_CUT).
+    so sums over them stay bit-reproducible.
     """
     return (exponent < cutoff).nonzero()[0]
 
@@ -533,29 +525,12 @@ def theta_constant_table(tau: PeriodMatrix, tol=Tolerance()) -> np.ndarray:
     therefore takes 2^g weight vectors, not 4^g lattice sums, and
     theta_constant reads it.
 
-    The box is that of a single evaluation at z = 0.  One BLAS pass over
-    it gives Ym and m'Ym, and only the K rows with
-    m'Ym + sum_k min(0, (Ym)_k) < C are summed (see _table_rows): every
-    other box point has s'Ys >= C for every eps, so each entry misses at
-    most T + (N - K) exp(-pi C) <= tol.  The weights come from the split
-    at z = 0, over the kept rows.  The magnitude of w_eps is
-    exp(-pi (m'Ym + Ym.eps + eps'Y eps/4)) = exp(-pi s'Ys) <= 1.  The
-    phase is
-
-        cis(pi m'Xm) prod_{k in eps} cis(pi Xm[:, k]) cis(pi eps'X eps/4),
-
-    and cis(pi Xm[:, k]) = prod_j cis(pi X_jk m_j) is read from a
-    g x g x (2R + 1) table of factors (_phase_columns), so a kept row takes
-    one complex exp, for cis(pi m'Xm), not one per eps.  The eps run in
-    blocks of 16 weight rows (all 2^g of them for g <= 4): the phases of a
-    block by doubling (row eps + 2^j is row eps times one column), the
-    magnitudes by one real exp over the block, and the class sums by one
-    reduction over the rows grouped by class.  The constant factor
-    multiplies the 2^g class sums.  Working memory is O(N g) for N box
-    points: two box-sized arrays for the cut, then two 16 x K blocks.
-    Every odd entry must vanish to twice the truncation charge plus a
-    rounding bound, or the table raises InvariantError (_check_odd).
-    Tables are cached per (tau, tol), 16 at a time.
+    The box is that of a single evaluation at z = 0, and only the K rows
+    that _table_rows keeps are summed, so each entry misses at most
+    T + (N - K) exp(-pi C) <= tol; _table assembles their weights.  Every
+    odd entry must vanish to twice that charge plus a rounding bound, or
+    the table raises InvariantError (_check_odd).  Tables are cached per
+    (tau, tol), 16 at a time.
     """
     return _table(tau, Tolerance.coerce(tol))
 
@@ -622,6 +597,23 @@ def _check_odd(table: np.ndarray, odd: np.ndarray, charge: float, scale: np.ndar
 
 @lru_cache(maxsize=16)
 def _table(tau: PeriodMatrix, tol: Tolerance) -> np.ndarray:
+    """theta_constant_table, summed from the weights of the kept rows.
+
+    The weights come from the split at z = 0.  The magnitude of w_eps is
+    exp(-pi (m'Ym + Ym.eps + eps'Y eps/4)) = exp(-pi s'Ys) <= 1, and the
+    phase is
+
+        cis(pi m'Xm) prod_{k in eps} cis(pi Xm[:, k]) cis(pi eps'X eps/4),
+
+    with the columns cis(pi Xm[:, k]) read by lookup (_phase_columns), so
+    a kept row takes one complex exp, for cis(pi m'Xm), not one per eps.
+    The eps run in blocks of b = 2^low weight rows, low = min(g, 4): the
+    phases of a block by doubling over the last low coordinates (row
+    eps + 2^j is row eps times column g-1-j), the magnitudes by one real
+    exp of the block, and the class sums by one reduction over the rows
+    grouped by class.  The constant factor multiplies the 2^g class sums.
+    After the cut, two (b, K) buffers serve every block.
+    """
     g = tau.g
     n = 1 << g
     arg = ThetaArg.zero(g)
@@ -637,10 +629,6 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> np.ndarray:
     counts = np.bincount(classes, minlength=n)
     starts = np.cumsum(counts) - counts  # no class is empty (see _table_rows)
     corners = ((blocks @ y) * blocks) @ np.ones(g) / 4.0
-    # The weights of b eps at a time, b = 2^low, low = min(g, 4): the
-    # phases by doubling over the last low coordinates (row eps + 2^j is
-    # row eps times column g-1-j), the magnitudes by one real exp of the
-    # block.  Two (b, K) buffers serve every block.
     b = min(n, _BLOCK)
     low = b.bit_length() - 1
     w = np.empty((b, len(keep)), dtype=complex)

@@ -8,10 +8,11 @@ off from the count of zeros of the form rather than any closed formula.
 The exceptions are the earlier, plainer routes that the library's fast
 ones must match element for element: oracle_extend_systems, the azygetic
 backtracker on packed ints, which tests every candidate by the pairing
-itself; oracle_isotropic_bases, which extends isotropic bases by every
-admissible vector and deduplicates by reduction; oracle_lattice, the
-truncation box sorted by a Python key; and oracle_sp_apply_form, which
-moves a form by a Gauss-Jordan inverse and 2g evaluations.
+itself; oracle_isotropic_bases and oracle_subspace_bases, which extend
+isotropic or arbitrary bases by every admissible vector and deduplicate
+by reduction; oracle_lattice, the truncation box sorted by a Python key;
+and oracle_sp_apply_form, which moves a form by a Gauss-Jordan inverse
+and 2g evaluations.
 
 Run as a script to reprint every frozen reference value used by the suite,
 the azygetic-search counts of the backtracker next to the library's, and
@@ -292,6 +293,25 @@ def oracle_isotropic_bases(g, singular):
             pivots = sum(1 << (row.bit_length() - 1) for row in basis)
             for v in admissible:
                 if not v & pivots and not any(packed_pairing(v, row, g) for row in basis):
+                    found.add(rref(basis + (v,)))
+        levels.append(tuple(sorted(found, key=lambda b: ([-r.bit_length() for r in b], b))))
+    return tuple(levels)
+
+
+def oracle_subspace_bases(n):
+    """Every subspace of F2^n by extension, reduction and dedup, by dimension.
+
+    Level j+1 extends every basis of level j by every nonzero vector with
+    no bit on a pivot, reduces the extended basis and keeps one copy per
+    subspace.  Each level is sorted by (descending pivots, rows).
+    """
+    levels = [((),)]
+    for _ in range(n):
+        found = set()
+        for basis in levels[-1]:
+            pivots = sum(1 << (row.bit_length() - 1) for row in basis)
+            for v in range(1, 2**n):
+                if not v & pivots:
                     found.add(rref(basis + (v,)))
         levels.append(tuple(sorted(found, key=lambda b: ([-r.bit_length() for r in b], b))))
     return tuple(levels)

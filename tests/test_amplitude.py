@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import oracle_subspace_counts, totally_singular_count
+from oracles import oracle_subspace_bases, oracle_subspace_counts, totally_singular_count
 from thetachar.amplitude import (
     P_W,
     P_i_g,
@@ -71,6 +71,15 @@ def test_enumeration_is_canonical_and_guarded():
         enumerate_subspaces(10, 2)
     with pytest.raises(ValueError):
         enumerate_subspaces(4, 5)
+
+
+def test_enumeration_order_matches_extend_and_dedup_oracle():
+    # the reverse search shared with the isotropic lists, against a plain
+    # extend-reduce-dedup listing sorted by (descending pivots, rows)
+    for n in range(7):
+        levels = oracle_subspace_bases(n)
+        for i in range(n + 1):
+            assert [s.basis for s in enumerate_subspaces(n, i)] == list(levels[i]), (n, i)
 
 
 def test_subspace_canonicalization():

@@ -218,16 +218,19 @@ def test_amplitude_check_factorization(capsys):
 
 
 def test_check_factorization_tol_in_both_positions(capsys):
+    # the reported tolerance is the one given; given twice, the inner one wins
     tail = ["--g", "2", "--k", "1", "--tau1", TAU_1_JSON, "--tau2", TAU_1_JSON]
     tolerances = []
     for args in (
         ["amplitude", "--tol", "1e-6", "check-factorization", *tail],
-        ["amplitude", "check-factorization", "--tol", "1e-6", *tail],
+        ["amplitude", "check-factorization", "--tol", "1e-7", *tail],
+        ["amplitude", "check-factorization", *tail, "--tol", "1e-8"],
+        ["amplitude", "--tol", "1e-6", "check-factorization", *tail, "--tol", "1e-9"],
         ["amplitude", "check-factorization", *tail],
     ):
         assert run(args) == 0
         tolerances.append(json.loads(capsys.readouterr().out)["tolerance"])
-    assert tolerances == [1e-6, 1e-6, 1e-12]
+    assert tolerances == [1e-6, 1e-7, 1e-8, 1e-9, 1e-12]
 
 
 def test_boundary_reports(tmp_path, capsys):
@@ -263,6 +266,13 @@ def test_picard_reports(capsys):
     assert data["classes"]["ThetaNull"]["coeffs"]["alpha_0"] == "-1/16"
     assert "BN_pullback" in data["classes"]
 
+    # each class only in its range: Z_odd from g = 3, ThetaNull from g = 2
+    assert run(["picard", "--genus", "2", "--space", "odd", "--report", "classes"]) == 0
+    assert json.loads(capsys.readouterr().out)["classes"] == {}
+    for space in ("odd", "even"):
+        assert run(["picard", "--genus", "1", "--space", space, "--report", "classes"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 def test_picard_slopes_and_verdicts_are_frozen(capsys):
     # sha256 of the concatenated stdout for g = 4..30, odd then even cover
@@ -282,14 +292,15 @@ def test_picard_slopes_and_verdicts_are_frozen(capsys):
 def test_picard_classes_and_combinations_are_frozen(capsys):
     # sha256 of every classes report (exit code, then stdout) for g = 2..31,
     # odd then even cover, and of str(combined) for g = 4..30; both taken
-    # when a class was still a tuple of (symbol, Fraction) pairs
+    # when a class was still a tuple of (symbol, Fraction) pairs, the first
+    # taken again when g = 2 on the odd cover became an empty report
     out = []
     for g in range(2, 32):
         for space in ("odd", "even"):
             code = run(["picard", "--genus", str(g), "--space", space, "--report", "classes"])
             out.append(f"{code}\n{capsys.readouterr().out}")
     digest = hashlib.sha256("".join(out).encode()).hexdigest()
-    assert digest == "0f772250f693e2272076f3e7aa6de709a52252c166cd0ec179b8ec40e9460f6f"
+    assert digest == "80bca10f866b8a92774cd8cb3ebdddca43bba594b45e05866ca942ccf0506df2"
     combined = "".join(
         f"{slope_combination(g, space).combined}\n"
         for g in range(4, 31)
@@ -300,23 +311,37 @@ def test_picard_classes_and_combinations_are_frozen(capsys):
 
 
 def test_output_table_flag_in_both_positions(capsys):
-    assert run(["--output", "table", "picard", "--genus", "12", "--space", "odd"]) == 0
-    before = capsys.readouterr().out
-    assert run(["picard", "--genus", "12", "--space", "odd", "--output", "table"]) == 0
-    after = capsys.readouterr().out
-    assert before == after
-    assert "lambda_slope" in before
-    with pytest.raises(json.JSONDecodeError):
-        json.loads(before)
+    # before, inside and after the subcommands; given twice, the inner one wins
+    factorization = ["check-factorization", "--g", "2", "--k", "1",
+                     "--tau1", TAU_1_JSON, "--tau2", TAU_1_JSON]
+    for command, key in (
+        (["picard", "--genus", "12", "--space", "odd"], "lambda_slope"),
+        (["amplitude", *factorization], "residual"),
+    ):
+        outs = []
+        for args in (
+            ["--output", "table", *command],
+            [command[0], "--output", "table", *command[1:]],
+            [*command, "--output", "table"],
+            ["--output", "json", *command, "--output", "table"],
+        ):
+            assert run(args) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs == [outs[0]] * len(outs)
+        assert key in outs[0]
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(outs[0])
 
 
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"output": "table", "tolerance": 1e-10}))
-    assert run(["theta", "--genus", "1", "--tau", TAU_1_JSON, "--char", "0;0",
-                "--config", str(cfg)]) == 0
+    theta = ["theta", "--genus", "1", "--tau", TAU_1_JSON, "--char", "0;0"]
+    assert run([*theta, "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "tolerance" in out and "1e-10" in out
+    assert run(["--config", str(cfg), *theta]) == 0
+    assert capsys.readouterr().out == out
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"tolrance": 1e-10}))
