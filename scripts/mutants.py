@@ -1,0 +1,164 @@
+"""Plant each listed mutant in a copy of the tree and report what catches it.
+
+A mutant is one exact text replacement in one source file: (name, file,
+old text, new text), the old text occurring exactly once in src/ (a
+tier-1 test keeps that so).  For each mutant the script copies src/,
+tests/, scripts/ and bench/ to a temporary directory, plants the mutant
+there, runs the tier-1 suite and `thetachar verify` in the copy, and
+prints the tests that fail and the criteria that fail.  The working tree
+is only read.  An unmutated copy runs first; what fails there is left
+out of every mutant's list.
+
+The mutants nothing catches are the to-do list for tests; those no
+`verify` criterion catches, for runtime checks.  A mutant that one
+change plants to check a test belongs in this list.
+
+Usage:
+    python scripts/mutants.py [--only NAME ...] [--json]
+
+Each mutant runs the whole suite, about 15 s on two cores.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "scripts", "bench")
+# the tier-1 test that checks this list; under a mutant it fails by design
+LIST_TEST = "tests/test_scripts.py::test_every_mutant_applies_once"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the root of the tree
+    old: str
+    new: str
+
+
+_THETA = "src/thetachar/theta.py"
+MUTANTS = (
+    # the row and column gathers of the theta kernels, each picking wrong entries
+    Mutant("theta-sum-rows", _THETA, "np.take(m, keep, axis=0)", "np.take(m, keep[::-1], axis=0)"),
+    Mutant("line-rows-lines", _THETA, "cutoff + slack), axis=0)", "cutoff + slack) + 1, axis=0)"),
+    Mutant("line-rows-points", _THETA, "np.take(_lattice(g, radius), pos, axis=0)",
+           "np.take(_lattice(g, radius), pos[::-1], axis=0)"),
+    Mutant("phase-columns-first", _THETA, "np.take(factors[0], index[0], axis=1)",
+           "np.take(factors[0], index[0][::-1], axis=1)"),
+    Mutant("phase-columns-shift", _THETA, "np.take(factors[j], index[j], axis=1)",
+           "np.take(factors[j], index[j - 1], axis=1)"),
+    Mutant("table-rows-box-order", _THETA, "np.take(_lattice(g, radius), keep, axis=0)",
+           "np.take(_lattice(g, radius), np.sort(keep), axis=0)"),
+    # the table's row cut and phase lookup
+    Mutant("table-cut-bare", _THETA, "low += np.minimum(ym, 0.0, out=ym)", "low += 0.0"),
+    Mutant("phase-lookup-offset", _THETA, "np.arange(-radius, radius + 1.0)",
+           "np.arange(1 - radius, radius + 2.0)"),
+    # the single evaluation's line cut
+    Mutant("line-gamma", _THETA, "gamma = c0 - bg * bg / (4.0 * yg)", "gamma = c0"),
+    Mutant("line-beta-sign", _THETA, "beta = b[:-1] - bg / yg * col", "beta = b[:-1] + bg / yg * col"),
+    Mutant("line-box-order", _THETA, "return pos[order], im[order]", "return pos, im"),
+    Mutant("line-slack-size", _THETA, "size += w * w * yg + abs(bg) * w + bg * bg / (4.0 * yg)",
+           "size += 0.0"),
+    # the subspace search and the Sp action
+    Mutant("search-leading-bit", "src/thetachar/symplectic.py",
+           "range(basis[-1].bit_length() - 1 if basis else n)", "range(n)"),
+    Mutant("search-level-order", "src/thetachar/symplectic.py",
+           "sorted(children, reverse=True)", "sorted(children)"),
+    Mutant("sp-apply-no-parities", "src/thetachar/symplectic.py",
+           "t.delta << m.g | t.eps) ^ m._row_parities", "t.delta << m.g | t.eps)"),
+    # the exact divisor-class layer
+    Mutant("divclass-rescale", "src/thetachar/picard.py",
+           "num, den = [n * scale for n in num], den * scale", "den = den * scale"),
+    Mutant("divclass-lowest-terms", "src/thetachar/picard.py", "        if d > 1:", "        if False:"),
+    Mutant("pullback-unramified", "src/thetachar/picard.py",
+           "num = [n[0], n[1], 2 * n[1]]", "num = [n[0], n[1], n[1]]"),
+    Mutant("bound-strict", "src/thetachar/picard.py", "not -n >= 2 * den", "not -n > 2 * den"),
+    Mutant("forest-graft", "src/thetachar/boundary.py", "path[w] ^= mask", "path[w] ^= 1 << j ^ path[v]"),
+)
+
+
+def _env(tree: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+            "OPENBLAS_NUM_THREADS": "1"}
+
+
+def failing_tests(tree: Path) -> list[str]:
+    """The ids of the tier-1 tests that fail or error in the tree."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "tests", "--rootdir", str(tree), "-q", "-p", "no:cacheprovider",
+         "--tb=no", "-rfE", "--continue-on-collection-errors", "--deselect", LIST_TEST],
+        cwd=tree, env=_env(tree), capture_output=True, text=True, timeout=900,
+    )
+    return [line.split()[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+
+
+def failing_criteria(tree: Path) -> list[str]:
+    """The `verify` criteria that fail in the tree, as "index: details"."""
+    proc = subprocess.run([sys.executable, "-m", "thetachar.cli", "verify", "--output", "json"],
+                          cwd=tree, env=_env(tree), capture_output=True, text=True, timeout=600)
+    try:
+        criteria = json.loads(proc.stdout)["criteria"]
+    except (ValueError, KeyError):
+        return [f"crash: exit {proc.returncode}, {proc.stderr.strip().splitlines()[-1:]}"]
+    return [f"{c['index']}: {c['details']}" for c in criteria if not c["passed"]]
+
+
+def run(mutant: Mutant | None) -> tuple[list[str], list[str]]:
+    """Failing tests and criteria in a fresh copy of the tree, with the mutant planted."""
+    with tempfile.TemporaryDirectory(prefix="thetachar-mutant-") as tmp:
+        tree = Path(tmp)
+        for name in COPIED:
+            shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
+        if mutant is not None:
+            path = tree / mutant.file
+            text = path.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                raise SystemExit(f"error: {mutant.name}: the old text occurs {text.count(mutant.old)} times")
+            path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        return failing_tests(tree), failing_criteria(tree)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
+    parser.add_argument("--json", action="store_true")
+    args = parser.parse_args()
+    chosen = [m for m in MUTANTS if args.only is None or m.name in args.only]
+    if args.only and len(chosen) != len(set(args.only)):
+        parser.error(f"unknown mutant among {args.only}")
+
+    base_tests, base_criteria = run(None)
+    if base_tests or base_criteria:
+        print(f"unmutated copy fails: {base_tests + base_criteria}", file=sys.stderr)
+    rows = []
+    for m in chosen:
+        tests, criteria = run(m)
+        rows.append({"name": m.name, "file": m.file,
+                     "tests": [t for t in tests if t not in base_tests],
+                     "criteria": [c for c in criteria if c not in base_criteria]})
+        if not args.json:
+            row = rows[-1]
+            print(f"{m.name}: {len(row['tests'])} tests, criteria {[c.split(':')[0] for c in row['criteria']]}")
+            for name in row["tests"]:
+                print(f"    {name}")
+            for line in row["criteria"]:
+                print(f"    verify {line}")
+    missed_tests = [r["name"] for r in rows if not r["tests"]]
+    missed_verify = [r["name"] for r in rows if not r["criteria"]]
+    if args.json:
+        print(json.dumps({"baseline": {"tests": base_tests, "criteria": base_criteria}, "mutants": rows,
+                          "missed_by_tests": missed_tests, "missed_by_verify": missed_verify}, indent=2))
+    else:
+        print(f"missed by tier-1: {missed_tests or 'none'}")
+        print(f"missed by verify: {missed_verify or 'none'}")
+    return int(bool(missed_tests))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

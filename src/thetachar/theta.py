@@ -31,6 +31,13 @@ the factors exp(-pi Ym[:, k]) overflow long before the product underflows
 exp(-15661)).  Phases are unit-modulus, so the table factors them and
 reads the factors of cis(pi Xm[:, k]) from a lookup table.
 
+Two-dimensional gathers, of lattice rows and of phase columns, use
+np.take: fancy indexing of a (K, g) array takes numpy's general path,
+several times slower at g <= 4 (medians, one BLAS thread, the 2,940 rows
+of a g = 4 table: 57 against 9 us for the rows, 59 against 20 us for one
+phase column).  Both are exact copies.  One-dimensional gathers have their
+own fast path and keep plain indexing.
+
 Real parts are reduced exactly before summing.  For integral symmetric S
 and integral n,
 
@@ -396,8 +403,8 @@ def _line_rows(g: int, radius: int, y, b, c0: float, cutoff: float) -> tuple[np.
     size = np.abs(y).sum() + np.abs(b).sum() + abs(c0)
     size += w * w * yg + abs(bg) * w + bg * bg / (4.0 * yg)
     slack = 2.0 * (3 * g + 4) * _U * (radius + 1) ** 2 * size
-    pos = where[_kept(_exponents(heads, s, beta, gamma), cutoff + slack)].ravel()
-    im = _exponents(_lattice(g, radius)[pos], y, b, c0)
+    pos = np.take(where, _kept(_exponents(heads, s, beta, gamma), cutoff + slack), axis=0).ravel()
+    im = _exponents(np.take(_lattice(g, radius), pos, axis=0), y, b, c0)
     hit = _kept(im, cutoff)
     pos, im = pos[hit], im[hit]
     order = np.argsort(pos)
@@ -447,7 +454,7 @@ def _theta_sum(
     const = e @ te / 4.0 + e @ z
     rows = _line_rows if len(m) > _LINE_CUT else _box_rows
     keep, im = rows(g, radius, tau._y, lin.imag, const.imag, cutoff)
-    m = m[keep]
+    m = np.take(m, keep, axis=0)
     _, mxm = _quadratic(m, tau._x)
     re = mxm + m @ lin.real + (const.real + turns)
     return complex(np.sum(np.exp(-np.pi * im) * _cis(re))), keep.size
@@ -570,9 +577,9 @@ def _phase_columns(x: np.ndarray, m: np.ndarray, radius: int) -> np.ndarray:
     """
     factors = _cis(x[:, :, None] * np.arange(-radius, radius + 1.0))
     index = (m.T + radius).astype(np.intp, order="C")
-    columns = factors[0][:, index[0]]
+    columns = np.take(factors[0], index[0], axis=1)
     for j in range(1, x.shape[0]):
-        columns *= factors[j][:, index[j]]
+        columns *= np.take(factors[j], index[j], axis=1)
     return columns
 
 
@@ -620,7 +627,7 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> np.ndarray:
     radius = truncation_radius(tau, arg, tol)
     _, tail, cutoff = _numerics(tau, arg, tol)
     keep, classes = _table_rows(tau, radius, cutoff)
-    m = _lattice(g, radius)[keep]
+    m = np.take(_lattice(g, radius), keep, axis=0)
     x, y = tau._x, tau._y
     blocks = _blocks(g)
     ym, mym = _quadratic(m, y)

@@ -1,6 +1,7 @@
 """The command-line scripts under scripts/, run as a user runs them."""
 
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -79,3 +80,27 @@ def test_loc_skips_blanks_comments_and_docstrings():
         "    return x\n"
     )
     assert count(source) == (11, 4)
+
+
+def test_ab_times_a_tree_against_itself():
+    proc = _script("ab.py", str(ROOT / "src"), str(ROOT / "src"), "--rounds", "2", "--decks", "1", "--json")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["rounds"] == 2
+    assert sorted(report["workloads"]) == ["exact-census", "theta-points", "xi-g4"]
+    for row in report["workloads"].values():
+        assert sorted(row) == ["a_ms", "aa_ratio", "ab_ratio", "b_ms", "b_won", "failed"]
+        assert math.isfinite(row["ab_ratio"]) and math.isfinite(row["aa_ratio"])
+        assert row["failed"] == 0 and 0 <= row["b_won"] <= 2
+
+
+def test_every_mutant_applies_once():
+    # scripts/mutants.py plants each mutant by exact text: the text must
+    # stay in the source, once, or the mutant would silently stop planting
+    mutants = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))["MUTANTS"]
+    sources = {path: path.read_text(encoding="utf-8") for path in (ROOT / "src").rglob("*.py")}
+    assert len({m.name for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert m.old != m.new
+        assert sources[ROOT / m.file].count(m.old) == 1, m.name
+        assert sum(text.count(m.old) for text in sources.values()) == 1, m.name

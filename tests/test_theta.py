@@ -297,9 +297,9 @@ def test_odd_entries_are_checked_at_run_time(monkeypatch):
     assert run_acceptance(only=[5]).results[0] == passing  # the check prints nothing
     monkeypatch.undo()
     source = inspect.getsource(theta._phase_columns)
-    assert source.count("index[j]]") == 1
+    assert source.count("index[j],") == 1
     namespace = {}
-    exec(source.replace("index[j]]", "index[j - 1]]"), vars(theta), namespace)
+    exec(source.replace("index[j],", "index[j - 1],"), vars(theta), namespace)
     monkeypatch.setattr(theta, "_phase_columns", namespace["_phase_columns"])
     theta._table.cache_clear()
     with pytest.raises(InvariantError, match=r"odd theta\[2;2\] = .* exceeds its bound"):
