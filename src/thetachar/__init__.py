@@ -36,7 +36,6 @@ from .characteristics import (
     sp_group_order,
     triple_sum,
 )
-from .config import RunConfig
 from .picard import (
     DivClass,
     SlopeResult,

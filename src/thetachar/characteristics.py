@@ -41,6 +41,7 @@ from .symplectic import (
     _isotropic_bases,
     _pairing_masks,
     _pivot_mask,
+    _same_genus,
     _span,
     enumerate_forms,
     form_difference,
@@ -75,7 +76,8 @@ def all_characteristics(g: int) -> list[Characteristic]:
 
 def triple_sum(a: Characteristic, b: Characteristic, c: Characteristic) -> Characteristic:
     """Sum in the extended space: XOR on both blocks."""
-    _same_genus(a, b, c)
+    _same_genus(a, b)
+    _same_genus(a, c)
     return Characteristic(a.g, a.eps ^ b.eps ^ c.eps, a.delta ^ b.delta ^ c.delta)
 
 
@@ -89,7 +91,8 @@ def is_syzygetic(a: Characteristic, b: Characteristic, c: Characteristic) -> boo
     The pairing criterion <a+b, a+c> = 0 is computed alongside and the two
     must agree; a mismatch would mean the dictionary itself is broken.
     """
-    _same_genus(a, b, c)
+    _same_genus(a, b)
+    _same_genus(a, c)
     if a == b or a == c or b == c:
         raise ValueError("syzygy is defined for distinct characteristics")
     arf_sum = (
@@ -99,11 +102,6 @@ def is_syzygetic(a: Characteristic, b: Characteristic, c: Characteristic) -> boo
     if arf_sum != pairing:
         raise InvariantError(f"Arf sum and pairing disagree on {(a, b, c)}")
     return arf_sum == 0
-
-
-def _same_genus(*cs: Characteristic) -> None:
-    if len({c.g for c in cs}) > 1:
-        raise ValueError(f"genus mismatch among {cs}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .characteristics import (
     enumerate_syzygetic_tetrads,
     quartic_coordinate_check,
 )
-from .config import RunConfig
 from .symplectic import arf, enumerate_forms
 from .theta import PeriodMatrix, Tolerance, theta_report
 from .verify import run_acceptance
@@ -68,8 +67,8 @@ def parse_z(text: str, g: int) -> list[complex]:
     return [_parse_entry(x) for x in data]
 
 
-def _emit(payload: dict, cfg: RunConfig) -> None:
-    if cfg.output == "json":
+def _emit(payload: dict, output: str) -> None:
+    if output == "json":
         print(json.dumps(payload, indent=2))
         return
     width = max(len(key) for key in payload)
@@ -78,7 +77,7 @@ def _emit(payload: dict, cfg: RunConfig) -> None:
         print(f"{key:<{width}}  {rendered}")
 
 
-def _cmd_forms(args, cfg: RunConfig) -> int:
+def _cmd_forms(args) -> int:
     forms = enumerate_forms(args.genus, args.parity)
     if args.count:
         print(len(forms))
@@ -89,12 +88,12 @@ def _cmd_forms(args, cfg: RunConfig) -> int:
         listed.append({"qe": blocks["eps"], "qf": blocks["delta"], "arf": arf(q)})
     _emit(
         {"genus": args.genus, "parity": args.parity, "count": len(forms), "forms": listed},
-        cfg,
+        args.output,
     )
     return 0
 
 
-def _cmd_systems(args, cfg: RunConfig) -> int:
+def _cmd_systems(args) -> int:
     g = args.genus
     if args.kind == "aronhold":
         if g != 3:
@@ -103,7 +102,7 @@ def _cmd_systems(args, cfg: RunConfig) -> int:
         if args.count:
             print(census["azygetic_odd_7set_count"])
             return 0
-        _emit(census, cfg)
+        _emit(census, args.output)
         return 0
     if args.kind == "tetrads":
         systems = [CharSystem(g, t) for t in enumerate_syzygetic_tetrads(g)]
@@ -121,13 +120,13 @@ def _cmd_systems(args, cfg: RunConfig) -> int:
             "count": len(systems),
             "systems": [s.to_json_dict() for s in systems],
         },
-        cfg,
+        args.output,
     )
     return 0
 
 
-def _cmd_theta(args, cfg: RunConfig) -> int:
-    tol = Tolerance(cfg.tolerance)
+def _cmd_theta(args) -> int:
+    tol = Tolerance(args.tol)
     char = Characteristic.from_string(args.char)
     if char.g != args.genus:
         raise ValueError(f"characteristic has genus {char.g}, --genus says {args.genus}")
@@ -135,19 +134,19 @@ def _cmd_theta(args, cfg: RunConfig) -> int:
     z = parse_z(args.z, args.genus) if args.z else None
     report = theta_report(tau, z, char, tol)
     report["tolerance"] = tol.abs_tol
-    _emit(report, cfg)
+    _emit(report, args.output)
     return 0
 
 
-def _cmd_amplitude(args, cfg: RunConfig) -> int:
-    tol = Tolerance(cfg.tolerance)
+def _cmd_amplitude(args) -> int:
+    tol = Tolerance(args.tol)
     if args.mode == "check-factorization":
         tau1 = parse_period_matrix(args.tau1, args.k)
         tau2 = parse_period_matrix(args.tau2, args.g - args.k)
         residual = amp.factorization_residual(args.g, args.k, tau1, tau2, tol)
         _emit(
             {"g": args.g, "k": args.k, "residual": residual, "tolerance": tol.abs_tol},
-            cfg,
+            args.output,
         )
         return 0
     if args.genus is None or args.tau is None:
@@ -162,34 +161,34 @@ def _cmd_amplitude(args, cfg: RunConfig) -> int:
             "per_i": [{"i": i, "re": p.real, "im": p.imag} for i, p in enumerate(terms)],
             "tolerance": tol.abs_tol,
         },
-        cfg,
+        args.output,
     )
     return 0
 
 
-def _cmd_boundary(args, cfg: RunConfig) -> int:
+def _cmd_boundary(args) -> int:
     with open(args.graph, encoding="utf-8") as fh:
         graph = bnd.DualGraph.from_json_dict(json.load(fh))
     if args.report == "components":
-        _emit(bnd.th_components(graph).to_json_dict(), cfg)
+        _emit(bnd.th_components(graph).to_json_dict(), args.output)
         return 0
     _, g = bnd.betti_and_genus(graph)
     degrees = []
     for i in range(g // 2 + 1):
         deg_a, deg_b = bnd.boundary_degrees_odd(g, i)
         degrees.append({"i": i, "deg_A": deg_a, "deg_B": deg_b})
-    _emit({"genus": g, "degrees": degrees}, cfg)
+    _emit({"genus": g, "degrees": degrees}, args.output)
     return 0
 
 
-def _cmd_picard(args, cfg: RunConfig) -> int:
+def _cmd_picard(args) -> int:
     space = pic.resolve_space(args.space)
     g = args.genus
     if args.report == "verdict":
         print(pic.general_type_test(g, space))
         return 0
     if args.report == "slope":
-        _emit(pic.slope_combination(g, space).to_json_dict(), cfg)
+        _emit(pic.slope_combination(g, space).to_json_dict(), args.output)
         return 0
     if g < 2:
         raise ValueError(f"divisor classes need g >= 2, got {g}")
@@ -210,14 +209,14 @@ def _cmd_picard(args, cfg: RunConfig) -> int:
             "bn_applicable": pic.bn_applicable(g),
             "classes": classes,
         },
-        cfg,
+        args.output,
     )
     return 0
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
-    report = run_acceptance(cfg, only=args.only)
-    if cfg.output == "json":
+def _cmd_verify(args) -> int:
+    report = run_acceptance(seed=args.seed, only=args.only)
+    if args.output == "json":
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
         for line in report.render_lines():
@@ -231,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     # flag out of the namespace, so it never clobbers a value parsed earlier;
     # when both positions are given, the later (inner) parser wins.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--config", help="JSON file overriding the run configuration")
     common.add_argument("--output", choices=("json", "table"), help="report format (default json)")
     tol = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     tol.add_argument("--tol", type=float, help="absolute truncation tolerance")
@@ -301,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_picard)
 
     p = sub.add_parser("verify", parents=[common], help="run the acceptance criteria")
-    p.add_argument("--seed", type=int, help="seed for randomized checks")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument(
         "--only",
         type=int,
@@ -316,19 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
+    # The shared flags' defaults go in the starting namespace, not in
+    # set_defaults: the parsers share one action object per flag, so
+    # set_defaults on any of them would replace SUPPRESS on all of them.
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(output="json", tol=Tolerance().abs_tol))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        config = getattr(args, "config", None)
-        cfg = RunConfig.from_file(config) if config else RunConfig()
-        cfg = cfg.override(
-            output=getattr(args, "output", None),
-            tolerance=getattr(args, "tol", None),
-            seed=getattr(args, "seed", None),
-        )
-        return args.handler(args, cfg)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

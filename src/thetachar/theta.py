@@ -88,8 +88,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import InvariantError, check_tolerance
-from .symplectic import Characteristic
+from .config import InvariantError
+from .symplectic import Characteristic, _same_genus
 
 __all__ = [
     "PeriodMatrix",
@@ -118,12 +118,20 @@ _U = 2.0**-53  # unit roundoff of a double
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute tolerance for theta sums; double precision floor enforced."""
+    """Absolute tolerance for theta sums, in (1e-13, 1).
+
+    1e-13 is the double precision floor; this is the one place the range
+    is checked.
+    """
 
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        check_tolerance(self.abs_tol)
+        if not 1e-13 < self.abs_tol < 1.0:
+            raise ValueError(
+                "tolerance must be in (1e-13, 1), 1e-13 being the double precision floor;"
+                f" got {self.abs_tol}"
+            )
 
     @classmethod
     def coerce(cls, tol) -> "Tolerance":
@@ -479,8 +487,7 @@ def _charge(tail: float, g: int, radius: int, points: int, cutoff: float) -> flo
 
 def _evaluate(tau: PeriodMatrix, z, c: Characteristic, tol) -> tuple[complex, int, int, float]:
     """theta[c](tau, z), the radius R, the points K summed and their charge."""
-    if c.g != tau.g:
-        raise ValueError(f"genus mismatch: characteristic {c.g}, tau {tau.g}")
+    _same_genus(c, tau)
     tol = Tolerance.coerce(tol)
     arg = ThetaArg.coerce(z, tau.g)
     # The public call stays so that a wrapped truncation_radius sees the
@@ -501,8 +508,7 @@ def theta_constant(tau: PeriodMatrix, c: Characteristic, tol=Tolerance()) -> com
 
     Vanishes identically for odd characteristics (numerically, to rounding).
     """
-    if c.g != tau.g:
-        raise ValueError(f"genus mismatch: characteristic {c.g}, tau {tau.g}")
+    _same_genus(c, tau)
     return complex(theta_constant_table(tau, tol)[c.eps, c.delta])
 
 

@@ -34,7 +34,6 @@ from .characteristics import (
     is_syzygetic,
 )
 from .amplitude import factorization_residual, xi_g
-from .config import RunConfig
 from .picard import (
     DivClass,
     canonical_class,
@@ -45,7 +44,7 @@ from .picard import (
 from .symplectic import arf, enumerate_forms, random_symplectic, sp_apply
 from .theta import PeriodMatrix, Tolerance, theta_constant, theta_constant_table
 
-# Gates are pinned; the config only contributes the seed.
+# Gates and the theta tolerance are pinned; a run chooses only its seed.
 _TOL = Tolerance(1e-12)
 
 
@@ -316,15 +315,13 @@ class AcceptanceReport:
         }
 
 
-def run_acceptance(config: RunConfig | None = None, only=None) -> AcceptanceReport:
+def run_acceptance(*, seed: int = 0, only=None) -> AcceptanceReport:
     """Run the acceptance criteria (all, or the 1-based subset in `only`).
 
-    Each criterion seeds its own random stream from (config seed,
-    criterion index), so a subset run reproduces the full run's numbers.
-    The seed is all that is read from the config: gates and the theta
-    tolerance (_TOL) are pinned.
+    Each criterion seeds its own random stream from (seed, criterion
+    index), so a subset run reproduces the full run's numbers.  The seed
+    is the only setting: gates and the theta tolerance (_TOL) are pinned.
     """
-    seed = (config if config is not None else RunConfig()).seed
     if only is None:
         chosen = list(range(1, len(_CRITERIA) + 1))
     else:

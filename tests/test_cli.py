@@ -15,6 +15,7 @@ from thetachar.amplitude import P_i_g, xi_g
 from thetachar.cli import main, parse_period_matrix, run
 from thetachar.picard import slope_combination
 from thetachar.theta import PeriodMatrix
+from thetachar.verify import run_acceptance
 
 TAU_1_JSON = "[[0, 1]]"
 TAU_2_JSON = "[[[0, 1.1], [0.2, 0.1]], [[0.2, 0.1], [0, 1.3]]]"
@@ -333,30 +334,6 @@ def test_output_table_flag_in_both_positions(capsys):
             json.loads(outs[0])
 
 
-def test_config_file_round_trip(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"output": "table", "tolerance": 1e-10}))
-    theta = ["theta", "--genus", "1", "--tau", TAU_1_JSON, "--char", "0;0"]
-    assert run([*theta, "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert "tolerance" in out and "1e-10" in out
-    assert run(["--config", str(cfg), *theta]) == 0
-    assert capsys.readouterr().out == out
-
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"tolrance": 1e-10}))
-    assert run(["forms", "--genus", "1", "--config", str(bad)]) == 1
-    assert "tolrance" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("config", [{"tolerance": "abc"}, {"tolerance": None}, {"seed": True}])
-def test_malformed_config_is_an_error(tmp_path, capsys, config):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    assert run(["verify", "--only", "1", "--config", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-
-
 @pytest.mark.parametrize("graph", [
     [{"a": 1}],
     {"vertices": 5, "edges": []},
@@ -371,15 +348,30 @@ def test_malformed_graph_is_an_error(tmp_path, capsys, graph):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_removed_knobs(tmp_path, capsys, monkeypatch):
-    # max_genus_exhaustive is no longer a config key; THETACHAR_THREADS is ignored
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps({"max_genus_exhaustive": 3}))
-    assert run(["forms", "--genus", "1", "--config", str(old)]) == 1
-    assert "max_genus_exhaustive" in capsys.readouterr().err
+def test_removed_knobs(capsys, monkeypatch):
+    # --config is no longer a flag, before or after the subcommand;
+    # THETACHAR_THREADS is ignored
+    assert run(["forms", "--genus", "1", "--config", "cfg.json"]) == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert run(["--config", "cfg.json", "forms", "--genus", "1"]) == 2
+    capsys.readouterr()
     monkeypatch.setenv("THETACHAR_THREADS", "0")
     assert run(["forms", "--genus", "1", "--count"]) == 0
     assert capsys.readouterr().out == "4\n"
+
+
+def test_each_setting_is_read_by_the_command_that_takes_it(capsys):
+    # verify pins its tolerance and forms draws nothing at random, so
+    # neither accepts the flag
+    assert run(["verify", "--tol", "1e-9"]) == 2
+    assert run(["forms", "--genus", "1", "--seed", "1"]) == 2
+    capsys.readouterr()
+    assert run(["theta", "--genus", "1", "--tau", TAU_1_JSON, "--char", "0;0"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-12
+    assert run(["verify", "--only", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+    with pytest.raises(TypeError):
+        run_acceptance(7)
 
 
 def test_verify_subset_is_deterministic(capsys):
