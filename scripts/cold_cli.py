@@ -12,6 +12,14 @@ not.  BLAS runs on one thread (OPENBLAS_NUM_THREADS=1) and stdout is
 discarded.  A command that exits non-zero (say, one past a genus cap of
 the tree timed) is reported as failed, with no time.
 
+Bytecode is read from, and written to, a fresh PYTHONPYCACHEPREFIX made
+for the run, and one untimed run of each command fills it first, so a
+tree's own __pycache__ directories, valid or missing, do not change its
+times.  They would: a cold `import thetachar` that reads the package's
+bytecode took 161 ms against 188 ms for one that compiles it (medians of
+40 alternating imports on a 2-core x86 host).  The mode is printed with
+the times.
+
 Usage:
     python scripts/cold_cli.py [--repeat 3] [--src PATH] [--json]
 
@@ -25,6 +33,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -65,13 +74,19 @@ COMMANDS = {
 }
 
 
+BYTECODE = "a fresh PYTHONPYCACHEPREFIX, filled by one untimed run of each command"
+
+
 def _child_cpu() -> float:
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     return usage.ru_utime + usage.ru_stime
 
 
 def best_times(argv: list[str], env: dict, repeat: int) -> tuple[float, float] | None:
-    """The least wall time and the least child CPU time over repeat runs."""
+    """The least wall time and the least child CPU time over repeat runs, after one untimed run."""
+    if subprocess.run([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL,
+                      stderr=subprocess.DEVNULL).returncode != 0:
+        return None
     wall = cpu = float("inf")
     for _ in range(repeat):
         cpu_start = _child_cpu()
@@ -95,16 +110,21 @@ def main() -> None:
     if args.repeat < 1:
         parser.error("need --repeat >= 1")
 
-    env = {**os.environ, "PYTHONPATH": args.src, "OPENBLAS_NUM_THREADS": "1"}
-    rows = {name: best_times(argv, env, args.repeat) for name, argv in FLOOR.items()}
-    for name, argv in COMMANDS.items():
-        rows[name] = best_times(["-m", "thetachar.cli", *argv], env, args.repeat)
+    with tempfile.TemporaryDirectory(prefix="thetachar-pycache-") as prefix:
+        env = {**os.environ, "PYTHONPATH": args.src, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPYCACHEPREFIX": prefix}
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        rows = {name: best_times(argv, env, args.repeat) for name, argv in FLOOR.items()}
+        for name, argv in COMMANDS.items():
+            rows[name] = best_times(["-m", "thetachar.cli", *argv], env, args.repeat)
 
     if args.json:
         wall = {name: None if times is None else times[0] for name, times in rows.items()}
         cpu = {name: None if times is None else times[1] for name, times in rows.items()}
-        print(json.dumps({"repeat": args.repeat, "best_s": wall, "cpu_s": cpu}, indent=2))
+        print(json.dumps({"repeat": args.repeat, "bytecode": BYTECODE, "best_s": wall, "cpu_s": cpu},
+                         indent=2))
         return
+    print(f"bytecode: {BYTECODE}")
     width = max(map(len, rows))
     print(f"{'command':<{width}}  best of {args.repeat}  cpu (user+sys)")
     for name, times in rows.items():

@@ -70,6 +70,10 @@ MUTANTS = (
            "size += 0.0", equivalent="no double input found that the smaller slack misses; "
            "see the slack in theta._line_rows"),
     Mutant("line-slack-none", _THETA, "slack = 2.0 * (3 * g + 4) * _U", "slack = 0.0 * (3 * g + 4) * _U"),
+    # the truncation search and the subspace sums read off one gather
+    Mutant("box-skip-shell", _THETA, "_shell_term(lam, g, z_im_norm, radius + 1) > abs_tol",
+           "_shell_term(lam, g, z_im_norm, radius) > abs_tol"),
+    Mutant("level-slice", "src/thetachar/amplitude.py", "start += rows * cols", "start += rows * cols - 1"),
     # the subspace search, the coset lists and the Sp action
     Mutant("search-leading-bit", "src/thetachar/symplectic.py",
            "range(basis[-1].bit_length() - 1 if basis else n)", "range(n)"),

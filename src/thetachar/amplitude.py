@@ -7,6 +7,14 @@ constants over the elements of W, raise to 2^(4-i) and sum over
 dimension-i subspaces to get P_i, then combine the P_i with alternating
 signed weights into Xi.  Everything is capped at g <= 4, where the
 exponents 2^(4-i) are still integers.
+
+P_0..P_g are summed together, once per (tau, tol): one gather from the
+theta-constant table over the spans of every level (_level_index), each
+level then multiplied out and summed exactly as it would be on its own.
+The tuple is cached like the tables, 16 (tau, tol) at a time, and P_i_g,
+xi_g and the CLI read it.  A cached tuple never outlives its table: it
+keeps the table it was summed from and is summed again whenever
+theta_constant_table returns another one (_level_sums).
 """
 
 from __future__ import annotations
@@ -117,6 +125,14 @@ def _even_spans(g: int, i: int) -> np.ndarray:
     return index
 
 
+def _halved(factors: np.ndarray) -> np.ndarray:
+    """The product down the first axis of factors, by halving: i vector products for 2^i rows."""
+    while len(factors) > 1:
+        half = len(factors) // 2
+        factors = factors[:half] * factors[half:]
+    return factors[0]
+
+
 def _products(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Product of the table entries named by each row of a flat index array.
 
@@ -125,11 +141,56 @@ def _products(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     multiplied by halving: i vector products instead of a reduction over
     a short axis.
     """
-    factors = table.ravel()[np.ascontiguousarray(index.T)]
-    while len(factors) > 1:
-        half = len(factors) // 2
-        factors = factors[:half] * factors[half:]
-    return factors[0]
+    return _halved(table.ravel()[np.ascontiguousarray(index.T)])
+
+
+@lru_cache(maxsize=None)
+def _level_index(g: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """_even_spans(g, i) for i = 0..g, each transposed, end to end, and each one's shape.
+
+    One gather from a table over the index holds what _products gathers
+    level by level, in the same layout.
+    """
+    levels = [_even_spans(g, i).T for i in range(g + 1)]
+    index = np.concatenate([level.ravel() for level in levels])
+    index.setflags(write=False)
+    return index, tuple(level.shape for level in levels)
+
+
+def _sum_levels(table: np.ndarray, g: int) -> tuple[complex, ...]:
+    """P_0..P_g from one table: one gather, then each level halved and squared.
+
+    Each level's block is the array _products would gather for it, so the
+    products, their 4 - i squarings and the fixed numpy sum are those of a
+    level summed on its own, bit for bit.
+    """
+    index, shapes = _level_index(g)
+    factors = table.ravel()[index]
+    sums = []
+    start = 0
+    for i, (rows, cols) in enumerate(shapes):
+        terms = _halved(factors[start : start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+        for _ in range(4 - i):
+            terms = terms * terms
+        sums.append(complex(np.sum(terms)))
+    return tuple(sums)
+
+
+@lru_cache(maxsize=16)
+def _sums_slot(tau: PeriodMatrix, tol: Tolerance) -> list:
+    """The [table, sums] slot of one (tau, tol), under the table's LRU policy."""
+    return [None, ()]
+
+
+def _level_sums(tau: PeriodMatrix, tol) -> tuple[complex, ...]:
+    """P_0..P_g at tau, summed again only when theta_constant_table returns another table."""
+    tol = Tolerance.coerce(tol)
+    table = theta_constant_table(tau, tol)
+    slot = _sums_slot(tau, tol)
+    if slot[0] is not table:
+        slot[:] = table, _sum_levels(table, tau.g)
+    return slot[1]
 
 
 def P_W(tau: PeriodMatrix, W: Subspace, tol=Tolerance()) -> complex:
@@ -153,10 +214,11 @@ def P_i_g(tau: PeriodMatrix, g: int, i: int, tol=Tolerance()) -> complex:
     """Sum of P_W^(2^(4-i)) over the i-dimensional subspaces.
 
     Only totally-even subspaces contribute; the rest are skipped before
-    any numeric work.  Each P_W is one gather from the theta-constant
-    table, raised to 2^(4-i) by 4 - i squarings, and the terms are summed
-    in canonical enumeration order by a fixed numpy reduction, so the
-    result is bit-reproducible.
+    any numeric work.  Each P_W is a product of entries of the
+    theta-constant table, raised to 2^(4-i) by 4 - i squarings, and the
+    terms are summed in canonical enumeration order by a fixed numpy
+    reduction, so the result is bit-reproducible.  Every P_i of one tau is
+    summed in the same pass (_level_sums), which xi_g reads too.
     """
     if g != tau.g:
         raise ValueError(f"g={g} does not match tau (genus {tau.g})")
@@ -164,10 +226,7 @@ def P_i_g(tau: PeriodMatrix, g: int, i: int, tol=Tolerance()) -> complex:
         raise ValueError(f"g={g} > {GENUS_CAP}: exponent 2^(4-i) turns fractional")
     if not 0 <= i <= g:
         raise ValueError(f"need 0 <= i <= g, got i={i}, g={g}")
-    terms = _products(theta_constant_table(tau, tol), _even_spans(g, i))
-    for _ in range(4 - i):
-        terms = terms * terms
-    return complex(np.sum(terms))
+    return _level_sums(tau, tol)[i]
 
 
 def xi_g(tau: PeriodMatrix, g: int, tol=Tolerance()) -> complex:
@@ -175,11 +234,13 @@ def xi_g(tau: PeriodMatrix, g: int, tol=Tolerance()) -> complex:
     return _xi_terms(tau, g, tol)[0]
 
 
-def _xi_terms(tau: PeriodMatrix, g: int, tol: Tolerance) -> tuple[complex, list[complex]]:
-    """Xi and the P_0..P_g it is summed from, each P_i computed once."""
+def _xi_terms(tau: PeriodMatrix, g: int, tol) -> tuple[complex, tuple[complex, ...]]:
+    """Xi and the P_0..P_g it is summed from, as P_i_g reads them."""
     if not 1 <= g <= GENUS_CAP:
         raise ValueError(f"need 1 <= g <= {GENUS_CAP}, got {g}")
-    terms = [P_i_g(tau, g, i, tol) for i in range(g + 1)]  # P_0 checks g against tau
+    if g != tau.g:
+        raise ValueError(f"g={g} does not match tau (genus {tau.g})")
+    terms = _level_sums(tau, tol)
     total = 0j  # summed in order: sum() may compensate, which changes the last bits
     for i, p in enumerate(terms):
         total += (1 << (i * (i - 1) // 2)) * (-1) ** i * p

@@ -220,6 +220,13 @@ class ThetaArg:
         return cls((0j,) * g)
 
 
+def _shell_term(lam: float, g: int, z_im_norm: float, s: int) -> float:
+    """_tail_bound's term for the shell |m|_inf = s."""
+    return ((2 * s + 1) ** g - (2 * s - 1) ** g) * math.exp(
+        -math.pi * lam * (s - 0.5) ** 2 + 2.0 * math.pi * math.sqrt(g) * (s + 0.5) * z_im_norm
+    )
+
+
 def _tail_bound(lam: float, g: int, z_im_norm: float, radius: int) -> float:
     """Upper bound on the absolute tail mass outside the |m|_inf <= radius box.
 
@@ -228,10 +235,7 @@ def _tail_bound(lam: float, g: int, z_im_norm: float, radius: int) -> float:
     """
     total = 0.0
     for s in range(radius + 1, radius + 501):
-        term = ((2 * s + 1) ** g - (2 * s - 1) ** g) * math.exp(
-            -math.pi * lam * (s - 0.5) ** 2
-            + 2.0 * math.pi * math.sqrt(g) * (s + 0.5) * z_im_norm
-        )
+        term = _shell_term(lam, g, z_im_norm, s)
         total += term
         if term < 1e-18 * max(total, 1e-300) and s > radius + 3:
             break
@@ -250,11 +254,20 @@ def _box(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tuple[int, flo
     T = tol there is no room left and C is infinite: the whole box counts.
     A tolerance that no radius within the caps reaches is a ValueError,
     and so is a tail term too large for a float.
+
+    A radius whose first excluded shell term alone exceeds the tolerance
+    is passed over without summing its tail: T starts with that term and
+    only adds to it, so the radius fails either way.  An OverflowError
+    still ends the search where it did: up to the first shell whose term
+    overflows the exponent only rises, so each radius before it is passed
+    over until that shell comes first.
     """
     for radius in range(1, _MAX_RADIUS + 1):
         if (2 * radius + 1) ** g > _MAX_LATTICE:
             break
         try:
+            if _shell_term(lam, g, z_im_norm, radius + 1) > abs_tol:
+                continue
             tail = _tail_bound(lam, g, z_im_norm, radius)
         except OverflowError:
             break

@@ -12,7 +12,9 @@ itself; oracle_isotropic_bases and oracle_subspace_bases, which extend
 isotropic or arbitrary bases by every admissible vector and deduplicate
 by reduction; oracle_isotropic_cosets, which sorts each coset of those
 subspaces and then the whole list; oracle_named_class, the divisor
-classes as {symbol: Fraction} formulas; oracle_lattice, the truncation box sorted by a Python key;
+classes as {symbol: Fraction} formulas; oracle_box, the truncation search
+summing the tail at every radius; oracle_lattice, the truncation box
+sorted by a Python key;
 and oracle_sp_apply_form, which moves a form by a Gauss-Jordan inverse
 and 2g evaluations.
 
@@ -407,6 +409,43 @@ def mp_theta(tau, z, eps, delta, g, radius=30, dps=40):
                 lin += c[i] * (mpmath.mpc(z[i]) + mpmath.mpf(delta[i]) / 2)
             total += mpmath.exp(ipi * quad + i2pi * lin)
         return total
+
+
+def oracle_box(g, lam, z_im_norm, abs_tol):
+    """The truncation search as it summed every radius's tail: (R, T, C),
+    or the ValueError message when no radius within the caps reaches
+    abs_tol (a tail term that overflows a float counts as unreachable)."""
+    import math
+
+    def tail_bound(radius):
+        total = 0.0
+        for s in range(radius + 1, radius + 501):
+            term = ((2 * s + 1) ** g - (2 * s - 1) ** g) * math.exp(
+                -math.pi * lam * (s - 0.5) ** 2
+                + 2.0 * math.pi * math.sqrt(g) * (s + 0.5) * z_im_norm
+            )
+            total += term
+            if term < 1e-18 * max(total, 1e-300) and s > radius + 3:
+                break
+        return total
+
+    for radius in range(1, 65):
+        if (2 * radius + 1) ** g > 4_000_000:
+            break
+        try:
+            tail = tail_bound(radius)
+        except OverflowError:
+            break
+        if tail == abs_tol:
+            return radius, tail, math.inf
+        if tail < abs_tol:
+            shell = lam * (radius + 0.5) ** 2 - 2.0 * math.sqrt(g) * (radius + 1.5) * z_im_norm
+            budget = math.log((2 * radius + 1) ** g / (abs_tol - tail)) / math.pi
+            return radius, tail, max(shell, budget)
+    return (
+        "cannot reach the requested tolerance: Im tau too small or |Im z| too "
+        "large for the supported truncation range (keep Im tau >= 0.3 I)"
+    )
 
 
 def oracle_lattice(g, radius):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_subspace_bases, oracle_subspace_counts, totally_singular_count
+from thetachar import amplitude, theta
 from thetachar.amplitude import (
     P_W,
     P_i_g,
@@ -21,6 +22,7 @@ from thetachar.amplitude import (
     gaussian_binomial,
     xi_g,
     _even_spans,
+    _products,
 )
 from thetachar.characteristics import Characteristic
 from thetachar.symplectic import _isotropic_bases
@@ -252,6 +254,70 @@ def test_P_i_g_guards():
         P_i_g(TAU_I, 1, 2)
     with pytest.raises(ValueError):
         P_i_g(TAU_G2, 1, 0)  # genus mismatch with tau
+
+
+def _level_by_level(table, g):
+    """P_0..P_g from a table as P_i_g summed each level on its own."""
+    out = []
+    for i in range(g + 1):
+        terms = _products(table, _even_spans(g, i))
+        for _ in range(4 - i):
+            terms = terms * terms
+        out.append(complex(np.sum(terms)))
+    return out
+
+
+def test_level_sums_are_cached_with_their_table(monkeypatch):
+    g = 3
+    tau = PeriodMatrix([[1.1j, 0.2 + 0.05j, 0], [0.2 + 0.05j, 0.9j, -0.1], [0, -0.1, 1.3j]])
+    theta._table.cache_clear()
+    table = theta_constant_table(tau)
+    sums = amplitude._level_sums(tau, Tolerance())
+    assert list(sums) == _level_by_level(table, g)  # bit for bit
+    assert amplitude._level_sums(tau, 1e-12) is sums
+    assert [P_i_g(tau, g, i) for i in range(g + 1)] == list(sums)
+    assert amplitude._xi_terms(tau, g, Tolerance())[1] is sums
+    # another tolerance is another entry, beside the first
+    loose = amplitude._level_sums(tau, Tolerance(1e-6))
+    assert loose is not sums
+    assert list(loose) == _level_by_level(theta_constant_table(tau, 1e-6), g)
+    assert amplitude._level_sums(tau, 1e-6) is loose
+    assert amplitude._level_sums(tau, Tolerance()) is sums
+    # a new kernel and a cleared table cache: the sums follow the new table
+    signs, phases = theta._signs_and_phases(g)
+    monkeypatch.setattr(theta, "_signs_and_phases", lambda _: (signs, 2.0 * phases))
+    theta._table.cache_clear()
+    doubled = theta_constant_table(tau)
+    assert np.array_equal(doubled, 2.0 * table)
+    assert [P_i_g(tau, g, i) for i in range(g + 1)] == _level_by_level(doubled, g)
+    assert [P_i_g(tau, g, i) for i in range(g + 1)] == [2.0**16 * p for p in sums]
+    xi, terms = amplitude._xi_terms(tau, g, Tolerance())
+    assert xi == xi_g(tau, g) and list(terms) == _level_by_level(doubled, g)
+    monkeypatch.undo()
+    theta._table.cache_clear()
+    assert amplitude._level_sums(tau, Tolerance()) == sums
+
+
+def test_amplitude_guards_fire_before_any_work(monkeypatch):
+    work = []
+    monkeypatch.setattr(amplitude, "theta_constant_table", lambda *args: work.append(args))
+    monkeypatch.setattr(amplitude, "_sum_levels", lambda *args: work.append(args))
+    tau5 = PeriodMatrix(np.eye(5) * 1j)
+    cases = [
+        (lambda: P_i_g(TAU_G2, 1, 0), "g=1 does not match tau"),
+        (lambda: P_i_g(TAU_I, 5, 0), "g=5 does not match tau"),
+        (lambda: P_i_g(tau5, 5, 0), "g=5 > 4: exponent"),
+        (lambda: P_i_g(TAU_I, 1, 2), "need 0 <= i <= g, got i=2, g=1"),
+        (lambda: P_i_g(TAU_I, 1, -1), "need 0 <= i <= g"),
+        (lambda: xi_g(TAU_I, 5), "need 1 <= g <= 4, got 5"),
+        (lambda: xi_g(tau5, 5), "need 1 <= g <= 4, got 5"),
+        (lambda: xi_g(TAU_G2, 1), "g=1 does not match tau"),
+        (lambda: xi_g(TAU_I, 0), "need 1 <= g <= 4, got 0"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert work == []
 
 
 def test_xi_g1_is_the_classical_measure():

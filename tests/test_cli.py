@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import thetachar
-from thetachar import amplitude
+from thetachar import amplitude, theta
 from thetachar.amplitude import P_i_g, xi_g
 from thetachar.cli import main, parse_period_matrix, run
 from thetachar.picard import slope_combination
@@ -168,20 +168,34 @@ def test_amplitude_report(capsys):
 
 
 def test_amplitude_report_computes_each_P_i_once(capsys, monkeypatch):
-    calls = []
+    # one pass sums P_0..P_g per tau and table; the report's Xi and P_i,
+    # and the library's xi_g then P_i_g for every i, all read that pass
+    passes = []
+    sum_levels = amplitude._sum_levels
 
-    def counted(tau, g, i, tol):
-        calls.append(i)
-        return P_i_g(tau, g, i, tol)
+    def counted(table, g):
+        passes.append(g)
+        return sum_levels(table, g)
 
-    monkeypatch.setattr(amplitude, "P_i_g", counted)
+    monkeypatch.setattr(amplitude, "_sum_levels", counted)
     for g, tau in ((1, TAU_1_JSON), (2, TAU_2_JSON)):
-        calls.clear()
+        theta._table.cache_clear()
+        passes.clear()
         assert run(["amplitude", "--genus", str(g), "--tau", tau]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert calls == list(range(g + 1))
-        want = xi_g(parse_period_matrix(tau, g), g)
-        assert complex(data["xi_re"], data["xi_im"]) == want
+        assert passes == [g]
+        tau = parse_period_matrix(tau, g)
+        assert complex(data["xi_re"], data["xi_im"]) == xi_g(tau, g)
+        assert [complex(p["re"], p["im"]) for p in data["per_i"]] == [P_i_g(tau, g, i) for i in range(g + 1)]
+        assert passes == [g]
+    tau = PeriodMatrix([[1.2j, 0.1, 0], [0.1, 1j, 0.05j], [0, 0.05j, 0.9j]])
+    theta._table.cache_clear()
+    passes.clear()
+    xi = xi_g(tau, 3)
+    terms = [P_i_g(tau, 3, i) for i in range(4)]
+    assert passes == [3]
+    assert amplitude._xi_terms(tau, 3, 1e-12) == (xi, tuple(terms))
+    assert passes == [3]
 
 
 def test_amplitude_genus_4_is_byte_identical_across_processes():

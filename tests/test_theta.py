@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import mp_tail, mp_theta, np_theta, np_theta_constants, oracle_lattice
+from oracles import mp_tail, mp_theta, np_theta, np_theta_constants, oracle_box, oracle_lattice
 from thetachar import theta
 from thetachar.characteristics import Characteristic, all_characteristics
 from thetachar.config import InvariantError
@@ -123,6 +123,28 @@ def test_box_reports_an_overflowing_tail_as_unreachable():
     for args in ((1, 0.001, 5.0, 1e-12), (1, 1.0, 40.0, 1e-12), (3, 0.53, 7.8, 1e-12)):
         with pytest.raises(ValueError, match="cannot reach the requested tolerance"):
             theta._box(*args)
+
+
+def test_box_passes_over_radii_as_the_full_search_does():
+    # a radius whose first excluded shell alone exceeds tol is passed over
+    # unsummed; R, T, C and every unreachable case stay those of the search
+    # that sums each tail, over small and large lambda, |Im z| up to 40
+    # (overflowing tails) and g up to 6 (the lattice cap)
+    search = theta._box.__wrapped__
+    reached = failed = 0
+    for g in range(1, 7):
+        for lam in (0.05, 0.1, 0.3, 0.7, 1.5, 4.0, 12.0, 30.0):
+            for z_im in (0.0, 0.2, 1.0, 3.0, 8.0, 20.0, 40.0):
+                for tol in (1e-12, 1e-6, 0.5):
+                    want = oracle_box(g, lam, z_im, tol)
+                    try:
+                        got = search(g, lam, z_im, tol)
+                    except ValueError as err:
+                        got = str(err)
+                    assert got == want, (g, lam, z_im, tol)
+                    reached += isinstance(want, tuple)
+                    failed += isinstance(want, str)
+    assert reached > 300 and failed > 300  # both outcomes are well covered
 
 
 def test_theta_constant_reference_values_g1():
