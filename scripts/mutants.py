@@ -74,9 +74,10 @@ MUTANTS = (
     Mutant("box-skip-shell", _THETA, "_shell_term(lam, g, z_im_norm, radius + 1) > abs_tol",
            "_shell_term(lam, g, z_im_norm, radius) > abs_tol"),
     Mutant("level-slice", "src/thetachar/amplitude.py", "start += rows * cols", "start += rows * cols - 1"),
+    Mutant("level-power", "src/thetachar/amplitude.py", "range(4 - i)", "range(3 - i)"),
     # the subspace search, the coset lists and the Sp action
     Mutant("search-leading-bit", "src/thetachar/symplectic.py",
-           "range(basis[-1].bit_length() - 1 if basis else n)", "range(n)"),
+           "range(basis[-1].bit_length() - 1 if basis else 2 * g)", "range(2 * g)"),
     Mutant("search-level-order", "src/thetachar/symplectic.py",
            "sorted(children, reverse=True)", "sorted(children)"),
     Mutant("coset-span-order", "src/thetachar/characteristics.py", "for w in sorted(_span(basis)):",

@@ -1,14 +1,6 @@
 """Theta characteristics over F2, theta-constant numerics, and moduli slopes."""
 
-from .amplitude import (
-    P_W,
-    P_i_g,
-    Subspace,
-    enumerate_subspaces,
-    factorization_residual,
-    gaussian_binomial,
-    xi_g,
-)
+from .amplitude import P_i_g, factorization_residual, xi_g
 from .boundary import (
     DualGraph,
     Edge,

@@ -2,109 +2,31 @@
 
 The chain here is: generate the totally-even subspaces W of F2^2g (the
 totally singular subspaces of the parity form, built directly by the
-isotropic-subspace generator in symplectic), take products P_W of theta
-constants over the elements of W, raise to 2^(4-i) and sum over
-dimension-i subspaces to get P_i, then combine the P_i with alternating
-signed weights into Xi.  Everything is capped at g <= 4, where the
-exponents 2^(4-i) are still integers.
+isotropic-subspace generator in symplectic), take the product P_W of the
+theta-constant table's entries over the elements of W, raise it to
+2^(4-i) and sum over dimension-i subspaces to get P_i, then combine the
+P_i with alternating signed weights into Xi.  Everything is capped at
+g <= 4, where the exponents 2^(4-i) are still integers.
 
-P_0..P_g are summed together, once per (tau, tol): one gather from the
-theta-constant table over the spans of every level (_level_index), each
-level then multiplied out and summed exactly as it would be on its own.
-The tuple is cached like the tables, 16 (tau, tol) at a time, and P_i_g,
-xi_g and the CLI read it.  A cached tuple never outlives its table: it
-keeps the table it was summed from and is summed again whenever
-theta_constant_table returns another one (_level_sums).
+_sum_levels is the one route from a table to the P_i: P_0..P_g are summed
+together, once per (tau, tol), by one gather from the table over the
+spans of every level (_level_index), each level then multiplied out and
+summed on its own.  The tuple is cached like the tables, 16 (tau, tol)
+at a time, and P_i_g, xi_g and the CLI read it.  A cached tuple never
+outlives its table: it keeps the table it was summed from and is summed
+again whenever theta_constant_table returns another one (_level_sums).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .config import InvariantError
-from .gf2 import gf2_rref
-from .symplectic import _isotropic_bases, _q0, _reverse_search, _span
+from .symplectic import _isotropic_bases, _span
 from .theta import PeriodMatrix, Tolerance, block_diag, theta_constant_table
 
-AMBIENT_CAP = 8
 GENUS_CAP = 4
-
-
-def gaussian_binomial(n: int, k: int) -> int:
-    """Number of k-dimensional subspaces of F2^n."""
-    if not 0 <= k <= n:
-        return 0
-    num = den = 1
-    for j in range(k):
-        num *= (1 << n) - (1 << j)
-        den *= (1 << k) - (1 << j)
-    count, rem = divmod(num, den)
-    if rem:
-        raise InvariantError(f"Gaussian binomial [{n} choose {k}]_2 is not integral")
-    return count
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of F2^n held by its reduced-echelon basis.
-
-    The reduced echelon form (descending pivots, each pivot bit cleared
-    from every other row) is the unique canonical representative, so two
-    Subspace values are == iff they are the same subspace.
-    """
-
-    n: int
-    basis: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= AMBIENT_CAP:
-            raise ValueError(f"ambient dimension {self.n} outside [0, {AMBIENT_CAP}]")
-        for row in self.basis:
-            if not 0 < row < (1 << self.n):
-                raise ValueError(f"basis row {row:#x} outside F2^{self.n}")
-        if gf2_rref(self.basis) != self.basis:
-            raise ValueError("basis is not in reduced row-echelon form")
-
-    @classmethod
-    def from_vectors(cls, n: int, vectors) -> "Subspace":
-        """Span of arbitrary vectors, reduced to the canonical basis."""
-        return cls(n, gf2_rref(vectors))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def elements(self) -> tuple[int, ...]:
-        """All 2^dim elements, ascending (hence basis-independent)."""
-        return tuple(sorted(_span(self.basis)))
-
-    def __contains__(self, vector: int) -> bool:
-        for row in self.basis:
-            vector = min(vector, vector ^ row)
-        return vector == 0
-
-
-def enumerate_subspaces(n: int, i: int) -> list[Subspace]:
-    """All i-dimensional subspaces of F2^n, one canonical basis each.
-
-    The reduced echelon bases come from the reverse search behind the
-    isotropic subspaces (symplectic._reverse_search), with every nonzero
-    vector admissible and no pairing, in order of descending pivots, then
-    rows.
-    """
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    if n > AMBIENT_CAP:
-        raise ValueError(f"ambient dimension {n} > {AMBIENT_CAP} not supported")
-    size = 1 << n
-    bases = _reverse_search(n, (1 << size) - 2, (0,) * size, i)[i]
-    out = [Subspace(n, basis) for basis in bases]
-    if len(out) != gaussian_binomial(n, i):
-        raise InvariantError(f"found {len(out)} subspaces of dimension {i} in F2^{n}")
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -114,9 +36,9 @@ def _even_spans(g: int, i: int) -> np.ndarray:
     The parity of a characteristic is the quadratic form q0(eps, delta) =
     eps.delta on F2^2g, and these are its totally singular subspaces, read
     from the isotropic-subspace generator.  Nothing depends on tau, so
-    each (g, i) is cached.  Row order is the canonical enumeration order of
-    enumerate_subspaces and each row is ascending.  An element x = eps *
-    2^g + delta is also the flat index of theta[eps; delta] in a (2^g, 2^g)
+    each (g, i) is cached.  Rows are in canonical order: descending
+    pivots, then rows; each row is ascending.  An element x = eps * 2^g +
+    delta is also the flat index of theta[eps; delta] in a (2^g, 2^g)
     table, so the rows gather the products P_W.
     """
     rows = [sorted(_span(basis)) for basis in _isotropic_bases(g, True)[i]]
@@ -133,23 +55,13 @@ def _halved(factors: np.ndarray) -> np.ndarray:
     return factors[0]
 
 
-def _products(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Product of the table entries named by each row of a flat index array.
-
-    The gather goes through a C-contiguous copy of index.T, so each of the
-    2^i element positions is one contiguous row, and the rows are
-    multiplied by halving: i vector products instead of a reduction over
-    a short axis.
-    """
-    return _halved(table.ravel()[np.ascontiguousarray(index.T)])
-
-
 @lru_cache(maxsize=None)
 def _level_index(g: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     """_even_spans(g, i) for i = 0..g, each transposed, end to end, and each one's shape.
 
-    One gather from a table over the index holds what _products gathers
-    level by level, in the same layout.
+    One gather from a table over the index holds, level by level, the
+    entries of every span with one row per element position, so each
+    position is contiguous for the products.
     """
     levels = [_even_spans(g, i).T for i in range(g + 1)]
     index = np.concatenate([level.ravel() for level in levels])
@@ -160,9 +72,10 @@ def _level_index(g: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
 def _sum_levels(table: np.ndarray, g: int) -> tuple[complex, ...]:
     """P_0..P_g from one table: one gather, then each level halved and squared.
 
-    Each level's block is the array _products would gather for it, so the
-    products, their 4 - i squarings and the fixed numpy sum are those of a
-    level summed on its own, bit for bit.
+    Each level's block is multiplied down its 2^i element positions by
+    halving (i vector products instead of a reduction over a short axis),
+    squared 4 - i times and summed by a fixed numpy reduction, exactly as
+    the level would be on its own, bit for bit.
     """
     index, shapes = _level_index(g)
     factors = table.ravel()[index]
@@ -191,23 +104,6 @@ def _level_sums(tau: PeriodMatrix, tol) -> tuple[complex, ...]:
     if slot[0] is not table:
         slot[:] = table, _sum_levels(table, tau.g)
     return slot[1]
-
-
-def P_W(tau: PeriodMatrix, W: Subspace, tol=Tolerance()) -> complex:
-    """Product of theta constants over the elements of W.
-
-    Each vector is read as a characteristic via the e-block/f-block split.
-    If W contains an odd characteristic the product is exactly 0 and no
-    theta sum is evaluated.
-    """
-    g = tau.g
-    if W.n != 2 * g:
-        raise ValueError(f"subspace lives in F2^{W.n}, tau needs F2^{2 * g}")
-    elems = W.elements()
-    if any(_q0(x, g) for x in elems):
-        return 0j
-    table = theta_constant_table(tau, tol)
-    return complex(_products(table, np.array(elems, dtype=np.intp)))
 
 
 def P_i_g(tau: PeriodMatrix, g: int, i: int, tol=Tolerance()) -> complex:

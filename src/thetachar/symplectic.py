@@ -252,16 +252,15 @@ def _pairing_masks(g: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _reverse_search(
-    n: int, admissible: int, masks: tuple[int, ...], depth: int
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Reduced-echelon bases of subspaces of F2^n, by dimension 0..depth.
+@lru_cache(maxsize=None)
+def _isotropic_bases(g: int, singular: bool) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Reduced-echelon bases of the isotropic subspaces of F2^2g, by dimension.
 
-    Listed are the subspaces with a basis of admissible vectors (bit v of
-    the int admissible) that pair to 0 with each other, where masks[v] is
-    the 2^n-bit set {t : <v, t> = 1} of a pairing; with an all-zero table
-    nothing pairs to 1, and every subspace with an admissible basis is
-    listed.
+    Entry j holds the j-dimensional subspaces on which the pairing
+    vanishes, for j = 0..g.  With singular=True they must also be totally
+    singular for q0(v) = v_e.v_f, the parity form of characteristics, so
+    they are the totally-even spans.  Admissible rows are the nonzero
+    vectors, and with singular=True only those with q0(v) = 0.
 
     This is a reverse search: the parent of a subspace is the span of its
     reduced basis without the last row (the lowest pivot), so each
@@ -270,9 +269,9 @@ def _reverse_search(
     extended by v when v is admissible, pairs to 0 with every row, and has
     its leading bit below p_j and set in no row; then r_1..r_j, v is
     reduced as it stands (v, being below p_j, misses every pivot).  The
-    admissible vectors that pair to 0 with every row are one 2^n-bit mask,
-    carried down the search and cut by the complement of masks[v] at each
-    step.
+    admissible vectors that pair to 0 with every row are one 4^g-bit mask,
+    carried down the search and cut by the complement of the pairing mask
+    of v (_pairing_masks) at each step.
 
     Each level is in (descending pivots, rows) order, the canonical order
     of subspace lists, with no sort of the bases: the children with pivot
@@ -281,13 +280,15 @@ def _reverse_search(
     Q fills in row order; the buckets are joined by descending pivot mask,
     which is the order of descending pivots.
     """
+    masks = _pairing_masks(g)
+    admissible = sum(1 << v for v in range(1, 4**g) if not (singular and _q0(v, g)))
     # (basis, candidate mask, pivot mask, union of the rows' bits)
     nodes = [((), admissible, 0, 0)]
     levels = [((),)]
-    for _ in range(depth):
+    for _ in range(g):
         children = {}
         for basis, cand, pivots, used in nodes:
-            for p in range(basis[-1].bit_length() - 1 if basis else n):
+            for p in range(basis[-1].bit_length() - 1 if basis else 2 * g):
                 if used >> p & 1:
                     continue
                 lead = 1 << p
@@ -301,21 +302,6 @@ def _reverse_search(
         nodes = [node for key in sorted(children, reverse=True) for node in children[key]]
         levels.append(tuple(node[0] for node in nodes))
     return tuple(levels)
-
-
-@lru_cache(maxsize=None)
-def _isotropic_bases(g: int, singular: bool) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Reduced-echelon bases of the isotropic subspaces of F2^2g, by dimension.
-
-    Entry j holds the j-dimensional subspaces on which the pairing
-    vanishes, for j = 0..g.  With singular=True they must also be totally
-    singular for q0(v) = v_e.v_f, the parity form of characteristics, so
-    they are the totally-even spans.  A _reverse_search with the pairing
-    masks; admissible rows are the nonzero vectors, and with singular=True
-    only those with q0(v) = 0.
-    """
-    admissible = sum(1 << v for v in range(1, 4**g) if not (singular and _q0(v, g)))
-    return _reverse_search(2 * g, admissible, _pairing_masks(g), g)
 
 
 def _pivot_mask(basis) -> int:

@@ -10,13 +10,14 @@ ones must match element for element: oracle_extend_systems, the azygetic
 backtracker on packed ints, which tests every candidate by the pairing
 itself; oracle_isotropic_bases and oracle_subspace_bases, which extend
 isotropic or arbitrary bases by every admissible vector and deduplicate
-by reduction; oracle_isotropic_cosets, which sorts each coset of those
-subspaces and then the whole list; oracle_named_class, the divisor
-classes as {symbol: Fraction} formulas; oracle_box, the truncation search
-summing the tail at every radius; oracle_lattice, the truncation box
-sorted by a Python key;
-and oracle_sp_apply_form, which moves a form by a Gauss-Jordan inverse
-and 2g evaluations.
+by reduction (oracle_subspace_bases, filtered by parity, is the
+reference for the totally even spans that P_i sums over, in order);
+oracle_isotropic_cosets, which sorts each coset of those subspaces and
+then the whole list; oracle_named_class, the divisor classes as
+{symbol: Fraction} formulas; oracle_box, the truncation search summing
+the tail at every radius; oracle_lattice, the truncation box sorted by a
+Python key; and oracle_sp_apply_form, which moves a form by a
+Gauss-Jordan inverse and 2g evaluations.
 
 Run as a script to reprint every frozen reference value used by the suite,
 the azygetic-search counts of the backtracker next to the library's, and

@@ -1,4 +1,4 @@
-"""Subspace enumeration, the theta-product forms P_i and the combination Xi.
+"""Totally-even subspaces, the theta-product forms P_i and the combination Xi.
 
 Totally-even subspace counts per dimension were frozen from the naive
 span-building oracle: g=1 -> [1, 2], g=2 -> [1, 9, 6], g=3 -> [1, 35, 105,
@@ -11,20 +11,9 @@ import random
 import numpy as np
 import pytest
 
-from oracles import oracle_subspace_bases, oracle_subspace_counts, totally_singular_count
+from oracles import oracle_subspace_bases, oracle_subspace_counts, parity, totally_singular_count
 from thetachar import amplitude, theta
-from thetachar.amplitude import (
-    P_W,
-    P_i_g,
-    Subspace,
-    enumerate_subspaces,
-    factorization_residual,
-    gaussian_binomial,
-    xi_g,
-    _even_spans,
-    _products,
-)
-from thetachar.characteristics import Characteristic
+from thetachar.amplitude import P_i_g, factorization_residual, xi_g, _even_spans, _halved
 from thetachar.symplectic import _isotropic_bases
 from thetachar.theta import PeriodMatrix, Tolerance, block_diag, theta_constant_table
 
@@ -40,72 +29,38 @@ EVEN_COUNTS = {
 }
 
 
-def totally_even(g, space):
-    return all(
-        Characteristic.from_packed(g, x).parity == 0 for x in space.elements()
-    )
+def oracle_even_spans(g, i):
+    """The totally-even i-dim spans in F2^2g, from oracle_subspace_bases(2g).
+
+    Each span is its ascending elements; the spans keep the oracle's
+    (descending pivots, rows) order.
+    """
+    spans = []
+    for basis in oracle_subspace_bases(2 * g)[i]:
+        span = {0}
+        for row in basis:
+            span |= {x ^ row for x in span}
+        if all(parity(x >> g, x & ((1 << g) - 1)) == 0 for x in span):
+            spans.append(sorted(span))
+    return spans
 
 
-def test_gaussian_binomial_values():
-    assert gaussian_binomial(2, 1) == 3
-    assert gaussian_binomial(4, 2) == 35
-    assert gaussian_binomial(6, 3) == 1395
-    assert gaussian_binomial(3, 0) == gaussian_binomial(3, 3) == 1
-    for n in range(9):
-        for k in range(n + 1):
-            assert gaussian_binomial(n, k) == gaussian_binomial(n, n - k)
-
-
-def test_enumeration_counts_match_gaussian_binomials():
-    for n in (2, 4, 6):
-        for i in range(n + 1):
-            assert len(enumerate_subspaces(n, i)) == gaussian_binomial(n, i)
-
-
-def test_enumeration_is_canonical_and_guarded():
-    planes = enumerate_subspaces(4, 2)
-    assert len({p.basis for p in planes}) == 35
-    for p in planes:
-        assert p.dim == 2
-        assert len(p.elements()) == 4
-        assert list(p.elements()) == sorted(p.elements())
-    with pytest.raises(ValueError):
-        enumerate_subspaces(10, 2)
-    with pytest.raises(ValueError):
-        enumerate_subspaces(4, 5)
-
-
-def test_enumeration_order_matches_extend_and_dedup_oracle():
-    # the reverse search shared with the isotropic lists, against a plain
-    # extend-reduce-dedup listing sorted by (descending pivots, rows)
-    for n in range(7):
-        levels = oracle_subspace_bases(n)
-        for i in range(n + 1):
-            assert [s.basis for s in enumerate_subspaces(n, i)] == list(levels[i]), (n, i)
-
-
-def test_subspace_canonicalization():
-    a = Subspace.from_vectors(4, [0b1100, 0b0011])
-    b = Subspace.from_vectors(4, [0b1111, 0b0011, 0b1100])
-    assert a == b
-    assert a.dim == 2
-    assert set(a.elements()) == {0, 0b0011, 0b1100, 0b1111}
-    assert 0b1111 in a and 0b1000 not in a
-    with pytest.raises(ValueError):
-        Subspace(4, (0b0011, 0b1111))  # not reduced echelon form
+def table_product(table, g, span):
+    """Product of the theta_constant_table entries over a span of packed characteristics."""
+    prod = 1 + 0j
+    for x in span:
+        prod *= complex(table[int(x) >> g, int(x) & ((1 << g) - 1)])
+    return prod
 
 
 def test_totally_even_counts_against_oracle_and_frozen_values():
     for g in (1, 2):
         for i in range(g + 1):
             total, even = oracle_subspace_counts(g, i)
-            spaces = enumerate_subspaces(2 * g, i)
-            assert len(spaces) == total
-            assert sum(totally_even(g, s) for s in spaces) == even
-            assert even == EVEN_COUNTS[g][i]
+            assert len(oracle_subspace_bases(2 * g)[i]) == total
+            assert len(oracle_even_spans(g, i)) == even == EVEN_COUNTS[g][i]
     for i in range(4):
-        spaces = enumerate_subspaces(6, i)
-        assert sum(totally_even(3, s) for s in spaces) == EVEN_COUNTS[3][i]
+        assert len(oracle_even_spans(3, i)) == EVEN_COUNTS[3][i]
 
 
 def test_even_span_cache_matches_frozen_g4_counts():
@@ -118,7 +73,7 @@ def test_even_spans_match_filtered_enumeration_in_order():
     # the generator against "enumerate every subspace, then filter", row for row
     for g in (1, 2, 3):
         for i in range(g + 1):
-            rows = [s.elements() for s in enumerate_subspaces(2 * g, i) if totally_even(g, s)]
+            rows = oracle_even_spans(g, i)
             want = np.array(rows, dtype=np.intp).reshape(len(rows), 1 << i)
             got = _even_spans(g, i)
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -152,51 +107,6 @@ def test_totally_singular_counts_match_closed_form():
         assert counts == EVEN_COUNTS[g]
 
 
-def test_P_W_small_cases():
-    table = theta_constant_table(TAU_I)
-    zero = Subspace.from_vectors(2, [])
-    assert P_W(TAU_I, zero) == table[0, 0]
-    odd_line = Subspace.from_vectors(2, [0b11])
-    assert P_W(TAU_I, odd_line) == 0
-    even_line = Subspace.from_vectors(2, [0b10])
-    want = table[0, 0] * table[1, 0]
-    assert abs(P_W(TAU_I, even_line) - want) < 1e-8
-    assert abs(want - 1.0864348 * 0.9135791) < 1e-6
-
-
-def test_P_W_is_basis_independent():
-    rnd = random.Random(8)
-    for _ in range(25):
-        dim = rnd.randrange(3)
-        vecs = [rnd.randrange(1, 16) for _ in range(dim)]
-        w = Subspace.from_vectors(4, vecs)
-        # re-generate from random combinations of the elements
-        elems = [x for x in w.elements() if x]
-        regen = Subspace.from_vectors(
-            4, [rnd.choice(elems) for _ in range(6)] if elems else []
-        )
-        if regen == w:
-            assert P_W(TAU_G2, w) == P_W(TAU_G2, regen)
-
-
-def test_P_W_odd_short_circuit_agrees_with_numeric_product():
-    rnd = random.Random(77)
-    taus = [TAU_G2, PeriodMatrix([[1.4j, 0.1], [0.1, 0.9j]])]
-    tables = [theta_constant_table(t) for t in taus]
-    checked = 0
-    while checked < 100:
-        t_idx = rnd.randrange(2)
-        vecs = [rnd.randrange(1, 16) for _ in range(rnd.randrange(1, 3))]
-        w = Subspace.from_vectors(4, vecs)
-        value = P_W(taus[t_idx], w)
-        prod = 1.0 + 0j
-        for x in w.elements():
-            c = Characteristic.from_packed(2, x)
-            prod *= tables[t_idx][c.eps, c.delta]
-        assert abs(value - prod) < 1e-10
-        checked += 1
-
-
 def test_P_i_g_small_cases():
     table = theta_constant_table(TAU_I)
     t00, t01, t10 = table[0, 0], table[0, 1], table[1, 0]
@@ -206,19 +116,21 @@ def test_P_i_g_small_cases():
 
 
 def test_P_i_g_sums_only_over_totally_even_planes():
-    spaces = enumerate_subspaces(4, 2)
-    manual = sum(P_W(TAU_G2, s) ** 4 for s in spaces if totally_even(2, s))
-    assert sum(totally_even(2, s) for s in spaces) == 6
+    table = theta_constant_table(TAU_G2)
+    planes = oracle_even_spans(2, 2)
+    manual = sum(table_product(table, 2, s) ** 4 for s in planes)
+    assert len(oracle_subspace_bases(4)[2]) == 35 and len(planes) == 6
     got = P_i_g(TAU_G2, 2, 2)
     assert abs(got - manual) < 1e-12 * max(1.0, abs(manual))
 
 
 def test_P_i_g_is_deterministic_and_order_insensitive():
     assert P_i_g(TAU_G2, 2, 1) == P_i_g(TAU_G2, 2, 1)
-    spaces = enumerate_subspaces(4, 1)
+    table = theta_constant_table(TAU_G2)
+    lines = oracle_even_spans(2, 1)
     rnd = random.Random(5)
-    rnd.shuffle(spaces)
-    reordered = sum(P_W(TAU_G2, s) ** 8 for s in spaces)
+    rnd.shuffle(lines)
+    reordered = sum(table_product(table, 2, s) ** 8 for s in lines)
     got = P_i_g(TAU_G2, 2, 1)
     assert abs(got - reordered) < 1e-12 * max(1.0, abs(got))
 
@@ -235,14 +147,8 @@ def test_P_i_g_gather_matches_loop_over_spans():
                 entries[a][b] = entries[b][a] = complex(re, im)
         tau = PeriodMatrix(entries)
         table = theta_constant_table(tau)
-        mask = (1 << g) - 1
         for i in range(g + 1):
-            want = 0j
-            for row in _even_spans(g, i):
-                prod = 1 + 0j
-                for x in row:
-                    prod *= complex(table[int(x) >> g, int(x) & mask])
-                want += prod ** (1 << (4 - i))
+            want = sum(table_product(table, g, row) ** (1 << (4 - i)) for row in _even_spans(g, i))
             got = P_i_g(tau, g, i)
             assert abs(got - want) < 1e-13 * abs(want)
 
@@ -260,7 +166,7 @@ def _level_by_level(table, g):
     """P_0..P_g from a table as P_i_g summed each level on its own."""
     out = []
     for i in range(g + 1):
-        terms = _products(table, _even_spans(g, i))
+        terms = _halved(table.ravel()[np.ascontiguousarray(_even_spans(g, i).T)])
         for _ in range(4 - i):
             terms = terms * terms
         out.append(complex(np.sum(terms)))
