@@ -71,6 +71,7 @@ COMMANDS = {
     "systems --genus 3 --kind gopel": ["systems", "--genus", "3", "--kind", "gopel"],
     "picard --genus 12 --space odd": ["picard", "--genus", "12", "--space", "odd"],
     "forms --genus 4 --count": ["forms", "--genus", "4", "--count"],
+    "forms --genus 4": ["forms", "--genus", "4"],
 }
 
 

@@ -83,7 +83,13 @@ MUTANTS = (
     Mutant("coset-span-order", "src/thetachar/characteristics.py", "for w in sorted(_span(basis)):",
            "for w in _span(basis):"),
     Mutant("sp-apply-no-parities", "src/thetachar/symplectic.py",
-           "t.delta << m.g | t.eps) ^ m._row_parities", "t.delta << m.g | t.eps)"),
+           "high[t.delta] ^ low[t.eps] ^ m._row_parities", "high[t.delta] ^ low[t.eps]"),
+    Mutant("half-table-column", "src/thetachar/symplectic.py", "(row >> b & 1)", "(row >> (b ^ 1) & 1)"),
+    # the two routes of the syzygy test and the Aronhold structure check
+    Mutant("syzygy-arf-term", "src/thetachar/characteristics.py",
+           "a.eps & a.delta ^ b.eps & b.delta ^", "a.eps & a.delta ^"),
+    Mutant("aronhold-three-count", "src/thetachar/characteristics.py",
+           "three_sums.bit_count() != 35", "three_sums.bit_count() != 34"),
     # the exact divisor-class layer
     Mutant("divclass-rescale", "src/thetachar/picard.py",
            "num, den = [n * scale for n in num], den * scale", "den = den * scale"),

@@ -6,7 +6,7 @@ Arf invariant and the difference of two characteristics is the vector
 form_difference gives.  Triple sums are plain XOR on (eps, delta).  A
 triple is syzygetic when the four-term Arf sum vanishes, equivalently when
 the pairing of difference vectors <t1+t2, t1+t3> does; both routes are
-computed and compared on every call.
+computed on the packed ints and compared on every call.
 
 Syzygetic tetrads and Goepel (maximal syzygetic) systems are the cosets
 c + W of isotropic subspaces W of F2^2g, planes and Lagrangians
@@ -23,7 +23,9 @@ is a ^ s with its blocks swapped, which leaves the pairing unchanged.
 Bilinearity also gives <a+s, a+t> = <d, a> + <d, t> with d = a ^ s, so
 the points t still admissible after choosing s are one precomputed
 4^g-bit set {t : <d, t> = 1} (or its complement, when <d, a> = 1), ANDed
-into a candidate bitmask.
+into a candidate bitmask.  The search is a plain recursion that fills one
+list, and the Aronhold structure of each set is checked on 4^g-bit masks
+of characteristics, so no set is built per census member.
 """
 
 from __future__ import annotations
@@ -35,17 +37,17 @@ from math import factorial
 from operator import xor
 
 from .config import InvariantError
-from .gf2 import gf2_rank
+from .gf2 import gf2_rank, parity
 from .symplectic import (
     Characteristic,
     _isotropic_bases,
+    _packed_pairing,
     _pairing_masks,
     _pivot_mask,
     _same_genus,
     _span,
     enumerate_forms,
     form_difference,
-    weil_pairing,
 )
 
 __all__ = [
@@ -90,15 +92,18 @@ def is_syzygetic(a: Characteristic, b: Characteristic, c: Characteristic) -> boo
 
     The pairing criterion <a+b, a+c> = 0 is computed alongside and the two
     must agree; a mismatch would mean the dictionary itself is broken.
+    Both run on ints: the Arf sum is one parity of the four eps & delta,
+    and the pairing reads the XORs of the packed characteristics, the
+    difference vectors with their blocks swapped, which the pairing ignores.
     """
     _same_genus(a, b)
     _same_genus(a, c)
-    if a == b or a == c or b == c:
+    pa, pb, pc = a.packed, b.packed, c.packed
+    if pa == pb or pa == pc or pb == pc:
         raise ValueError("syzygy is defined for distinct characteristics")
-    arf_sum = (
-        a.parity ^ b.parity ^ c.parity ^ triple_sum(a, b, c).parity
-    )
-    pairing = weil_pairing(form_difference(a, b), form_difference(a, c))
+    eps, delta = a.eps ^ b.eps ^ c.eps, a.delta ^ b.delta ^ c.delta
+    arf_sum = parity(a.eps & a.delta ^ b.eps & b.delta ^ c.eps & c.delta ^ eps & delta)
+    pairing = _packed_pairing(pa ^ pb, pa ^ pc, a.g)
     if arf_sum != pairing:
         raise InvariantError(f"Arf sum and pairing disagree on {(a, b, c)}")
     return arf_sum == 0
@@ -173,13 +178,15 @@ def _isotropic_cosets(g: int, dim: int) -> list[tuple[Characteristic, ...]]:
         return []
     n = 2 * g
     spread = sum(1 << (n * i) for i in range(1 << dim))
-    keys = []
+    keys, free = [], {}  # free: pivot mask -> c * spread for every c free of it
     for basis in _isotropic_bases(g, False)[dim]:
         pivots = _pivot_mask(basis)
+        if pivots not in free:
+            free[pivots] = [c * spread for c in range(1 << n) if not c & pivots]
         packed = 0
         for w in sorted(_span(basis)):
             packed = packed << n | w
-        keys += [c * spread ^ packed for c in range(1 << n) if not c & pivots]
+        keys += [c ^ packed for c in free[pivots]]
     keys.sort()
     chars, low = all_characteristics(g), (1 << n) - 1
     shifts = range(n * ((1 << dim) - 1), -1, -n)
@@ -198,41 +205,48 @@ def enumerate_syzygetic_tetrads(g: int) -> list[tuple[Characteristic, ...]]:
     return _isotropic_cosets(g, 2)
 
 
-def _extend_systems(points, g, target_size):
+def _extend_systems(points, g, target_size) -> list[tuple[int, ...]]:
     """Backtracking over the packed characteristics points, ascending.
 
-    Yields every target_size-tuple of points whose triples through the
-    first element a are all azygetic, <a+s, a+t> = 1; by the anchor
-    reduction these are exactly the sets with every triple azygetic.
-    The candidates for the next point are a bitmask over packed indices.
-    By bilinearity <a+s, a+t> = <d, a> + <d, t> with d = a ^ s, so
-    choosing s ANDs the candidates with the mask {t : <d, t> = 1}, or with
-    its complement when <d, a> = 1.  Candidates are taken lowest bit
-    first, so tuples come out in lexicographic order, and a branch stops
-    once fewer candidates remain than points are still needed.
+    Returns every target_size-tuple (target_size >= 2) of points whose
+    triples through the first element a are all azygetic, <a+s, a+t> = 1;
+    by the anchor reduction these are exactly the sets with every triple
+    azygetic.  The outer loop picks a, and a plain recursion fills one
+    list.  The candidates for the next point are a bitmask over packed
+    indices.  By bilinearity <a+s, a+t> = <d, a> + <d, t> with d = a ^ s,
+    so choosing s ANDs the candidates with the mask {t : <d, t> = 1}, or
+    with its complement when <d, a> = 1; with one point still needed,
+    every remaining candidate completes a tuple.  Candidates are taken
+    lowest bit first, so tuples come out in lexicographic order, and a
+    branch stops once fewer candidates remain than points are still needed.
     """
     masks = _pairing_masks(g)
+    found = []
 
-    def extend(chosen, cand):
-        need = target_size - len(chosen)
-        if not need:
-            yield tuple(chosen)
+    def extend(chosen, cand, need):
+        if need == 1:
+            head = tuple(chosen)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                found.append(head + (low.bit_length() - 1,))
             return
+        a = chosen[0]
         while cand.bit_count() >= need:
             low = cand & -cand
             cand ^= low
             t = low.bit_length() - 1
-            if chosen:
-                d = chosen[0] ^ t
-                mask = masks[d]
-                rest = cand & ~mask if mask >> chosen[0] & 1 else cand & mask
-            else:
-                rest = cand
+            mask = masks[a ^ t]
             chosen.append(t)
-            yield from extend(chosen, rest)
+            extend(chosen, cand & ~mask if mask >> a & 1 else cand & mask, need - 1)
             chosen.pop()
 
-    yield from extend([], sum(1 << p for p in points))
+    cand = sum(1 << p for p in points)
+    while cand.bit_count() >= target_size:
+        low = cand & -cand
+        cand ^= low
+        extend([low.bit_length() - 1], cand, target_size - 1)
+    return found
 
 
 def enumerate_fundamental_systems(g: int) -> list[CharSystem]:
@@ -300,14 +314,14 @@ def quartic_coordinate_check() -> dict:
     g = 3
     chars = all_characteristics(g)
     odds = [p for p, c in enumerate(chars) if c.parity == 1]
-    evens = {p for p, c in enumerate(chars) if c.parity == 0}
+    odd_mask = sum(1 << p for p in odds)
+    even_mask = (1 << len(chars)) - 1 ^ odd_mask
 
-    odd_set = set(odds)
     count = failures = 0
     first_witness = None
     for members in _extend_systems(odds, g, 7):
         count += 1
-        if not _aronhold_structure_ok(members, odd_set, evens):
+        if not _aronhold_structure_ok(members, odd_mask, even_mask):
             failures += 1
             if first_witness is None:
                 first_witness = [chars[p].bits for p in members]
@@ -315,7 +329,7 @@ def quartic_coordinate_check() -> dict:
     return {
         "genus": g,
         "odd_count": len(odds),
-        "even_count": len(evens),
+        "even_count": even_mask.bit_count(),
         "azygetic_odd_7set_count": count,
         "reference_example_count": 288,
         "counts_match_reference": count == 288,
@@ -333,26 +347,32 @@ _QUADS = tuple(
 )
 
 
-def _aronhold_structure_ok(members, odds: set, evens: set) -> bool:
-    """The Aronhold structure of one azygetic 7-set, all as packed ints.
+def _aronhold_structure_ok(members, odds: int, evens: int) -> bool:
+    """The Aronhold structure of one azygetic 7-set of packed ints.
 
-    With t8 the sum of all seven, a five-sum is t8 plus the pair left out
-    and a three-sum is t8 plus the four left out, so both families come
-    from the 21 pairwise sums: a four-subset i<j<k<l sums to pair (i, j)
-    plus pair (k, l).
+    odds and evens are 4^g-bit masks, bit p standing for characteristic
+    p, and the five- and three-sums are gathered into masks the same way,
+    so the 21 and 35 distinct sums are bit counts and the inclusions are
+    & and |.  With t8 the sum of all seven, a five-sum is t8 plus the pair
+    left out and a three-sum is t8 plus the four left out, so both
+    families come from the 21 five-sums: leaving out i<j<k<l gives the
+    three-sum t8 + five(i, j) + five(k, l).
     """
     t8 = reduce(xor, members)
-    if t8 not in evens:
+    if not evens >> t8 & 1:
         return False
-    pairs = [members[i] ^ members[j] for i, j in _PAIRS]
-    five_sums = {t8 ^ p for p in pairs}
-    if len(five_sums) != 21 or not five_sums <= odds:
+    chosen = five_sums = three_sums = 0
+    for p in members:
+        chosen |= 1 << p
+    fives = [t8 ^ members[i] ^ members[j] for i, j in _PAIRS]
+    for p in fives:
+        five_sums |= 1 << p
+    if five_sums.bit_count() != 21 or five_sums & ~odds or five_sums & chosen:
         return False
-    if five_sums & set(members):
+    if chosen | five_sums != odds:
         return False
-    if set(members) | five_sums != odds:
+    for a, b in _QUADS:
+        three_sums |= 1 << (t8 ^ fives[a] ^ fives[b])
+    if three_sums.bit_count() != 35 or three_sums >> t8 & 1:
         return False
-    three_sums = {t8 ^ pairs[a] ^ pairs[b] for a, b in _QUADS}
-    if len(three_sums) != 35 or t8 in three_sums:
-        return False
-    return three_sums | {t8} == evens
+    return three_sums | 1 << t8 == evens

@@ -264,7 +264,14 @@ class SlopeResult:
 
 
 def _combination(g: int, space: str) -> tuple[Fraction, DivClass]:
-    """The scalar c and the combination base + c * pullback(BN), both checked."""
+    """The scalar c and the combination base + c * pullback(BN), both checked.
+
+    All on integer numerators: with base = num_b / den_b and the pullback
+    bn = num_n / den_n, c = (-3 den_b - num_b[beta_0]) den_n /
+    (den_b num_n[beta_0]) is the one Fraction, and the sum is taken over
+    the lcm of the two denominators.  The check reads alpha_0 (index 1)
+    and beta_0 (index 2) of the result against its denominator.
+    """
     space = resolve_space(space)
     if g < 4:
         raise ValueError(f"slope combination needs g >= 4, got {g}")
@@ -273,12 +280,15 @@ def _combination(g: int, space: str) -> tuple[Fraction, DivClass]:
     else:
         base = 8 * named_class(g, "ThetaNull")
     bn = pullback(named_class(g, "BN_normalized"), space)
-    denom = bn.coeff("beta_0")
-    if denom == 0:
+    if bn._num[2] == 0:
         raise ValueError("no beta_0 component to solve against; formula transcription error")
-    c = (Fraction(-3) - base.coeff("beta_0")) / denom
-    combined = base + c * bn
-    if c <= 0 or combined.coeff("beta_0") != -3 or combined.coeff("alpha_0") != -2:
+    c = Fraction((-3 * base._den - base._num[2]) * bn._den, base._den * bn._num[2])
+    p, q = c.numerator, c.denominator
+    den = lcm(base._den, q * bn._den)
+    s, t = den // base._den, p * (den // (q * bn._den))
+    combined = DivClass._of(space, g, [s * x + t * y for x, y in zip(base._num, bn._num)], den)
+    num, den = combined._num, combined._den
+    if c <= 0 or num[2] != -3 * den or num[1] != -2 * den:
         raise InvariantError(f"c = {c} gives alpha_0 = {combined.coeff('alpha_0')}, not -2")
     return c, combined
 

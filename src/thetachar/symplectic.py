@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .gf2 import gf2_matvec, gf2_mul, parity as bit_parity
+from .gf2 import gf2_mul, parity as bit_parity
 
 __all__ = [
     "F2Vector",
@@ -161,6 +161,13 @@ class Characteristic:
         """Read the packed int eps * 2^g + delta."""
         return cls(g, packed >> g, packed & ((1 << g) - 1))
 
+    @classmethod
+    def _of(cls, g: int, eps: int, delta: int) -> "Characteristic":
+        """[eps; delta] unchecked, for blocks that are in range by construction."""
+        c = object.__new__(cls)
+        c.__dict__.update(g=g, eps=eps, delta=delta)
+        return c
+
     @property
     def packed(self) -> int:
         """The packed int eps * 2^g + delta, inverse to from_packed."""
@@ -217,6 +224,19 @@ class SpMatrix:
         """q^ as a packed vector: bit 2g-1-i is q0(rows[i]), the shift of sp_apply."""
         n = 2 * self.g
         return sum(_q0(row, self.g) << (n - 1 - i) for i, row in enumerate(self.rows))
+
+    @cached_property
+    def _half_tables(self) -> tuple[list[int], list[int]]:
+        """(H, L) with M x = H[x >> g] ^ L[x & (2^g - 1)], as M x is linear.
+
+        Column b of M, the image of bit b, is bit b of every row; L spans
+        the columns of the low g bits and H those of the high g bits, so
+        entry i of each is the sum of the columns at the set bits of i.
+        """
+        n = 2 * self.g
+        cols = [sum((row >> b & 1) << (n - 1 - i) for i, row in enumerate(self.rows))
+                for b in range(n)]
+        return _span(cols[self.g :]), _span(cols[: self.g])
 
 
 def _packed_pairing(u: int, v: int, g: int) -> int:
@@ -317,7 +337,7 @@ def _pivot_mask(basis) -> int:
 
 
 def _span(basis) -> list[int]:
-    """All 2^len(basis) sums of the rows, in no particular order."""
+    """All 2^len(basis) sums of the rows: entry i sums the rows at the set bits of i."""
     span = [0]
     for row in basis:
         span += [x ^ row for x in span]
@@ -374,7 +394,7 @@ def enumerate_forms(g: int, parity: str = "all") -> list[Characteristic]:
     if parity not in ("even", "odd", "all"):
         raise ValueError(f"parity must be even|odd|all, got {parity!r}")
     want = {"even": (0,), "odd": (1,), "all": (0, 1)}[parity]
-    forms = [Characteristic(g, eps, delta) for eps in range(1 << g) for delta in range(1 << g)]
+    forms = [Characteristic._of(g, eps, delta) for eps in range(1 << g) for delta in range(1 << g)]
     return [q for q in forms if q.parity in want]
 
 
@@ -410,13 +430,15 @@ def sp_apply(m: SpMatrix, t: F2Vector | Characteristic) -> F2Vector | Characteri
 
     A form c moves by Igusa's affine map c -> J(M(J c) + q^) (see the
     module docstring), read off the rows of M, so no inverse is taken.
+    M x is two lookups in the matrix's half tables, one per block of x.
     """
     _same_genus(m, t)
+    high, low = m._half_tables
     if isinstance(t, F2Vector):
-        return F2Vector.from_packed(t.g, gf2_matvec(m.rows, t.packed))
+        return F2Vector.from_packed(t.g, high[t.e] ^ low[t.f])
     # J c is (delta | eps), and J swaps the halves of the result back
-    moved = gf2_matvec(m.rows, t.delta << m.g | t.eps) ^ m._row_parities
-    return Characteristic(m.g, moved & ((1 << m.g) - 1), moved >> m.g)
+    moved = high[t.delta] ^ low[t.eps] ^ m._row_parities
+    return Characteristic._of(m.g, moved & ((1 << m.g) - 1), moved >> m.g)
 
 
 def random_symplectic(g: int, rng: random.Random, n_factors: int | None = None) -> SpMatrix:

@@ -14,10 +14,11 @@ by reduction (oracle_subspace_bases, filtered by parity, is the
 reference for the totally even spans that P_i sums over, in order);
 oracle_isotropic_cosets, which sorts each coset of those subspaces and
 then the whole list; oracle_named_class, the divisor classes as
-{symbol: Fraction} formulas; oracle_box, the truncation search summing
-the tail at every radius; oracle_lattice, the truncation box sorted by a
-Python key; and oracle_sp_apply_form, which moves a form by a
-Gauss-Jordan inverse and 2g evaluations.
+{symbol: Fraction} formulas, and oracle_slope_combination, the slope
+combination solved on those dictionaries; oracle_box, the truncation
+search summing the tail at every radius; oracle_lattice, the truncation
+box sorted by a Python key; and oracle_sp_apply_form, which moves a form
+by a Gauss-Jordan inverse and 2g evaluations.
 
 Run as a script to reprint every frozen reference value used by the suite,
 the azygetic-search counts of the backtracker next to the library's, and
@@ -613,6 +614,29 @@ def oracle_named_class(g, name):
             coeffs[f"delta_{i}"] = -i * (g - i)
         return "Mbar", coeffs
     raise ValueError(f"unknown class name {name!r}")
+
+
+def oracle_slope_combination(g, space):
+    """(c, {symbol: nonzero coefficient}, verdict) of the slope combination.
+
+    Plain Fraction dictionaries: base is 2/(g-2) Z_odd on Sbar_minus and
+    8 ThetaNull on Sbar_plus; BN_normalized is pulled back by delta_0 ->
+    alpha_0 + 2 beta_0 and delta_i -> alpha_i + beta_i; c solves
+    base[beta_0] + c bn[beta_0] = -3, and the verdict compares the lambda
+    coefficient of base + c bn with 13.
+    """
+    name, scale = ("Z_odd", Fraction(2, g - 2)) if space == "Sbar_minus" else ("ThetaNull", 8)
+    base = {s: scale * Fraction(v) for s, v in oracle_named_class(g, name)[1].items()}
+    delta = oracle_named_class(g, "BN_normalized")[1]
+    bn = {"lambda": delta["lambda"], "alpha_0": delta["delta_0"], "beta_0": 2 * delta["delta_0"]}
+    for i in range(1, g // 2 + 1):
+        bn[f"alpha_{i}"] = bn[f"beta_{i}"] = delta[f"delta_{i}"]
+    c = (-3 - base.get("beta_0", 0)) / Fraction(bn["beta_0"])
+    combined = {s: base.get(s, 0) + c * bn.get(s, 0) for s in set(base) | set(bn)}
+    combined = {s: v for s, v in combined.items() if v}
+    slope = combined["lambda"]
+    verdict = "general_type" if slope < 13 else "threshold" if slope == 13 else "inconclusive"
+    return c, combined, verdict
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,8 @@ def test_syzygy_cross_check_survives_python_O():
         "import thetachar.characteristics as ch",
         "from thetachar.cli import run",
         "from thetachar.config import InvariantError",
-        "real = ch.weil_pairing",
-        "ch.weil_pairing = lambda u, v: 1 - real(u, v)",
+        "real = ch._packed_pairing",
+        "ch._packed_pairing = lambda u, v, g: 1 - real(u, v, g)",
         "a, b, c = ch.all_characteristics(2)[:3]",
         "try:",
         "    ch.is_syzygetic(a, b, c)",
@@ -373,16 +373,17 @@ def test_quartic_coordinate_check_census():
 def test_aronhold_structure_check_rejects_a_planted_member():
     # the check reads the five- and three-sums off the pairwise sums; it
     # passes every census set and fails each set with one member swapped
-    # for an odd characteristic outside it
+    # for an odd characteristic outside it; odds and evens are 64-bit masks
     odds = set(packed_odds(3))
-    evens = set(range(64)) - odds
+    odd_mask = sum(1 << p for p in odds)
+    even_mask = (1 << 64) - 1 ^ odd_mask
     census = list(_extend_systems(sorted(odds), 3, 7))
-    assert all(_aronhold_structure_ok(s, odds, evens) for s in census)
+    assert all(_aronhold_structure_ok(s, odd_mask, even_mask) for s in census)
     for members in census[::41]:
         for i in range(7):
             for other in odds - set(members):
                 planted = members[:i] + (other,) + members[i + 1 :]
-                assert not _aronhold_structure_ok(planted, odds, evens)
+                assert not _aronhold_structure_ok(planted, odd_mask, even_mask)
 
 
 def test_char_system_canonicalization_and_validation():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import oracle_named_class
+from oracles import oracle_named_class, oracle_slope_combination
 
 from thetachar import picard, verify
 from thetachar.config import InvariantError
@@ -295,6 +295,21 @@ def test_slope_combination_closed_forms():
             assert res.combined.coeff("alpha_0") == -2
             assert res.combined.coeff("beta_0") == -3
             assert res.combined.coeff("lambda") == res.lambda_slope
+
+
+def test_slope_combination_matches_plain_fraction_oracle():
+    # c, every coefficient, the lambda slope and the verdict, against the
+    # combination solved on {symbol: Fraction} dictionaries
+    for g in range(4, 61):
+        for space in ("Sbar_minus", "Sbar_plus"):
+            c, coeffs, verdict = oracle_slope_combination(g, space)
+            res = slope_combination(g, space)
+            assert type(res.c_coefficient) is Fraction and res.c_coefficient == c
+            assert res.combined.space == space and res.combined.g == g
+            for sym in basis_symbols(space, g):
+                assert res.combined.coeff(sym) == coeffs.get(sym, 0), (g, space, sym)
+            assert res.lambda_slope == coeffs["lambda"]
+            assert general_type_test(g, space) == verdict
 
 
 def test_slope_combination_g13_example():

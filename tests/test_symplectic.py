@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_arf, oracle_form_eval, oracle_sp_apply_form, tuple_pairing
 from thetachar.characteristics import sp_group_order
+from thetachar.gf2 import gf2_matvec
 from thetachar.symplectic import (
     Characteristic,
     F2Vector,
@@ -272,17 +273,26 @@ def test_random_symplectic_preserves_pairing_and_arf():
 
 
 def test_sp_apply_matches_inverse_and_evaluate_oracle():
-    # every form at g <= 4, 64 sampled forms at g = 5..8
+    # every form and vector at g <= 4, 64 sampled of each at g = 5..8: forms
+    # against the inverse-and-evaluate oracle, vectors against the
+    # row-by-row product; an image equals and hashes as the checked object
     rnd = random.Random(1972)
     for g, n_matrices in ((1, 300), (2, 300), (3, 300), (4, 30), (5, 8), (6, 8), (7, 8), (8, 8)):
-        forms = enumerate_forms(g) if g <= 4 else [
-            Characteristic(g, rnd.randrange(1 << g), rnd.randrange(1 << g)) for _ in range(64)
-        ]
+        if g <= 4:
+            forms, vectors = enumerate_forms(g), all_vectors(g)
+        else:
+            forms = [
+                Characteristic(g, rnd.randrange(1 << g), rnd.randrange(1 << g)) for _ in range(64)
+            ]
+            vectors = [F2Vector.from_packed(g, rnd.randrange(1 << (2 * g))) for _ in range(64)]
         for _ in range(n_matrices):
             m = random_symplectic(g, rnd)
             for q in forms:
-                expected = oracle_sp_apply_form(m.rows, g, q.eps, q.delta)
-                assert sp_apply(m, q) == Characteristic(g, *expected)
+                got = sp_apply(m, q)
+                want = Characteristic(g, *oracle_sp_apply_form(m.rows, g, q.eps, q.delta))
+                assert got == want and hash(got) == hash(want) and type(got) is Characteristic
+            for v in vectors:
+                assert sp_apply(m, v) == F2Vector.from_packed(g, gf2_matvec(m.rows, v.packed))
 
 
 def test_sp_orbit_covers_each_parity_class():
