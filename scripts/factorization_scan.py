@@ -26,7 +26,7 @@ def main() -> None:
         "--max-genus", type=int, default=3, choices=(2, 3, 4),
         help="largest total genus to scan",
     )
-    parser.add_argument("--tol", type=float, default=1e-12)
+    parser.add_argument("--tol", type=float, default=Tolerance().abs_tol)
     args = parser.parse_args()
 
     rng = random.Random(args.seed)

@@ -75,6 +75,8 @@ MUTANTS = (
            "_shell_term(lam, g, z_im_norm, radius) > abs_tol"),
     Mutant("level-slice", "src/thetachar/amplitude.py", "start += rows * cols", "start += rows * cols - 1"),
     Mutant("level-power", "src/thetachar/amplitude.py", "range(4 - i)", "range(3 - i)"),
+    Mutant("level-sums-tol", "src/thetachar/amplitude.py", "_sum_levels(theta_constant_table(tau, tol), tau.g)",
+           "_sum_levels(theta_constant_table(tau), tau.g)"),
     # the subspace search, the coset lists and the Sp action
     Mutant("search-leading-bit", "src/thetachar/symplectic.py",
            "range(basis[-1].bit_length() - 1 if basis else 2 * g)", "range(2 * g)"),

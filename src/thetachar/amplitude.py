@@ -11,10 +11,8 @@ g <= 4, where the exponents 2^(4-i) are still integers.
 _sum_levels is the one route from a table to the P_i: P_0..P_g are summed
 together, once per (tau, tol), by one gather from the table over the
 spans of every level (_level_index), each level then multiplied out and
-summed on its own.  The tuple is cached like the tables, 16 (tau, tol)
-at a time, and P_i_g, xi_g and the CLI read it.  A cached tuple never
-outlives its table: it keeps the table it was summed from and is summed
-again whenever theta_constant_table returns another one (_level_sums).
+summed on its own.  P_i_g, xi_g and the CLI read the tuple from
+_level_sums, cached on (tau, Tolerance) 16 at a time like the tables.
 """
 
 from __future__ import annotations
@@ -29,22 +27,18 @@ from .theta import PeriodMatrix, Tolerance, block_diag, theta_constant_table
 GENUS_CAP = 4
 
 
-@lru_cache(maxsize=None)
 def _even_spans(g: int, i: int) -> np.ndarray:
     """The totally-even i-dim subspaces of F2^2g, one row of elements each.
 
     The parity of a characteristic is the quadratic form q0(eps, delta) =
     eps.delta on F2^2g, and these are its totally singular subspaces, read
-    from the isotropic-subspace generator.  Nothing depends on tau, so
-    each (g, i) is cached.  Rows are in canonical order: descending
-    pivots, then rows; each row is ascending.  An element x = eps * 2^g +
-    delta is also the flat index of theta[eps; delta] in a (2^g, 2^g)
-    table, so the rows gather the products P_W.
+    from the isotropic-subspace generator.  Rows are in canonical order:
+    descending pivots, then rows; each row is ascending.  An element x =
+    eps * 2^g + delta is also the flat index of theta[eps; delta] in a
+    (2^g, 2^g) table, so the rows gather the products P_W.
     """
     rows = [sorted(_span(basis)) for basis in _isotropic_bases(g, True)[i]]
-    index = np.array(rows, dtype=np.intp).reshape(len(rows), 1 << i)
-    index.setflags(write=False)
-    return index
+    return np.array(rows, dtype=np.intp).reshape(len(rows), 1 << i)
 
 
 def _halved(factors: np.ndarray) -> np.ndarray:
@@ -91,19 +85,9 @@ def _sum_levels(table: np.ndarray, g: int) -> tuple[complex, ...]:
 
 
 @lru_cache(maxsize=16)
-def _sums_slot(tau: PeriodMatrix, tol: Tolerance) -> list:
-    """The [table, sums] slot of one (tau, tol), under the table's LRU policy."""
-    return [None, ()]
-
-
-def _level_sums(tau: PeriodMatrix, tol) -> tuple[complex, ...]:
-    """P_0..P_g at tau, summed again only when theta_constant_table returns another table."""
-    tol = Tolerance.coerce(tol)
-    table = theta_constant_table(tau, tol)
-    slot = _sums_slot(tau, tol)
-    if slot[0] is not table:
-        slot[:] = table, _sum_levels(table, tau.g)
-    return slot[1]
+def _level_sums(tau: PeriodMatrix, tol: Tolerance) -> tuple[complex, ...]:
+    """P_0..P_g at tau, summed from the theta-constant table of (tau, tol)."""
+    return _sum_levels(theta_constant_table(tau, tol), tau.g)
 
 
 def P_i_g(tau: PeriodMatrix, g: int, i: int, tol=Tolerance()) -> complex:
@@ -122,7 +106,7 @@ def P_i_g(tau: PeriodMatrix, g: int, i: int, tol=Tolerance()) -> complex:
         raise ValueError(f"g={g} > {GENUS_CAP}: exponent 2^(4-i) turns fractional")
     if not 0 <= i <= g:
         raise ValueError(f"need 0 <= i <= g, got i={i}, g={g}")
-    return _level_sums(tau, tol)[i]
+    return _level_sums(tau, Tolerance.coerce(tol))[i]
 
 
 def xi_g(tau: PeriodMatrix, g: int, tol=Tolerance()) -> complex:
@@ -136,7 +120,7 @@ def _xi_terms(tau: PeriodMatrix, g: int, tol) -> tuple[complex, tuple[complex, .
         raise ValueError(f"need 1 <= g <= {GENUS_CAP}, got {g}")
     if g != tau.g:
         raise ValueError(f"g={g} does not match tau (genus {tau.g})")
-    terms = _level_sums(tau, tol)
+    terms = _level_sums(tau, Tolerance.coerce(tol))
     total = 0j  # summed in order: sum() may compensate, which changes the last bits
     for i, p in enumerate(terms):
         total += (1 << (i * (i - 1) // 2)) * (-1) ** i * p

@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import amplitude as amp
 from . import boundary as bnd
 from . import picard as pic
@@ -57,7 +55,7 @@ def parse_period_matrix(text: str, g: int) -> PeriodMatrix:
             rows.append([_parse_entry(row)])
         else:
             raise ValueError(f"tau row has {len(row)} entries, expected {g}")
-    return PeriodMatrix(np.array(rows, dtype=complex))
+    return PeriodMatrix(rows)
 
 
 def parse_z(text: str, g: int) -> list[complex]:

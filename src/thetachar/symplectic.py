@@ -232,7 +232,13 @@ class SpMatrix:
         Column b of M, the image of bit b, is bit b of every row; L spans
         the columns of the low g bits and H those of the high g bits, so
         entry i of each is the sum of the columns at the set bits of i.
+        Each has 2^g entries, so the genus is capped as for enumeration.
         """
+        if self.g > EXHAUSTIVE_GENUS_CAP:
+            raise ValueError(
+                f"sp_apply capped at genus {EXHAUSTIVE_GENUS_CAP} (EXHAUSTIVE_GENUS_CAP):"
+                f" its half tables take 2^{self.g} entries each"
+            )
         n = 2 * self.g
         cols = [sum((row >> b & 1) << (n - 1 - i) for i, row in enumerate(self.rows))
                 for b in range(n)]
@@ -441,15 +447,13 @@ def sp_apply(m: SpMatrix, t: F2Vector | Characteristic) -> F2Vector | Characteri
     return Characteristic._of(m.g, moved & ((1 << m.g) - 1), moved >> m.g)
 
 
-def random_symplectic(g: int, rng: random.Random, n_factors: int | None = None) -> SpMatrix:
-    """Product of random transvections; n_factors defaults to 2g..4g.
+def random_symplectic(g: int, rng: random.Random) -> SpMatrix:
+    """Product of 2g..4g random transvections.
 
     Each factor is a rank-one row update (_transvect), not a product, and
     only the result is built as an SpMatrix: one pairing check per draw.
     """
-    if n_factors is None:
-        n_factors = rng.randint(2 * g, 4 * g)
     rows = _identity_rows(g)
-    for _ in range(n_factors):
+    for _ in range(rng.randint(2 * g, 4 * g)):
         rows = _transvect(rows, rng.randrange(1, 1 << (2 * g)), g)
     return SpMatrix(g, rows)

@@ -177,31 +177,35 @@ def test_level_sums_are_cached_with_their_table(monkeypatch):
     g = 3
     tau = PeriodMatrix([[1.1j, 0.2 + 0.05j, 0], [0.2 + 0.05j, 0.9j, -0.1], [0, -0.1, 1.3j]])
     theta._table.cache_clear()
+    amplitude._level_sums.cache_clear()
     table = theta_constant_table(tau)
     sums = amplitude._level_sums(tau, Tolerance())
     assert list(sums) == _level_by_level(table, g)  # bit for bit
-    assert amplitude._level_sums(tau, 1e-12) is sums
+    assert amplitude._level_sums(tau, Tolerance(1e-12)) is sums
     assert [P_i_g(tau, g, i) for i in range(g + 1)] == list(sums)
-    assert amplitude._xi_terms(tau, g, Tolerance())[1] is sums
-    # another tolerance is another entry, beside the first
-    loose = amplitude._level_sums(tau, Tolerance(1e-6))
+    assert amplitude._xi_terms(tau, g, 1e-12)[1] is sums
+    # another tolerance is another entry, beside the first, summed from its
+    # own table (at 1e-6 this tau still gets the same radius and table)
+    loose_table = theta_constant_table(tau, 1e-4)
+    assert not np.array_equal(loose_table, table)
+    loose = amplitude._level_sums(tau, Tolerance(1e-4))
     assert loose is not sums
-    assert list(loose) == _level_by_level(theta_constant_table(tau, 1e-6), g)
-    assert amplitude._level_sums(tau, 1e-6) is loose
+    assert list(loose) == _level_by_level(loose_table, g)
+    assert amplitude._xi_terms(tau, g, 1e-4)[1] is loose
     assert amplitude._level_sums(tau, Tolerance()) is sums
-    # a new kernel and a cleared table cache: the sums follow the new table
-    signs, phases = theta._signs_and_phases(g)
-    monkeypatch.setattr(theta, "_signs_and_phases", lambda _: (signs, 2.0 * phases))
-    theta._table.cache_clear()
-    doubled = theta_constant_table(tau)
-    assert np.array_equal(doubled, 2.0 * table)
-    assert [P_i_g(tau, g, i) for i in range(g + 1)] == _level_by_level(doubled, g)
-    assert [P_i_g(tau, g, i) for i in range(g + 1)] == [2.0**16 * p for p in sums]
-    xi, terms = amplitude._xi_terms(tau, g, Tolerance())
-    assert xi == xi_g(tau, g) and list(terms) == _level_by_level(doubled, g)
-    monkeypatch.undo()
-    theta._table.cache_clear()
-    assert amplitude._level_sums(tau, Tolerance()) == sums
+    assert amplitude._level_sums.cache_info().currsize == 2
+    # a float tolerance and the equal Tolerance share one pass, through
+    # the public functions in either order
+    passes = []
+    sum_levels = amplitude._sum_levels
+    monkeypatch.setattr(amplitude, "_sum_levels", lambda *args: passes.append(args) or sum_levels(*args))
+    for first, second in ((1e-12, Tolerance()), (Tolerance(), 1e-12)):
+        amplitude._level_sums.cache_clear()
+        passes.clear()
+        xi = xi_g(tau, g, first)
+        assert [P_i_g(tau, g, i, second) for i in range(g + 1)] == list(sums)
+        assert xi_g(tau, g, second) == xi and len(passes) == 1
+    assert amplitude._level_sums.cache_info().currsize == 1
 
 
 def test_amplitude_guards_fire_before_any_work(monkeypatch):

@@ -180,6 +180,7 @@ def test_amplitude_report_computes_each_P_i_once(capsys, monkeypatch):
     monkeypatch.setattr(amplitude, "_sum_levels", counted)
     for g, tau in ((1, TAU_1_JSON), (2, TAU_2_JSON)):
         theta._table.cache_clear()
+        amplitude._level_sums.cache_clear()
         passes.clear()
         assert run(["amplitude", "--genus", str(g), "--tau", tau]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -190,6 +191,7 @@ def test_amplitude_report_computes_each_P_i_once(capsys, monkeypatch):
         assert passes == [g]
     tau = PeriodMatrix([[1.2j, 0.1, 0], [0.1, 1j, 0.05j], [0, 0.05j, 0.9j]])
     theta._table.cache_clear()
+    amplitude._level_sums.cache_clear()
     passes.clear()
     xi = xi_g(tau, 3)
     terms = [P_i_g(tau, 3, i) for i in range(4)]

@@ -37,14 +37,6 @@ def test_slope_table_matches_the_library():
             assert row[f"{label}_verdict"] == general_type_test(g, space)
 
 
-def test_aronhold_census_script():
-    proc = _script("aronhold_census.py", "--json")
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["azygetic_odd_7set_count"] == 288
-    assert report["structure_failures"] == 0
-
-
 def test_factorization_scan_script():
     proc = _script("factorization_scan.py", "--trials", "1", "--max-genus", "2")
     assert proc.returncode == 0, proc.stderr

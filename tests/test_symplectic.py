@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_arf, oracle_form_eval, oracle_sp_apply_form, tuple_pairing
+from thetachar import symplectic
 from thetachar.characteristics import sp_group_order
 from thetachar.gf2 import gf2_matvec
 from thetachar.symplectic import (
@@ -295,6 +296,20 @@ def test_sp_apply_matches_inverse_and_evaluate_oracle():
                 assert sp_apply(m, v) == F2Vector.from_packed(g, gf2_matvec(m.rows, v.packed))
 
 
+def test_sp_apply_is_capped_at_the_enumeration_genus(monkeypatch):
+    # the half tables take 2^g entries each: g = 8 is the last genus served
+    # (test_sp_apply_matches_inverse_and_evaluate_oracle checks it against
+    # gf2_matvec), and g = 9 raises before any table is spanned
+    assert symplectic.EXHAUSTIVE_GENUS_CAP == 8
+    spans = []
+    monkeypatch.setattr(symplectic, "_span", lambda basis: spans.append(basis))
+    m = random_symplectic(9, random.Random(9))
+    for t in (F2Vector.from_packed(9, 1), Characteristic(9, 1, 0)):
+        with pytest.raises(ValueError, match=r"capped at genus 8 \(EXHAUSTIVE_GENUS_CAP\)"):
+            sp_apply(m, t)
+    assert spans == []
+
+
 def test_sp_orbit_covers_each_parity_class():
     # products of random generators reach every form of the same parity
     for g in (1, 2):
@@ -303,7 +318,8 @@ def test_sp_orbit_covers_each_parity_class():
         seen = {start}
         current = start
         for _ in range(4000):
-            current = sp_apply(random_symplectic(g, rnd, n_factors=1), current)
+            t = transvection(F2Vector.from_packed(g, rnd.randrange(1, 1 << 2 * g)))
+            current = sp_apply(t, current)
             seen.add(current)
         assert seen == set(enumerate_forms(g, "even"))
 
