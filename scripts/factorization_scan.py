@@ -38,7 +38,7 @@ def main() -> None:
             for _ in range(args.trials):
                 tau1 = random_tau(rng, k)
                 tau2 = random_tau(rng, g - k)
-                worst = max(worst, factorization_residual(g, k, tau1, tau2, tol))
+                worst = max(worst, factorization_residual(tau1, tau2, tol))
             print(f"{g:>2} {k:>2} {args.trials:>6} {worst:>15.3e}")
 
 

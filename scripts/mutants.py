@@ -102,10 +102,11 @@ MUTANTS = (
            "[4, -1, 0] + [0, -4] * k"),
     Mutant("bound-strict", "src/thetachar/picard.py", "not -n >= 2 * den", "not -n > 2 * den"),
     Mutant("forest-graft", "src/thetachar/boundary.py", "path[w] ^= mask", "path[w] ^= 1 << j ^ path[v]"),
-    # the CLI's defaults and the one tolerance range check
+    # the CLI's defaults, the one tolerance range check and z's finiteness check
     Mutant("cli-default-tol", "src/thetachar/cli.py", "tol=Tolerance().abs_tol", "tol=1e-10"),
     Mutant("cli-default-output", "src/thetachar/cli.py", 'Namespace(output="json"', 'Namespace(output="table"'),
     Mutant("tolerance-floor", _THETA, "1e-13 < self.abs_tol", "0.0 < self.abs_tol"),
+    Mutant("z-finite", _THETA, "if not all(map(cmath.isfinite, z)):", "if False:"),
 )
 
 

@@ -4,20 +4,17 @@ from .amplitude import P_i_g, factorization_residual, xi_g
 from .boundary import (
     DualGraph,
     Edge,
-    EvenEdgeSet,
     ThComponentReport,
     Vertex,
     betti_and_genus,
     boundary_degrees_odd,
     even_edge_sets,
-    pullback_relations,
     th_components,
 )
 from .characteristics import (
     Characteristic,
     CharSystem,
     all_characteristics,
-    char_difference,
     difference_rank,
     enumerate_fundamental_systems,
     enumerate_gopel_systems,
@@ -54,7 +51,6 @@ from .symplectic import (
 )
 from .theta import (
     PeriodMatrix,
-    ThetaArg,
     Tolerance,
     block_diag,
     theta_constant,

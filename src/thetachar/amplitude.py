@@ -127,20 +127,16 @@ def _xi_terms(tau: PeriodMatrix, g: int, tol) -> tuple[complex, tuple[complex, .
     return total / (1 << g), terms
 
 
-def factorization_residual(
-    g: int, k: int, tau1: PeriodMatrix, tau2: PeriodMatrix, tol=Tolerance()
-) -> float:
+def factorization_residual(tau1: PeriodMatrix, tau2: PeriodMatrix, tol=Tolerance()) -> float:
     """Relative defect of Xi(diag(tau1, tau2)) against Xi(tau1) * Xi(tau2).
 
+    The split is read from the two period matrices: g = g1 + g2, k = g1.
     Floored at 1 in the denominator so the residual stays meaningful near
     zeros of Xi.
     """
-    if not 1 <= k < g <= GENUS_CAP:
+    k, g = tau1.g, tau1.g + tau2.g  # 1 <= k < g, as every genus is positive
+    if g > GENUS_CAP:
         raise ValueError(f"need 1 <= k < g <= {GENUS_CAP}, got g={g}, k={k}")
-    if tau1.g != k or tau2.g != g - k:
-        raise ValueError(
-            f"period matrices have genus ({tau1.g}, {tau2.g}), expected ({k}, {g - k})"
-        )
     joint = xi_g(block_diag(tau1, tau2), g, tol)
     split = xi_g(tau1, k, tol) * xi_g(tau2, g - k, tol)
     return abs(joint - split) / max(1.0, abs(split))

@@ -5,10 +5,9 @@ A nodal curve is encoded by its dual graph: one vertex per component
 fibre of the spin compactification over such a curve decomposes by
 *even* edge sets — subsets meeting every vertex in an even number of
 edge-ends — and this module computes that decomposition, its component
-counts and multiplicities, plus the push-pull bookkeeping the divisor
-calculus consumes.  Connectivity, the even sets (the cycle space) and the
-Betti number of each even set all come from one spanning-forest pass,
-_forest.
+counts and multiplicities.  Connectivity, the even sets (the cycle space)
+and the Betti number of each even set all come from one spanning-forest
+pass, _forest.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import InvariantError
-from .picard import DivClass, pullback
 
 
 @dataclass(frozen=True)
@@ -77,12 +75,6 @@ class DualGraph:
         edges = [Edge(*entry) for entry in _entries(data, "edges", ("id", "u", "v"))]
         return cls(tuple(vertices), tuple(edges))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [{"id": v.id, "genus": v.genus} for v in self.vertices],
-            "edges": [{"id": e.id, "u": e.u, "v": e.v} for e in self.edges],
-        }
-
 
 def _entries(data: dict, key: str, fields: tuple[str, ...]) -> list[tuple]:
     """Field values of each entry of data[key], a list of objects with these keys."""
@@ -134,20 +126,14 @@ def betti_and_genus(graph: DualGraph) -> tuple[int, int]:
     return b, sum(v.genus for v in graph.vertices) + b
 
 
-@dataclass(frozen=True)
-class EvenEdgeSet:
-    """An even subset of the edges, held as sorted edge ids."""
-
-    edges: tuple[str, ...]
-
-
-def even_edge_sets(graph: DualGraph) -> list[EvenEdgeSet]:
+def even_edge_sets(graph: DualGraph) -> list[tuple[str, ...]]:
     """The even edge sets = the cycle space of the graph, all 2^b of them.
 
     A set is even when every vertex meets it in an even number of
     edge-ends (a self-loop contributes two, hence never obstructs); these
     are the sums of subsets of the cycle basis from _forest, each checked
-    to be even.  Returned in lexicographic edge-id order.
+    to be even.  Each set is the sorted tuple of its edge ids, and the
+    sets are returned in lexicographic order.
     """
     ends = [(e.u, e.v) for e in graph.edges]
     _, cycles = _forest([v.id for v in graph.vertices], ends)
@@ -161,11 +147,10 @@ def even_edge_sets(graph: DualGraph) -> list[EvenEdgeSet]:
     masks = [0]
     for cycle in cycles:
         masks += [m ^ cycle for m in masks]
-    sets = []
-    for mask in masks:
-        ids = sorted(e.id for j, e in enumerate(graph.edges) if (mask >> j) & 1)
-        sets.append(EvenEdgeSet(tuple(ids)))
-    sets.sort(key=lambda s: s.edges)
+    sets = sorted(
+        tuple(sorted(e.id for j, e in enumerate(graph.edges) if (mask >> j) & 1))
+        for mask in masks
+    )
     b, _ = betti_and_genus(graph)
     if len(sets) != 1 << b:
         raise InvariantError(f"{len(sets)} even edge sets, expected 2^{b}")
@@ -174,7 +159,7 @@ def even_edge_sets(graph: DualGraph) -> list[EvenEdgeSet]:
 
 @dataclass(frozen=True)
 class FibreStratum:
-    even_set: EvenEdgeSet
+    even_set: tuple[str, ...]
     b1: int
     component_count: int
     multiplicity: int
@@ -195,7 +180,7 @@ class ThComponentReport:
             "g": self.g,
             "entries": [
                 {
-                    "even_set": list(e.even_set.edges),
+                    "even_set": list(e.even_set),
                     "b1": e.b1,
                     "component_count": e.component_count,
                     "multiplicity": e.multiplicity,
@@ -222,10 +207,10 @@ def th_components(graph: DualGraph) -> ThComponentReport:
     ends = {e.id: (e.u, e.v) for e in graph.edges}
     entries = []
     for delta in even_edge_sets(graph):
-        chosen = [ends[i] for i in delta.edges]
+        chosen = [ends[i] for i in delta]
         b1 = len(_forest({x for pair in chosen for x in pair}, chosen)[1])
         if chosen and not b1:
-            raise InvariantError(f"even set {list(delta.edges)} has b1 = 0")
+            raise InvariantError(f"even set {list(delta)} has b1 = 0")
         entries.append(
             FibreStratum(
                 even_set=delta,
@@ -273,16 +258,3 @@ def boundary_degrees_odd(g: int, i: int) -> tuple[int, int]:
     if total != odd_total:
         raise InvariantError(f"boundary degrees at (g, i) = ({g}, {i}) miss the odd count")
     return deg_a, deg_b
-
-
-def pullback_relations(g: int, space: str = "Sbar_minus") -> list[tuple[DivClass, DivClass]]:
-    """The boundary push-pull identities as (class on Mbar, its pullback).
-
-    One pair per boundary index: delta_0 maps to alpha_0 + 2 beta_0 and
-    delta_i to alpha_i + beta_i.
-    """
-    out = []
-    for i in range(g // 2 + 1):
-        delta = DivClass("Mbar", g, {f"delta_{i}": 1})
-        out.append((delta, pullback(delta, space)))
-    return out

@@ -47,7 +47,6 @@ from .symplectic import (
     _same_genus,
     _span,
     enumerate_forms,
-    form_difference,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "CharSystem",
     "all_characteristics",
     "triple_sum",
-    "char_difference",
     "is_syzygetic",
     "enumerate_syzygetic_tetrads",
     "enumerate_fundamental_systems",
@@ -81,10 +79,6 @@ def triple_sum(a: Characteristic, b: Characteristic, c: Characteristic) -> Chara
     _same_genus(a, b)
     _same_genus(a, c)
     return Characteristic(a.g, a.eps ^ b.eps ^ c.eps, a.delta ^ b.delta ^ c.delta)
-
-
-# The 2-torsion vector between two characteristics (block-swapped XOR).
-char_difference = form_difference
 
 
 def is_syzygetic(a: Characteristic, b: Characteristic, c: Characteristic) -> bool:

@@ -141,7 +141,7 @@ def _cmd_amplitude(args) -> int:
     if args.mode == "check-factorization":
         tau1 = parse_period_matrix(args.tau1, args.k)
         tau2 = parse_period_matrix(args.tau2, args.g - args.k)
-        residual = amp.factorization_residual(args.g, args.k, tau1, tau2, tol)
+        residual = amp.factorization_residual(tau1, tau2, tol)
         _emit(
             {"g": args.g, "k": args.k, "residual": residual, "tolerance": tol.abs_tol},
             args.output,

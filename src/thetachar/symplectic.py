@@ -24,8 +24,8 @@ J(M(J c) + q^).  So every matrix operation works on M's rows, with no
 inverse or transpose; the pairing check M J M^T = J is <row_j, row_k> = J_jk.
 
 Bit packing: coordinate i of a block sits at bit g-1-i of the block int,
-so bit strings read left to right and the hex serialization below is
-most-significant-first within each block.
+so bit strings read left to right and the hex of
+Characteristic.to_json_dict is most-significant-first within each block.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ def _same_genus(a, b) -> None:
         raise ValueError(f"genus mismatch: {a.g} vs {b.g}")
 
 
-def _hex_width(g: int) -> int:
-    return (g + 3) // 4
-
-
 @dataclass(frozen=True)
 class F2Vector:
     """Element of F2^2g: e-block and f-block of g bits each."""
@@ -83,21 +79,6 @@ class F2Vector:
             raise ValueError(f"genus must be positive, got {self.g}")
         _check_block(self.e, self.g, "e block")
         _check_block(self.f, self.g, "f block")
-
-    @classmethod
-    def from_bits(cls, bits: str) -> "F2Vector":
-        """Parse a 2g-bit string, e-coordinates first."""
-        if len(bits) % 2 or not bits or set(bits) - {"0", "1"}:
-            raise ValueError(f"need an even-length bit string, got {bits!r}")
-        g = len(bits) // 2
-        return cls(g, int(bits[:g], 2), int(bits[g:], 2))
-
-    @classmethod
-    def from_hex(cls, g: int, text: str) -> "F2Vector":
-        e_part, _, f_part = text.partition(":")
-        if not _:
-            raise ValueError(f"expected 'ehex:fhex', got {text!r}")
-        return cls(g, int(e_part, 16), int(f_part, 16))
 
     @classmethod
     def from_packed(cls, g: int, packed: int) -> "F2Vector":
@@ -114,10 +95,6 @@ class F2Vector:
     @property
     def is_zero(self) -> bool:
         return self.e == 0 and self.f == 0
-
-    def to_hex(self) -> str:
-        w = _hex_width(self.g)
-        return f"{self.e:0{w}x}:{self.f:0{w}x}"
 
     def __add__(self, other: "F2Vector") -> "F2Vector":
         _same_genus(self, other)
@@ -183,7 +160,7 @@ class Characteristic:
         return format(self.eps, f"0{self.g}b") + ";" + format(self.delta, f"0{self.g}b")
 
     def to_json_dict(self) -> dict:
-        w = _hex_width(self.g)
+        w = (self.g + 3) // 4
         return {
             "eps": f"{self.eps:0{w}x}",
             "delta": f"{self.delta:0{w}x}",

@@ -93,7 +93,6 @@ from .symplectic import Characteristic, _same_genus
 
 __all__ = [
     "PeriodMatrix",
-    "ThetaArg",
     "Tolerance",
     "truncation_radius",
     "theta_with_char",
@@ -191,33 +190,16 @@ class PeriodMatrix:
         return f"PeriodMatrix(g={self.g})"
 
 
-@dataclass(frozen=True)
-class ThetaArg:
-    """Argument vector z in C^g."""
-
-    z: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        if not self.z:
-            raise ValueError("z must be nonempty")
-        if any(not (math.isfinite(w.real) and math.isfinite(w.imag)) for w in self.z):
-            raise ValueError("z entries must be finite")
-
-    @classmethod
-    def coerce(cls, z, g: int) -> "ThetaArg":
-        if isinstance(z, ThetaArg):
-            arg = z
-        elif z is None:
-            arg = cls((0j,) * g)
-        else:
-            arg = cls(tuple(complex(w) for w in z))
-        if len(arg.z) != g:
-            raise ValueError(f"z has length {len(arg.z)}, expected {g}")
-        return arg
-
-    @classmethod
-    def zero(cls, g: int) -> "ThetaArg":
-        return cls((0j,) * g)
+def _z(z, g: int) -> tuple[complex, ...]:
+    """The argument vector z in C^g as a tuple, zero when z is None."""
+    z = (0j,) * g if z is None else tuple(complex(w) for w in z)
+    if not z:
+        raise ValueError("z must be nonempty")
+    if not all(map(cmath.isfinite, z)):
+        raise ValueError("z entries must be finite")
+    if len(z) != g:
+        raise ValueError(f"z has length {len(z)}, expected {g}")
+    return z
 
 
 def _shell_term(lam: float, g: int, z_im_norm: float, s: int) -> float:
@@ -283,15 +265,15 @@ def _box(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tuple[int, flo
     )
 
 
-def _numerics(tau: PeriodMatrix, arg: ThetaArg, tol: Tolerance) -> tuple[int, float, float]:
-    z_im_norm = math.hypot(*(w.imag for w in arg.z))
+def _numerics(tau: PeriodMatrix, z: tuple, tol: Tolerance) -> tuple[int, float, float]:
+    z_im_norm = math.hypot(*(w.imag for w in z))
     return _box(tau.g, tau.im_lambda_min, z_im_norm, tol.abs_tol)
 
 
 def truncation_radius(tau: PeriodMatrix, z, tol) -> int:
     """Smallest box radius R whose estimated tail is below the tolerance."""
     tol = Tolerance.coerce(tol)
-    return _numerics(tau, ThetaArg.coerce(z, tau.g), tol)[0]
+    return _numerics(tau, _z(z, tau.g), tol)[0]
 
 
 def _shell_order(g: int, radius: int) -> np.ndarray:
@@ -454,7 +436,7 @@ def _turns(tau: PeriodMatrix, e: np.ndarray) -> np.ndarray | float:
 
 
 def _theta_sum(
-    tau: PeriodMatrix, arg: ThetaArg, c: Characteristic, radius: int, cutoff: float
+    tau: PeriodMatrix, z: tuple[complex, ...], c: Characteristic, radius: int, cutoff: float
 ) -> tuple[complex, int]:
     """theta[eps; delta](tau, z) = theta[eps; 0](tau, z + delta/2), and its point count.
 
@@ -472,7 +454,6 @@ def _theta_sum(
     g = tau.g
     m = _lattice(g, radius)
     e = _blocks(g)[c.eps]
-    z = arg.z
     turns = _turns(tau, e)
     n = [round(w.real) for w in z]  # exact, and so is each w - k below
     if any(n):
@@ -511,12 +492,12 @@ def _evaluate(tau: PeriodMatrix, z, c: Characteristic, tol) -> tuple[complex, in
     """theta[c](tau, z), the radius R, the points K summed and their charge."""
     _same_genus(c, tau)
     tol = Tolerance.coerce(tol)
-    arg = ThetaArg.coerce(z, tau.g)
+    z = _z(z, tau.g)
     # The public call stays so that a wrapped truncation_radius sees the
     # radius of every evaluation; the tail then comes from the same search.
-    radius = truncation_radius(tau, arg, tol)
-    _, tail, cutoff = _numerics(tau, arg, tol)
-    value, points = _theta_sum(tau, arg, c, radius, cutoff)
+    radius = truncation_radius(tau, z, tol)
+    _, tail, cutoff = _numerics(tau, z, tol)
+    value, points = _theta_sum(tau, z, c, radius, cutoff)
     return value, radius, points, _charge(tail, tau.g, radius, points, cutoff)
 
 
@@ -651,9 +632,9 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> np.ndarray:
     """
     g = tau.g
     n = 1 << g
-    arg = ThetaArg.zero(g)
-    radius = truncation_radius(tau, arg, tol)
-    _, tail, cutoff = _numerics(tau, arg, tol)
+    z = (0j,) * g
+    radius = truncation_radius(tau, z, tol)
+    _, tail, cutoff = _numerics(tau, z, tol)
     keep, classes = _table_rows(tau, radius, cutoff)
     m = np.take(_lattice(g, radius), keep, axis=0)
     x, y = tau._x, tau._y

@@ -179,9 +179,7 @@ def _check_factorization(rng: random.Random):
     cases.append(("(4,2)", 1e-6, 4, 2))
     worst: dict[str, float] = {}
     for label, limit, g, k in cases:
-        residual = factorization_residual(
-            g, k, random_tau(rng, k), random_tau(rng, g - k), _TOL
-        )
+        residual = factorization_residual(random_tau(rng, k), random_tau(rng, g - k), _TOL)
         if not residual < limit:
             return False, f"{label}: residual {residual:.3e} exceeds {limit:.0e}"
         worst[label] = max(worst.get(label, 0.0), residual)

@@ -728,7 +728,6 @@ def main():
 
     from thetachar.theta import (
         PeriodMatrix,
-        ThetaArg,
         Tolerance,
         _numerics,
         _table_rows,
@@ -740,7 +739,7 @@ def main():
         a = rng.uniform(-0.25, 0.25, (g, g))
         x = rng.uniform(-0.6, 0.6, (g, g))
         tau = PeriodMatrix((x + x.T) / 2 + 1j * (lam * np.eye(g) + a @ a.T))
-        radius, tail, cutoff = _numerics(tau, ThetaArg.zero(g), Tolerance())
+        radius, tail, cutoff = _numerics(tau, (0j,) * g, Tolerance())
         box = (2 * radius + 1) ** g
         kept = len(_table_rows(tau, radius, cutoff)[0])
         charge = tail + (box - kept) * math.exp(-math.pi * cutoff)
@@ -770,9 +769,9 @@ def main():
         same &= oracle_connected(n, edges)
         want = sorted(tuple(f"e{j}" for j in sorted(S))
                       for S in oracle_even_edge_sets(n, edges))
-        same &= [s.edges for s in even_edge_sets(graph)] == want
+        same &= even_edge_sets(graph) == want
         same &= all(
-            e.b1 == oracle_b1({int(i[1:]) for i in e.even_set.edges}, edges)
+            e.b1 == oracle_b1({int(i[1:]) for i in e.even_set}, edges)
             for e in th_components(graph).entries
         )
         graphs += 1

@@ -270,13 +270,12 @@ def test_xi_guards():
 
 
 def test_factorization_residuals():
-    assert factorization_residual(2, 1, TAU_I, TAU_I) < 1e-8
+    assert factorization_residual(TAU_I, TAU_I) < 1e-8
     tau2 = block_diag(TAU_I, TAU_B)
-    assert factorization_residual(3, 1, TAU_I, tau2) < 1e-7
-    with pytest.raises(ValueError):
-        factorization_residual(1, 1, TAU_I, TAU_I)
-    with pytest.raises(ValueError):
-        factorization_residual(5, 1, TAU_I, TAU_I)
+    assert factorization_residual(TAU_I, tau2) < 1e-7
+    # a genus-5 total is past the cap; the split is read from the two tau
+    with pytest.raises(ValueError, match=r"need 1 <= k < g <= 4, got g=5, k=1"):
+        factorization_residual(TAU_I, block_diag(tau2, tau2))
 
 
 def test_nested_splits_agree_at_g3():

@@ -38,7 +38,6 @@ from thetachar.characteristics import (
     CharSystem,
     Characteristic,
     all_characteristics,
-    char_difference,
     difference_rank,
     enumerate_fundamental_systems,
     enumerate_gopel_systems,
@@ -56,6 +55,7 @@ from thetachar.symplectic import (
     arf,
     enumerate_forms,
     eval_form,
+    form_difference,
     random_symplectic,
     sp_apply,
     translate_form,
@@ -111,7 +111,7 @@ def test_triple_sum_agrees_with_extended_space_arithmetic():
     # q_a + (q_a - q_b) + (q_a - q_c) in the extended space, all 16^3 triples
     chars = all_characteristics(2)
     for a, b, c in itertools.product(chars, repeat=3):
-        v = char_difference(a, b) + char_difference(a, c)
+        v = form_difference(a, b) + form_difference(a, c)
         expected = translate_form(a, v)
         assert triple_sum(a, b, c) == expected
 
@@ -285,7 +285,7 @@ def test_difference_rank_matches_the_difference_vectors():
         for _ in range(100):
             system = CharSystem(g, tuple(rnd.sample(chars, rnd.randint(1, min(8, len(chars))))))
             first = system.members[0]
-            vectors = [char_difference(first, m).packed for m in system.members[1:]]
+            vectors = [form_difference(first, m).packed for m in system.members[1:]]
             assert difference_rank(system) == len(rref(vectors))
 
 

@@ -209,6 +209,9 @@ def test_pullback_relations():
     assert pullback(mbar(g, **{"lambda": 1})) == sbar(g, **{"lambda": 1})
     got = pullback(mbar(g, **{"lambda": 13, "delta_0": -2}))
     assert got == sbar(g, **{"lambda": 13, "alpha_0": -2, "beta_0": -4})
+    # linearity through the DivClass algebra
+    got = pullback(2 * mbar(g, delta_0=1) + mbar(g, delta_1=1))
+    assert got == sbar(g, alpha_0=2, beta_0=4, alpha_1=1, beta_1=1)
     for i in range(1, g // 2 + 1):
         image = pullback(mbar(g, **{f"delta_{i}": 1}))
         assert image.coeff(f"alpha_{i}") == image.coeff(f"beta_{i}") == 1

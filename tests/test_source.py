@@ -1,12 +1,16 @@
 """Checks on the library's source text rather than its behaviour."""
 
 import ast
+import importlib
+import pkgutil
+import runpy
 import sys
 from pathlib import Path
 
 import thetachar
 
 PACKAGE = Path(thetachar.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _nodes():
@@ -53,3 +57,37 @@ def test_no_module_reads_the_environment():
         or isinstance(node, ast.alias) and node.name in reads
     ]
     assert found == []
+
+
+def test_the_names_callers_use_resolve():
+    # the names callers outside the tests reach: the benchmark's tracer
+    # wraps LAYERS in each layer's module, its workloads call tc.<name> on
+    # the package, and `from thetachar.x import *` reads __all__
+    layers = runpy.run_path(str(BENCH / "spans.py"))["LAYERS"]
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in layers.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"thetachar.{layer}"), name)
+    ]
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    called = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "tc"
+    }
+    assert len(called) > 10
+    for name in sorted(called):
+        obj = getattr(thetachar, name, None)
+        home = sys.modules.get(getattr(obj, "__module__", ""))
+        if obj is None or getattr(home, name, None) is not obj:
+            missing.append(f"tc.{name}")
+    for info in pkgutil.iter_modules(thetachar.__path__, "thetachar."):
+        module = importlib.import_module(info.name)
+        missing += [
+            f"{module.__name__}.__all__: {name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    assert missing == []

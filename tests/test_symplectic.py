@@ -30,7 +30,9 @@ from thetachar.symplectic import (
 
 
 def vec(bits):
-    return F2Vector.from_bits(bits)
+    """The vector with coordinates bits, e-coordinates first."""
+    g = len(bits) // 2
+    return F2Vector(g, int(bits[:g], 2), int(bits[g:], 2))
 
 
 def form(bits):
@@ -326,15 +328,14 @@ def test_sp_orbit_covers_each_parity_class():
 
 def test_serialization_round_trips():
     v = vec("101101")
-    assert F2Vector.from_hex(3, v.to_hex()) == v
-    assert F2Vector.from_bits(v.bits) == v
+    assert v.bits == "101101"
+    assert F2Vector.from_packed(3, v.packed) == v
     q = Characteristic(3, 0b101, 0b110)
     assert Characteristic.from_string(q.bits) == q
     assert Characteristic.from_packed(3, 0b101110) == q
     assert q.packed == 0b101110
     for g in range(1, 5):
         assert [c.packed for c in enumerate_forms(g)] == list(range(1 << (2 * g)))
-    assert vec("1011").to_hex() == "2:3"
 
 
 def test_vector_validation():
@@ -343,9 +344,7 @@ def test_vector_validation():
     with pytest.raises(ValueError):
         F2Vector(2, 4, 0)
     with pytest.raises(ValueError):
-        F2Vector.from_bits("101")
-    with pytest.raises(ValueError):
-        F2Vector.from_bits("12")
+        F2Vector(2, 0, 4)
 
 
 def test_eval_uniquely_determined_by_basis_values_g2():

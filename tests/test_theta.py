@@ -20,7 +20,6 @@ from thetachar.config import InvariantError
 from thetachar.symplectic import SpMatrix, sp_apply
 from thetachar.theta import (
     PeriodMatrix,
-    ThetaArg,
     Tolerance,
     block_diag,
     theta_constant,
@@ -82,13 +81,23 @@ def test_period_matrix_validation():
 
 
 def test_theta_arg_coercion():
-    assert ThetaArg.zero(3).z == (0j, 0j, 0j)
-    assert ThetaArg.coerce(None, 2).z == (0j, 0j)
-    assert ThetaArg.coerce([1, 2j], 2).z == (1 + 0j, 2j)
-    with pytest.raises(ValueError):
-        ThetaArg.coerce([1, 2, 3], 2)
-    with pytest.raises(ValueError):
-        ThetaArg(())
+    assert theta._z(None, 2) == (0j, 0j)
+    assert theta._z([1, 2j], 2) == (1 + 0j, 2j)
+    assert theta._z(np.array([0.5, 1j]), 2) == (0.5 + 0j, 1j)
+    # the checks run in this order: nonempty, finite, length g
+    with pytest.raises(ValueError, match="z must be nonempty"):
+        theta._z((), 2)
+    with pytest.raises(ValueError, match="z entries must be finite"):
+        theta._z([1, complex(0, math.inf), 3], 2)
+    with pytest.raises(ValueError, match="z entries must be finite"):
+        theta._z([math.nan], 1)
+    with pytest.raises(ValueError, match="z has length 3, expected 2"):
+        theta._z([1, 2, 3], 2)
+    # the same errors reach every entry point
+    with pytest.raises(ValueError, match="z entries must be finite"):
+        theta_report(TAU_G2, [0, math.inf], Characteristic(2, 0, 0))
+    with pytest.raises(ValueError, match="z has length 1, expected 2"):
+        truncation_radius(TAU_G2, [0j], Tolerance())
 
 
 def test_truncation_radius_grows_as_tolerance_shrinks():
@@ -434,7 +443,7 @@ def test_ellipsoid_cut_is_honest():
     for entries, fixed_z in cases:
         tau = PeriodMatrix(entries)
         g = tau.g
-        radius, tail, cutoff = theta._numerics(tau, ThetaArg.zero(g), tol)
+        radius, tail, cutoff = theta._numerics(tau, (0j,) * g, tol)
         assert radius == truncation_radius(tau, None, tol)
         box = (2 * radius + 1) ** g
         keep = theta._table_rows(tau, radius, cutoff)[0]
@@ -456,7 +465,7 @@ def test_ellipsoid_cut_is_honest():
         z = rng.uniform(-0.4, 0.4, g) + 1j * rng.uniform(-0.1, 0.1, g)
         if fixed_z is not None:
             z = np.array(fixed_z)
-        eval_tail = theta._numerics(tau, ThetaArg.coerce(z, g), tol)[1]
+        eval_tail = theta._numerics(tau, theta._z(z, g), tol)[1]
         for k in rng.choice(4**g, 3, replace=False):
             c = Characteristic(g, int(k) >> g, int(k) & ((1 << g) - 1))
             rep = theta_report(tau, z, c, tol)
