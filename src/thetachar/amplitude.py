@@ -24,6 +24,8 @@ import numpy as np
 from .symplectic import _isotropic_bases, _span
 from .theta import PeriodMatrix, Tolerance, block_diag, theta_constant_table
 
+__all__ = ["P_i_g", "xi_g", "factorization_residual"]
+
 GENUS_CAP = 4
 
 
@@ -90,6 +92,18 @@ def _level_sums(tau: PeriodMatrix, tol: Tolerance) -> tuple[complex, ...]:
     return _sum_levels(theta_constant_table(tau, tol), tau.g)
 
 
+def _check_genus(g: int) -> None:
+    """The genus range of Xi; the CLI checks it before it parses tau."""
+    if not 1 <= g <= GENUS_CAP:
+        raise ValueError(f"need 1 <= g <= {GENUS_CAP}, got {g}")
+
+
+def _check_split(g: int, k: int) -> None:
+    """The range of a split g = k + (g - k); the CLI checks it before it parses tau."""
+    if not 1 <= k < g <= GENUS_CAP:
+        raise ValueError(f"need 1 <= k < g <= {GENUS_CAP}, got g={g}, k={k}")
+
+
 def P_i_g(tau: PeriodMatrix, g: int, i: int, tol=Tolerance()) -> complex:
     """Sum of P_W^(2^(4-i)) over the i-dimensional subspaces.
 
@@ -116,8 +130,7 @@ def xi_g(tau: PeriodMatrix, g: int, tol=Tolerance()) -> complex:
 
 def _xi_terms(tau: PeriodMatrix, g: int, tol) -> tuple[complex, tuple[complex, ...]]:
     """Xi and the P_0..P_g it is summed from, as P_i_g reads them."""
-    if not 1 <= g <= GENUS_CAP:
-        raise ValueError(f"need 1 <= g <= {GENUS_CAP}, got {g}")
+    _check_genus(g)
     if g != tau.g:
         raise ValueError(f"g={g} does not match tau (genus {tau.g})")
     terms = _level_sums(tau, Tolerance.coerce(tol))
@@ -134,9 +147,8 @@ def factorization_residual(tau1: PeriodMatrix, tau2: PeriodMatrix, tol=Tolerance
     Floored at 1 in the denominator so the residual stays meaningful near
     zeros of Xi.
     """
-    k, g = tau1.g, tau1.g + tau2.g  # 1 <= k < g, as every genus is positive
-    if g > GENUS_CAP:
-        raise ValueError(f"need 1 <= k < g <= {GENUS_CAP}, got g={g}, k={k}")
+    k, g = tau1.g, tau1.g + tau2.g
+    _check_split(g, k)
     joint = xi_g(block_diag(tau1, tau2), g, tol)
     split = xi_g(tau1, k, tol) * xi_g(tau2, g - k, tol)
     return abs(joint - split) / max(1.0, abs(split))

@@ -12,9 +12,20 @@ pass, _forest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .config import InvariantError
+
+__all__ = [
+    "Vertex",
+    "Edge",
+    "DualGraph",
+    "betti_and_genus",
+    "even_edge_sets",
+    "ThComponentReport",
+    "th_components",
+    "boundary_degrees_odd",
+]
 
 
 @dataclass(frozen=True)
@@ -175,22 +186,7 @@ class ThComponentReport:
     reduced: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "g": self.g,
-            "entries": [
-                {
-                    "even_set": list(e.even_set),
-                    "b1": e.b1,
-                    "component_count": e.component_count,
-                    "multiplicity": e.multiplicity,
-                }
-                for e in self.entries
-            ],
-            "total_components": self.total_components,
-            "total_length": self.total_length,
-            "reduced": self.reduced,
-        }
+        return asdict(self)
 
 
 def th_components(graph: DualGraph) -> ThComponentReport:

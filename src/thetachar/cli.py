@@ -139,6 +139,7 @@ def _cmd_theta(args) -> int:
 def _cmd_amplitude(args) -> int:
     tol = Tolerance(args.tol)
     if args.mode == "check-factorization":
+        amp._check_split(args.g, args.k)
         tau1 = parse_period_matrix(args.tau1, args.k)
         tau2 = parse_period_matrix(args.tau2, args.g - args.k)
         residual = amp.factorization_residual(tau1, tau2, tol)
@@ -149,6 +150,7 @@ def _cmd_amplitude(args) -> int:
         return 0
     if args.genus is None or args.tau is None:
         raise ValueError("amplitude needs --genus and --tau")
+    amp._check_genus(args.genus)
     tau = parse_period_matrix(args.tau, args.genus)
     xi, terms = amp._xi_terms(tau, args.genus, tol)
     _emit(
@@ -317,6 +319,9 @@ def run(argv=None) -> int:
     # set_defaults on any of them would replace SUPPRESS on all of them.
     try:
         args = parser.parse_args(argv, argparse.Namespace(output="json", tol=Tolerance().abs_tol))
+        if getattr(args, "mode", None) and (args.genus, args.tau) != (None, None):
+            # amplitude's own flags, given before its subcommand, go unread
+            parser.error("check-factorization reads neither --genus nor --tau")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -18,6 +18,17 @@ from math import gcd, lcm
 
 from .config import InvariantError
 
+__all__ = [
+    "DivClass",
+    "pullback",
+    "canonical_class",
+    "named_class",
+    "bn_applicable",
+    "SlopeResult",
+    "slope_combination",
+    "general_type_test",
+]
+
 SPACES = ("Mbar", "Sbar_minus", "Sbar_plus")
 
 # CLI spellings: the odd-spin space carries odd theta characteristics.

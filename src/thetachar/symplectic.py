@@ -49,7 +49,6 @@ __all__ = [
     "enumerate_forms",
     "transvection",
     "identity_matrix",
-    "mat_mul",
     "random_symplectic",
 ]
 

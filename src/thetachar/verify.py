@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +43,8 @@ from .picard import (
 )
 from .symplectic import arf, enumerate_forms, random_symplectic, sp_apply
 from .theta import PeriodMatrix, Tolerance, theta_constant, theta_constant_table
+
+__all__ = ["CriterionResult", "AcceptanceReport", "run_acceptance"]
 
 # Gates and the theta tolerance are pinned; a run chooses only its seed.
 _TOL = Tolerance(1e-12)
@@ -305,10 +307,7 @@ class AcceptanceReport:
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "criteria": [
-                {"index": r.index, "name": r.name, "passed": r.passed, "details": r.details}
-                for r in self.results
-            ],
+            "criteria": [asdict(r) for r in self.results],
             "passed": self.passed,
         }
 

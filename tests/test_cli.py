@@ -234,6 +234,19 @@ def test_amplitude_check_factorization(capsys):
     assert data["residual"] < 1e-8
 
 
+def test_amplitude_checks_the_genus_before_any_tau(capsys):
+    # each tau below has the wrong shape too; the range error comes first
+    for args, message in (
+        (["check-factorization", "--g", "2", "--k", "2", "--tau1", TAU_1_JSON, "--tau2", "[]"],
+         "need 1 <= k < g <= 4, got g=2, k=2"),
+        (["check-factorization", "--g", "6", "--k", "1", "--tau1", TAU_1_JSON, "--tau2", "[]"],
+         "need 1 <= k < g <= 4, got g=6, k=1"),
+        (["--genus", "5", "--tau", TAU_1_JSON], "need 1 <= g <= 4, got 5"),
+    ):
+        assert run(["amplitude", *args]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_check_factorization_tol_in_both_positions(capsys):
     # the reported tolerance is the one given; given twice, the inner one wins
     tail = ["--g", "2", "--k", "1", "--tau1", TAU_1_JSON, "--tau2", TAU_1_JSON]
@@ -382,6 +395,11 @@ def test_each_setting_is_read_by_the_command_that_takes_it(capsys):
     assert run(["verify", "--tol", "1e-9"]) == 2
     assert run(["forms", "--genus", "1", "--seed", "1"]) == 2
     capsys.readouterr()
+    # check-factorization reads its own --g and --k, not amplitude's flags
+    assert run(["amplitude", "--genus", "3", "--tau", TAU_1_JSON, "check-factorization",
+                "--g", "2", "--k", "1", "--tau1", TAU_1_JSON, "--tau2", TAU_1_JSON]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: thetachar ") and "\nthetachar: error: check-factorization" in err
     assert run(["theta", "--genus", "1", "--tau", TAU_1_JSON, "--char", "0;0"]) == 0
     assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-12
     assert run(["verify", "--only", "1"]) == 0

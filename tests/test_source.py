@@ -7,6 +7,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 import thetachar
 
 PACKAGE = Path(thetachar.__file__).parent
@@ -91,3 +93,31 @@ def test_the_names_callers_use_resolve():
             if not hasattr(module, name)
         ]
     assert missing == []
+
+
+def test_the_package_exports_exactly_its_layers_all():
+    # __init__ star-imports these layers, so their __all__ is the package's
+    # surface; a layer without one would leak its imports (np, math, ...)
+    layers = ("amplitude", "boundary", "characteristics", "picard", "symplectic", "theta", "verify")
+    exported = set()
+    for layer in layers:
+        module = importlib.import_module(f"thetachar.{layer}")
+        exported |= set(module.__all__)
+        # two layers may list one name only if both hold the same object
+        assert [n for n in module.__all__ if getattr(thetachar, n) is not getattr(module, n)] == []
+    # the package imports every module but the CLI, which a test may import
+    modules = {info.name for info in pkgutil.iter_modules(thetachar.__path__)} - {"cli"}
+    public = {name for name in vars(thetachar) if not name.startswith("_")} - {"cli"}
+    assert public == exported | modules
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_every_console_script_resolves_to_a_callable():
+    import tomllib
+
+    pyproject = tomllib.loads((BENCH.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    scripts = pyproject["project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), target
