@@ -3,11 +3,13 @@
 A mutant is one exact text replacement in one source file: (name, file,
 old text, new text), the old text occurring exactly once in src/ (a
 tier-1 test keeps that so).  For each mutant the script copies src/,
-tests/, scripts/ and bench/ to a temporary directory, plants the mutant
-there, runs the tier-1 suite and `thetachar verify` in the copy, and
-prints the tests that fail and the criteria that fail.  The working tree
-is only read.  An unmutated copy runs first; what fails there is left
-out of every mutant's list.
+tests/, scripts/, bench/ and pyproject.toml to a temporary directory,
+plants the mutant there, runs the tier-1 suite and `thetachar verify` in
+the copy, and prints the tests that fail and the criteria that fail.  The
+working tree is only read.  An unmutated copy runs first, and the script
+stops with exit 1 if anything fails there: a test that fails unmutated
+would be blind to every mutant.  A tier-1 test checks that every root
+path the tests read is copied.
 
 The mutants nothing catches are the to-do list for tests; those no
 `verify` criterion catches, for runtime checks.  A mutant that one
@@ -18,7 +20,9 @@ is planted and reported like the others, but not counted as missed.
 Usage:
     python scripts/mutants.py [--only NAME ...] [--json]
 
-Each mutant runs the whole suite, about 15 s on two cores.
+Exits 1 when the unmutated copy fails or tier-1 misses a mutant that is
+not marked equivalent.  Each mutant runs the whole suite, about 15 s on
+two cores.
 """
 
 import argparse
@@ -32,7 +36,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "scripts", "bench")
+COPIED = ("src", "tests", "scripts", "bench", "pyproject.toml")
 # the tier-1 test that checks this list; under a mutant it fails by design
 LIST_TEST = "tests/test_scripts.py::test_every_mutant_applies_once"
 
@@ -100,6 +104,7 @@ MUTANTS = (
            "num = [n[0], n[1], 2 * n[1]]", "num = [n[0], n[1], n[1]]"),
     Mutant("named-class-numerator", "src/thetachar/picard.py", "[4, -1, 0] + [0, -8] * k",
            "[4, -1, 0] + [0, -4] * k"),
+    Mutant("class-min-genus", "src/thetachar/picard.py", '"Z_odd": 3', '"Z_odd": 2'),
     Mutant("bound-strict", "src/thetachar/picard.py", "not -n >= 2 * den", "not -n > 2 * den"),
     Mutant("forest-graft", "src/thetachar/boundary.py", "path[w] ^= mask", "path[w] ^= 1 << j ^ path[v]"),
     # the CLI's defaults, the one tolerance range check and z's finiteness check
@@ -141,7 +146,10 @@ def run(mutant: Mutant | None) -> tuple[list[str], list[str]]:
     with tempfile.TemporaryDirectory(prefix="thetachar-mutant-") as tmp:
         tree = Path(tmp)
         for name in COPIED:
-            shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
+            if (ROOT / name).is_dir():
+                shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(ROOT / name, tree / name)
         if mutant is not None:
             path = tree / mutant.file
             text = path.read_text(encoding="utf-8")
@@ -162,13 +170,12 @@ def main() -> int:
 
     base_tests, base_criteria = run(None)
     if base_tests or base_criteria:
-        print(f"unmutated copy fails: {base_tests + base_criteria}", file=sys.stderr)
+        print(f"error: the unmutated copy fails: {base_tests + base_criteria}", file=sys.stderr)
+        return 1
     rows = []
     for m in chosen:
         tests, criteria = run(m)
-        rows.append({"name": m.name, "file": m.file,
-                     "tests": [t for t in tests if t not in base_tests],
-                     "criteria": [c for c in criteria if c not in base_criteria]})
+        rows.append({"name": m.name, "file": m.file, "tests": tests, "criteria": criteria})
         if not args.json:
             row = rows[-1]
             print(f"{m.name}: {len(row['tests'])} tests, criteria {[c.split(':')[0] for c in row['criteria']]}")

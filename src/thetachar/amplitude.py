@@ -11,8 +11,9 @@ g <= 4, where the exponents 2^(4-i) are still integers.
 _sum_levels is the one route from a table to the P_i: P_0..P_g are summed
 together, once per (tau, tol), by one gather from the table over the
 spans of every level (_level_index), each level then multiplied out and
-summed on its own.  P_i_g, xi_g and the CLI read the tuple from
-_level_sums, cached on (tau, Tolerance) 16 at a time like the tables.
+summed on its own.  P_i_g and xi_g, and the CLI through them, read the
+tuple from _level_sums, cached on (tau, Tolerance) 16 at a time like the
+tables.
 """
 
 from __future__ import annotations
@@ -92,10 +93,12 @@ def _level_sums(tau: PeriodMatrix, tol: Tolerance) -> tuple[complex, ...]:
     return _sum_levels(theta_constant_table(tau, tol), tau.g)
 
 
-def _check_genus(g: int) -> None:
-    """The genus range of Xi; the CLI checks it before it parses tau."""
+def _check_genus(g: int, tau: PeriodMatrix | None = None) -> None:
+    """The genus range of Xi, then tau's genus; the CLI checks the range before it parses tau."""
     if not 1 <= g <= GENUS_CAP:
         raise ValueError(f"need 1 <= g <= {GENUS_CAP}, got {g}")
+    if tau is not None and g != tau.g:
+        raise ValueError(f"g={g} does not match tau (genus {tau.g})")
 
 
 def _check_split(g: int, k: int) -> None:
@@ -114,10 +117,7 @@ def P_i_g(tau: PeriodMatrix, g: int, i: int, tol=Tolerance()) -> complex:
     reduction, so the result is bit-reproducible.  Every P_i of one tau is
     summed in the same pass (_level_sums), which xi_g reads too.
     """
-    if g != tau.g:
-        raise ValueError(f"g={g} does not match tau (genus {tau.g})")
-    if g > GENUS_CAP:
-        raise ValueError(f"g={g} > {GENUS_CAP}: exponent 2^(4-i) turns fractional")
+    _check_genus(g, tau)
     if not 0 <= i <= g:
         raise ValueError(f"need 0 <= i <= g, got i={i}, g={g}")
     return _level_sums(tau, Tolerance.coerce(tol))[i]
@@ -125,19 +125,11 @@ def P_i_g(tau: PeriodMatrix, g: int, i: int, tol=Tolerance()) -> complex:
 
 def xi_g(tau: PeriodMatrix, g: int, tol=Tolerance()) -> complex:
     """The alternating combination (1/2^g) sum_i (-1)^i 2^(i(i-1)/2) P_i."""
-    return _xi_terms(tau, g, tol)[0]
-
-
-def _xi_terms(tau: PeriodMatrix, g: int, tol) -> tuple[complex, tuple[complex, ...]]:
-    """Xi and the P_0..P_g it is summed from, as P_i_g reads them."""
-    _check_genus(g)
-    if g != tau.g:
-        raise ValueError(f"g={g} does not match tau (genus {tau.g})")
-    terms = _level_sums(tau, Tolerance.coerce(tol))
+    _check_genus(g, tau)
     total = 0j  # summed in order: sum() may compensate, which changes the last bits
-    for i, p in enumerate(terms):
+    for i, p in enumerate(_level_sums(tau, Tolerance.coerce(tol))):
         total += (1 << (i * (i - 1) // 2)) * (-1) ** i * p
-    return total / (1 << g), terms
+    return total / (1 << g)
 
 
 def factorization_residual(tau1: PeriodMatrix, tau2: PeriodMatrix, tol=Tolerance()) -> float:

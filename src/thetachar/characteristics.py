@@ -18,7 +18,7 @@ canonical (eps, delta) order, pruned by the anchor reduction: a set has
 all triples azygetic iff all triples through its first element do, which
 follows from bilinearity of the pairing on difference vectors.
 The searches run on packed ints eps * 2^g + delta, the index in
-all_characteristics: sums are XOR and the difference vector of a and s
+enumerate_forms: sums are XOR and the difference vector of a and s
 is a ^ s with its blocks swapped, which leaves the pairing unchanged.
 Bilinearity also gives <a+s, a+t> = <d, a> + <d, t> with d = a ^ s, so
 the points t still admissible after choosing s are one precomputed
@@ -52,8 +52,6 @@ from .symplectic import (
 __all__ = [
     "Characteristic",
     "CharSystem",
-    "all_characteristics",
-    "triple_sum",
     "is_syzygetic",
     "enumerate_syzygetic_tetrads",
     "enumerate_fundamental_systems",
@@ -67,18 +65,6 @@ __all__ = [
 TETRAD_GENUS_CAP = 3
 GOPEL_GENUS_CAP = 3
 SYSTEM_GENUS_CAP = 2
-
-
-def all_characteristics(g: int) -> list[Characteristic]:
-    """All 2^2g characteristics in canonical (eps, delta) order."""
-    return enumerate_forms(g)
-
-
-def triple_sum(a: Characteristic, b: Characteristic, c: Characteristic) -> Characteristic:
-    """Sum in the extended space: XOR on both blocks."""
-    _same_genus(a, b)
-    _same_genus(a, c)
-    return Characteristic(a.g, a.eps ^ b.eps ^ c.eps, a.delta ^ b.delta ^ c.delta)
 
 
 def is_syzygetic(a: Characteristic, b: Characteristic, c: Characteristic) -> bool:
@@ -118,11 +104,6 @@ class CharSystem:
         if len(set(self.members)) != len(self.members):
             raise ValueError("duplicate members in system")
 
-    @classmethod
-    def sorted_system(cls, members) -> "CharSystem":
-        members = tuple(sorted(members))
-        return cls(members[0].g, members)
-
     @property
     def member_sum(self) -> tuple[int, int]:
         e = d = 0
@@ -157,7 +138,7 @@ def _isotropic_cosets(g: int, dim: int) -> list[tuple[Characteristic, ...]]:
     """The cosets c + W of the dim-dimensional isotropic subspaces W.
 
     A characteristic is read as the packed vector eps * 2^g + delta, which
-    is also its index in all_characteristics.  Output: sorted tuples, list
+    is also its index in enumerate_forms.  Output: sorted tuples, list
     in lexicographic order; empty when dim > g.
 
     Each coset is built once, from its member c free of the pivot bits of
@@ -182,7 +163,7 @@ def _isotropic_cosets(g: int, dim: int) -> list[tuple[Characteristic, ...]]:
             packed = packed << n | w
         keys += [c ^ packed for c in free[pivots]]
     keys.sort()
-    chars, low = all_characteristics(g), (1 << n) - 1
+    chars, low = enumerate_forms(g), (1 << n) - 1
     shifts = range(n * ((1 << dim) - 1), -1, -n)
     return list(zip(*([chars[key >> s & low] for key in keys] for s in shifts)))
 
@@ -252,7 +233,7 @@ def enumerate_fundamental_systems(g: int) -> list[CharSystem]:
     """
     if not 1 <= g <= SYSTEM_GENUS_CAP:
         raise ValueError(f"fundamental-system search supports 1 <= g <= {SYSTEM_GENUS_CAP}")
-    chars = all_characteristics(g)
+    chars = enumerate_forms(g)
     systems = []
     for points in _extend_systems(range(len(chars)), g, 2 * g + 2):
         system = CharSystem(g, tuple(chars[p] for p in points))
@@ -306,7 +287,7 @@ def quartic_coordinate_check() -> dict:
     asserted equal.
     """
     g = 3
-    chars = all_characteristics(g)
+    chars = enumerate_forms(g)
     odds = [p for p, c in enumerate(chars) if c.parity == 1]
     odd_mask = sum(1 << p for p in odds)
     even_mask = (1 << len(chars)) - 1 ^ odd_mask

@@ -152,7 +152,8 @@ def _cmd_amplitude(args) -> int:
         raise ValueError("amplitude needs --genus and --tau")
     amp._check_genus(args.genus)
     tau = parse_period_matrix(args.tau, args.genus)
-    xi, terms = amp._xi_terms(tau, args.genus, tol)
+    xi = amp.xi_g(tau, args.genus, tol)
+    terms = [amp.P_i_g(tau, args.genus, i, tol) for i in range(args.genus + 1)]
     _emit(
         {
             "genus": args.genus,
@@ -192,13 +193,13 @@ def _cmd_picard(args) -> int:
         return 0
     if g < 2:
         raise ValueError(f"divisor classes need g >= 2, got {g}")
-    theta_name, theta_from = ("Z_odd", 3) if space == "Sbar_minus" else ("ThetaNull", 2)
+    theta_name = "Z_odd" if space == "Sbar_minus" else "ThetaNull"
     classes = {}
-    if g >= theta_from:
+    if g >= pic.CLASS_MIN_GENUS[theta_name]:
         classes[theta_name] = pic.named_class(g, theta_name).to_json_dict()
     if g >= 4:
         classes["canonical"] = pic.canonical_class(g, space).to_json_dict()
-    if g >= 3:
+    if g >= pic.CLASS_MIN_GENUS["BN_normalized"]:
         bn = pic.named_class(g, "BN_normalized")
         classes["BN_normalized"] = bn.to_json_dict()
         classes["BN_pullback"] = pic.pullback(bn, space).to_json_dict()

@@ -8,13 +8,11 @@ of row ints in the same packing, and every operation works on whole rows.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 __all__ = [
     "parity",
     "gf2_rank",
-    "gf2_matvec",
-    "gf2_mul",
     "gf2_rref",
 ]
 
@@ -47,29 +45,3 @@ def gf2_rref(rows: Iterable[int]) -> tuple[int, ...]:
             if basis[j] & piv:
                 basis[j] ^= b
     return tuple(basis)
-
-
-def gf2_matvec(rows: Sequence[int], v: int) -> int:
-    n = len(rows)
-    out = 0
-    for i, row in enumerate(rows):
-        if parity(row & v):
-            out |= 1 << (n - 1 - i)
-    return out
-
-
-def gf2_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Matrix product a @ b for square bit matrices of equal size n x n.
-
-    Row i of the product is the XOR of the rows of b that row i of a
-    selects, so b is never transposed.
-    """
-    n = len(b)
-    out = []
-    for arow in a:
-        acc = 0
-        for j, brow in enumerate(b):
-            if arow >> (n - 1 - j) & 1:
-                acc ^= brow
-        out.append(acc)
-    return out

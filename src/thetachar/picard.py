@@ -196,21 +196,23 @@ def pullback(c: DivClass, space: str = "Sbar_minus") -> DivClass:
 
 
 def canonical_class(g: int, space: str) -> DivClass:
-    """Canonical class of the chosen space (same shape on both covers)."""
+    """Canonical class of the chosen space (same shape on both covers).
+
+    On Mbar, 13 lambda - 2 delta_0 - 3 delta_1 - 2 sum_{i>=2} delta_i; on a
+    cover, 13 lambda - 2 alpha_0 - 3 beta_0 - 3 (alpha_1 + beta_1)
+    - 2 sum_{i>=2} (alpha_i + beta_i), as numerators in basis order.
+    """
     if g < 4:
         raise ValueError(f"canonical class supported for g >= 4, got {g}")
     space = resolve_space(space)
     k = g // 2
     if space == "Mbar":
-        coeffs: dict = {"lambda": 13, "delta_0": -2, "delta_1": -3}
-        for i in range(2, k + 1):
-            coeffs[f"delta_{i}"] = -2
-        return DivClass("Mbar", g, coeffs)
-    coeffs = {"lambda": 13, "alpha_0": -2, "beta_0": -3, "alpha_1": -3, "beta_1": -3}
-    for i in range(2, k + 1):
-        coeffs[f"alpha_{i}"] = -2
-        coeffs[f"beta_{i}"] = -2
-    return DivClass(space, g, coeffs)
+        return DivClass._of(space, g, [13, -2, -3] + [-2] * (k - 1), 1)
+    return DivClass._of(space, g, [13, -2, -3, -3, -3] + [-2, -2] * (k - 1), 1)
+
+
+# The least genus of each named class; the CLI's classes report reads it too.
+CLASS_MIN_GENUS = {"Z_odd": 3, "ThetaNull": 2, "BN_normalized": 3}
 
 
 def named_class(g: int, name: str) -> DivClass:
@@ -224,26 +226,24 @@ def named_class(g: int, name: str) -> DivClass:
     positive constant normalized to 1, (g+3) lambda - (g+1)/6 delta_0
     - sum_i i(g-i) delta_i; whether a suitable (d, r) exists for given g is
     reported separately by bn_applicable.  Sums run over i = 1..g//2; each
-    class is built as its numerators in basis order over one denominator.
+    class is built as its numerators in basis order over one denominator,
+    from the genus CLASS_MIN_GENUS gives on.
     """
+    least = CLASS_MIN_GENUS.get(name)
+    if least is None:
+        raise ValueError(f"unknown class name {name!r}")
+    if g < least:
+        raise ValueError(f"{name} needs g >= {least}, got {g}")
     k = g // 2
     if name == "Z_odd":
-        if g < 3:
-            raise ValueError(f"Z_odd needs g >= 3, got {g}")
         num = [4 * (g + 8), -(g + 2), -8]
         for i in range(1, k + 1):
             num += (-8 * (g - i), -8 * i)
         return DivClass._of("Sbar_minus", g, num, 4)
     if name == "ThetaNull":
-        if g < 2:
-            raise ValueError(f"ThetaNull needs g >= 2, got {g}")
         return DivClass._of("Sbar_plus", g, [4, -1, 0] + [0, -8] * k, 16)
-    if name == "BN_normalized":
-        if g < 3:
-            raise ValueError(f"BN_normalized needs g >= 3, got {g}")
-        num = [6 * (g + 3), -(g + 1)] + [-6 * i * (g - i) for i in range(1, k + 1)]
-        return DivClass._of("Mbar", g, num, 6)
-    raise ValueError(f"unknown class name {name!r}")
+    num = [6 * (g + 3), -(g + 1)] + [-6 * i * (g - i) for i in range(1, k + 1)]
+    return DivClass._of("Mbar", g, num, 6)
 
 
 def bn_applicable(g: int) -> bool:

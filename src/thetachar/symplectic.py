@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .gf2 import gf2_mul, parity as bit_parity
+from .gf2 import parity as bit_parity
 
 __all__ = [
     "F2Vector",
@@ -48,7 +48,6 @@ __all__ = [
     "sp_apply",
     "enumerate_forms",
     "transvection",
-    "identity_matrix",
     "random_symplectic",
 ]
 
@@ -385,10 +384,6 @@ def _identity_rows(g: int) -> tuple[int, ...]:
     return tuple(1 << (n - 1 - i) for i in range(n))
 
 
-def identity_matrix(g: int) -> SpMatrix:
-    return SpMatrix(g, _identity_rows(g))
-
-
 def _transvect(rows: tuple[int, ...], packed: int, g: int) -> tuple[int, ...]:
     """Rows of M t_v, v = packed: as row i of t_v is e_i + v_i J v, r -> r + (r.v) J v."""
     jv = _swap(packed, g)
@@ -400,11 +395,6 @@ def transvection(v: F2Vector) -> SpMatrix:
     if v.is_zero:
         raise ValueError("transvection direction must be nonzero")
     return SpMatrix(v.g, _transvect(_identity_rows(v.g), v.packed, v.g))
-
-
-def mat_mul(a: SpMatrix, b: SpMatrix) -> SpMatrix:
-    _same_genus(a, b)
-    return SpMatrix(a.g, tuple(gf2_mul(a.rows, b.rows)))
 
 
 def sp_apply(m: SpMatrix, t: F2Vector | Characteristic) -> F2Vector | Characteristic:

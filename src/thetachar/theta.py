@@ -95,7 +95,6 @@ __all__ = [
     "PeriodMatrix",
     "Tolerance",
     "truncation_radius",
-    "theta_with_char",
     "theta_constant",
     "theta_constant_table",
     "theta_report",
@@ -488,24 +487,6 @@ def _charge(tail: float, g: int, radius: int, points: int, cutoff: float) -> flo
     return tail + ((2 * radius + 1) ** g - points) * math.exp(-math.pi * cutoff)
 
 
-def _evaluate(tau: PeriodMatrix, z, c: Characteristic, tol) -> tuple[complex, int, int, float]:
-    """theta[c](tau, z), the radius R, the points K summed and their charge."""
-    _same_genus(c, tau)
-    tol = Tolerance.coerce(tol)
-    z = _z(z, tau.g)
-    # The public call stays so that a wrapped truncation_radius sees the
-    # radius of every evaluation; the tail then comes from the same search.
-    radius = truncation_radius(tau, z, tol)
-    _, tail, cutoff = _numerics(tau, z, tol)
-    value, points = _theta_sum(tau, z, c, radius, cutoff)
-    return value, radius, points, _charge(tail, tau.g, radius, points, cutoff)
-
-
-def theta_with_char(tau: PeriodMatrix, z, c: Characteristic, tol=Tolerance()) -> complex:
-    """theta[c](tau, z) with absolute truncation error below tol."""
-    return _evaluate(tau, z, c, tol)[0]
-
-
 def theta_constant(tau: PeriodMatrix, c: Characteristic, tol=Tolerance()) -> complex:
     """theta[c](tau, 0), read from theta_constant_table.
 
@@ -516,14 +497,23 @@ def theta_constant(tau: PeriodMatrix, c: Characteristic, tol=Tolerance()) -> com
 
 
 def theta_report(tau: PeriodMatrix, z, c: Characteristic, tol=Tolerance()) -> dict:
-    """Evaluation plus the numerics actually used.
+    """theta[c](tau, z) with absolute truncation error below tol, and the numerics used.
 
-    radius is the box radius R, points the number K of box points summed,
-    and est_error = T + (N - K) exp(-pi C) bounds everything not summed:
-    the tail T outside the box of N points, plus the box points dropped
-    at the cutoff C, each of modulus at most exp(-pi C).
+    re and im are the value, radius is the box radius R, points the number
+    K of box points summed, and est_error = T + (N - K) exp(-pi C) bounds
+    everything not summed: the tail T outside the box of N points, plus
+    the box points dropped at the cutoff C, each of modulus at most
+    exp(-pi C).
     """
-    value, radius, points, est_error = _evaluate(tau, z, c, tol)
+    _same_genus(c, tau)
+    tol = Tolerance.coerce(tol)
+    z = _z(z, tau.g)
+    # The public call stays so that a wrapped truncation_radius sees the
+    # radius of every evaluation; the tail then comes from the same search.
+    radius = truncation_radius(tau, z, tol)
+    _, tail, cutoff = _numerics(tau, z, tol)
+    value, points = _theta_sum(tau, z, c, radius, cutoff)
+    est_error = _charge(tail, tau.g, radius, points, cutoff)
     return dict(re=value.real, im=value.imag, radius=radius, points=points, est_error=est_error)
 
 

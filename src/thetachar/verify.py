@@ -28,7 +28,6 @@ from .boundary import (
 from .characteristics import (
     Characteristic,
     CharSystem,
-    all_characteristics,
     enumerate_fundamental_systems,
     fundamental_system_count,
     is_syzygetic,
@@ -114,14 +113,14 @@ def _check_fundamental_systems(rng: random.Random):
 
 
 def _check_genus2_azygetic(rng: random.Random):
-    odds = [c for c in all_characteristics(2) if c.parity == 1]
+    odds = enumerate_forms(2, "odd")
     if len(odds) != 6:
         return False, f"expected 6 odd characteristics, got {len(odds)}"
     triples = list(itertools.combinations(odds, 3))
     for a, b, c in triples:
         if is_syzygetic(a, b, c):
             return False, f"syzygetic odd triple: {a.bits}, {b.bits}, {c.bits}"
-    system = CharSystem.sorted_system(odds)
+    system = CharSystem(2, tuple(odds))  # already in (eps, delta) order
     if system.member_sum != (0, 0):
         return False, "the six odds do not sum to zero"
     known = {s.members for s in enumerate_fundamental_systems(2)}
@@ -133,7 +132,7 @@ def _check_genus2_azygetic(rng: random.Random):
 def _check_parity_vanishing(rng: random.Random):
     worst, n = 0.0, 0
     for g in (1, 2, 3):
-        odds = [c for c in all_characteristics(g) if c.parity == 1]
+        odds = enumerate_forms(g, "odd")
         for _ in range(20):
             table = theta_constant_table(random_tau(rng, g), _TOL)
             for c in odds:

@@ -17,8 +17,10 @@ then the whole list; oracle_named_class, the divisor classes as
 {symbol: Fraction} formulas, and oracle_slope_combination, the slope
 combination solved on those dictionaries; oracle_box, the truncation
 search summing the tail at every radius; oracle_lattice, the truncation
-box sorted by a Python key; and oracle_sp_apply_form, which moves a form
-by a Gauss-Jordan inverse and 2g evaluations.
+box sorted by a Python key; oracle_sp_apply_form, which moves a form by
+a Gauss-Jordan inverse and 2g evaluations; and gf2_matvec, gf2_mul and
+mat_mul, the bit-matrix products row by row that the Sp action's half
+tables are checked against.
 
 Run as a script to reprint every frozen reference value used by the suite,
 the azygetic-search counts of the backtracker next to the library's, and
@@ -202,7 +204,41 @@ def krazer_count(g):
 
 
 # ---------------------------------------------------------------------------
-# the Sp(2g, F2) action on forms by inverse and evaluation
+# bit matrices as lists of packed rows, and the Sp(2g, F2) action on forms
+# by inverse and evaluation
+
+
+def gf2_matvec(rows, v):
+    """A @ v for a bit matrix given by its packed rows: bit i is row i . v."""
+    n = len(rows)
+    out = 0
+    for i, row in enumerate(rows):
+        if bin(row & v).count("1") % 2:
+            out |= 1 << (n - 1 - i)
+    return out
+
+
+def gf2_mul(a, b):
+    """Matrix product a @ b of square bit matrices.
+
+    Row i of the product is the XOR of the rows of b that row i of a
+    selects, so b is never transposed.
+    """
+    n = len(b)
+    out = []
+    for arow in a:
+        acc = 0
+        for j, brow in enumerate(b):
+            if arow >> (n - 1 - j) & 1:
+                acc ^= brow
+        out.append(acc)
+    return out
+
+
+def mat_mul(a, b):
+    """The product of two symplectic matrices of one genus, as the type of a."""
+    assert a.g == b.g, (a.g, b.g)
+    return type(a)(a.g, tuple(gf2_mul(a.rows, b.rows)))
 
 
 def gf2_inv(rows):

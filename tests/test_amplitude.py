@@ -183,7 +183,6 @@ def test_level_sums_are_cached_with_their_table(monkeypatch):
     assert list(sums) == _level_by_level(table, g)  # bit for bit
     assert amplitude._level_sums(tau, Tolerance(1e-12)) is sums
     assert [P_i_g(tau, g, i) for i in range(g + 1)] == list(sums)
-    assert amplitude._xi_terms(tau, g, 1e-12)[1] is sums
     # another tolerance is another entry, beside the first, summed from its
     # own table (at 1e-6 this tau still gets the same radius and table)
     loose_table = theta_constant_table(tau, 1e-4)
@@ -191,7 +190,7 @@ def test_level_sums_are_cached_with_their_table(monkeypatch):
     loose = amplitude._level_sums(tau, Tolerance(1e-4))
     assert loose is not sums
     assert list(loose) == _level_by_level(loose_table, g)
-    assert amplitude._xi_terms(tau, g, 1e-4)[1] is loose
+    assert [P_i_g(tau, g, i, 1e-4) for i in range(g + 1)] == list(loose)
     assert amplitude._level_sums(tau, Tolerance()) is sums
     assert amplitude._level_sums.cache_info().currsize == 2
     # a float tolerance and the equal Tolerance share one pass, through
@@ -215,8 +214,9 @@ def test_amplitude_guards_fire_before_any_work(monkeypatch):
     tau5 = PeriodMatrix(np.eye(5) * 1j)
     cases = [
         (lambda: P_i_g(TAU_G2, 1, 0), "g=1 does not match tau"),
-        (lambda: P_i_g(TAU_I, 5, 0), "g=5 does not match tau"),
-        (lambda: P_i_g(tau5, 5, 0), "g=5 > 4: exponent"),
+        (lambda: P_i_g(TAU_I, 5, 0), "need 1 <= g <= 4, got 5"),
+        (lambda: P_i_g(tau5, 5, 0), "need 1 <= g <= 4, got 5"),
+        (lambda: P_i_g(TAU_I, 0, 0), "need 1 <= g <= 4, got 0"),
         (lambda: P_i_g(TAU_I, 1, 2), "need 0 <= i <= g, got i=2, g=1"),
         (lambda: P_i_g(TAU_I, 1, -1), "need 0 <= i <= g"),
         (lambda: xi_g(TAU_I, 5), "need 1 <= g <= 4, got 5"),

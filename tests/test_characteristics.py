@@ -37,7 +37,6 @@ from thetachar.characteristics import (
     _isotropic_cosets,
     CharSystem,
     Characteristic,
-    all_characteristics,
     difference_rank,
     enumerate_fundamental_systems,
     enumerate_gopel_systems,
@@ -46,7 +45,6 @@ from thetachar.characteristics import (
     is_syzygetic,
     quartic_coordinate_check,
     sp_group_order,
-    triple_sum,
 )
 from thetachar.symplectic import (
     F2Vector,
@@ -71,9 +69,14 @@ def as_pair(c):
     return (c.eps, c.delta)
 
 
+def triple_sum(a, b, c):
+    """a + b + c in the extended space, as the XOR of the packed characteristics."""
+    return Characteristic.from_packed(a.g, a.packed ^ b.packed ^ c.packed)
+
+
 def test_parity_counts():
     for g in (1, 2, 3):
-        chars = all_characteristics(g)
+        chars = enumerate_forms(g)
         assert len(chars) == 1 << (2 * g)
         odd = sum(c.parity for c in chars)
         assert odd == 2 ** (g - 1) * (2**g - 1)
@@ -82,22 +85,21 @@ def test_parity_counts():
 def test_char_form_dictionary():
     # eps = (q(e_1), ..., q(e_g)) and delta = (q(f_1), ..., q(f_g))
     for g in (1, 2, 3):
-        for c in all_characteristics(g):
+        for c in enumerate_forms(g):
             basis = [F2Vector.from_packed(g, 1 << k) for k in range(2 * g - 1, -1, -1)]
             values = "".join(str(eval_form(c, x)) for x in basis)
             assert values[:g] + ";" + values[g:] == c.bits
     # [1;1] is the unique odd form at g=1
-    odd = [c for c in all_characteristics(1) if c.parity == 1]
+    odd = [c for c in enumerate_forms(1) if c.parity == 1]
     assert odd == [ch("1;1")]
     assert arf(ch("1;1")) == 1
-    # one list, in one order, under both names
-    assert all_characteristics(2) == enumerate_forms(2)
-    assert [Characteristic.from_packed(2, p) for p in range(16)] == all_characteristics(2)
+    # the packed int eps * 2^g + delta is the index in enumerate_forms
+    assert [Characteristic.from_packed(2, p) for p in range(16)] == enumerate_forms(2)
 
 
 def test_parity_equals_arf_up_to_g3():
     for g in (1, 2, 3):
-        for c in all_characteristics(g):
+        for c in enumerate_forms(g):
             assert c.parity == arf(c)
 
 
@@ -109,7 +111,7 @@ def test_triple_sum_is_xor():
 
 def test_triple_sum_agrees_with_extended_space_arithmetic():
     # q_a + (q_a - q_b) + (q_a - q_c) in the extended space, all 16^3 triples
-    chars = all_characteristics(2)
+    chars = enumerate_forms(2)
     for a, b, c in itertools.product(chars, repeat=3):
         v = form_difference(a, b) + form_difference(a, c)
         expected = translate_form(a, v)
@@ -118,7 +120,7 @@ def test_triple_sum_agrees_with_extended_space_arithmetic():
 
 def test_is_syzygetic_examples():
     assert not is_syzygetic(ch("0;0"), ch("0;1"), ch("1;0"))  # azygetic
-    odds = [c for c in all_characteristics(2) if c.parity == 1]
+    odds = [c for c in enumerate_forms(2) if c.parity == 1]
     assert len(odds) == 6
     triples = list(itertools.combinations(odds, 3))
     assert len(triples) == 20
@@ -134,7 +136,7 @@ def test_is_syzygetic_rejects_repeats():
 
 def test_is_syzygetic_matches_oracle_exhaustively():
     for g in (1, 2):
-        for a, b, c in itertools.combinations(all_characteristics(g), 3):
+        for a, b, c in itertools.combinations(enumerate_forms(g), 3):
             assert is_syzygetic(a, b, c) == (
                 not is_azygetic_triple(as_pair(a), as_pair(b), as_pair(c))
             )
@@ -144,7 +146,7 @@ def test_is_syzygetic_dual_criteria_agree_at_g3():
     # the function computes the arf-sum and pairing criteria and checks they
     # match internally; drive it through 10^5 random distinct triples
     rnd = random.Random(97)
-    chars = all_characteristics(3)
+    chars = enumerate_forms(3)
     for _ in range(100_000):
         a, b, c = rnd.sample(chars, 3)
         is_syzygetic(a, b, c)
@@ -159,7 +161,7 @@ def test_syzygy_cross_check_survives_python_O():
         "from thetachar.config import InvariantError",
         "real = ch._packed_pairing",
         "ch._packed_pairing = lambda u, v, g: 1 - real(u, v, g)",
-        "a, b, c = ch.all_characteristics(2)[:3]",
+        "a, b, c = ch.enumerate_forms(2)[:3]",
         "try:",
         "    ch.is_syzygetic(a, b, c)",
         "except InvariantError:",
@@ -194,13 +196,11 @@ def test_tetrad_closure_under_triple_sum():
 def test_fundamental_systems_small_genus():
     g1 = enumerate_fundamental_systems(1)
     assert len(g1) == 1
-    assert set(g1[0].members) == set(all_characteristics(1))
+    assert set(g1[0].members) == set(enumerate_forms(1))
 
     g2 = enumerate_fundamental_systems(2)
     assert len(g2) == 16
-    odds = CharSystem.sorted_system(
-        c for c in all_characteristics(2) if c.parity == 1
-    )
+    odds = CharSystem(2, tuple(enumerate_forms(2, "odd")))
     assert odds in g2
     for system in g2:
         assert system.member_sum == (0, 0)
@@ -281,7 +281,7 @@ def test_difference_rank_matches_the_difference_vectors():
     # the rank of the block-swapped differences, by the oracle elimination
     rnd = random.Random(23)
     for g in (1, 2, 3):
-        chars = all_characteristics(g)
+        chars = enumerate_forms(g)
         for _ in range(100):
             system = CharSystem(g, tuple(rnd.sample(chars, rnd.randint(1, min(8, len(chars))))))
             first = system.members[0]
@@ -322,7 +322,7 @@ def test_isotropic_bases_match_extend_and_dedup_oracle():
 def test_isotropic_cosets_match_sort_each_coset_oracle():
     # one sorted span per basis and packed int keys, against sorting every coset
     for g in (1, 2, 3):
-        chars = all_characteristics(g)
+        chars = enumerate_forms(g)
         for dim in range(g + 2):
             want = [tuple(chars[x] for x in coset) for coset in oracle_isotropic_cosets(g, dim)]
             assert _isotropic_cosets(g, dim) == want, (g, dim)
@@ -333,7 +333,7 @@ def test_gopel_cosets_at_genus_3_are_maximal_syzygetic():
     assert len(systems) == gopel_coset_count(3) == 1080
     assert [s.members for s in systems] == sorted(s.members for s in systems)
     # spot-check the coset description on a sample
-    chars = all_characteristics(3)
+    chars = enumerate_forms(3)
     for system in systems[::97]:
         members = system.members
         assert difference_rank(system) == 3
@@ -388,7 +388,7 @@ def test_aronhold_structure_check_rejects_a_planted_member():
 
 def test_char_system_canonicalization_and_validation():
     a, b, c = ch("01;10"), ch("00;01"), ch("11;11")
-    s = CharSystem.sorted_system([c, a, b])
+    s = CharSystem(2, tuple(sorted([c, a, b])))
     assert s.members == tuple(sorted([a, b, c], key=lambda x: (x.eps, x.delta)))
     with pytest.raises(ValueError):
         CharSystem(2, (a, a))

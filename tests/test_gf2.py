@@ -5,14 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import gf2_inv
-from thetachar.gf2 import (
-    gf2_matvec,
-    gf2_mul,
-    gf2_rank,
-    gf2_rref,
-    parity,
-)
+from oracles import gf2_inv, gf2_matvec, gf2_mul
+from thetachar.gf2 import gf2_rank, gf2_rref, parity
 
 row_lists = st.lists(st.integers(min_value=0, max_value=255), max_size=7)
 

@@ -1,5 +1,6 @@
 """The command-line scripts under scripts/, run as a user runs them."""
 
+import ast
 import json
 import math
 import os
@@ -105,3 +106,18 @@ def test_every_mutant_applies_once():
         assert m.old != m.new
         assert sources[ROOT / m.file].count(m.old) == 1, m.name
         assert sum(text.count(m.old) for text in sources.values()) == 1, m.name
+
+
+def test_the_mutant_harness_copies_every_root_path_the_tests_read():
+    # scripts/mutants.py runs the suite in a copy of COPIED alone: a test
+    # reading ROOT / "x" for any other x fails in every copy, unmutated too
+    copied = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))["COPIED"]
+    read = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and isinstance(node.left, ast.Name) and node.left.id == "ROOT"
+                    and isinstance(node.right, ast.Constant)):
+                read.add(node.right.value.split("/")[0])
+    assert {"src", "scripts", "bench", "pyproject.toml"} <= read
+    assert sorted(read - set(copied)) == []

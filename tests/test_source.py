@@ -12,7 +12,8 @@ import pytest
 import thetachar
 
 PACKAGE = Path(thetachar.__file__).parent
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def _nodes():
@@ -111,11 +112,41 @@ def test_the_package_exports_exactly_its_layers_all():
     assert public == exported | modules
 
 
+# Public names no caller outside the tests reaches, kept for what they are
+SURFACE_ALLOWLIST = {
+    "eval_form": "the paper's form dictionary: q(x)",
+    "translate_form": "the paper's form dictionary: q + v",
+    "transvection": "the generator of Sp(2g, F2)",
+}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a name or attribute read in src/ (its def and its __all__ string do
+    # not count), scripts/ or bench/, or a name the tracer wraps (LAYERS)
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *BENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    for names in runpy.run_path(str(BENCH / "spans.py"))["LAYERS"].values():
+        read.update(names)
+    unread = [
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(thetachar.__path__, "thetachar.")
+        for name in getattr(importlib.import_module(info.name), "__all__", ())
+        if name not in read and name not in SURFACE_ALLOWLIST
+    ]
+    assert unread == []
+    assert not read & set(SURFACE_ALLOWLIST), "an allowlisted name has a caller now"
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_every_console_script_resolves_to_a_callable():
     import tomllib
 
-    pyproject = tomllib.loads((BENCH.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     scripts = pyproject["project"]["scripts"]
     assert scripts
     for target in scripts.values():

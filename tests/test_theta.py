@@ -15,9 +15,9 @@ import pytest
 
 from oracles import mp_tail, mp_theta, np_theta, np_theta_constants, oracle_box, oracle_lattice
 from thetachar import theta
-from thetachar.characteristics import Characteristic, all_characteristics
+from thetachar.characteristics import Characteristic
 from thetachar.config import InvariantError
-from thetachar.symplectic import SpMatrix, sp_apply
+from thetachar.symplectic import SpMatrix, enumerate_forms, sp_apply
 from thetachar.theta import (
     PeriodMatrix,
     Tolerance,
@@ -25,7 +25,6 @@ from thetachar.theta import (
     theta_constant,
     theta_constant_table,
     theta_report,
-    theta_with_char,
     truncation_radius,
 )
 from thetachar.verify import run_acceptance
@@ -51,6 +50,11 @@ THIN_G4_Z = [0.1 + 0.095j, 0.095j, -0.2 + 0.095j, 0.3 + 0.095j]
 
 def ch(text):
     return Characteristic.from_string(text)
+
+
+def theta_value(tau, z, c, tol=Tolerance()):
+    rep = theta_report(tau, z, c, tol)
+    return complex(rep["re"], rep["im"])
 
 
 def test_tolerance_validation():
@@ -171,9 +175,9 @@ def test_theta_constant_reference_values_g1():
 
 
 def test_theta_reference_values_with_argument():
-    got = theta_with_char(TAU_G1, [0.3 - 0.2j], ch("1;0"))
+    got = theta_value(TAU_G1, [0.3 - 0.2j], ch("1;0"))
     assert abs(got - G1_GENERIC) < 1e-12
-    got2 = theta_with_char(TAU_G2, [0.1 + 0.05j, -0.2j], ch("01;10"))
+    got2 = theta_value(TAU_G2, [0.1 + 0.05j, -0.2j], ch("01;10"))
     assert abs(got2 - G2_0110) < 1e-12
     got3 = theta_constant(TAU_G2, ch("00;11"))
     assert abs(got3 - G2_0011) < 1e-12
@@ -182,7 +186,7 @@ def test_theta_reference_values_with_argument():
 def test_live_cross_check_against_mpmath():
     tau = [[0.3 + 1.4j, -0.15 + 0.05j], [-0.15 + 0.05j, 0.1 + 0.9j]]
     z = [0.2 - 0.1j, -0.35 + 0.15j]
-    got = theta_with_char(PeriodMatrix(tau), z, ch("10;11"), Tolerance(1e-11))
+    got = theta_value(PeriodMatrix(tau), z, ch("10;11"), Tolerance(1e-11))
     want = mp_theta(tau, z, [1, 0], [1, 1], 2, radius=15)
     assert abs(got - complex(want)) < 1e-10
 
@@ -191,7 +195,7 @@ def test_genus_mismatch_rejected():
     with pytest.raises(ValueError):
         theta_constant(TAU_G2, ch("0;0"))
     with pytest.raises(ValueError):
-        theta_with_char(TAU_G1, [0.1, 0.2], ch("1;0"))
+        theta_value(TAU_G1, [0.1, 0.2], ch("1;0"))
     with pytest.raises(ValueError):
         theta_report(TAU_G2, None, ch("1;1"))
     with pytest.raises(ValueError):
@@ -200,16 +204,16 @@ def test_genus_mismatch_rejected():
 
 def test_odd_characteristics_vanish_at_zero():
     for tau in (TAU_I, TAU_G1, TAU_G2):
-        for c in all_characteristics(tau.g):
+        for c in enumerate_forms(tau.g):
             if c.parity == 1:
                 assert abs(theta_constant(tau, c)) < 1e-12
 
 
 def test_parity_symmetry_in_z():
     z = [0.17 - 0.08j, 0.05 + 0.21j]
-    for c in all_characteristics(2):
-        plus = theta_with_char(TAU_G2, z, c)
-        minus = theta_with_char(TAU_G2, [-w for w in z], c)
+    for c in enumerate_forms(2):
+        plus = theta_value(TAU_G2, z, c)
+        minus = theta_value(TAU_G2, [-w for w in z], c)
         sign = -1 if c.parity else 1
         assert abs(minus - sign * plus) < 1e-11
 
@@ -218,9 +222,9 @@ def test_quasi_periodicity():
     z = [0.1 + 0.2j, -0.3 + 0.1j]
     tau = TAU_G2.tau
     for c in (ch("00;00"), ch("10;01"), ch("11;11")):
-        base = theta_with_char(TAU_G2, z, c)
+        base = theta_value(TAU_G2, z, c)
         # integer shift: theta(z + n) = (-1)^(eps.n) theta(z)
-        shifted = theta_with_char(TAU_G2, [z[0] + 1, z[1]], c)
+        shifted = theta_value(TAU_G2, [z[0] + 1, z[1]], c)
         eps0 = c.eps >> 1 & 1
         assert abs(shifted - (-1) ** eps0 * base) < 1e-10
         # lattice shift by tau e_2:
@@ -228,7 +232,7 @@ def test_quasi_periodicity():
         zs = [z[0] + tau[0, 1], z[1] + tau[1, 1]]
         factor = cmath.exp(-1j * math.pi * tau[1, 1] - 2j * math.pi * z[1])
         delta1 = c.delta & 1
-        got = theta_with_char(TAU_G2, zs, c)
+        got = theta_value(TAU_G2, zs, c)
         want = factor * (-1) ** delta1 * base
         assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
@@ -244,7 +248,7 @@ def test_constant_table_agrees_bitwise_with_single_calls():
     table = theta_constant_table(TAU_G2)
     assert table.shape == (4, 4)
     assert not table.flags.writeable
-    for c in all_characteristics(2):
+    for c in enumerate_forms(2):
         assert table[c.eps, c.delta] == theta_constant(TAU_G2, c)
     # cached: identical object on repeat call
     assert theta_constant_table(TAU_G2) is table
@@ -265,7 +269,7 @@ def test_constant_table_matches_per_characteristic_sums():
             want = np_theta_constants(tau.tau, radius)
             got = theta_constant_table(tau)
             assert np.abs(got - want).max() < bound
-            for c in all_characteristics(g):
+            for c in enumerate_forms(g):
                 if c.parity == 1:
                     assert abs(got[c.eps, c.delta]) < bound
 
@@ -306,12 +310,12 @@ def test_large_real_parts_are_reduced_exactly():
             bound = 1e-14 * (2 * radius + 1) ** g
             table = theta_constant_table(shifted)
             want = np_theta_constants(tau, truncation_radius(shifted, None, Tolerance()))
-            for c in all_characteristics(g):
+            for c in enumerate_forms(g):
                 e = np.array(_bits(c.eps, g))
                 turn = 1j ** int(e @ s @ e % 4)
                 assert abs(table[c.eps, c.delta] - turn * want[c.eps, c.delta]) < bound
                 sign = -1 if int(e @ n) % 2 else 1
-                got = theta_with_char(shifted, z + n, c)
+                got = theta_value(shifted, z + n, c)
                 ref = np_theta(tau, z, _bits(c.eps, g), _bits(c.delta, g), radius)
                 assert abs(got - turn * sign * ref) < bound
 
@@ -343,7 +347,7 @@ def test_odd_entries_are_checked_at_run_time(monkeypatch):
 
 
 def test_single_evaluation_matches_plain_sum_off_zero():
-    # theta_with_char at Im z != 0 against one plain einsum sum over the
+    # theta_report at Im z != 0 against one plain einsum sum over the
     # same box, even and odd characteristics alike
     rng = np.random.default_rng(4041)
     for g in (3, 4):
@@ -353,13 +357,13 @@ def test_single_evaluation_matches_plain_sum_off_zero():
         z = rng.uniform(-0.4, 0.4, g) + 1j * rng.uniform(-0.15, 0.15, g)
         radius = truncation_radius(tau, z, Tolerance())
         bound = 1e-14 * (2 * radius + 1) ** g
-        chars = all_characteristics(g)
+        chars = enumerate_forms(g)
         for parity in (0, 1):
             pool = [c for c in chars if c.parity == parity]
             for k in rng.choice(len(pool), 3, replace=False):
                 c = pool[k]
                 want = np_theta(tau.tau, z, _bits(c.eps, g), _bits(c.delta, g), radius)
-                assert abs(theta_with_char(tau, z, c) - want) < bound
+                assert abs(theta_value(tau, z, c) - want) < bound
 
 
 def test_sp_action_matches_theta_transformations():
@@ -386,7 +390,7 @@ def test_sp_action_matches_theta_transformations():
                 (flip, -(inv + inv.T) / 2, abs(np.linalg.det(tau)) ** 0.5),
             ):
                 moved = theta_constant_table(PeriodMatrix(image))
-                for c in all_characteristics(g):
+                for c in enumerate_forms(g):
                     mc = sp_apply(m, c)
                     lhs, rhs = abs(moved[c.eps, c.delta]), scale * abs(table[mc.eps, mc.delta])
                     assert abs(lhs - rhs) < 1e-12
@@ -409,9 +413,9 @@ def test_ill_conditioned_im_tau_does_not_overflow():
         assert np.isfinite(table).all()
         assert np.abs(table - np_theta_constants(tau.tau, radius)).max() < bound
         z = [0.1 + 0.02j * (k + 1) for k in range(g)]
-        for c in all_characteristics(g)[:: 2 * g - 1]:
-            assert cmath.isfinite(theta_with_char(tau, z, c))
-            assert abs(theta_with_char(tau, None, c) - table[c.eps, c.delta]) < bound
+        for c in enumerate_forms(g)[:: 2 * g - 1]:
+            assert cmath.isfinite(theta_value(tau, z, c))
+            assert abs(theta_value(tau, None, c) - table[c.eps, c.delta]) < bound
 
 
 def test_ellipsoid_cut_is_honest():
@@ -470,7 +474,7 @@ def test_ellipsoid_cut_is_honest():
             c = Characteristic(g, int(k) >> g, int(k) & ((1 << g) - 1))
             rep = theta_report(tau, z, c, tol)
             value = complex(rep["re"], rep["im"])
-            assert value == theta_with_char(tau, z, c, tol)
+            assert theta_report(tau, z, c, tol) == rep  # bit-reproducible
             assert rep["points"] <= (2 * rep["radius"] + 1) ** g
             if fixed_z is not None:  # the line cut runs
                 assert (2 * rep["radius"] + 1) ** g > theta._LINE_CUT
@@ -590,8 +594,8 @@ def test_block_diagonal_theta_factorizes():
     joint = block_diag(TAU_I, TAU_G1)
     assert joint.g == 2
     assert joint.tau[0, 1] == 0
-    for c1 in all_characteristics(1):
-        for c2 in all_characteristics(1):
+    for c1 in enumerate_forms(1):
+        for c2 in enumerate_forms(1):
             c = Characteristic(
                 2, (c1.eps << 1) | c2.eps, (c1.delta << 1) | c2.delta
             )
