@@ -110,6 +110,10 @@ MUTANTS = (
     # the CLI's defaults, the one tolerance range check and z's finiteness check
     Mutant("cli-default-tol", "src/thetachar/cli.py", "tol=Tolerance().abs_tol", "tol=1e-10"),
     Mutant("cli-default-output", "src/thetachar/cli.py", 'Namespace(output="json"', 'Namespace(output="table"'),
+    # table mode alone: every value through json.dumps, which quotes strings
+    Mutant("table-quoted", "src/thetachar/cli.py",
+           "value if isinstance(value, (str, int, bool, float)) else json.dumps(value)",
+           "json.dumps(value)"),
     Mutant("tolerance-floor", _THETA, "1e-13 < self.abs_tol", "0.0 < self.abs_tol"),
     Mutant("z-finite", _THETA, "if not all(map(cmath.isfinite, z)):", "if False:"),
 )

@@ -12,7 +12,7 @@ pass, _forest.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .config import InvariantError
 
@@ -137,6 +137,11 @@ def betti_and_genus(graph: DualGraph) -> tuple[int, int]:
     return b, sum(v.genus for v in graph.vertices) + b
 
 
+# even_edge_sets lists all 2^b even sets, so it refuses a larger Betti
+# number b: time and memory grow 4x per two cycles, past half a GB at b = 18.
+BETTI_CAP = 16
+
+
 def even_edge_sets(graph: DualGraph) -> list[tuple[str, ...]]:
     """The even edge sets = the cycle space of the graph, all 2^b of them.
 
@@ -144,8 +149,12 @@ def even_edge_sets(graph: DualGraph) -> list[tuple[str, ...]]:
     edge-ends (a self-loop contributes two, hence never obstructs); these
     are the sums of subsets of the cycle basis from _forest, each checked
     to be even.  Each set is the sorted tuple of its edge ids, and the
-    sets are returned in lexicographic order.
+    sets are returned in lexicographic order.  A graph with more than
+    BETTI_CAP independent cycles is refused before any set is built.
     """
+    b, _ = betti_and_genus(graph)
+    if b > BETTI_CAP:
+        raise ValueError(f"need b <= {BETTI_CAP} to list the 2^b even edge sets, got b = {b}")
     ends = [(e.u, e.v) for e in graph.edges]
     _, cycles = _forest([v.id for v in graph.vertices], ends)
     for cycle in cycles:
@@ -162,7 +171,6 @@ def even_edge_sets(graph: DualGraph) -> list[tuple[str, ...]]:
         tuple(sorted(e.id for j, e in enumerate(graph.edges) if (mask >> j) & 1))
         for mask in masks
     )
-    b, _ = betti_and_genus(graph)
     if len(sets) != 1 << b:
         raise InvariantError(f"{len(sets)} even edge sets, expected 2^{b}")
     return sets
@@ -184,9 +192,6 @@ class ThComponentReport:
     total_components: int
     total_length: int
     reduced: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def th_components(graph: DualGraph) -> ThComponentReport:

@@ -112,14 +112,6 @@ class CharSystem:
             d ^= c.delta
         return (e, d)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "genus": self.g,
-            "cardinality": len(self.members),
-            "members": [c.to_json_dict() for c in self.members],
-            "difference_rank": difference_rank(self),
-        }
-
 
 def difference_rank(system: CharSystem) -> int:
     """GF(2) rank of {first - m : m in members}, as packed 2g-bit vectors.

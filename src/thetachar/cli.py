@@ -1,8 +1,10 @@
 """Command-line entry point: one dispatcher over all the modules.
 
 JSON in, JSON out (or aligned tables with --output table); exact values
-are printed as rational strings, never decimals.  Exit codes: 0 success,
-1 computation/verification failure, 2 usage error.
+are printed as rational strings, never decimals.  The layers return
+dataclasses, Fractions and characteristics; _plain alone turns them into
+JSON data, once per handler, and _emit prints that in either format.
+Exit codes: 0 success, 1 computation/verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 
 from . import amplitude as amp
 from . import boundary as bnd
@@ -17,6 +21,7 @@ from . import picard as pic
 from .characteristics import (
     Characteristic,
     CharSystem,
+    difference_rank,
     enumerate_fundamental_systems,
     enumerate_gopel_systems,
     enumerate_syzygetic_tetrads,
@@ -65,6 +70,39 @@ def parse_z(text: str, g: int) -> list[complex]:
     return [_parse_entry(x) for x in data]
 
 
+def _characteristic(c: Characteristic) -> dict:
+    """The quadric's two blocks in hex, most significant digit first, and its parity."""
+    w = (c.g + 3) // 4
+    return {"eps": f"{c.eps:0{w}x}", "delta": f"{c.delta:0{w}x}", "parity": c.parity}
+
+
+def _plain(value):
+    """A report value as JSON data: the one place that knows the printed forms.
+
+    A system prints with its characteristics and difference rank, a
+    divisor class over its whole basis, a Fraction as its rational string,
+    and any other dataclass as its fields in order.
+    """
+    if isinstance(value, (str, int, float)):  # the most common case first
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, Characteristic):
+        return _characteristic(value)
+    if isinstance(value, CharSystem):
+        members = [_characteristic(c) for c in value.members]
+        return {"genus": value.g, "cardinality": len(members), "members": members,
+                "difference_rank": difference_rank(value)}
+    if isinstance(value, pic.DivClass):
+        coeffs = {s: str(value.coeff(s)) for s in pic.basis_symbols(value.space, value.g)}
+        return {"space": value.space, "g": value.g, "coeffs": coeffs}
+    if isinstance(value, Fraction):
+        return str(value)
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
 def _emit(payload: dict, output: str) -> None:
     if output == "json":
         print(json.dumps(payload, indent=2))
@@ -82,7 +120,7 @@ def _cmd_forms(args) -> int:
         return 0
     listed = []
     for q in forms:
-        blocks = q.to_json_dict()
+        blocks = _characteristic(q)
         listed.append({"qe": blocks["eps"], "qf": blocks["delta"], "arf": arf(q)})
     _emit(
         {"genus": args.genus, "parity": args.parity, "count": len(forms), "forms": listed},
@@ -116,7 +154,7 @@ def _cmd_systems(args) -> int:
             "genus": g,
             "kind": args.kind,
             "count": len(systems),
-            "systems": [s.to_json_dict() for s in systems],
+            "systems": _plain(systems),
         },
         args.output,
     )
@@ -171,7 +209,7 @@ def _cmd_boundary(args) -> int:
     with open(args.graph, encoding="utf-8") as fh:
         graph = bnd.DualGraph.from_json_dict(json.load(fh))
     if args.report == "components":
-        _emit(bnd.th_components(graph).to_json_dict(), args.output)
+        _emit(_plain(bnd.th_components(graph)), args.output)
         return 0
     _, g = bnd.betti_and_genus(graph)
     degrees = []
@@ -189,20 +227,20 @@ def _cmd_picard(args) -> int:
         print(pic.general_type_test(g, space))
         return 0
     if args.report == "slope":
-        _emit(pic.slope_combination(g, space).to_json_dict(), args.output)
+        _emit(_plain(pic.slope_combination(g, space)), args.output)
         return 0
     if g < 2:
         raise ValueError(f"divisor classes need g >= 2, got {g}")
     theta_name = "Z_odd" if space == "Sbar_minus" else "ThetaNull"
     classes = {}
     if g >= pic.CLASS_MIN_GENUS[theta_name]:
-        classes[theta_name] = pic.named_class(g, theta_name).to_json_dict()
-    if g >= 4:
-        classes["canonical"] = pic.canonical_class(g, space).to_json_dict()
+        classes[theta_name] = _plain(pic.named_class(g, theta_name))
+    if g >= pic.CANONICAL_MIN_GENUS:
+        classes["canonical"] = _plain(pic.canonical_class(g, space))
     if g >= pic.CLASS_MIN_GENUS["BN_normalized"]:
         bn = pic.named_class(g, "BN_normalized")
-        classes["BN_normalized"] = bn.to_json_dict()
-        classes["BN_pullback"] = pic.pullback(bn, space).to_json_dict()
+        classes["BN_normalized"] = _plain(bn)
+        classes["BN_pullback"] = _plain(pic.pullback(bn, space))
     _emit(
         {
             "space": space,
@@ -218,7 +256,8 @@ def _cmd_picard(args) -> int:
 def _cmd_verify(args) -> int:
     report = run_acceptance(seed=args.seed, only=args.only)
     if args.output == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
+        data = {"seed": report.seed, "criteria": _plain(report.results), "passed": report.passed}
+        print(json.dumps(data, indent=2))
     else:
         for line in report.render_lines():
             print(line)

@@ -168,14 +168,6 @@ class DivClass:
         head = parts[0].lstrip("+ ").replace("- ", "-", 1)
         return " ".join([head] + parts[1:])
 
-    def to_json_dict(self) -> dict:
-        """Coefficients as exact rational strings, full basis spelled out."""
-        return {
-            "space": self.space,
-            "g": self.g,
-            "coeffs": {s: str(self.coeff(s)) for s in basis_symbols(self.space, self.g)},
-        }
-
 
 def pullback(c: DivClass, space: str = "Sbar_minus") -> DivClass:
     """Pull a class back from Mbar to a spin cover.
@@ -195,6 +187,11 @@ def pullback(c: DivClass, space: str = "Sbar_minus") -> DivClass:
     return DivClass._of(target, c.g, num, c._den)
 
 
+# The least genus of the canonical class, and so of the slope combination
+# normalized against its shape; the CLI's classes report reads it too.
+CANONICAL_MIN_GENUS = 4
+
+
 def canonical_class(g: int, space: str) -> DivClass:
     """Canonical class of the chosen space (same shape on both covers).
 
@@ -202,8 +199,8 @@ def canonical_class(g: int, space: str) -> DivClass:
     cover, 13 lambda - 2 alpha_0 - 3 beta_0 - 3 (alpha_1 + beta_1)
     - 2 sum_{i>=2} (alpha_i + beta_i), as numerators in basis order.
     """
-    if g < 4:
-        raise ValueError(f"canonical class supported for g >= 4, got {g}")
+    if g < CANONICAL_MIN_GENUS:
+        raise ValueError(f"canonical class supported for g >= {CANONICAL_MIN_GENUS}, got {g}")
     space = resolve_space(space)
     k = g // 2
     if space == "Mbar":
@@ -257,21 +254,10 @@ class SlopeResult:
     space: str
     g: int
     c_coefficient: Fraction
-    combined: DivClass
     lambda_slope: Fraction
+    combined: DivClass
     bn_applicable: bool
     warnings: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "g": self.g,
-            "c_coefficient": str(self.c_coefficient),
-            "lambda_slope": str(self.lambda_slope),
-            "combined": self.combined.to_json_dict(),
-            "bn_applicable": self.bn_applicable,
-            "warnings": list(self.warnings),
-        }
 
 
 def _combination(g: int, space: str) -> tuple[Fraction, DivClass]:
@@ -284,8 +270,8 @@ def _combination(g: int, space: str) -> tuple[Fraction, DivClass]:
     and beta_0 (index 2) of the result against its denominator.
     """
     space = resolve_space(space)
-    if g < 4:
-        raise ValueError(f"slope combination needs g >= 4, got {g}")
+    if g < CANONICAL_MIN_GENUS:
+        raise ValueError(f"slope combination needs g >= {CANONICAL_MIN_GENUS}, got {g}")
     if space == "Sbar_minus":
         base = Fraction(2, g - 2) * named_class(g, "Z_odd")
     else:
@@ -328,8 +314,8 @@ def slope_combination(g: int, space: str) -> SlopeResult:
         space=combined.space,
         g=g,
         c_coefficient=c,
-        combined=combined,
         lambda_slope=combined.coeff("lambda"),
+        combined=combined,
         bn_applicable=bn_applicable(g),
         warnings=tuple(warnings),
     )

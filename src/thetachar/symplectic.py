@@ -24,8 +24,8 @@ J(M(J c) + q^).  So every matrix operation works on M's rows, with no
 inverse or transpose; the pairing check M J M^T = J is <row_j, row_k> = J_jk.
 
 Bit packing: coordinate i of a block sits at bit g-1-i of the block int,
-so bit strings read left to right and the hex of
-Characteristic.to_json_dict is most-significant-first within each block.
+so bit strings read left to right and the hex blocks the CLI prints for
+a characteristic are most-significant-first within each block.
 """
 
 from __future__ import annotations
@@ -156,14 +156,6 @@ class Characteristic:
     @property
     def bits(self) -> str:
         return format(self.eps, f"0{self.g}b") + ";" + format(self.delta, f"0{self.g}b")
-
-    def to_json_dict(self) -> dict:
-        w = (self.g + 3) // 4
-        return {
-            "eps": f"{self.eps:0{w}x}",
-            "delta": f"{self.delta:0{w}x}",
-            "parity": self.parity,
-        }
 
 
 @dataclass(frozen=True)

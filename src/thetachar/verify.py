@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -302,13 +302,6 @@ class AcceptanceReport:
             f"({good}/{len(self.results)} criteria, seed {self.seed})"
         )
         return lines
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "criteria": [asdict(r) for r in self.results],
-            "passed": self.passed,
-        }
 
 
 def run_acceptance(*, seed: int = 0, only=None) -> AcceptanceReport:

@@ -46,6 +46,7 @@ from thetachar.characteristics import (
     quartic_coordinate_check,
     sp_group_order,
 )
+from thetachar.cli import _plain
 from thetachar.symplectic import (
     F2Vector,
     _isotropic_bases,
@@ -400,7 +401,7 @@ def test_characteristic_parsing_and_json():
     c = ch("101;110")
     assert c.g == 3 and c.eps == 0b101 and c.delta == 0b110
     assert c.bits == "101;110"
-    assert c.to_json_dict() == {"eps": "5", "delta": "6", "parity": 1}
+    assert _plain(c) == {"eps": "5", "delta": "6", "parity": 1}
     with pytest.raises(ValueError):
         Characteristic.from_string("10;1")
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -280,6 +281,26 @@ def test_boundary_reports(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_boundary_refuses_too_many_cycles(tmp_path, capsys):
+    # the components report lists all 2^b even sets, 4x the time and memory
+    # per two more cycles; past the cap it exits 1 before listing any.  The
+    # degrees report is arithmetic on g and has no cap.
+    loops = {
+        "vertices": [{"id": "v", "genus": 0}],
+        "edges": [{"id": f"e{i}", "u": "v", "v": "v"} for i in range(17)],
+    }
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps(loops))
+    start = time.perf_counter()
+    assert run(["boundary", "--graph", str(path)]) == 1
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need b <= 16 to list the 2^b even edge sets, got b = 17\n"
+    assert run(["boundary", "--graph", str(path), "--report", "degrees"]) == 0
+    assert json.loads(capsys.readouterr().out)["genus"] == 17
+
+
 def test_picard_reports(capsys):
     assert run(["picard", "--genus", "9", "--space", "even", "--report", "verdict"]) == 0
     assert capsys.readouterr().out == "general_type\n"
@@ -361,6 +382,59 @@ def test_output_table_flag_in_both_positions(capsys):
         assert key in outs[0]
         with pytest.raises(json.JSONDecodeError):
             json.loads(outs[0])
+
+
+def _table(payload: dict) -> str:
+    # table mode as the CLI documents it: one padded key per line, scalars
+    # as they are, lists and objects as JSON
+    width = max(map(len, payload))
+    return "".join(
+        f"{key:<{width}}  {value if isinstance(value, (str, int, float)) else json.dumps(value)}\n"
+        for key, value in payload.items()
+    )
+
+
+def test_table_output_is_frozen(tmp_path, capsys):
+    # sha256 of every exact-valued table report (exit code, then stdout),
+    # taken before the CLI held the one report encoder
+    path = tmp_path / "banana.json"
+    path.write_text(json.dumps(BANANA))
+    commands = [
+        ["forms", "--genus", "1"],
+        ["forms", "--genus", "2", "--parity", "even"],
+        ["systems", "--genus", "2", "--kind", "fundamental"],
+        ["systems", "--genus", "2", "--kind", "gopel"],
+        ["systems", "--genus", "3", "--kind", "tetrads"],
+        ["systems", "--genus", "3", "--kind", "aronhold"],
+        ["boundary", "--graph", str(path)],
+        ["boundary", "--graph", str(path), "--report", "degrees"],
+    ]
+    commands += [
+        ["picard", "--genus", str(g), "--space", space, "--report", report]
+        for report in ("classes", "slope", "verdict")
+        for g in range(2, 32)
+        for space in ("odd", "even")
+    ]
+    out = []
+    for argv in commands:
+        code = run(["--output", "table", *argv])
+        out.append(f"{code}\n{capsys.readouterr().out}")
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "5ff7c9eed79ff61a4a4cb2a3c07a0b42a9ed50ddc1ababeca886f2690cab5256"
+    # the floating-point reports: numpy's exp may differ in the last bit
+    # from one build to the next, so these are held to their JSON reports
+    factorization = ["check-factorization", "--g", "2", "--k", "1",
+                     "--tau1", TAU_1_JSON, "--tau2", TAU_1_JSON]
+    for argv in (
+        ["theta", "--genus", "1", "--tau", TAU_1_JSON, "--char", "0;0"],
+        ["theta", "--genus", "2", "--tau", TAU_2_JSON, "--char", "00;11", "--z", "[0.1, 0.2]"],
+        ["amplitude", "--genus", "2", "--tau", TAU_2_JSON],
+        ["amplitude", *factorization],
+    ):
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert run(["--output", "table", *argv]) == 0
+        assert capsys.readouterr().out == _table(payload), argv
 
 
 @pytest.mark.parametrize("graph", [

@@ -1,5 +1,6 @@
 """Exact rational divisor-class arithmetic and the slope/verdict pipeline."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from oracles import oracle_named_class, oracle_slope_combination
 
 from thetachar import picard, verify
+from thetachar.cli import _plain, run
 from thetachar.config import InvariantError
 from thetachar.picard import (
     DivClass,
@@ -134,7 +136,7 @@ def test_constructor_agrees_with_a_plain_fraction_sum(terms, rng):
         assert other == c and hash(other) == hash(c)
     assert (c == DivClass("Sbar_minus", 6)) == (not nonzero)
     assert str(c) == _render(nonzero)
-    assert c.to_json_dict() == {
+    assert _plain(c) == {
         "space": "Sbar_minus",
         "g": 6,
         "coeffs": {s: str(want[s]) for s in SPIN6},
@@ -164,7 +166,7 @@ def _same_class(got, space, g, coeffs):
     assert got == want and hash(got) == hash(want)
     assert got.coeffs == want.coeffs
     assert str(got) == str(want)
-    assert got.to_json_dict() == want.to_json_dict()
+    assert _plain(got) == _plain(want)
 
 
 @given(mbar7_st, mbar7_st, mixed_st)
@@ -197,7 +199,7 @@ def test_divclass_rendering():
     c = sbar(3, **{"lambda": 11, "alpha_0": F(-5, 4), "beta_0": -2})
     assert str(c) == "11*lambda - 5/4*alpha_0 - 2*beta_0"
     assert str(mbar(4)) == "0"
-    d = c.to_json_dict()
+    d = _plain(c)
     assert d["space"] == "Sbar_minus"
     assert d["coeffs"]["alpha_0"] == "-5/4"
     assert d["coeffs"]["alpha_1"] == "0"
@@ -229,8 +231,22 @@ def test_canonical_classes():
     km = canonical_class(12, "Mbar")
     assert km.coeff("delta_1") == -3
     assert km.coeff("delta_2") == -2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^canonical class supported for g >= 4, got 3$"):
         canonical_class(3, "Mbar")
+
+
+def test_one_least_genus_for_the_canonical_shape(monkeypatch, capsys):
+    # the canonical class, the slope combination normalized against its
+    # shape and the CLI's classes report all read CANONICAL_MIN_GENUS
+    assert picard.CANONICAL_MIN_GENUS == 4
+    monkeypatch.setattr(picard, "CANONICAL_MIN_GENUS", 5)
+    with pytest.raises(ValueError, match=r"^canonical class supported for g >= 5, got 4$"):
+        canonical_class(4, "odd")
+    with pytest.raises(ValueError, match=r"^slope combination needs g >= 5, got 4$"):
+        slope_combination(4, "odd")
+    for g, listed in ((4, False), (5, True)):
+        assert run(["picard", "--genus", str(g), "--space", "even", "--report", "classes"]) == 0
+        assert ("canonical" in json.loads(capsys.readouterr().out)["classes"]) is listed
 
 
 def test_riemann_hurwitz_identity():
@@ -323,7 +339,7 @@ def test_slope_combination_g13_example():
 
 def test_slope_result_serialization():
     res = slope_combination(12, "Sbar_minus")
-    d = res.to_json_dict()
+    d = _plain(res)
     assert d["space"] == "Sbar_minus"
     assert d["lambda_slope"] == "13"
     assert d["c_coefficient"] == "3/5"
@@ -342,7 +358,7 @@ def test_general_type_verdicts():
         assert general_type_test(g, "odd") == "general_type"
     for g in range(9, 31):
         assert general_type_test(g, "even") == "general_type"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^slope combination needs g >= 4, got 3$"):
         general_type_test(3, "odd")
 
 

@@ -114,15 +114,18 @@ def test_the_package_exports_exactly_its_layers_all():
 
 # Public names no caller outside the tests reaches, kept for what they are
 SURFACE_ALLOWLIST = {
+    "weil_pairing": "the paper's form dictionary: the pairing <u, v>",
     "eval_form": "the paper's form dictionary: q(x)",
     "translate_form": "the paper's form dictionary: q + v",
+    "form_difference": "the paper's form dictionary: the vector q - q'",
     "transvection": "the generator of Sp(2g, F2)",
 }
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     # a name or attribute read in src/ (its def and its __all__ string do
-    # not count), scripts/ or bench/, or a name the tracer wraps (LAYERS)
+    # not count), scripts/ or bench/; the tracer's LAYERS list does not
+    # count, since wrapping a name never runs it
     read = set()
     for path in [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *BENCH.glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -130,8 +133,6 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    for names in runpy.run_path(str(BENCH / "spans.py"))["LAYERS"].values():
-        read.update(names)
     unread = [
         f"{info.name}.{name}"
         for info in pkgutil.iter_modules(thetachar.__path__, "thetachar.")
