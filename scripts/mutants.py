@@ -52,10 +52,13 @@ class Mutant(NamedTuple):
 _THETA = "src/thetachar/theta.py"
 MUTANTS = (
     # the row and column gathers of the theta kernels, each picking wrong entries
+    # (theta-sum-rows: the rows a single evaluation sums on a box pass)
     Mutant("theta-sum-rows", _THETA, "np.take(m, keep, axis=0)", "np.take(m, keep[::-1], axis=0)"),
-    Mutant("line-rows-lines", _THETA, "cutoff + slack), axis=0)", "cutoff + slack) + 1, axis=0)"),
-    Mutant("line-rows-points", _THETA, "np.take(_lattice(g, radius), pos, axis=0)",
-           "np.take(_lattice(g, radius), pos[::-1], axis=0)"),
+    Mutant("line-rows-lines", _THETA, "gamma), cutoff + slack)", "gamma), cutoff + slack) + 1"),
+    Mutant("line-rows-points", _THETA, "np.take(points, lines, axis=0)",
+           "np.take(points, lines[::-1], axis=0)"),
+    # the compact line index: every box point one step off along each axis
+    Mutant("line-points-offset", _THETA, "coords -= radius", "coords -= radius - 1"),
     Mutant("phase-columns-first", _THETA, "np.take(factors[0], index[0], axis=1)",
            "np.take(factors[0], index[0][::-1], axis=1)"),
     Mutant("phase-columns-shift", _THETA, "np.take(factors[j], index[j], axis=1)",
@@ -69,7 +72,7 @@ MUTANTS = (
     # the single evaluation's line cut
     Mutant("line-gamma", _THETA, "gamma = c0 - bg * bg / (4.0 * yg)", "gamma = c0"),
     Mutant("line-beta-sign", _THETA, "beta = b[:-1] - bg / yg * col", "beta = b[:-1] + bg / yg * col"),
-    Mutant("line-box-order", _THETA, "return pos[order], im[order]", "return pos, im"),
+    Mutant("line-box-order", _THETA, "order = np.argsort(pos)", "order = np.arange(pos.size)"),
     Mutant("line-slack-size", _THETA, "size += w * w * yg + abs(bg) * w + bg * bg / (4.0 * yg)",
            "size += 0.0", equivalent="no double input found that the smaller slack misses; "
            "see the slack in theta._line_rows"),

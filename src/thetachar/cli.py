@@ -85,14 +85,14 @@ def _plain(value):
     """
     if isinstance(value, (str, int, float)):  # the most common case first
         return value
+    if isinstance(value, CharSystem):  # next: a listing holds thousands
+        members = [_characteristic(c) for c in value.members]
+        return {"genus": value.g, "cardinality": len(members), "members": members,
+                "difference_rank": difference_rank(value)}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, Characteristic):
         return _characteristic(value)
-    if isinstance(value, CharSystem):
-        members = [_characteristic(c) for c in value.members]
-        return {"genus": value.g, "cardinality": len(members), "members": members,
-                "difference_rank": difference_rank(value)}
     if isinstance(value, pic.DivClass):
         coeffs = {s: str(value.coeff(s)) for s in pic.basis_symbols(value.space, value.g)}
         return {"space": value.space, "g": value.g, "coeffs": coeffs}

@@ -63,12 +63,15 @@ reads the box as lines along the last coordinate: along a line the
 exponent is a quadratic in m_g whose real minimum, a quadratic form in
 the other coordinates with the Schur complement of Y_gg in Y, drops every
 line that stays at or above C before any of its points is touched
-(Deconinck et al., section 5; Agostini and Chua, 2021).  The rows of the
-lines left take the same BLAS products as the whole box would and go
-back to box order, so the same points are summed in the same order.  On
-smaller boxes one pass over the whole box is cheaper (see _LINE_CUT).  A
-table keeps the rows with m'Ym + sum_k min(0, (Ym)_k) < C, a lower bound
-on s'Ys for every eps, so they hold every per-eps ellipsoid {s'Ys < C}.
+(Deconinck et al., section 5; Agostini and Chua, 2021).  The lines come
+from a compact index of the box (_lines: int8 coordinates and int32 box
+positions, g + 4 bytes a point), so the float box of _lattice is never
+built: only the points of the lines left are cast to float.  They take
+the same BLAS products as the whole box would and go back to box order,
+so the same points are summed in the same order.  On smaller boxes one
+pass over the whole box is cheaper (see _LINE_CUT).  A table keeps the
+rows with m'Ym + sum_k min(0, (Ym)_k) < C, a lower bound on s'Ys for
+every eps, so they hold every per-eps ellipsoid {s'Ys < C}.
 With K points kept, the error bound is T + (N - K) exp(-pi C) <= tol.
 Summation order is fixed — shells of increasing |m|_inf, lexicographic
 within a shell, and the kept points in that order (a table groups them
@@ -112,6 +115,10 @@ _BLOCK = 16  # eps values per block of weight rows in a table
 # 259 vs 194 us at g = 4, N = 14,641; 2,190 vs 386 us at g = 4, N = 83,521.
 _LINE_CUT = 10_000
 _U = 2.0**-53  # unit roundoff of a double
+# _lines stores a box coordinate, at most _MAX_RADIUS in size, as int8 and
+# a position in a box of at most _MAX_LATTICE points as int32.
+if _MAX_RADIUS > np.iinfo(np.int8).max or _MAX_LATTICE > np.iinfo(np.int32).max:
+    raise InvariantError("the box caps outgrow the int8 and int32 index of _lines")
 
 
 @dataclass(frozen=True)
@@ -241,7 +248,9 @@ def _box(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tuple[int, flo
     only adds to it, so the radius fails either way.  An OverflowError
     still ends the search where it did: up to the first shell whose term
     overflows the exponent only rises, so each radius before it is passed
-    over until that shell comes first.
+    over until that shell comes first.  The radius found is checked to be
+    the least: R - 1 must fail, by its first excluded shell or by its
+    tail, or the search raises InvariantError.
     """
     for radius in range(1, _MAX_RADIUS + 1):
         if (2 * radius + 1) ** g > _MAX_LATTICE:
@@ -252,12 +261,18 @@ def _box(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tuple[int, flo
             tail = _tail_bound(lam, g, z_im_norm, radius)
         except OverflowError:
             break
+        if not tail <= abs_tol:
+            continue
+        if radius > 1 and not (
+            _shell_term(lam, g, z_im_norm, radius) > abs_tol
+            or _tail_bound(lam, g, z_im_norm, radius - 1) > abs_tol
+        ):
+            raise InvariantError(f"truncation radius {radius - 1} already reaches tol {abs_tol}")
         if tail == abs_tol:
             return radius, tail, math.inf
-        if tail < abs_tol:
-            shell = lam * (radius + 0.5) ** 2 - 2.0 * math.sqrt(g) * (radius + 1.5) * z_im_norm
-            budget = math.log((2 * radius + 1) ** g / (abs_tol - tail)) / math.pi
-            return radius, tail, max(shell, budget)
+        shell = lam * (radius + 0.5) ** 2 - 2.0 * math.sqrt(g) * (radius + 1.5) * z_im_norm
+        budget = math.log((2 * radius + 1) ** g / (abs_tol - tail)) / math.pi
+        return radius, tail, max(shell, budget)
     raise ValueError(
         "cannot reach the requested tolerance: Im tau too small or |Im z| too "
         "large for the supported truncation range (keep Im tau >= 0.3 I)"
@@ -351,29 +366,37 @@ def _exponents(m: np.ndarray, y: np.ndarray, b: np.ndarray, c0: float) -> np.nda
 
 
 @lru_cache(maxsize=32)
-def _lines(g: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """The box as lines along the last coordinate.
+def _lines(g: int, radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The box as lines along the last coordinate, in g + 4 bytes a point.
 
     Returns the heads p = (m_1..m_(g-1)) of the (2R + 1)^(g-1) lines, in
-    lex order, and a (lines, 2R + 1) array whose row p holds the positions
-    in _lattice(g, R) of (p, -R)..(p, R).  In lex order a line is a run of
-    2R + 1 consecutive points, so the positions invert _shell_order.
+    lex order, as floats; a (lines, 2R + 1, g) int8 array whose row p
+    holds the points (p, -R)..(p, R); and a (lines, 2R + 1) int32 array
+    of their positions in _lattice(g, R).  In lex order a line is a run
+    of 2R + 1 consecutive points, so the positions invert _shell_order.
+    No float copy of the box is made (_lattice takes 8g + 8 bytes a point
+    with its positions): _line_rows casts the points of the lines it keeps.
     """
     side = 2 * radius + 1
-    where = np.empty(side**g, dtype=np.intp)
-    where[_shell_order(g, radius)] = np.arange(side**g)
-    heads = (np.indices((side,) * (g - 1)).reshape(g - 1, -1).T - radius).astype(float)
+    where = np.empty(side**g, dtype=np.int32)
+    where[_shell_order(g, radius)] = np.arange(side**g, dtype=np.int32)
+    # 0..2R fits int16 and -R..R int8 (see _MAX_RADIUS)
+    coords = np.indices((side,) * g, dtype=np.int16).reshape(g, -1)
+    coords -= radius
+    points = np.ascontiguousarray(coords.T, dtype=np.int8).reshape(-1, side, g)
+    heads = points[:, 0, :-1].astype(float)
     where = where.reshape(-1, side)
-    heads.setflags(write=False)
-    where.setflags(write=False)
-    return heads, where
+    for arr in (heads, points, where):
+        arr.setflags(write=False)
+    return heads, points, where
 
 
 def _box_rows(g: int, radius: int, y, b, c0: float, cutoff: float) -> tuple[np.ndarray, ...]:
-    """The box rows with m'Ym + b.m + c0 < C, and those exponents, in box order."""
-    im = _exponents(_lattice(g, radius), y, b, c0)
+    """The box rows with m'Ym + b.m + c0 < C, in box order: positions, rows and exponents."""
+    m = _lattice(g, radius)
+    im = _exponents(m, y, b, c0)
     keep = _kept(im, cutoff)
-    return keep, im[keep]
+    return keep, np.take(m, keep, axis=0), im[keep]
 
 
 def _line_rows(g: int, radius: int, y, b, c0: float, cutoff: float) -> tuple[np.ndarray, ...]:
@@ -384,11 +407,11 @@ def _line_rows(g: int, radius: int, y, b, c0: float, cutoff: float) -> tuple[np.
     Schur complement S = Y_pp - y y'/Y_gg (y the last column of Y without
     Y_gg), beta = b_p - b_g y/Y_gg and gamma = c0 - b_g^2/(4 Y_gg).  Only
     the lines with h(p) below C plus a rounding slack can hold a row below
-    C; their rows take the same BLAS products as in _box_rows, so the same
-    rows are kept with the same exponents, and their positions in the box
-    are sorted back into box order.
+    C; their points, cast to float, take the same BLAS products as in
+    _box_rows, so the same rows are kept with the same exponents, and
+    their positions in the box sort them back into box order.
     """
-    heads, where = _lines(g, radius)
+    heads, points, where = _lines(g, radius)
     yg, bg = y[-1, -1], b[-1]
     col = y[:-1, -1]
     s = y[:-1, :-1] - np.outer(col, col / yg)
@@ -414,12 +437,14 @@ def _line_rows(g: int, radius: int, y, b, c0: float, cutoff: float) -> tuple[np.
     size = np.abs(y).sum() + np.abs(b).sum() + abs(c0)
     size += w * w * yg + abs(bg) * w + bg * bg / (4.0 * yg)
     slack = 2.0 * (3 * g + 4) * _U * (radius + 1) ** 2 * size
-    pos = np.take(where, _kept(_exponents(heads, s, beta, gamma), cutoff + slack), axis=0).ravel()
-    im = _exponents(np.take(_lattice(g, radius), pos, axis=0), y, b, c0)
+    lines = _kept(_exponents(heads, s, beta, gamma), cutoff + slack)
+    m = np.take(points, lines, axis=0).reshape(-1, g).astype(float)
+    im = _exponents(m, y, b, c0)
     hit = _kept(im, cutoff)
-    pos, im = pos[hit], im[hit]
+    pos = np.take(where, lines, axis=0).ravel()[hit].astype(np.intp)
     order = np.argsort(pos)
-    return pos[order], im[order]
+    hit = hit[order]
+    return pos[order], np.take(m, hit, axis=0), im[hit]
 
 
 def _turns(tau: PeriodMatrix, e: np.ndarray) -> np.ndarray | float:
@@ -441,17 +466,16 @@ def _theta_sum(
 
     The sum of w_eps(m; z + delta/2) over the box points whose imaginary
     exponent is below the cutoff, by the split: the imaginary part is
-    taken over the box, or over the lines of a large one that can hold a
-    kept point (_line_rows), the real part, one real exp for the
-    magnitudes and one complex exp for the phases over the kept points
-    only.  The linear coefficient tau eps + 2z and the constant are
+    taken over the box (_box_rows), or over the lines of a large one that
+    can hold a kept point (_line_rows, which never builds _lattice), the
+    real part, one real exp for the magnitudes and one complex exp for the
+    phases over the kept points only.  The linear coefficient tau eps + 2z and the constant are
     g-sized and stay complex.
     The sum runs on Re tau reduced mod 2 (_turns) and, when some
     |Re z_k| > 1/2, on z - n, n = round(Re z), by
     theta[eps; delta](tau, z + n) = (-1)^(eps.n) theta[eps; delta](tau, z).
     """
     g = tau.g
-    m = _lattice(g, radius)
     e = _blocks(g)[c.eps]
     turns = _turns(tau, e)
     n = [round(w.real) for w in z]  # exact, and so is each w - k below
@@ -462,9 +486,8 @@ def _theta_sum(
     te = tau._reduced @ e
     lin = te + 2.0 * z
     const = e @ te / 4.0 + e @ z
-    rows = _line_rows if len(m) > _LINE_CUT else _box_rows
-    keep, im = rows(g, radius, tau._y, lin.imag, const.imag, cutoff)
-    m = np.take(m, keep, axis=0)
+    rows = _line_rows if (2 * radius + 1) ** g > _LINE_CUT else _box_rows
+    keep, m, im = rows(g, radius, tau._y, lin.imag, const.imag, cutoff)
     _, mxm = _quadratic(m, tau._x)
     re = mxm + m @ lin.real + (const.real + turns)
     return complex(np.sum(np.exp(-np.pi * im) * _cis(re))), keep.size

@@ -508,11 +508,17 @@ def test_line_cut_keeps_the_box_rows_in_box_order():
             zim = rng.uniform(-0.2, 0.2, g)
             zim *= min(1.0, 0.2 / np.linalg.norm(zim))  # |Im z| <= 0.2
             b, c0 = y @ eps + 2.0 * zim, eps @ y @ eps / 4.0 + eps @ zim
-            keep, im = theta._box_rows(g, radius, y, b, c0, cutoff)
-            assert 0 < len(keep) < (2 * radius + 1) ** g
-            line_keep, line_im = theta._line_rows(g, radius, y, b, c0, cutoff)
-            assert np.array_equal(line_keep, keep)
-            assert line_im.tobytes() == im.tobytes()
+            box = theta._box_rows(g, radius, y, b, c0, cutoff)
+            assert 0 < len(box[0]) < (2 * radius + 1) ** g
+            _assert_same_rows(theta._line_rows(g, radius, y, b, c0, cutoff), box)
+
+
+def _assert_same_rows(got, want):
+    # positions, rows and exponents, each byte for byte
+    assert len(got) == len(want) == 3
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def test_line_cut_keeps_a_row_at_its_line_minimum():
@@ -524,7 +530,7 @@ def test_line_cut_keeps_a_row_at_its_line_minimum():
     # without its Schur terms fails; see _line_rows.)
     g, radius = 4, 5
     rng = np.random.default_rng(1)
-    heads, where = theta._lines(g, radius)
+    heads, points, where = theta._lines(g, radius)
     above = 0
     for _ in range(20):
         yg, col = 0.01, rng.uniform(-1.0, 1.0, g - 1)
@@ -538,11 +544,10 @@ def test_line_cut_keeps_a_row_at_its_line_minimum():
         line = np.flatnonzero((heads == p0).all(axis=1))[0]
         pos = where[line, t0 + radius]
         cutoff = np.nextafter(theta._exponents(theta._lattice(g, radius), y, b, c0)[pos], np.inf)
-        keep, im = theta._box_rows(g, radius, y, b, c0, cutoff)
-        line_keep, line_im = theta._line_rows(g, radius, y, b, c0, cutoff)
-        assert pos in keep
-        assert np.array_equal(line_keep, keep)
-        assert line_im.tobytes() == im.tobytes()
+        box = theta._box_rows(g, radius, y, b, c0, cutoff)
+        assert pos in box[0]
+        assert np.array_equal(box[1][box[0] == pos][0], points[line, t0 + radius])
+        _assert_same_rows(theta._line_rows(g, radius, y, b, c0, cutoff), box)
         s = y[:-1, :-1] - np.outer(col, col / yg)
         h = theta._exponents(heads, s, b[:-1] - b[-1] / yg * col, c0 - b[-1] ** 2 / (4.0 * yg))
         above += h[line] >= cutoff
@@ -550,18 +555,49 @@ def test_line_cut_keeps_a_row_at_its_line_minimum():
 
 
 def test_lines_index_the_box():
-    # Row p of the position index holds where (p, -R)..(p, R) sit in the
-    # shell-ordered box, and the heads p run in lex order.
-    for g, radius in ((4, 6), (4, 8), (5, 4)):
-        heads, where = theta._lines(g, radius)
+    # Row p of the index holds the points (p, -R)..(p, R) as int8 and where
+    # they sit in the shell-ordered box as int32, and the heads p run in lex
+    # order.  g = 2, R = 64 is the largest radius: its side, 129, does not
+    # fit an int8.
+    for g, radius in ((2, 64), (4, 6), (4, 8), (5, 4)):
+        heads, points, where = theta._lines(g, radius)
         side = 2 * radius + 1
+        assert points.dtype == np.int8 and points.shape == (side ** (g - 1), side, g)
+        assert where.dtype == np.int32 and where.shape == (side ** (g - 1), side)
         box = oracle_lattice(g, radius)
         lex = np.indices((side,) * (g - 1)).reshape(g - 1, -1).T - radius
-        assert np.array_equal(heads, lex)
+        assert heads.dtype == float and np.array_equal(heads, lex)
         assert np.array_equal(np.sort(where.ravel()), np.arange(side**g))
-        lines = box[where]
-        assert np.array_equal(lines[:, :, :-1], np.repeat(heads[:, None], side, axis=1))
-        assert np.array_equal(lines[:, :, -1], np.broadcast_to(np.arange(-radius, radius + 1.0), where.shape))
+        assert box[where].tobytes() == points.astype(float).tobytes()
+        assert np.array_equal(points[:, :, :-1], np.repeat(heads[:, None], side, axis=1))
+
+
+def test_box_caps_must_fit_the_line_index_types():
+    # _lines keeps coordinates as int8 and positions as int32: raising
+    # either cap past its type stops the import of theta.
+    source = inspect.getsource(theta)
+    for old, new in (("_MAX_RADIUS = 64", "_MAX_RADIUS = 128"),
+                     ("_MAX_LATTICE = 4_000_000", "_MAX_LATTICE = 2**31")):
+        assert source.count(old) == 1
+        code = compile(source.replace(old, new), theta.__file__, "exec")
+        with pytest.raises(InvariantError, match="int8 and int32"):
+            exec(code, {"__name__": "thetachar.theta_caps", "__package__": "thetachar"})
+
+
+def test_line_cut_at_the_largest_radius_matches_the_box():
+    # g = 2, R = _MAX_RADIUS: box coordinates run up to +-64, and 0..2R
+    # does not fit an int8; the line cut still keeps the box pass's rows.
+    g, radius = 2, theta._MAX_RADIUS
+    assert (2 * radius + 1) ** g > theta._LINE_CUT
+    y = np.array([[0.002, 0.0002], [0.0002, 0.0005]])
+    rng = np.random.default_rng(64)
+    for _ in range(3):
+        b, c0 = rng.uniform(-0.05, 0.05, g), rng.uniform(-0.1, 0.1)
+        cutoff = 0.002 * (radius - 10) ** 2
+        box = theta._box_rows(g, radius, y, b, c0, cutoff)
+        assert 0 < len(box[0]) < (2 * radius + 1) ** g
+        assert np.abs(box[1][:, -1]).max() == radius  # the cut reaches the box's edge
+        _assert_same_rows(theta._line_rows(g, radius, y, b, c0, cutoff), box)
 
 
 def test_single_evaluation_memory_is_the_kept_points_not_the_box():
@@ -579,6 +615,27 @@ def test_single_evaluation_memory_is_the_kept_points_not_the_box():
         tracemalloc.stop()
     box = (2 * report["radius"] + 1) ** 4
     assert report["radius"] == 8 and report["points"] == 4843
+    assert peak < box * 4 * 8
+
+
+def test_cold_line_cut_builds_no_float_box():
+    # A cold theta_report on a box above _LINE_CUT reads the lines of the
+    # compact index only: no _lattice entry appears, and its peak memory
+    # stays below one box-sized float array (N g 8 bytes).
+    tau = PeriodMatrix(np.array(THIN_G4_TAU) + 1j * np.array(THIN_G4_IM))
+    c = Characteristic(4, 0b1010, 0b0110)
+    for cache in (theta._lattice, theta._lines, theta._box):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        report = theta_report(tau, THIN_G4_Z, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    box = (2 * report["radius"] + 1) ** 4
+    assert report["radius"] == 8 and box > theta._LINE_CUT
+    assert theta._lattice.cache_info().currsize == 0
+    assert theta._lines.cache_info().currsize == 1
     assert peak < box * 4 * 8
 
 
