@@ -63,10 +63,11 @@ MUTANTS = (
            "np.take(factors[0], index[0][::-1], axis=1)"),
     Mutant("phase-columns-shift", _THETA, "np.take(factors[j], index[j], axis=1)",
            "np.take(factors[j], index[j - 1], axis=1)"),
-    Mutant("table-rows-box-order", _THETA, "np.take(_lattice(g, radius), keep, axis=0)",
-           "np.take(_lattice(g, radius), np.sort(keep), axis=0)"),
-    # the table's row cut and phase lookup
+    Mutant("table-rows-box-order", _THETA, "rows = np.take(pts, where, axis=0)",
+           "rows = np.take(pts, np.sort(where), axis=0)"),
+    # the table's row cut, its float32 sieve's rounding margin, and the phase lookup
     Mutant("table-cut-bare", _THETA, "low += np.minimum(ym, 0.0, out=ym)", "low += 0.0"),
+    Mutant("table-sieve-margin", _THETA, "margin = 2.0 * (2 * g + 4) * _U32", "margin = 0.0 * (2 * g + 4) * _U32"),
     Mutant("phase-lookup-offset", _THETA, "np.arange(-radius, radius + 1.0)",
            "np.arange(1 - radius, radius + 2.0)"),
     # the single evaluation's line cut

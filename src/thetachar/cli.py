@@ -229,8 +229,7 @@ def _cmd_picard(args) -> int:
     if args.report == "slope":
         _emit(_plain(pic.slope_combination(g, space)), args.output)
         return 0
-    if g < 2:
-        raise ValueError(f"divisor classes need g >= 2, got {g}")
+    pic.basis_symbols(space, g)  # the least genus of a class report
     theta_name = "Z_odd" if space == "Sbar_minus" else "ThetaNull"
     classes = {}
     if g >= pic.CLASS_MIN_GENUS[theta_name]:

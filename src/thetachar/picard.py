@@ -145,9 +145,6 @@ class DivClass:
         num = [p * x + q * y for x, y in zip(self._num, other._num)]
         return DivClass._of(self.space, self.g, num, den)
 
-    def __sub__(self, other: "DivClass") -> "DivClass":
-        return self + (-1) * other
-
     def __mul__(self, scalar) -> "DivClass":
         s = _exact(scalar)
         p, q = s.numerator, s.denominator

@@ -71,7 +71,12 @@ the same BLAS products as the whole box would and go back to box order,
 so the same points are summed in the same order.  On smaller boxes one
 pass over the whole box is cheaper (see _LINE_CUT).  A table keeps the
 rows with m'Ym + sum_k min(0, (Ym)_k) < C, a lower bound on s'Ys for
-every eps, so they hold every per-eps ellipsoid {s'Ys < C}.
+every eps, so they hold every per-eps ellipsoid {s'Ys < C}.  It finds
+them by a sieve over a cached copy of the box grouped by parity class
+(_table_box: float32 rows, exact for |m_k| <= _MAX_RADIUS, 4g + 6 bytes
+a point): the bound in float32 against C plus a rounding margin picks the
+candidates, and the bound in float64 decides among them, so a table sums
+exactly the rows of a float64 pass over the box, from half its bytes.
 With K points kept, the error bound is T + (N - K) exp(-pi C) <= tol.
 Summation order is fixed — shells of increasing |m|_inf, lexicographic
 within a shell, and the kept points in that order (a table groups them
@@ -115,6 +120,8 @@ _BLOCK = 16  # eps values per block of weight rows in a table
 # 259 vs 194 us at g = 4, N = 14,641; 2,190 vs 386 us at g = 4, N = 83,521.
 _LINE_CUT = 10_000
 _U = 2.0**-53  # unit roundoff of a double
+_U32 = 2.0**-24  # unit roundoff of a float32
+_F32_SAFE = 2.0**120  # well inside float32 range, whose largest value is below 2^128
 # _lines stores a box coordinate, at most _MAX_RADIUS in size, as int8 and
 # a position in a box of at most _MAX_LATTICE points as int32.
 if _MAX_RADIUS > np.iinfo(np.int8).max or _MAX_LATTICE > np.iinfo(np.int32).max:
@@ -304,30 +311,43 @@ def _shell_order(g: int, radius: int) -> np.ndarray:
     return np.argsort(shell.ravel(), kind="stable")
 
 
-@lru_cache(maxsize=32)
-def _lattice(g: int, radius: int) -> np.ndarray:
+def _shell_box(g: int, radius: int) -> np.ndarray:
     """Integer points of the box, shells of increasing |m|_inf, lex inside.
 
     np.indices lists the box in lex order, and _shell_order sorts it.
     """
     pts = np.indices((2 * radius + 1,) * g).reshape(g, -1).T - radius
-    arr = pts[_shell_order(g, radius)].astype(float)
+    return np.take(pts, _shell_order(g, radius), axis=0)
+
+
+@lru_cache(maxsize=32)
+def _lattice(g: int, radius: int) -> np.ndarray:
+    """The box of _shell_box as floats, for single evaluations and tests."""
+    arr = _shell_box(g, radius).astype(float)
     arr.setflags(write=False)
     return arr
 
 
 @lru_cache(maxsize=32)
-def _parity_classes(g: int, radius: int) -> np.ndarray:
-    """m mod 2 for each box point, packed like a characteristic block.
+def _table_box(g: int, radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The box grouped by parity class, in box order inside a class, for tables.
 
-    Coordinate k sits at bit g-1-k, so the class is an index into F2^g
-    that pairs with eps and delta by bitwise and.  Stored as uint16, for
-    which numpy's stable argsort is a radix sort.
+    Returns the points as float32 rows (exact: |m_k| <= _MAX_RADIUS), their
+    positions in _lattice(g, R) as int32 and their classes m mod 2, packed
+    like a characteristic block: coordinate k sits at bit g-1-k, so the
+    class is an index into F2^g that pairs with eps and delta by bitwise
+    and.  The classes are uint16, for which numpy's stable argsort is a
+    radix sort.  4g + 6 bytes a point; _lattice is not built.
     """
-    bits = _lattice(g, radius).astype(np.intp) & 1
-    classes = (bits @ (1 << np.arange(g - 1, -1, -1))).astype(np.uint16)
-    classes.setflags(write=False)
-    return classes
+    pts = _shell_box(g, radius)
+    classes = ((pts & 1) @ (1 << np.arange(g - 1, -1, -1))).astype(np.uint16)
+    where = np.argsort(classes, kind="stable")
+    rows = np.take(pts, where, axis=0).astype(np.float32)
+    where = where.astype(np.int32)
+    classes = classes[where]
+    for arr in (rows, where, classes):
+        arr.setflags(write=False)
+    return rows, where, classes
 
 
 @lru_cache(maxsize=None)
@@ -564,29 +584,58 @@ def theta_constant_table(tau: PeriodMatrix, tol=Tolerance()) -> np.ndarray:
     return _table(tau, Tolerance.coerce(tol))
 
 
-def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+def _lower_bound(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """m'Ym + sum_k min(0, (Ym)_k) for the rows m, by BLAS in the dtype of m and y."""
+    ym = m @ y
+    low = ym * m
+    low += np.minimum(ym, 0.0, out=ym)
+    return low @ np.ones(m.shape[1], dtype=m.dtype)
+
+
+def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarray, ...]:
     """The box rows a table sums: every m with m'Ym + sum_k min(0, (Ym)_k) < C.
 
     With s = m + eps/2, s'Ys = m'Ym + Ym.eps + eps'Y eps/4, where
     Ym.eps >= sum_k min(0, (Ym)_k) for a 0/1 eps and eps'Y eps >= 0: the
     left side bounds s'Ys from below for every eps at once, so a row left
-    out has s'Ys >= C for every eps.  One BLAS pass over the box, with no
-    more than two box-sized arrays alive at once.  Every parity class keeps
-    a row: for the 0/1 vector r, m = -r has Ym = -Yr and left side at most
-    r'Yr - sum_(k in r) (Yr)_k = 0 < C.  Returns the kept indices grouped
-    by parity class (box order inside a class) and their classes.
+    out has s'Ys >= C for every eps.  Every parity class keeps a row: for
+    the 0/1 vector r, m = -r has Ym = -Yr and left side at most
+    r'Yr - sum_(k in r) (Yr)_k = 0 < C.
+
+    The cut is a sieve over the class-major box of _table_box: the bound
+    in float32 against C plus a rounding margin finds the candidates, and
+    the bound in float64, computed as a pass over the whole box computes
+    it, decides among them, so the rows kept are exactly those of that
+    pass.  Returns the kept rows' positions in _lattice(g, R), grouped by
+    parity class (box order inside a class), their classes and the rows
+    as floats.
     """
     g = tau.g
-    m = _lattice(g, radius)
-    ym = m @ tau._y
-    low = ym * m
-    low += np.minimum(ym, 0.0, out=ym)
-    del ym
-    keep = _kept(low @ np.ones(g), cutoff)
-    del low
-    classes = _parity_classes(g, radius)[keep]
-    order = np.argsort(classes, kind="stable")
-    return keep[order], classes[order]
+    rows, where, classes = _table_box(g, radius)
+    y = tau._y
+    # A row whose float64 bound is below C must pass the sieve.  Each term
+    # of the bound, m_k (Ym)_k or min(0, (Ym)_k), and each partial sum is
+    # at most size = (R + 1)^2 sum_jk |Y_jk| in size.  Rounding Y to float32
+    # moves the exact bound by at most u32 size (min(0, .) is 1-Lipschitz);
+    # the float32 bound then takes at most 2g + 1 roundings of u32 size (g in
+    # each (Ym)_k, two in each term, g - 1 in the row sum) and the float64
+    # bound as many of u64 size.  C + margin is rounded once to a double and
+    # once to float32, at most u32 (C + margin) down.  So, to first order,
+    # (2g + 4) u32 (size + C) covers them all, and the margin is twice that.
+    # C >= log(3)/pi (see _box), so its term also covers float32 underflow,
+    # at most 2^-150 a rounding.  While size and C + margin stay below
+    # _F32_SAFE nothing overflows in float32; otherwise every row is a
+    # candidate, so no overflow or NaN can drop a row.
+    size = (radius + 1) ** 2 * np.abs(y).sum()
+    margin = 2.0 * (2 * g + 4) * _U32 * (size + cutoff)
+    if size < _F32_SAFE and cutoff + margin < _F32_SAFE:
+        sieve = _kept(_lower_bound(rows, y.astype(np.float32)), np.float32(cutoff + margin))
+    else:
+        sieve = np.arange(len(rows))
+    rows = np.take(rows, sieve, axis=0).astype(float)
+    keep = _kept(_lower_bound(rows, y), cutoff)
+    box = sieve[keep]
+    return where[box].astype(np.intp), classes[box], np.take(rows, keep, axis=0)
 
 
 def _phase_columns(x: np.ndarray, m: np.ndarray, radius: int) -> np.ndarray:
@@ -648,8 +697,7 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> np.ndarray:
     z = (0j,) * g
     radius = truncation_radius(tau, z, tol)
     _, tail, cutoff = _numerics(tau, z, tol)
-    keep, classes = _table_rows(tau, radius, cutoff)
-    m = np.take(_lattice(g, radius), keep, axis=0)
+    _, classes, m = _table_rows(tau, radius, cutoff)
     x, y = tau._x, tau._y
     blocks = _blocks(g)
     ym, mym = _quadratic(m, y)
@@ -660,8 +708,8 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> np.ndarray:
     corners = ((blocks @ y) * blocks) @ np.ones(g) / 4.0
     b = min(n, _BLOCK)
     low = b.bit_length() - 1
-    w = np.empty((b, len(keep)), dtype=complex)
-    mag = np.empty((b, len(keep)))
+    w = np.empty((b, len(m)), dtype=complex)
+    mag = np.empty((b, len(m)))
     sums = np.empty((n, n), dtype=complex)
     mass = np.empty(n)
     for h in range(0, n, b):
@@ -688,8 +736,8 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> np.ndarray:
     # exps and complex products; the class sums and the transform add
     # K + 2^g.
     norm = np.abs(x).sum() + np.abs(y).sum()
-    rel = len(keep) + n + 5 * g * g + 16 + math.pi * (3 * g + 4) * (radius + 1) ** 2 * norm
-    charge = _charge(tail, g, radius, len(keep), cutoff)
+    rel = len(m) + n + 5 * g * g + 16 + math.pi * (3 * g + 4) * (radius + 1) ** 2 * norm
+    charge = _charge(tail, g, radius, len(m), cutoff)
     _check_odd(table, signs < 0, charge, _U * rel * mass)  # (-1)^(eps.delta) = -1: odd
     table.setflags(write=False)
     return table

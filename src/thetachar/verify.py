@@ -31,6 +31,7 @@ from .characteristics import (
     enumerate_fundamental_systems,
     fundamental_system_count,
     is_syzygetic,
+    quartic_coordinate_check,
 )
 from .amplitude import factorization_residual, xi_g
 from .picard import (
@@ -258,6 +259,19 @@ def _check_slopes(rng: random.Random):
     )
 
 
+def _check_aronhold_census(rng: random.Random):
+    census = quartic_coordinate_check()
+    count, failures = census["azygetic_odd_7set_count"], census["structure_failures"]
+    if count != 288:
+        return False, f"{count} azygetic odd 7-sets at g=3, not 288"
+    if failures:
+        return False, f"{failures} of {count} sets fail the structure check, first {census['first_witness']}"
+    return True, (
+        "288 azygetic odd 7-sets at g=3; each has an even sum t8, its 21 five-term sums "
+        "are the other odds and its 35 three-term sums the evens other than t8"
+    )
+
+
 _CRITERIA = (
     ("form counts", _check_form_counts),
     ("arf Sp-invariance", _check_arf_invariance),
@@ -271,6 +285,7 @@ _CRITERIA = (
     ("boundary degree identities", _check_degree_identities),
     ("canonical-class identity", _check_canonical_identity),
     ("slopes and verdicts", _check_slopes),
+    ("Aronhold census", _check_aronhold_census),
 )
 
 

@@ -17,7 +17,9 @@ then the whole list; oracle_named_class, the divisor classes as
 {symbol: Fraction} formulas, and oracle_slope_combination, the slope
 combination solved on those dictionaries; oracle_box, the truncation
 search summing the tail at every radius; oracle_lattice, the truncation
-box sorted by a Python key; oracle_sp_apply_form, which moves a form by
+box sorted by a Python key; oracle_table_rows, a table's row cut in
+float64 over the whole box, which the library's float32 sieve must match
+row for row; oracle_sp_apply_form, which moves a form by
 a Gauss-Jordan inverse and 2g evaluations; and gf2_matvec, gf2_mul and
 mat_mul, the bit-matrix products row by row that the Sp action's half
 tables are checked against.
@@ -496,6 +498,29 @@ def oracle_lattice(g, radius):
         key=lambda idx: (max(abs(k - radius) for k in idx), idx),
     )
     return np.array(pts, dtype=float) - radius
+
+
+def oracle_table_rows(m, y, cutoff):
+    """The rows a theta-constant table sums, cut in float64 over the whole box.
+
+    m is the box in shell order as floats (oracle_lattice); y is Im tau.
+    Keeps every row with m'Ym + sum_k min(0, (Ym)_k) < cutoff, computed by
+    the BLAS products of one float64 pass over the box, then groups the
+    kept rows by their class m mod 2 (coordinate k at bit g-1-k), box
+    order inside a class.  Returns their box positions, classes and rows.
+    """
+    import numpy as np
+
+    g = m.shape[1]
+    ym = m @ y
+    low = ym * m
+    low += np.minimum(ym, 0.0, out=ym)
+    keep = (low @ np.ones(g) < cutoff).nonzero()[0]
+    bits = m[keep].astype(np.intp) & 1
+    classes = (bits @ (1 << np.arange(g - 1, -1, -1))).astype(np.uint16)
+    order = np.argsort(classes, kind="stable")
+    keep = keep[order]
+    return keep, classes[order], np.take(m, keep, axis=0)
 
 
 def np_theta(tau, z, eps, delta, radius):

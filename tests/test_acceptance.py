@@ -1,4 +1,4 @@
-"""The twelve acceptance criteria, one test each.
+"""The thirteen acceptance criteria, one test each.
 
 Every test runs its criterion through the same engine as `thetachar
 verify` (default seed), prints the criterion's pass/fail line, and pins
@@ -70,3 +70,7 @@ def test_11_canonical_class_identity():
 
 def test_12_slopes_and_verdicts():
     _run(12, budget=5.0)
+
+
+def test_13_aronhold_census():
+    _run(13, budget=1.0)

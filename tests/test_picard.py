@@ -151,9 +151,9 @@ def test_divclass_is_a_rational_vector_space(x, y, z):
     a = mbar(6, **{"lambda": x, "delta_0": y})
     b = mbar(6, **{"delta_0": z, "delta_3": x})
     assert (a + b).coeff("delta_0") == y + z
-    assert (a - b).coeff("delta_3") == -x
+    assert (a + -1 * b).coeff("delta_3") == -x
     assert (3 * a).coeff("lambda") == 3 * x == (a * 3).coeff("lambda")
-    assert (a + b) - b == a
+    assert (a + b) + -1 * b == a
     assert F(1, 2) * (a + a) == a
 
 
@@ -171,12 +171,12 @@ def _same_class(got, space, g, coeffs):
 
 @given(mbar7_st, mbar7_st, mixed_st)
 def test_arithmetic_agrees_with_the_constructor(x, y, q):
-    # classes that come out of +, -, scaling and pullback hold the same integer
+    # classes that come out of +, scaling and pullback hold the same integer
     # numerators over one denominator as those built from coefficients
     a, b = DivClass("Mbar", 7, x), DivClass("Mbar", 7, y)
     syms = basis_symbols("Mbar", 7)
     _same_class(a + b, "Mbar", 7, {s: x.get(s, 0) + y.get(s, 0) for s in syms})
-    _same_class(a - b, "Mbar", 7, {s: x.get(s, 0) - y.get(s, 0) for s in syms})
+    _same_class(a + -1 * b, "Mbar", 7, {s: x.get(s, 0) - y.get(s, 0) for s in syms})
     _same_class(q * a, "Mbar", 7, {s: q * x.get(s, 0) for s in syms})
     d = [x.get(f"delta_{i}", 0) for i in range(4)]
     image = {"lambda": x.get("lambda", 0), "alpha_0": d[0], "beta_0": 2 * d[0]}

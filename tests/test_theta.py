@@ -13,7 +13,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import mp_tail, mp_theta, np_theta, np_theta_constants, oracle_box, oracle_lattice
+from oracles import (
+    mp_tail,
+    mp_theta,
+    np_theta,
+    np_theta_constants,
+    oracle_box,
+    oracle_lattice,
+    oracle_table_rows,
+)
 from thetachar import theta
 from thetachar.characteristics import Characteristic
 from thetachar.config import InvariantError
@@ -482,6 +490,89 @@ def test_ellipsoid_cut_is_honest():
             bound = rep["est_error"] - eval_tail + 1e-14 * (2 * rep["radius"] + 1) ** g
             want = np_theta(tau.tau, z, _bits(c.eps, g), _bits(c.delta, g), rep["radius"])
             assert abs(value - want) < bound  # (a)
+
+
+def _reference_rows(tau, radius, cutoff):
+    return oracle_table_rows(theta._lattice(tau.g, radius), np.ascontiguousarray(tau.tau.imag), cutoff)
+
+
+def test_table_sieve_keeps_the_reference_rows():
+    # A table cuts its box with a float32 sieve and decides in float64 on
+    # the candidates: positions, classes and rows must equal the float64
+    # cut over the whole box byte for byte, at every tolerance, for seeded
+    # tau, the two ill-conditioned Im tau of the overflow test and
+    # lambda_min = 0.3 with a near-singular Y.
+    rng = np.random.default_rng(2029)
+    ims = []
+    for g, count, top in ((1, 4, 3.0), (2, 4, 3.0), (3, 4, 3.0), (4, 4, 3.0), (5, 2, 2.0)):
+        for _ in range(count):
+            q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+            low = 0.3 if g < 5 else 1.0
+            lam = np.concatenate([[rng.uniform(low, 2 * low)], rng.uniform(low, top, g - 1)])
+            ims.append(q @ np.diag(lam) @ q.T)
+    ims += [np.array([[50.0, 49.7], [49.7, 50.0]]), 0.35 * np.eye(4) + 14.9 * np.ones((4, 4))]
+    for g in (2, 3, 4):  # lambda_min 0.3, condition number about 70
+        v = rng.normal(size=g)
+        ims.append(0.3 * np.eye(g) + 20.0 * np.outer(v, v) / (v @ v))
+    sieved = 0
+    for y in ims:
+        g = len(y)
+        x = rng.uniform(-0.5, 0.5, (g, g))
+        tau = PeriodMatrix((x + x.T) / 2 + 1j * (y + y.T) / 2)
+        for tol in (1e-12, 1e-8, 1e-4):
+            radius, _, cutoff = theta._numerics(tau, (0j,) * g, Tolerance(tol))
+            got = theta._table_rows(tau, radius, cutoff)
+            _assert_same_rows(got, _reference_rows(tau, radius, cutoff))
+            sieved += len(got[0]) < (2 * radius + 1) ** g
+    assert sieved > 2 * len(ims)  # most cuts are not vacuous
+
+
+def test_table_sieve_keeps_a_row_one_ulp_below_the_cutoff():
+    # The sieve's rounding margin at work: put C one ulp above a row's
+    # float64 bound, so the row is kept, and check that the sieve passes it
+    # although its float32 bound often lies at or above C in float32.
+    g, radius = 4, 5
+    rng = np.random.default_rng(7)
+    rows, where, _ = theta._table_box(g, radius)
+    box = theta._lattice(g, radius)
+    above = 0
+    for _ in range(20):
+        q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+        y = q @ np.diag(rng.uniform(0.4, 3.0, g)) @ q.T
+        y = (y + y.T) / 2
+        tau = PeriodMatrix(1j * y)
+        low = theta._lower_bound(box, tau._y)
+        pos = rng.choice(np.flatnonzero((low > 1.0) & (low < 40.0)))
+        cutoff = float(np.nextafter(low[pos], np.inf))
+        got = theta._table_rows(tau, radius, cutoff)
+        assert pos in got[0]
+        _assert_same_rows(got, _reference_rows(tau, radius, cutoff))
+        low32 = theta._lower_bound(rows, tau._y.astype(np.float32))
+        above += low32[where == pos][0] >= np.float32(cutoff)
+    assert above > 0
+
+
+def test_table_sieve_passes_every_row_when_float32_overflows():
+    # Im tau with entries near 1e39 does not fit float32: the sieve must
+    # then pass every row, so the float64 decision keeps the reference rows.
+    for g, scale in ((2, 1e39), (4, 1e39), (3, 1e36)):
+        y = scale * (np.eye(g) + 0.1 * (np.ones((g, g)) - np.eye(g)))
+        tau = PeriodMatrix(1j * y)
+        radius, _, cutoff = theta._numerics(tau, (0j,) * g, Tolerance())
+        got = theta._table_rows(tau, radius, cutoff)
+        assert len(got[0]) >= 1 << g
+        _assert_same_rows(got, _reference_rows(tau, radius, cutoff))
+
+
+def test_cold_table_builds_no_float_box():
+    # A table reads the class-major float32 box of _table_box alone: a cold
+    # table leaves no _lattice entry behind.
+    tau = PeriodMatrix(1j * (0.5 * np.eye(4) + 0.1 * np.ones((4, 4))))
+    for cache in (theta._lattice, theta._table_box, theta._table):
+        cache.cache_clear()
+    theta_constant_table(tau)
+    assert theta._lattice.cache_info().currsize == 0
+    assert theta._table_box.cache_info().currsize == 1
 
 
 def test_line_cut_keeps_the_box_rows_in_box_order():
