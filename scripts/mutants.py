@@ -52,7 +52,7 @@ class Mutant(NamedTuple):
 _THETA = "src/thetachar/theta.py"
 MUTANTS = (
     # the row and column gathers of the theta kernels, each picking wrong entries
-    # (theta-sum-rows: the rows a single evaluation sums on a box pass)
+    # (theta-sum-rows: the rows a single evaluation keeps, from the box or its lines)
     Mutant("theta-sum-rows", _THETA, "np.take(m, keep, axis=0)", "np.take(m, keep[::-1], axis=0)"),
     Mutant("line-rows-lines", _THETA, "gamma), cutoff + slack)", "gamma), cutoff + slack) + 1"),
     Mutant("line-rows-points", _THETA, "np.take(points, lines, axis=0)",
@@ -63,8 +63,8 @@ MUTANTS = (
            "np.take(factors[0], index[0][::-1], axis=1)"),
     Mutant("phase-columns-shift", _THETA, "np.take(factors[j], index[j], axis=1)",
            "np.take(factors[j], index[j - 1], axis=1)"),
-    Mutant("table-rows-box-order", _THETA, "rows = np.take(pts, where, axis=0)",
-           "rows = np.take(pts, np.sort(where), axis=0)"),
+    Mutant("table-rows-box-order", _THETA, "rows = np.take(pts, order, axis=0)",
+           "rows = np.take(pts, np.sort(order), axis=0)"),
     # the table's row cut, its float32 sieve's rounding margin, and the phase lookup
     Mutant("table-cut-bare", _THETA, "low += np.minimum(ym, 0.0, out=ym)", "low += 0.0"),
     Mutant("table-sieve-margin", _THETA, "margin = 2.0 * (2 * g + 4) * _U32", "margin = 0.0 * (2 * g + 4) * _U32"),
@@ -73,10 +73,9 @@ MUTANTS = (
     # the single evaluation's line cut
     Mutant("line-gamma", _THETA, "gamma = c0 - bg * bg / (4.0 * yg)", "gamma = c0"),
     Mutant("line-beta-sign", _THETA, "beta = b[:-1] - bg / yg * col", "beta = b[:-1] + bg / yg * col"),
-    Mutant("line-box-order", _THETA, "order = np.argsort(pos)", "order = np.arange(pos.size)"),
     Mutant("line-slack-size", _THETA, "size += w * w * yg + abs(bg) * w + bg * bg / (4.0 * yg)",
            "size += 0.0", equivalent="no double input found that the smaller slack misses; "
-           "see the slack in theta._line_rows"),
+           "see the slack in theta._rows"),
     Mutant("line-slack-none", _THETA, "slack = 2.0 * (3 * g + 4) * _U", "slack = 0.0 * (3 * g + 4) * _U"),
     # the truncation search and the subspace sums read off one gather
     Mutant("box-skip-shell", _THETA, "_shell_term(lam, g, z_im_norm, radius + 1) > abs_tol",

@@ -58,29 +58,29 @@ the box only the points whose term can exceed exp(-pi C) are summed
 Math. Comp. 73, 2004): C is at least the exponent of the tail bound's
 first excluded shell, and large enough that the N box points can drop at
 most tol - T together.  A single evaluation keeps the points whose
-imaginary exponent is below C.  On a box of more than _LINE_CUT points it
-reads the box as lines along the last coordinate: along a line the
-exponent is a quadratic in m_g whose real minimum, a quadratic form in
-the other coordinates with the Schur complement of Y_gg in Y, drops every
-line that stays at or above C before any of its points is touched
-(Deconinck et al., section 5; Agostini and Chua, 2021).  The lines come
-from a compact index of the box (_lines: int8 coordinates and int32 box
-positions, g + 4 bytes a point), so the float box of _lattice is never
-built: only the points of the lines left are cast to float.  They take
-the same BLAS products as the whole box would and go back to box order,
-so the same points are summed in the same order.  On smaller boxes one
-pass over the whole box is cheaper (see _LINE_CUT).  A table keeps the
-rows with m'Ym + sum_k min(0, (Ym)_k) < C, a lower bound on s'Ys for
-every eps, so they hold every per-eps ellipsoid {s'Ys < C}.  It finds
-them by a sieve over a cached copy of the box grouped by parity class
-(_table_box: float32 rows, exact for |m_k| <= _MAX_RADIUS, 4g + 6 bytes
-a point): the bound in float32 against C plus a rounding margin picks the
-candidates, and the bound in float64 decides among them, so a table sums
-exactly the rows of a float64 pass over the box, from half its bytes.
-With K points kept, the error bound is T + (N - K) exp(-pi C) <= tol.
-Summation order is fixed — shells of increasing |m|_inf, lexicographic
-within a shell, and the kept points in that order (a table groups them
-by parity class first) — so repeated evaluations are bit-reproducible.
+imaginary exponent is below C.  It reads the box from a compact index,
+the box as lines along the last coordinate (_lines: int8 points, g bytes
+a point), and casts to float only the points it takes the BLAS products
+of.  On a box of more than _LINE_CUT points it first drops lines: along
+a line the exponent is a quadratic in m_g whose real minimum, a quadratic
+form in the other coordinates with the Schur complement of Y_gg in Y,
+drops every line that stays at or above C before any of its points is
+cast (Deconinck et al., section 5; Agostini and Chua, 2021).  The points
+of the lines left take the same BLAS products as the whole box would, so
+the same points are kept with the same exponents, in the same order.  On
+smaller boxes dropping lines costs more than it saves (see _LINE_CUT).
+A table keeps the rows with m'Ym + sum_k min(0, (Ym)_k) < C, a lower
+bound on s'Ys for every eps, so they hold every per-eps ellipsoid
+{s'Ys < C}.  It finds them by a sieve over a cached copy of the box
+grouped by parity class (_table_box: float32 rows, exact for
+|m_k| <= _MAX_RADIUS, and uint16 classes, 4g + 2 bytes a point): the
+bound in float32 against C plus a rounding margin picks the candidates,
+and the bound in float64 decides among them, so a table sums exactly the
+rows of a float64 pass over the box, from half its bytes.  With K points
+kept, the error bound is T + (N - K) exp(-pi C) <= tol.  Summation order
+is fixed, lexicographic, the order np.indices lists the box in (a table
+groups the kept points by parity class, lexicographic inside a class),
+so repeated evaluations are bit-reproducible.
 
 Accuracy contract: double precision throughout; tolerances below 1e-13
 are rejected, and callers should keep Im tau >= 0.3 I (the truncation
@@ -112,20 +112,21 @@ __all__ = [
 _MAX_RADIUS = 64
 _MAX_LATTICE = 4_000_000
 _BLOCK = 16  # eps values per block of weight rows in a table
-# A single evaluation on a box of more than this many points cuts by lines
-# (_line_rows), on a smaller one in one pass over the box (_box_rows).  The
-# line cut's fixed cost, some 15 numpy calls, loses to the box pass on small
-# boxes: medians over six tau, one BLAS thread, box pass against line cut,
-# 67 vs 124 us at g = 3, N = 4,913; 119 vs 177 us at g = 4, N = 6,561;
-# 259 vs 194 us at g = 4, N = 14,641; 2,190 vs 386 us at g = 4, N = 83,521.
-_LINE_CUT = 10_000
+# A single evaluation on a box of more than this many points drops the lines
+# of the box that cannot hold a kept point before it casts any (see _rows).
+# The line cut's fixed cost, some 12 numpy calls, loses to casting the whole
+# box on small boxes: medians of _rows over six tau, one BLAS thread, whole
+# box against line cut, 33 vs 47 us at g = 3, N = 2,197; 42 vs 52 us at
+# g = 4, N = 2,401; 53 vs 49 us at g = 3, N = 4,913; 59 vs 56 us at g = 5,
+# N = 3,125; 186 vs 67 us at g = 4, N = 6,561; 479 vs 88 us at g = 4,
+# N = 14,641; 4,582 vs 183 us at g = 4, N = 83,521.
+_LINE_CUT = 5_000
 _U = 2.0**-53  # unit roundoff of a double
 _U32 = 2.0**-24  # unit roundoff of a float32
 _F32_SAFE = 2.0**120  # well inside float32 range, whose largest value is below 2^128
-# _lines stores a box coordinate, at most _MAX_RADIUS in size, as int8 and
-# a position in a box of at most _MAX_LATTICE points as int32.
-if _MAX_RADIUS > np.iinfo(np.int8).max or _MAX_LATTICE > np.iinfo(np.int32).max:
-    raise InvariantError("the box caps outgrow the int8 and int32 index of _lines")
+# _lines stores a box coordinate, at most _MAX_RADIUS in size, as int8.
+if _MAX_RADIUS > np.iinfo(np.int8).max:
+    raise InvariantError("the box radius cap outgrows the int8 points of _lines")
 
 
 @dataclass(frozen=True)
@@ -297,57 +298,24 @@ def truncation_radius(tau: PeriodMatrix, z, tol) -> int:
     return _numerics(tau, _z(z, tau.g), tol)[0]
 
 
-def _shell_order(g: int, radius: int) -> np.ndarray:
-    """The box in lex order sorted by |m|_inf, stably: lex order inside a shell.
+@lru_cache(maxsize=32)
+def _table_box(g: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The box grouped by parity class, in lex order inside a class, for tables.
 
-    |m|_inf over the box in lex order is an outer maximum of the 2R + 1
-    distances |m_k|, one byte a point, for which numpy's stable argsort is
-    a radix sort.
-    """
-    dist = np.abs(np.arange(-radius, radius + 1)).astype(np.uint8)
-    shell = dist
-    for _ in range(g - 1):
-        shell = np.maximum.outer(shell, dist)
-    return np.argsort(shell.ravel(), kind="stable")
-
-
-def _shell_box(g: int, radius: int) -> np.ndarray:
-    """Integer points of the box, shells of increasing |m|_inf, lex inside.
-
-    np.indices lists the box in lex order, and _shell_order sorts it.
+    Returns the points as float32 rows (exact: |m_k| <= _MAX_RADIUS) and
+    their classes m mod 2, packed like a characteristic block: coordinate
+    k sits at bit g-1-k, so the class is an index into F2^g that pairs with
+    eps and delta by bitwise and.  The classes are uint16, for which
+    numpy's stable argsort is a radix sort.  4g + 2 bytes a point.
     """
     pts = np.indices((2 * radius + 1,) * g).reshape(g, -1).T - radius
-    return np.take(pts, _shell_order(g, radius), axis=0)
-
-
-@lru_cache(maxsize=32)
-def _lattice(g: int, radius: int) -> np.ndarray:
-    """The box of _shell_box as floats, for single evaluations and tests."""
-    arr = _shell_box(g, radius).astype(float)
-    arr.setflags(write=False)
-    return arr
-
-
-@lru_cache(maxsize=32)
-def _table_box(g: int, radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The box grouped by parity class, in box order inside a class, for tables.
-
-    Returns the points as float32 rows (exact: |m_k| <= _MAX_RADIUS), their
-    positions in _lattice(g, R) as int32 and their classes m mod 2, packed
-    like a characteristic block: coordinate k sits at bit g-1-k, so the
-    class is an index into F2^g that pairs with eps and delta by bitwise
-    and.  The classes are uint16, for which numpy's stable argsort is a
-    radix sort.  4g + 6 bytes a point; _lattice is not built.
-    """
-    pts = _shell_box(g, radius)
     classes = ((pts & 1) @ (1 << np.arange(g - 1, -1, -1))).astype(np.uint16)
-    where = np.argsort(classes, kind="stable")
-    rows = np.take(pts, where, axis=0).astype(np.float32)
-    where = where.astype(np.int32)
-    classes = classes[where]
-    for arr in (rows, where, classes):
-        arr.setflags(write=False)
-    return rows, where, classes
+    order = np.argsort(classes, kind="stable")
+    rows = np.take(pts, order, axis=0).astype(np.float32)
+    classes = classes[order]
+    rows.setflags(write=False)
+    classes.setflags(write=False)
+    return rows, classes
 
 
 @lru_cache(maxsize=None)
@@ -386,85 +354,74 @@ def _exponents(m: np.ndarray, y: np.ndarray, b: np.ndarray, c0: float) -> np.nda
 
 
 @lru_cache(maxsize=32)
-def _lines(g: int, radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The box as lines along the last coordinate, in g + 4 bytes a point.
+def _lines(g: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The box as lines along the last coordinate, in g bytes a point.
 
     Returns the heads p = (m_1..m_(g-1)) of the (2R + 1)^(g-1) lines, in
-    lex order, as floats; a (lines, 2R + 1, g) int8 array whose row p
-    holds the points (p, -R)..(p, R); and a (lines, 2R + 1) int32 array
-    of their positions in _lattice(g, R).  In lex order a line is a run
-    of 2R + 1 consecutive points, so the positions invert _shell_order.
-    No float copy of the box is made (_lattice takes 8g + 8 bytes a point
-    with its positions): _line_rows casts the points of the lines it keeps.
+    lex order, as floats, and a (lines, 2R + 1, g) int8 array whose row p
+    holds the points (p, -R)..(p, R): read row by row, the box in lex
+    order.  No float copy of the box is kept (8g bytes a point): _rows
+    casts the points of the lines it reads.
     """
     side = 2 * radius + 1
-    where = np.empty(side**g, dtype=np.int32)
-    where[_shell_order(g, radius)] = np.arange(side**g, dtype=np.int32)
     # 0..2R fits int16 and -R..R int8 (see _MAX_RADIUS)
     coords = np.indices((side,) * g, dtype=np.int16).reshape(g, -1)
     coords -= radius
     points = np.ascontiguousarray(coords.T, dtype=np.int8).reshape(-1, side, g)
     heads = points[:, 0, :-1].astype(float)
-    where = where.reshape(-1, side)
-    for arr in (heads, points, where):
-        arr.setflags(write=False)
-    return heads, points, where
+    heads.setflags(write=False)
+    points.setflags(write=False)
+    return heads, points
 
 
-def _box_rows(g: int, radius: int, y, b, c0: float, cutoff: float) -> tuple[np.ndarray, ...]:
-    """The box rows with m'Ym + b.m + c0 < C, in box order: positions, rows and exponents."""
-    m = _lattice(g, radius)
+def _rows(g: int, radius: int, y, b, c0: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """The box rows with m'Ym + b.m + c0 < C, in lex order, and their exponents.
+
+    On a box of more than _LINE_CUT points only the lines that can hold
+    such a row are read.  With m = (p, t), the exponent along the line of
+    p is a quadratic in t whose minimum over real t is
+    h(p) = p'Sp + beta.p + gamma, with the Schur complement
+    S = Y_pp - y y'/Y_gg (y the last column of Y without Y_gg),
+    beta = b_p - b_g y/Y_gg and gamma = c0 - b_g^2/(4 Y_gg).  Only the
+    lines with h(p) below C plus a rounding slack can hold a row below C.
+    Each row read takes the same BLAS products either way, so the same
+    rows are kept with the same exponents, and the lines left are a
+    subsequence of the box, so the rows stay in lex order.
+    """
+    heads, points = _lines(g, radius)
+    if (2 * radius + 1) ** g > _LINE_CUT:
+        yg, bg = y[-1, -1], b[-1]
+        col = y[:-1, -1]
+        s = y[:-1, :-1] - np.outer(col, col / yg)
+        beta = b[:-1] - bg / yg * col
+        gamma = c0 - bg * bg / (4.0 * yg)
+        # Rounding, to first order: an exponent, of a row or of a line's
+        # minimum, is a sum of terms each at most (R + 1)^2 times an entry of
+        # |Y|, |y||y|'/Y_gg, |b|, |b_g||y|/Y_gg, |c0| or b_g^2/(4 Y_gg),
+        # through at most 3g + 4 roundings (S, beta and gamma included), so
+        # it is off by at most E = (3g + 4) u (R + 1)^2 size, size the sum of
+        # those entries.  A row computed below C is below C + E exactly, so
+        # is the minimum of its line, and its computed h is below C + 2E.
+        # The Schur terms (the three with Y_gg in a denominator) cannot be
+        # shown needed by any test: a line whose h is computed near C yet
+        # holds a row computed below C has its real minimum at that row,
+        # inside the box, so |b_g| <= 2|y.p| + 2R Y_gg and, by Cauchy-Schwarz
+        # in Y, each Schur term is at most about 2g (R + 1)^2 |Y|.  Over
+        # 13,000 adversarial inputs (near-singular Y at g = 2, 3 and 4, a
+        # line's minimum placed on a box row) no computed h exceeded its
+        # line's least computed row by more than 0.25 of the slack without
+        # them.  They stay, as the bound; scripts/mutants.py marks dropping
+        # them (line-slack-size) equivalent.
+        w = np.abs(col).sum() / yg
+        size = np.abs(y).sum() + np.abs(b).sum() + abs(c0)
+        size += w * w * yg + abs(bg) * w + bg * bg / (4.0 * yg)
+        slack = 2.0 * (3 * g + 4) * _U * (radius + 1) ** 2 * size
+        lines = _kept(_exponents(heads, s, beta, gamma), cutoff + slack)
+        points = np.take(points, lines, axis=0)
+    m = points.reshape(-1, g).astype(float)
     im = _exponents(m, y, b, c0)
     keep = _kept(im, cutoff)
-    return keep, np.take(m, keep, axis=0), im[keep]
-
-
-def _line_rows(g: int, radius: int, y, b, c0: float, cutoff: float) -> tuple[np.ndarray, ...]:
-    """What _box_rows returns, from the lines of the box that can hold a kept row.
-
-    With m = (p, t), the exponent along the line of p is a quadratic in t
-    whose minimum over real t is h(p) = p'Sp + beta.p + gamma, with the
-    Schur complement S = Y_pp - y y'/Y_gg (y the last column of Y without
-    Y_gg), beta = b_p - b_g y/Y_gg and gamma = c0 - b_g^2/(4 Y_gg).  Only
-    the lines with h(p) below C plus a rounding slack can hold a row below
-    C; their points, cast to float, take the same BLAS products as in
-    _box_rows, so the same rows are kept with the same exponents, and
-    their positions in the box sort them back into box order.
-    """
-    heads, points, where = _lines(g, radius)
-    yg, bg = y[-1, -1], b[-1]
-    col = y[:-1, -1]
-    s = y[:-1, :-1] - np.outer(col, col / yg)
-    beta = b[:-1] - bg / yg * col
-    gamma = c0 - bg * bg / (4.0 * yg)
-    # Rounding, to first order: an exponent, of a row or of a line's minimum,
-    # is a sum of terms each at most (R + 1)^2 times an entry of |Y|,
-    # |y||y|'/Y_gg, |b|, |b_g||y|/Y_gg, |c0| or b_g^2/(4 Y_gg), through at most
-    # 3g + 4 roundings (S, beta and gamma included), so it is off by at most
-    # E = (3g + 4) u (R + 1)^2 size, size the sum of those entries.  A row
-    # computed below C is below C + E exactly, so is the minimum of its
-    # line, and its computed h is below C + 2E.  The Schur terms (the three
-    # with Y_gg in a denominator) cannot be shown needed by any test: a line
-    # whose h is computed near C yet holds a row computed below C has its
-    # real minimum at that row, inside the box, so |b_g| <= 2|y.p| + 2R Y_gg
-    # and, by Cauchy-Schwarz in Y, each Schur term is at most about
-    # 2g (R + 1)^2 |Y|.  Over 13,000 adversarial inputs (near-singular Y at
-    # g = 2, 3 and 4, a line's minimum placed on a box row) no computed h
-    # exceeded its line's least computed row by more than 0.25 of the slack
-    # without them.  They stay, as the bound; scripts/mutants.py marks
-    # dropping them (line-slack-size) equivalent.
-    w = np.abs(col).sum() / yg
-    size = np.abs(y).sum() + np.abs(b).sum() + abs(c0)
-    size += w * w * yg + abs(bg) * w + bg * bg / (4.0 * yg)
-    slack = 2.0 * (3 * g + 4) * _U * (radius + 1) ** 2 * size
-    lines = _kept(_exponents(heads, s, beta, gamma), cutoff + slack)
-    m = np.take(points, lines, axis=0).reshape(-1, g).astype(float)
-    im = _exponents(m, y, b, c0)
-    hit = _kept(im, cutoff)
-    pos = np.take(where, lines, axis=0).ravel()[hit].astype(np.intp)
-    order = np.argsort(pos)
-    hit = hit[order]
-    return pos[order], np.take(m, hit, axis=0), im[hit]
+    return np.take(m, keep, axis=0), im[keep]
 
 
 def _turns(tau: PeriodMatrix, e: np.ndarray) -> np.ndarray | float:
@@ -486,11 +443,10 @@ def _theta_sum(
 
     The sum of w_eps(m; z + delta/2) over the box points whose imaginary
     exponent is below the cutoff, by the split: the imaginary part is
-    taken over the box (_box_rows), or over the lines of a large one that
-    can hold a kept point (_line_rows, which never builds _lattice), the
-    real part, one real exp for the magnitudes and one complex exp for the
-    phases over the kept points only.  The linear coefficient tau eps + 2z and the constant are
-    g-sized and stay complex.
+    taken over the box, or over the lines of a large one that can hold a
+    kept point (_rows), the real part, one real exp for the magnitudes and
+    one complex exp for the phases over the kept points only.  The linear
+    coefficient tau eps + 2z and the constant are g-sized and stay complex.
     The sum runs on Re tau reduced mod 2 (_turns) and, when some
     |Re z_k| > 1/2, on z - n, n = round(Re z), by
     theta[eps; delta](tau, z + n) = (-1)^(eps.n) theta[eps; delta](tau, z).
@@ -506,11 +462,10 @@ def _theta_sum(
     te = tau._reduced @ e
     lin = te + 2.0 * z
     const = e @ te / 4.0 + e @ z
-    rows = _line_rows if (2 * radius + 1) ** g > _LINE_CUT else _box_rows
-    keep, m, im = rows(g, radius, tau._y, lin.imag, const.imag, cutoff)
+    m, im = _rows(g, radius, tau._y, lin.imag, const.imag, cutoff)
     _, mxm = _quadratic(m, tau._x)
     re = mxm + m @ lin.real + (const.real + turns)
-    return complex(np.sum(np.exp(-np.pi * im) * _cis(re))), keep.size
+    return complex(np.sum(np.exp(-np.pi * im) * _cis(re))), len(m)
 
 
 @lru_cache(maxsize=None)
@@ -581,7 +536,7 @@ def theta_constant_table(tau: PeriodMatrix, tol=Tolerance()) -> np.ndarray:
     the table raises InvariantError (_check_odd).  Tables are cached per
     (tau, tol), 16 at a time.
     """
-    return _table(tau, Tolerance.coerce(tol))
+    return _table(tau, Tolerance.coerce(tol))[0]
 
 
 def _lower_bound(m: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -606,12 +561,11 @@ def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarr
     in float32 against C plus a rounding margin finds the candidates, and
     the bound in float64, computed as a pass over the whole box computes
     it, decides among them, so the rows kept are exactly those of that
-    pass.  Returns the kept rows' positions in _lattice(g, R), grouped by
-    parity class (box order inside a class), their classes and the rows
-    as floats.
+    pass.  Returns the kept rows' classes and the rows as floats, grouped
+    by parity class, lex order inside a class.
     """
     g = tau.g
-    rows, where, classes = _table_box(g, radius)
+    rows, classes = _table_box(g, radius)
     y = tau._y
     # A row whose float64 bound is below C must pass the sieve.  Each term
     # of the bound, m_k (Ym)_k or min(0, (Ym)_k), and each partial sum is
@@ -634,8 +588,7 @@ def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarr
         sieve = np.arange(len(rows))
     rows = np.take(rows, sieve, axis=0).astype(float)
     keep = _kept(_lower_bound(rows, y), cutoff)
-    box = sieve[keep]
-    return where[box].astype(np.intp), classes[box], np.take(rows, keep, axis=0)
+    return classes[sieve[keep]], np.take(rows, keep, axis=0)
 
 
 def _phase_columns(x: np.ndarray, m: np.ndarray, radius: int) -> np.ndarray:
@@ -654,16 +607,16 @@ def _phase_columns(x: np.ndarray, m: np.ndarray, radius: int) -> np.ndarray:
     return columns
 
 
-def _check_odd(table: np.ndarray, odd: np.ndarray, charge: float, scale: np.ndarray) -> None:
+def _check_odd(table: np.ndarray, odd: np.ndarray, charge: float, bound: np.ndarray) -> None:
     """Every odd entry must vanish to twice the truncation charge plus rounding.
 
     theta[eps; delta](tau, 0) = 0 for odd eps.delta, so a computed odd entry
     is what truncation and rounding left: at most the charge
     T + (N - K) exp(-pi C) per side of the symmetry m -> -m - eps, plus
-    scale[eps] = sum over the kept rows of |w_eps| times the relative
-    rounding bound of a table (see _table).
+    the rounding bound of a table.  bound[eps] is the error bound of an
+    entry, that charge plus rounding (see _table).
     """
-    slack = 2.0 * charge + scale
+    slack = charge + bound
     bad = odd & ~(np.abs(table) <= slack[:, None])
     if bad.any():
         eps, delta = (int(v) for v in np.argwhere(bad)[0])
@@ -674,8 +627,12 @@ def _check_odd(table: np.ndarray, odd: np.ndarray, charge: float, scale: np.ndar
 
 
 @lru_cache(maxsize=16)
-def _table(tau: PeriodMatrix, tol: Tolerance) -> np.ndarray:
-    """theta_constant_table, summed from the weights of the kept rows.
+def _table(tau: PeriodMatrix, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """theta_constant_table and the error bound of its entries, per eps.
+
+    Each entry is summed from the weights of the kept rows and is within
+    bound[eps] of its theta constant: the charge T + (N - K) exp(-pi C)
+    plus the first-order rounding bound below.
 
     The weights come from the split at z = 0.  The magnitude of w_eps is
     exp(-pi (m'Ym + Ym.eps + eps'Y eps/4)) = exp(-pi s'Ys) <= 1, and the
@@ -697,7 +654,7 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> np.ndarray:
     z = (0j,) * g
     radius = truncation_radius(tau, z, tol)
     _, tail, cutoff = _numerics(tau, z, tol)
-    _, classes, m = _table_rows(tau, radius, cutoff)
+    classes, m = _table_rows(tau, radius, cutoff)
     x, y = tau._x, tau._y
     blocks = _blocks(g)
     ym, mym = _quadratic(m, y)
@@ -738,9 +695,11 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> np.ndarray:
     norm = np.abs(x).sum() + np.abs(y).sum()
     rel = len(m) + n + 5 * g * g + 16 + math.pi * (3 * g + 4) * (radius + 1) ** 2 * norm
     charge = _charge(tail, g, radius, len(m), cutoff)
-    _check_odd(table, signs < 0, charge, _U * rel * mass)  # (-1)^(eps.delta) = -1: odd
+    bound = charge + _U * rel * mass
+    _check_odd(table, signs < 0, charge, bound)  # (-1)^(eps.delta) = -1: odd
     table.setflags(write=False)
-    return table
+    bound.setflags(write=False)
+    return table, bound
 
 
 def block_diag(tau1: PeriodMatrix, tau2: PeriodMatrix) -> PeriodMatrix:

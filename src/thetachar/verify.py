@@ -42,7 +42,7 @@ from .picard import (
     slope_combination,
 )
 from .symplectic import arf, enumerate_forms, random_symplectic, sp_apply
-from .theta import PeriodMatrix, Tolerance, theta_constant, theta_constant_table
+from .theta import PeriodMatrix, Tolerance, _table, theta_constant, theta_constant_table, theta_report
 
 __all__ = ["CriterionResult", "AcceptanceReport", "run_acceptance"]
 
@@ -272,6 +272,35 @@ def _check_aronhold_census(rng: random.Random):
     )
 
 
+def _check_single_against_table(rng: random.Random):
+    # theta[c](tau, 0) by theta_report, which sums in lex order over the box
+    # or the lines of it that can hold a kept point, against the table
+    # entry, which sums in lex order inside each parity class: the two
+    # differ by at most the report's charge plus the table's error bound
+    # (its charge and its first-order rounding bound).  The last tau has
+    # lambda_min = 0.3, radius 6: its 13^4-point box takes the line cut.
+    taus = [random_tau(rng, g) for g in (1, 2, 3, 4) for _ in range(2)]
+    im = np.array(random_tau(rng, 4).tau.imag)
+    im += (0.3 - np.linalg.eigvalsh(im)[0]) * np.eye(4)
+    taus.append(PeriodMatrix(taus[-1].tau.real + 1j * im))
+    worst, largest = 0.0, 0
+    for tau in taus:
+        table, bound = _table(tau, _TOL)
+        for c in enumerate_forms(tau.g):
+            report = theta_report(tau, None, c, _TOL)
+            gap = abs(complex(report["re"], report["im"]) - table[c.eps, c.delta])
+            limit = report["est_error"] + bound[c.eps]
+            if not gap <= limit:
+                name = f"theta[{c.eps};{c.delta}]"
+                return False, f"g={tau.g}: {name} off the table by {gap:.3e} > {limit:.3e}"
+            worst = max(worst, gap / limit)
+        largest = max(largest, (2 * report["radius"] + 1) ** tau.g)
+    return True, (
+        f"{sum(4**tau.g for tau in taus)} single values at {len(taus)} tau, g<=4, match the "
+        f"table within {worst:.3f} of their bound; largest box {largest} points"
+    )
+
+
 _CRITERIA = (
     ("form counts", _check_form_counts),
     ("arf Sp-invariance", _check_arf_invariance),
@@ -286,6 +315,7 @@ _CRITERIA = (
     ("canonical-class identity", _check_canonical_identity),
     ("slopes and verdicts", _check_slopes),
     ("Aronhold census", _check_aronhold_census),
+    ("single values against the table", _check_single_against_table),
 )
 
 

@@ -17,7 +17,7 @@ then the whole list; oracle_named_class, the divisor classes as
 {symbol: Fraction} formulas, and oracle_slope_combination, the slope
 combination solved on those dictionaries; oracle_box, the truncation
 search summing the tail at every radius; oracle_lattice, the truncation
-box sorted by a Python key; oracle_table_rows, a table's row cut in
+box listed by np.ndindex; oracle_table_rows, a table's row cut in
 float64 over the whole box, which the library's float32 sieve must match
 row for row; oracle_sp_apply_form, which moves a form by
 a Gauss-Jordan inverse and 2g evaluations; and gf2_matvec, gf2_mul and
@@ -489,25 +489,22 @@ def oracle_box(g, lam, z_im_norm, abs_tol):
 
 
 def oracle_lattice(g, radius):
-    """The box |m|_inf <= radius as floats: shells of increasing |m|_inf,
-    lexicographic inside a shell, by a Python sort of np.ndindex tuples."""
+    """The box |m|_inf <= radius as floats, in lexicographic order: the
+    np.ndindex tuples as they come."""
     import numpy as np
 
-    pts = sorted(
-        np.ndindex(*(2 * radius + 1,) * g),
-        key=lambda idx: (max(abs(k - radius) for k in idx), idx),
-    )
-    return np.array(pts, dtype=float) - radius
+    pts = list(np.ndindex(*(2 * radius + 1,) * g))
+    return np.array(pts, dtype=float).reshape(-1, g) - radius
 
 
 def oracle_table_rows(m, y, cutoff):
     """The rows a theta-constant table sums, cut in float64 over the whole box.
 
-    m is the box in shell order as floats (oracle_lattice); y is Im tau.
+    m is the box in lex order as floats (oracle_lattice); y is Im tau.
     Keeps every row with m'Ym + sum_k min(0, (Ym)_k) < cutoff, computed by
     the BLAS products of one float64 pass over the box, then groups the
     kept rows by their class m mod 2 (coordinate k at bit g-1-k), box
-    order inside a class.  Returns their box positions, classes and rows.
+    order inside a class.  Returns their classes and rows.
     """
     import numpy as np
 
@@ -519,8 +516,7 @@ def oracle_table_rows(m, y, cutoff):
     bits = m[keep].astype(np.intp) & 1
     classes = (bits @ (1 << np.arange(g - 1, -1, -1))).astype(np.uint16)
     order = np.argsort(classes, kind="stable")
-    keep = keep[order]
-    return keep, classes[order], np.take(m, keep, axis=0)
+    return classes[order], np.take(m, keep[order], axis=0)
 
 
 def np_theta(tau, z, eps, delta, radius):
@@ -744,7 +740,7 @@ def main():
 
     print("\n== isotropic subspaces: extend-and-dedup vs library reverse search ==")
     from thetachar.symplectic import _isotropic_bases
-    from thetachar.theta import _lattice
+    from thetachar.theta import _lines
 
     for g in (1, 2, 3):
         for singular in (True, False):
@@ -773,10 +769,10 @@ def main():
         print(f"g={g}: {len(matrices)} matrices x {len(chars)} forms  "
               f"inverse-and-evaluate vs library {'agree' if same else 'DISAGREE'}")
 
-    print("\n== truncation box: sorted ndindex vs library argsort ==")
+    print("\n== truncation box: ndindex vs library line index ==")
     for g, radius in ((1, 1), (1, 3), (2, 6), (3, 5), (4, 4), (4, 8)):
         oracle = oracle_lattice(g, radius)
-        library = _lattice(g, radius)
+        library = _lines(g, radius)[1].reshape(-1, g).astype(float)
         same = (oracle.dtype == library.dtype and oracle.shape == library.shape
                 and oracle.tobytes() == library.tobytes())
         print(f"g={g} radius={radius}: {len(oracle)} points  "
@@ -802,7 +798,7 @@ def main():
         tau = PeriodMatrix((x + x.T) / 2 + 1j * (lam * np.eye(g) + a @ a.T))
         radius, tail, cutoff = _numerics(tau, (0j,) * g, Tolerance())
         box = (2 * radius + 1) ** g
-        kept = len(_table_rows(tau, radius, cutoff)[0])
+        kept = len(_table_rows(tau, radius, cutoff)[1])
         charge = tail + (box - kept) * math.exp(-math.pi * cutoff)
         gap = np.abs(theta_constant_table(tau) - np_theta_constants(tau.tau, radius)).max()
         bound = charge + 1e-14 * box

@@ -1,4 +1,4 @@
-"""The thirteen acceptance criteria, one test each.
+"""The fourteen acceptance criteria, one test each.
 
 Every test runs its criterion through the same engine as `thetachar
 verify` (default seed), prints the criterion's pass/fail line, and pins
@@ -74,3 +74,7 @@ def test_12_slopes_and_verdicts():
 
 def test_13_aronhold_census():
     _run(13, budget=1.0)
+
+
+def test_14_single_values_against_the_table():
+    _run(14, budget=5.0)

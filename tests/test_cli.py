@@ -497,7 +497,7 @@ def test_verify_subset_is_deterministic(capsys):
 
 
 def test_verify_rejects_unknown_criterion(capsys):
-    assert run(["verify", "--only", "14"]) == 1
+    assert run(["verify", "--only", "15"]) == 1
     assert "error:" in capsys.readouterr().err
 
 

@@ -458,11 +458,11 @@ def test_ellipsoid_cut_is_honest():
         radius, tail, cutoff = theta._numerics(tau, (0j,) * g, tol)
         assert radius == truncation_radius(tau, None, tol)
         box = (2 * radius + 1) ** g
-        keep = theta._table_rows(tau, radius, cutoff)[0]
+        keep = _lex_index(theta._table_rows(tau, radius, cutoff)[1], radius)
         assert len(keep) < box  # the cut is not vacuous
         charge = (box - len(keep)) * math.exp(-math.pi * cutoff)
         assert tail + charge <= tol.abs_tol  # (c), table
-        m = theta._lattice(g, radius)
+        m = oracle_lattice(g, radius)
         y = tau.tau.imag
         inside = np.zeros(len(m), dtype=bool)
         for eps in range(1 << g):
@@ -493,12 +493,19 @@ def test_ellipsoid_cut_is_honest():
 
 
 def _reference_rows(tau, radius, cutoff):
-    return oracle_table_rows(theta._lattice(tau.g, radius), np.ascontiguousarray(tau.tau.imag), cutoff)
+    return oracle_table_rows(oracle_lattice(tau.g, radius), np.ascontiguousarray(tau.tau.imag), cutoff)
+
+
+def _lex_index(rows, radius):
+    # where the integer rows sit in the box listed in lex order
+    side = 2 * radius + 1
+    weights = side ** np.arange(rows.shape[1] - 1, -1, -1)
+    return ((rows.astype(np.intp) + radius) @ weights).astype(np.intp)
 
 
 def test_table_sieve_keeps_the_reference_rows():
     # A table cuts its box with a float32 sieve and decides in float64 on
-    # the candidates: positions, classes and rows must equal the float64
+    # the candidates: classes and rows must equal the float64
     # cut over the whole box byte for byte, at every tolerance, for seeded
     # tau, the two ill-conditioned Im tau of the overflow test and
     # lambda_min = 0.3 with a near-singular Y.
@@ -533,8 +540,8 @@ def test_table_sieve_keeps_a_row_one_ulp_below_the_cutoff():
     # although its float32 bound often lies at or above C in float32.
     g, radius = 4, 5
     rng = np.random.default_rng(7)
-    rows, where, _ = theta._table_box(g, radius)
-    box = theta._lattice(g, radius)
+    rows, _ = theta._table_box(g, radius)
+    box = oracle_lattice(g, radius)
     above = 0
     for _ in range(20):
         q, _ = np.linalg.qr(rng.normal(size=(g, g)))
@@ -545,10 +552,10 @@ def test_table_sieve_keeps_a_row_one_ulp_below_the_cutoff():
         pos = rng.choice(np.flatnonzero((low > 1.0) & (low < 40.0)))
         cutoff = float(np.nextafter(low[pos], np.inf))
         got = theta._table_rows(tau, radius, cutoff)
-        assert pos in got[0]
+        assert pos in _lex_index(got[1], radius)
         _assert_same_rows(got, _reference_rows(tau, radius, cutoff))
         low32 = theta._lower_bound(rows, tau._y.astype(np.float32))
-        above += low32[where == pos][0] >= np.float32(cutoff)
+        above += low32[_lex_index(rows, radius) == pos][0] >= np.float32(cutoff)
     assert above > 0
 
 
@@ -566,16 +573,27 @@ def test_table_sieve_passes_every_row_when_float32_overflows():
 
 def test_cold_table_builds_no_float_box():
     # A table reads the class-major float32 box of _table_box alone: a cold
-    # table leaves no _lattice entry behind.
+    # table builds no other box index.
     tau = PeriodMatrix(1j * (0.5 * np.eye(4) + 0.1 * np.ones((4, 4))))
-    for cache in (theta._lattice, theta._table_box, theta._table):
+    for cache in (theta._lines, theta._table_box, theta._table):
         cache.cache_clear()
     theta_constant_table(tau)
-    assert theta._lattice.cache_info().currsize == 0
+    assert theta._lines.cache_info().currsize == 0
     assert theta._table_box.cache_info().currsize == 1
 
 
-def test_line_cut_keeps_the_box_rows_in_box_order():
+def _both_passes(monkeypatch, g, radius, y, b, c0, cutoff):
+    # _rows with the lines dropped by their minimum, and with every line
+    # kept; _LINE_CUT picks which.  The full pass keeps its rows in lex order.
+    monkeypatch.setattr(theta, "_LINE_CUT", 0)
+    cut = theta._rows(g, radius, y, b, c0, cutoff)
+    monkeypatch.setattr(theta, "_LINE_CUT", theta._MAX_LATTICE)
+    box = theta._rows(g, radius, y, b, c0, cutoff)
+    assert (np.diff(_lex_index(box[0], radius)) > 0).all()
+    return cut, box
+
+
+def test_line_cut_keeps_the_box_rows_in_box_order(monkeypatch):
     # A single evaluation on a large box drops whole lines along the last
     # coordinate before it computes any row's exponent.  It must keep exactly
     # the rows one pass over the box keeps, in box order, with the same
@@ -599,29 +617,29 @@ def test_line_cut_keeps_the_box_rows_in_box_order():
             zim = rng.uniform(-0.2, 0.2, g)
             zim *= min(1.0, 0.2 / np.linalg.norm(zim))  # |Im z| <= 0.2
             b, c0 = y @ eps + 2.0 * zim, eps @ y @ eps / 4.0 + eps @ zim
-            box = theta._box_rows(g, radius, y, b, c0, cutoff)
+            cut, box = _both_passes(monkeypatch, g, radius, y, b, c0, cutoff)
             assert 0 < len(box[0]) < (2 * radius + 1) ** g
-            _assert_same_rows(theta._line_rows(g, radius, y, b, c0, cutoff), box)
+            _assert_same_rows(cut, box)
 
 
 def _assert_same_rows(got, want):
-    # positions, rows and exponents, each byte for byte
-    assert len(got) == len(want) == 3
+    # rows and exponents, or classes and rows, each byte for byte
+    assert len(got) == len(want) == 2
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
 
 
-def test_line_cut_keeps_a_row_at_its_line_minimum():
+def test_line_cut_keeps_a_row_at_its_line_minimum(monkeypatch):
     # The rounding slack at work: on a near-singular Y, put a line's real
     # minimum on a box row and C just above that row's computed exponent.
     # The line's computed minimum h then often lies at or above C, so the
     # line is kept only through the slack, and the cut must still keep the
     # row and match the box pass.  (No input was found on which the slack
-    # without its Schur terms fails; see _line_rows.)
+    # without its Schur terms fails; see _rows.)
     g, radius = 4, 5
     rng = np.random.default_rng(1)
-    heads, points, where = theta._lines(g, radius)
+    heads, points = theta._lines(g, radius)
     above = 0
     for _ in range(20):
         yg, col = 0.01, rng.uniform(-1.0, 1.0, g - 1)
@@ -633,12 +651,12 @@ def test_line_cut_keeps_a_row_at_its_line_minimum():
         b = np.append(rng.uniform(-1.0, 1.0, g - 1), -2.0 * (yg * t0 + col @ p0))
         c0 = rng.uniform(-1.0, 1.0)
         line = np.flatnonzero((heads == p0).all(axis=1))[0]
-        pos = where[line, t0 + radius]
-        cutoff = np.nextafter(theta._exponents(theta._lattice(g, radius), y, b, c0)[pos], np.inf)
-        box = theta._box_rows(g, radius, y, b, c0, cutoff)
-        assert pos in box[0]
-        assert np.array_equal(box[1][box[0] == pos][0], points[line, t0 + radius])
-        _assert_same_rows(theta._line_rows(g, radius, y, b, c0, cutoff), box)
+        pos = line * (2 * radius + 1) + t0 + radius
+        cutoff = np.nextafter(theta._exponents(oracle_lattice(g, radius), y, b, c0)[pos], np.inf)
+        cut, box = _both_passes(monkeypatch, g, radius, y, b, c0, cutoff)
+        (kept,) = np.flatnonzero(_lex_index(box[0], radius) == pos)
+        assert np.array_equal(box[0][kept], points[line, t0 + radius])
+        _assert_same_rows(cut, box)
         s = y[:-1, :-1] - np.outer(col, col / yg)
         h = theta._exponents(heads, s, b[:-1] - b[-1] / yg * col, c0 - b[-1] ** 2 / (4.0 * yg))
         above += h[line] >= cutoff
@@ -646,36 +664,33 @@ def test_line_cut_keeps_a_row_at_its_line_minimum():
 
 
 def test_lines_index_the_box():
-    # Row p of the index holds the points (p, -R)..(p, R) as int8 and where
-    # they sit in the shell-ordered box as int32, and the heads p run in lex
+    # Row p of the index holds the points (p, -R)..(p, R) as int8, so read
+    # row by row it is the box in lex order, and the heads p run in lex
     # order.  g = 2, R = 64 is the largest radius: its side, 129, does not
     # fit an int8.
     for g, radius in ((2, 64), (4, 6), (4, 8), (5, 4)):
-        heads, points, where = theta._lines(g, radius)
+        heads, points = theta._lines(g, radius)
         side = 2 * radius + 1
         assert points.dtype == np.int8 and points.shape == (side ** (g - 1), side, g)
-        assert where.dtype == np.int32 and where.shape == (side ** (g - 1), side)
         box = oracle_lattice(g, radius)
         lex = np.indices((side,) * (g - 1)).reshape(g - 1, -1).T - radius
         assert heads.dtype == float and np.array_equal(heads, lex)
-        assert np.array_equal(np.sort(where.ravel()), np.arange(side**g))
-        assert box[where].tobytes() == points.astype(float).tobytes()
+        assert box.tobytes() == points.reshape(-1, g).astype(float).tobytes()
         assert np.array_equal(points[:, :, :-1], np.repeat(heads[:, None], side, axis=1))
 
 
 def test_box_caps_must_fit_the_line_index_types():
-    # _lines keeps coordinates as int8 and positions as int32: raising
-    # either cap past its type stops the import of theta.
+    # _lines keeps coordinates as int8: raising the radius cap past it
+    # stops the import of theta.
     source = inspect.getsource(theta)
-    for old, new in (("_MAX_RADIUS = 64", "_MAX_RADIUS = 128"),
-                     ("_MAX_LATTICE = 4_000_000", "_MAX_LATTICE = 2**31")):
-        assert source.count(old) == 1
-        code = compile(source.replace(old, new), theta.__file__, "exec")
-        with pytest.raises(InvariantError, match="int8 and int32"):
-            exec(code, {"__name__": "thetachar.theta_caps", "__package__": "thetachar"})
+    old, new = "_MAX_RADIUS = 64", "_MAX_RADIUS = 128"
+    assert source.count(old) == 1
+    code = compile(source.replace(old, new), theta.__file__, "exec")
+    with pytest.raises(InvariantError, match="int8"):
+        exec(code, {"__name__": "thetachar.theta_caps", "__package__": "thetachar"})
 
 
-def test_line_cut_at_the_largest_radius_matches_the_box():
+def test_line_cut_at_the_largest_radius_matches_the_box(monkeypatch):
     # g = 2, R = _MAX_RADIUS: box coordinates run up to +-64, and 0..2R
     # does not fit an int8; the line cut still keeps the box pass's rows.
     g, radius = 2, theta._MAX_RADIUS
@@ -685,10 +700,10 @@ def test_line_cut_at_the_largest_radius_matches_the_box():
     for _ in range(3):
         b, c0 = rng.uniform(-0.05, 0.05, g), rng.uniform(-0.1, 0.1)
         cutoff = 0.002 * (radius - 10) ** 2
-        box = theta._box_rows(g, radius, y, b, c0, cutoff)
+        cut, box = _both_passes(monkeypatch, g, radius, y, b, c0, cutoff)
         assert 0 < len(box[0]) < (2 * radius + 1) ** g
-        assert np.abs(box[1][:, -1]).max() == radius  # the cut reaches the box's edge
-        _assert_same_rows(theta._line_rows(g, radius, y, b, c0, cutoff), box)
+        assert np.abs(box[0][:, -1]).max() == radius  # the cut reaches the box's edge
+        _assert_same_rows(cut, box)
 
 
 def test_single_evaluation_memory_is_the_kept_points_not_the_box():
@@ -711,11 +726,11 @@ def test_single_evaluation_memory_is_the_kept_points_not_the_box():
 
 def test_cold_line_cut_builds_no_float_box():
     # A cold theta_report on a box above _LINE_CUT reads the lines of the
-    # compact index only: no _lattice entry appears, and its peak memory
+    # compact index only: no other box index appears, and its peak memory
     # stays below one box-sized float array (N g 8 bytes).
     tau = PeriodMatrix(np.array(THIN_G4_TAU) + 1j * np.array(THIN_G4_IM))
     c = Characteristic(4, 0b1010, 0b0110)
-    for cache in (theta._lattice, theta._lines, theta._box):
+    for cache in (theta._table_box, theta._lines, theta._box):
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -725,17 +740,26 @@ def test_cold_line_cut_builds_no_float_box():
         tracemalloc.stop()
     box = (2 * report["radius"] + 1) ** 4
     assert report["radius"] == 8 and box > theta._LINE_CUT
-    assert theta._lattice.cache_info().currsize == 0
+    assert theta._table_box.cache_info().currsize == 0
     assert theta._lines.cache_info().currsize == 1
     assert peak < box * 4 * 8
 
 
-def test_lattice_matches_sorted_ndindex_oracle():
+def test_box_indexes_match_the_ndindex_oracle():
+    # Both box indexes list the box in np.ndindex order: the line index
+    # read row by row, and the table box inside each parity class, the
+    # classes running 0..2^g - 1 with coordinate k at bit g-1-k.
     for g, radius in ((1, 1), (1, 3), (2, 6), (3, 5), (4, 4), (4, 8)):
-        got = theta._lattice(g, radius)
         want = oracle_lattice(g, radius)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        got = theta._lines(g, radius)[1].reshape(-1, g).astype(float)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        rows, classes = theta._table_box(g, radius)
+        assert rows.dtype == np.float32 and classes.dtype == np.uint16
+        bits = (want.astype(np.intp) & 1) @ (1 << np.arange(g - 1, -1, -1))
+        for r in range(1 << g):
+            members = want[bits == r].astype(np.float32)
+            assert rows[classes == r].tobytes() == members.tobytes()
+        assert (np.diff(classes.astype(int)) >= 0).all()
 
 
 def test_block_diagonal_theta_factorizes():
