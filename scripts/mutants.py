@@ -72,11 +72,15 @@ MUTANTS = (
            "np.arange(1 - radius, radius + 2.0)"),
     # the single evaluation's line cut
     Mutant("line-gamma", _THETA, "gamma = c0 - bg * bg / (4.0 * yg)", "gamma = c0"),
-    Mutant("line-beta-sign", _THETA, "beta = b[:-1] - bg / yg * col", "beta = b[:-1] + bg / yg * col"),
+    Mutant("line-beta-sign", _THETA, "[bj - r * cj for", "[bj + r * cj for"),
     Mutant("line-slack-size", _THETA, "size += w * w * yg + abs(bg) * w + bg * bg / (4.0 * yg)",
            "size += 0.0", equivalent="no double input found that the smaller slack misses; "
            "see the slack in theta._rows"),
     Mutant("line-slack-none", _THETA, "slack = 2.0 * (3 * g + 4) * _U", "slack = 0.0 * (3 * g + 4) * _U"),
+    # the single evaluation's phase sum, and the Re tau reduction's quarter turns
+    Mutant("phase-sum-sin-sign", _THETA, "(mag * np.sin(re)).sum()", "-(mag * np.sin(re)).sum()"),
+    Mutant("turns-off-diagonal", _THETA, "((e @ tau._shift) * e).sum(axis=-1)",
+           "(np.diagonal(tau._shift) * e).sum(axis=-1)"),
     # the truncation search and the subspace sums read off one gather
     Mutant("box-skip-shell", _THETA, "_shell_term(lam, g, z_im_norm, radius + 1) > abs_tol",
            "_shell_term(lam, g, z_im_norm, radius) > abs_tol"),

@@ -32,6 +32,28 @@ from .theta import PeriodMatrix, Tolerance, theta_report
 from .verify import run_acceptance
 
 
+# The largest genus `picard` and `boundary` take, checked before any work.
+# Both reports grow with g (picard's classes list about g/2 boundary
+# symbols, boundary's degrees report g/2 + 1 pairs of 2g-bit integers):
+# at g = 1000 the largest takes about 10 ms and prints under 1 MB, while
+# g = 10^11 would allocate until the process is killed.  picard's frozen
+# reports stop at g = 31.
+GENUS_CAP = 1000
+
+
+def _genus_cap(g: int, what: str = "g") -> None:
+    if g > GENUS_CAP:
+        raise ValueError(f"need {what} <= {GENUS_CAP}, got {g}")
+
+
+def _load_json(text: str, what: str):
+    """One JSON input; nesting too deep for the parser is an input error like any other."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} JSON is nested too deeply") from None
+
+
 def _parse_entry(x) -> complex:
     if isinstance(x, (int, float)) and not isinstance(x, bool):
         return complex(x)
@@ -46,7 +68,7 @@ def _parse_entry(x) -> complex:
 
 def parse_period_matrix(text: str, g: int) -> PeriodMatrix:
     """Parse a g x g complex matrix from JSON rows of numbers/[re, im] pairs."""
-    data = json.loads(text)
+    data = _load_json(text, "tau")
     if not isinstance(data, list) or len(data) != g:
         raise ValueError(f"tau must be a JSON list of {g} rows")
     rows = []
@@ -64,7 +86,7 @@ def parse_period_matrix(text: str, g: int) -> PeriodMatrix:
 
 
 def parse_z(text: str, g: int) -> list[complex]:
-    data = json.loads(text)
+    data = _load_json(text, "z")
     if not isinstance(data, list) or len(data) != g:
         raise ValueError(f"z must be a JSON list of {g} entries")
     return [_parse_entry(x) for x in data]
@@ -207,11 +229,14 @@ def _cmd_amplitude(args) -> int:
 
 def _cmd_boundary(args) -> int:
     with open(args.graph, encoding="utf-8") as fh:
-        graph = bnd.DualGraph.from_json_dict(json.load(fh))
+        graph = bnd.DualGraph.from_json_dict(_load_json(fh.read(), "graph"))
+    for v in graph.vertices:
+        _genus_cap(v.genus, f"the genus of vertex {v.id!r}")
+    _, g = bnd.betti_and_genus(graph)
+    _genus_cap(g, "total genus")
     if args.report == "components":
         _emit(_plain(bnd.th_components(graph)), args.output)
         return 0
-    _, g = bnd.betti_and_genus(graph)
     degrees = []
     for i in range(g // 2 + 1):
         deg_a, deg_b = bnd.boundary_degrees_odd(g, i)
@@ -223,6 +248,7 @@ def _cmd_boundary(args) -> int:
 def _cmd_picard(args) -> int:
     space = pic.resolve_space(args.space)
     g = args.genus
+    _genus_cap(g)
     if args.report == "verdict":
         print(pic.general_type_test(g, space))
         return 0

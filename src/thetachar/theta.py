@@ -22,14 +22,19 @@ taken separately for X = Re tau and Y = Im tau.  Ym = m Y and the row
 dots m'Ym come from real BLAS products over the box (for a large single
 evaluation, over the lines of it that the cut below leaves), Xm = m X and
 m'Xm over the points kept inside it, once per call; everything else is a
-mat-vec or a constant.  Each weight is a real Gaussian magnitude
-exp(-pi (imaginary part)) times a unit-modulus phase
+mat-vec or a constant.  A single evaluation does the g-sized part, the
+linear coefficient and the constant, in Python scalars: at g <= 4 a numpy
+call on a g-vector costs more than its arithmetic.  Each weight is a real
+Gaussian magnitude exp(-pi (imaginary part)) times a unit-modulus phase
 exp(pi i (real part)).  The magnitude is always one exp of the whole
 imaginary part and is never split into factors: for an ill-conditioned Y
 the factors exp(-pi Ym[:, k]) overflow long before the product underflows
 (Y = [[50, 49.7], [49.7, 50]] at m = (-5, -5) gives exp(1566) times
-exp(-15661)).  Phases are unit-modulus, so the table factors them and
-reads the factors of cis(pi Xm[:, k]) from a lookup table.
+exp(-15661)).  A single evaluation sums its weights as two real
+reductions, the magnitudes times cos and times sin of pi (real part), so
+it makes no complex array of its kept points.  Phases are unit-modulus,
+so the table factors them and reads the factors of cis(pi Xm[:, k]) from
+a lookup table.
 
 Two-dimensional gathers, of lattice rows and of phase columns, use
 np.take: fancy indexing of a (K, g) array takes numpy's general path,
@@ -80,7 +85,9 @@ rows of a float64 pass over the box, from half its bytes.  With K points
 kept, the error bound is T + (N - K) exp(-pi C) <= tol.  Summation order
 is fixed, lexicographic, the order np.indices lists the box in (a table
 groups the kept points by parity class, lexicographic inside a class),
-so repeated evaluations are bit-reproducible.
+and the sums over the kept points are numpy reductions, never a BLAS dot,
+so repeated evaluations are bit-reproducible whatever the BLAS thread
+count.
 
 Accuracy contract: double precision throughout; tolerances below 1e-13
 are rejected, and callers should keep Im tau >= 0.3 I (the truncation
@@ -193,6 +200,9 @@ class PeriodMatrix:
             self._x = x - 2.0 * s
             self._shift = np.mod(s, 4.0)
             self._reduced = self._x + 1j * self._y
+        # the rows of tau - 2S as Python complex numbers, for the g-sized
+        # algebra of a single evaluation (see _theta_sum)
+        self._reduced_rows = self._reduced.tolist()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PeriodMatrix) and self._key == other._key
@@ -327,6 +337,12 @@ def _blocks(g: int) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=None)
+def _positions(g: int) -> tuple[tuple[int, ...], ...]:
+    """For every g-bit block b, the coordinates k whose bit g-1-k is set in b."""
+    return tuple(tuple(k for k in range(g) if b >> (g - 1 - k) & 1) for b in range(1 << g))
+
+
 def _cis(x: np.ndarray) -> np.ndarray:
     """exp(pi i x), the unit-modulus phase of a real exponent part."""
     return np.exp(1j * np.pi * x)
@@ -342,10 +358,18 @@ def _kept(exponent: np.ndarray, cutoff: float) -> np.ndarray:
     return (exponent < cutoff).nonzero()[0]
 
 
+@lru_cache(maxsize=None)
+def _ones(g: int) -> np.ndarray:
+    """The read-only all-ones vector of length g: a row sum as one BLAS product."""
+    ones = np.ones(g)
+    ones.setflags(write=False)
+    return ones
+
+
 def _quadratic(m: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """am = m a over the box and the row dots m'a m, both by real BLAS."""
     am = m @ a
-    return am, (am * m) @ np.ones(a.shape[0])
+    return am, (am * m) @ _ones(a.shape[0])
 
 
 def _exponents(m: np.ndarray, y: np.ndarray, b: np.ndarray, c0: float) -> np.ndarray:
@@ -374,7 +398,7 @@ def _lines(g: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     return heads, points
 
 
-def _rows(g: int, radius: int, y, b, c0: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+def _rows(g: int, radius: int, y: np.ndarray, b, c0: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """The box rows with m'Ym + b.m + c0 < C, in lex order, and their exponents.
 
     On a box of more than _LINE_CUT points only the lines that can hold
@@ -384,16 +408,22 @@ def _rows(g: int, radius: int, y, b, c0: float, cutoff: float) -> tuple[np.ndarr
     S = Y_pp - y y'/Y_gg (y the last column of Y without Y_gg),
     beta = b_p - b_g y/Y_gg and gamma = c0 - b_g^2/(4 Y_gg).  Only the
     lines with h(p) below C plus a rounding slack can hold a row below C.
-    Each row read takes the same BLAS products either way, so the same
-    rows are kept with the same exponents, and the lines left are a
-    subsequence of the box, so the rows stay in lex order.
+    S, beta, gamma and the slack are g-sized and are set up in Python
+    scalars from Y.tolist(); only S and beta, which BLAS reads, become
+    arrays.  Each row read takes the same BLAS products either way, so
+    the same rows are kept with the same exponents, and the lines left are
+    a subsequence of the box, so the rows stay in lex order.
     """
     heads, points = _lines(g, radius)
+    b = np.asarray(b, dtype=float)
     if (2 * radius + 1) ** g > _LINE_CUT:
-        yg, bg = y[-1, -1], b[-1]
-        col = y[:-1, -1]
-        s = y[:-1, :-1] - np.outer(col, col / yg)
-        beta = b[:-1] - bg / yg * col
+        ys, bs = y.tolist(), b.tolist()
+        yg, bg = ys[-1][-1], bs[-1]
+        col = [row[-1] for row in ys[:-1]]
+        q = [v / yg for v in col]
+        s = np.array([[v - cj * qk for v, qk in zip(row[:-1], q)] for row, cj in zip(ys[:-1], col)])
+        r = bg / yg
+        beta = np.array([bj - r * cj for bj, cj in zip(bs[:-1], col)])
         gamma = c0 - bg * bg / (4.0 * yg)
         # Rounding, to first order: an exponent, of a row or of a line's
         # minimum, is a sum of terms each at most (R + 1)^2 times an entry of
@@ -412,8 +442,8 @@ def _rows(g: int, radius: int, y, b, c0: float, cutoff: float) -> tuple[np.ndarr
         # line's least computed row by more than 0.25 of the slack without
         # them.  They stay, as the bound; scripts/mutants.py marks dropping
         # them (line-slack-size) equivalent.
-        w = np.abs(col).sum() / yg
-        size = np.abs(y).sum() + np.abs(b).sum() + abs(c0)
+        w = sum(map(abs, col)) / yg
+        size = sum(abs(v) for row in ys for v in row) + sum(map(abs, bs)) + abs(c0)
         size += w * w * yg + abs(bg) * w + bg * bg / (4.0 * yg)
         slack = 2.0 * (3 * g + 4) * _U * (radius + 1) ** 2 * size
         lines = _kept(_exponents(heads, s, beta, gamma), cutoff + slack)
@@ -444,28 +474,37 @@ def _theta_sum(
     The sum of w_eps(m; z + delta/2) over the box points whose imaginary
     exponent is below the cutoff, by the split: the imaginary part is
     taken over the box, or over the lines of a large one that can hold a
-    kept point (_rows), the real part, one real exp for the magnitudes and
-    one complex exp for the phases over the kept points only.  The linear
-    coefficient tau eps + 2z and the constant are g-sized and stay complex.
-    The sum runs on Re tau reduced mod 2 (_turns) and, when some
-    |Re z_k| > 1/2, on z - n, n = round(Re z), by
+    kept point (_rows), the real part over the kept points only.  The
+    g-sized algebra, the shift z + delta/2, the linear coefficient
+    tau eps + 2z and the constant, is done in Python complex scalars on
+    the rows of tau - 2S; only the real and imaginary parts of the linear
+    coefficient become arrays, for BLAS.  The sum runs on Re tau reduced
+    mod 2 (_turns, read only when the reduction shifted tau) and, when
+    some |Re z_k| > 1/2, on z - n, n = round(Re z), by
     theta[eps; delta](tau, z + n) = (-1)^(eps.n) theta[eps; delta](tau, z).
+    The kept weights are summed as two real reductions, the magnitudes
+    exp(-pi im) times cos and times sin of pi re, so no complex array of
+    the kept points is made.
     """
     g = tau.g
-    e = _blocks(g)[c.eps]
-    turns = _turns(tau, e)
+    at_eps = _positions(g)[c.eps]  # the k with eps_k = 1
+    turns = 0.0 if tau._shift is None else float(_turns(tau, _blocks(g)[c.eps]))
     n = [round(w.real) for w in z]  # exact, and so is each w - k below
-    if any(n):
-        z = [w - k for w, k in zip(z, n)]
-        turns += sum(k for k, bit in zip(n, e.tolist()) if bit) % 2
-    z = np.array(z, dtype=complex) + _blocks(g)[c.delta] / 2.0
-    te = tau._reduced @ e
-    lin = te + 2.0 * z
-    const = e @ te / 4.0 + e @ z
-    m, im = _rows(g, radius, tau._y, lin.imag, const.imag, cutoff)
-    _, mxm = _quadratic(m, tau._x)
-    re = mxm + m @ lin.real + (const.real + turns)
-    return complex(np.sum(np.exp(-np.pi * im) * _cis(re))), len(m)
+    z = [w - k for w, k in zip(z, n)] if any(n) else list(z)
+    turns += sum(map(n.__getitem__, at_eps)) % 2
+    for k in _positions(g)[c.delta]:
+        z[k] += 0.5
+    te = [sum(map(row.__getitem__, at_eps)) for row in tau._reduced_rows]  # (tau - 2S) eps
+    lin = [t + 2.0 * w for t, w in zip(te, z)]
+    const = sum(map(te.__getitem__, at_eps)) / 4.0 + sum(map(z.__getitem__, at_eps))
+    m, im = _rows(g, radius, tau._y, [w.imag for w in lin], const.imag, cutoff)
+    re = m @ np.array([w.real for w in lin])
+    re += _quadratic(m, tau._x)[1]
+    re += const.real + turns
+    re *= np.pi
+    im *= -np.pi
+    mag = np.exp(im, out=im)
+    return complex((mag * np.cos(re)).sum(), (mag * np.sin(re)).sum()), len(m)
 
 
 @lru_cache(maxsize=None)

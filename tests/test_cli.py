@@ -12,8 +12,10 @@ import pytest
 
 import thetachar
 from thetachar import amplitude, theta
+from thetachar import boundary as bnd
+from thetachar import picard as pic
 from thetachar.amplitude import P_i_g, xi_g
-from thetachar.cli import main, parse_period_matrix, run
+from thetachar.cli import GENUS_CAP, main, parse_period_matrix, run
 from thetachar.picard import slope_combination
 from thetachar.theta import PeriodMatrix
 from thetachar.verify import run_acceptance
@@ -437,6 +439,77 @@ def test_table_output_is_frozen(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().out)
         assert run(["--output", "table", *argv]) == 0
         assert capsys.readouterr().out == _table(payload), argv
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # json raises RecursionError on nesting past the interpreter's recursion
+    # limit; every JSON input reports it as an error line with exit 1
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"vertices": ' + deep + ', "edges": []}')
+    for argv, what in (
+        (["theta", "--genus", "1", "--tau", deep, "--char", "0;0"], "tau"),
+        (["theta", "--genus", "1", "--tau", TAU_1_JSON, "--char", "0;0", "--z", deep], "z"),
+        (["amplitude", "check-factorization", "--g", "2", "--k", "1",
+          "--tau1", deep, "--tau2", TAU_1_JSON], "tau"),
+        (["boundary", "--graph", str(path)], "graph"),
+    ):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {what} JSON is nested too deeply\n"
+    # around the limit, where the parse may succeed and the error message
+    # quotes the nested entry, nothing escapes either
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 40, limit + 5):
+        nested = "[" * depth + "]" * depth
+        path.write_text('{"vertices": [' + nested + '], "edges": []}')
+        for argv in (
+            ["theta", "--genus", "1", "--tau", f"[{nested}]", "--char", "0;0"],
+            ["boundary", "--graph", str(path)],
+        ):
+            assert run(argv) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_genus_caps_come_before_any_work(tmp_path, capsys, monkeypatch):
+    # picard's genus and boundary's vertex and total genus are checked
+    # against cli.GENUS_CAP first: past it nothing is built
+    def unreachable(*args):
+        pytest.fail("reached past the genus cap")
+
+    for name in ("named_class", "canonical_class", "slope_combination", "general_type_test"):
+        monkeypatch.setattr(pic, name, unreachable)
+    for name in ("boundary_degrees_odd", "th_components"):
+        monkeypatch.setattr(bnd, name, unreachable)
+    assert GENUS_CAP >= 31  # picard's frozen reports run to g = 31
+    for g in (GENUS_CAP + 1, 10**11):
+        for report in ("classes", "slope", "verdict"):
+            assert run(["picard", "--genus", str(g), "--space", "odd", "--report", report]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: need g <= {GENUS_CAP}, got {g}\n"
+    path = tmp_path / "graph.json"
+    for vertices, loops, err in (
+        ([("a", 99_999_999_999)], 0, f"need the genus of vertex 'a' <= {GENUS_CAP}, got 99999999999"),
+        ([("a", GENUS_CAP), ("b", 1)], 0, f"need total genus <= {GENUS_CAP}, got {GENUS_CAP + 1}"),
+        ([("a", GENUS_CAP - 2)], 3, f"need total genus <= {GENUS_CAP}, got {GENUS_CAP + 1}"),
+    ):
+        edges = [{"id": f"e{i}", "u": "a", "v": "a"} for i in range(loops)]
+        if len(vertices) == 2:
+            edges.append({"id": "bridge", "u": "a", "v": "b"})
+        graph = {"vertices": [{"id": v, "genus": k} for v, k in vertices], "edges": edges}
+        path.write_text(json.dumps(graph))
+        for report in ("components", "degrees"):
+            assert run(["boundary", "--graph", str(path), "--report", report]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {err}\n"
+    monkeypatch.undo()
+    # at the cap both commands still answer
+    assert run(["picard", "--genus", str(GENUS_CAP), "--space", "even", "--report", "verdict"]) == 0
+    assert capsys.readouterr().out == "general_type\n"
+    path.write_text(json.dumps({"vertices": [{"id": "a", "genus": GENUS_CAP}], "edges": []}))
+    assert run(["boundary", "--graph", str(path), "--report", "degrees"]) == 0
+    assert json.loads(capsys.readouterr().out)["genus"] == GENUS_CAP
 
 
 @pytest.mark.parametrize("graph", [

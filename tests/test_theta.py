@@ -326,6 +326,35 @@ def test_large_real_parts_are_reduced_exactly():
                 got = theta_value(shifted, z + n, c)
                 ref = np_theta(tau, z, _bits(c.eps, g), _bits(c.delta, g), radius)
                 assert abs(got - turn * sign * ref) < bound
+    # g = 4 on boxes above _LINE_CUT, so the line cut's Schur pieces are set
+    # up from the reduced tau and the reduced z; a sample of characteristics,
+    # each against the plain sum at z and at 0
+    g = 4
+    forms = enumerate_forms(g)
+    for scale in (3, 10**6, 2**40):
+        re = np.round(rng.uniform(-0.5, 0.5, (g, g)) * 64) / 64
+        a = rng.uniform(-0.2, 0.2, (g, g))
+        tau = (re + re.T) / 2 + 1j * (0.55 * np.eye(g) + a @ a.T)
+        s = rng.integers(1, scale + 1, (g, g)) * rng.choice([-1, 1], (g, g))
+        s = np.triu(s) + np.triu(s, 1).T
+        n = rng.integers(1, scale + 1, g) * rng.choice([-1, 1], g)
+        z = np.round(rng.uniform(-0.45, 0.45, g) * 64) / 64 + 1j * rng.uniform(-0.05, 0.05, g)
+        shifted = PeriodMatrix(tau + 2 * s)
+        assert np.abs(shifted.tau.real).min() > 1 and np.abs((z + n).real).min() > 0.5
+        radius = truncation_radius(shifted, z, Tolerance())
+        assert (2 * radius + 1) ** g > theta._LINE_CUT
+        bound = 1e-14 * (2 * radius + 1) ** g
+        for k in rng.choice(len(forms), 6, replace=False):
+            c = forms[k]
+            e = np.array(_bits(c.eps, g))
+            turn = 1j ** int(e @ s @ e % 4)
+            sign = -1 if int(e @ n) % 2 else 1
+            got = theta_value(shifted, z + n, c)
+            ref = np_theta(tau, z, _bits(c.eps, g), _bits(c.delta, g), radius)
+            assert abs(got - turn * sign * ref) < bound
+            got = theta_value(shifted, n, c)
+            ref = np_theta(tau, np.zeros(g), _bits(c.eps, g), _bits(c.delta, g), radius)
+            assert abs(got - turn * sign * ref) < bound
 
 
 def test_odd_entries_are_checked_at_run_time(monkeypatch):
