@@ -55,19 +55,18 @@ MUTANTS = (
     # (theta-sum-rows: the rows a single evaluation keeps, from the box or its lines)
     Mutant("theta-sum-rows", _THETA, "np.take(m, keep, axis=0)", "np.take(m, keep[::-1], axis=0)"),
     Mutant("line-rows-lines", _THETA, "gamma), cutoff + slack)", "gamma), cutoff + slack) + 1"),
-    Mutant("line-rows-points", _THETA, "np.take(points, lines, axis=0)",
-           "np.take(points, lines[::-1], axis=0)"),
+    Mutant("line-rows-points", _THETA,
+           "gamma), cutoff + slack)\n        points = np.take(points, lines, axis=0)",
+           "gamma), cutoff + slack)\n        points = np.take(points, lines[::-1], axis=0)"),
     # the compact line index: every box point one step off along each axis
     Mutant("line-points-offset", _THETA, "coords -= radius", "coords -= radius - 1"),
-    Mutant("phase-columns-first", _THETA, "np.take(factors[0], index[0], axis=1)",
-           "np.take(factors[0], index[0][::-1], axis=1)"),
-    Mutant("phase-columns-shift", _THETA, "np.take(factors[j], index[j], axis=1)",
-           "np.take(factors[j], index[j - 1], axis=1)"),
-    Mutant("table-rows-box-order", _THETA, "rows = np.take(pts, order, axis=0)",
-           "rows = np.take(pts, np.sort(order), axis=0)"),
-    # the table's row cut, its float32 sieve's rounding margin, and the phase lookup
+    # the table's phase lookup: every gather's keys reversed, or each table read with the next one's keys
+    Mutant("phase-columns-reversed", _THETA, "np.take(t, k, axis=1)", "np.take(t, k[::-1], axis=1)"),
+    Mutant("phase-columns-shift", _THETA, "zip(tables, keys)", "zip(tables, keys[1:] + keys[:1])"),
+    Mutant("table-rows-box-order", _THETA, "np.take(m, keep[order], axis=0)", "np.take(m, keep, axis=0)"),
+    # the table's row cut, its line cut's c_max, and the phase lookup
     Mutant("table-cut-bare", _THETA, "low += np.minimum(ym, 0.0, out=ym)", "low += 0.0"),
-    Mutant("table-sieve-margin", _THETA, "margin = 2.0 * (2 * g + 4) * _U32", "margin = 0.0 * (2 * g + 4) * _U32"),
+    Mutant("table-line-cmax", _THETA, "_lower_bound(heads, s) - c_max", "_lower_bound(heads, s)"),
     Mutant("phase-lookup-offset", _THETA, "np.arange(-radius, radius + 1.0)",
            "np.arange(1 - radius, radius + 2.0)"),
     # the single evaluation's line cut

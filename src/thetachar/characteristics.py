@@ -104,6 +104,13 @@ class CharSystem:
         if len(set(self.members)) != len(self.members):
             raise ValueError("duplicate members in system")
 
+    @classmethod
+    def _of(cls, g: int, members: tuple[Characteristic, ...]) -> "CharSystem":
+        """A system unchecked, for members distinct and of genus g by construction."""
+        system = object.__new__(cls)
+        system.__dict__.update(g=g, members=members)
+        return system
+
     @property
     def member_sum(self) -> tuple[int, int]:
         e = d = 0
@@ -247,7 +254,8 @@ def enumerate_gopel_systems(g: int) -> list[CharSystem]:
     """
     if not 1 <= g <= GOPEL_GENUS_CAP:
         raise ValueError(f"Gopel-system search supports 1 <= g <= {GOPEL_GENUS_CAP}")
-    return [CharSystem(g, coset) for coset in _isotropic_cosets(g, g)]
+    # cosets of distinct members, all of genus g (see _isotropic_cosets)
+    return [CharSystem._of(g, coset) for coset in _isotropic_cosets(g, g)]
 
 
 def sp_group_order(g: int) -> int:

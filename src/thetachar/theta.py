@@ -19,8 +19,8 @@ The kernel evaluates the exponent through one exact split,
     s' tau s + 2 s' z = m' tau m + m'(tau eps + 2 z) + (eps' tau eps / 4 + eps' z),
 
 taken separately for X = Re tau and Y = Im tau.  Ym = m Y and the row
-dots m'Ym come from real BLAS products over the box (for a large single
-evaluation, over the lines of it that the cut below leaves), Xm = m X and
+dots m'Ym come from real BLAS products over the box (for a large box,
+over the lines of it that the cut below leaves), Xm = m X and
 m'Xm over the points kept inside it, once per call; everything else is a
 mat-vec or a constant.  A single evaluation does the g-sized part, the
 linear coefficient and the constant, in Python scalars: at g <= 4 a numpy
@@ -62,32 +62,29 @@ the box only the points whose term can exceed exp(-pi C) are summed
 (the ellipsoid cut of Deconinck, Heil, Bobenko, van Hoeij and Schmies,
 Math. Comp. 73, 2004): C is at least the exponent of the tail bound's
 first excluded shell, and large enough that the N box points can drop at
-most tol - T together.  A single evaluation keeps the points whose
-imaginary exponent is below C.  It reads the box from a compact index,
+most tol - T together.  Both paths read the box from one compact index,
 the box as lines along the last coordinate (_lines: int8 points, g bytes
-a point), and casts to float only the points it takes the BLAS products
-of.  On a box of more than _LINE_CUT points it first drops lines: along
-a line the exponent is a quadratic in m_g whose real minimum, a quadratic
-form in the other coordinates with the Schur complement of Y_gg in Y,
-drops every line that stays at or above C before any of its points is
+a point, one cached copy per (g, R) shared by tables and single
+evaluations), and cast to float only the points they take the BLAS
+products of.  A single evaluation keeps the points whose imaginary
+exponent is below C.  A table keeps the rows with
+m'Ym + sum_k min(0, (Ym)_k) < C, a lower bound on s'Ys for every eps, so
+they hold every per-eps ellipsoid {s'Ys < C}; a stable sort by parity
+class groups them.  On a box of more than _LINE_CUT points both first
+drop lines: along a line a row's exponent, or its lower bound, is at
+least one quadratic form in the other coordinates, with the Schur
+complement of Y_gg in Y (less a constant, for a table), and every line
+on which that stays at or above C is dropped before any of its points is
 cast (Deconinck et al., section 5; Agostini and Chua, 2021).  The points
 of the lines left take the same BLAS products as the whole box would, so
 the same points are kept with the same exponents, in the same order.  On
 smaller boxes dropping lines costs more than it saves (see _LINE_CUT).
-A table keeps the rows with m'Ym + sum_k min(0, (Ym)_k) < C, a lower
-bound on s'Ys for every eps, so they hold every per-eps ellipsoid
-{s'Ys < C}.  It finds them by a sieve over a cached copy of the box
-grouped by parity class (_table_box: float32 rows, exact for
-|m_k| <= _MAX_RADIUS, and uint16 classes, 4g + 2 bytes a point): the
-bound in float32 against C plus a rounding margin picks the candidates,
-and the bound in float64 decides among them, so a table sums exactly the
-rows of a float64 pass over the box, from half its bytes.  With K points
-kept, the error bound is T + (N - K) exp(-pi C) <= tol.  Summation order
-is fixed, lexicographic, the order np.indices lists the box in (a table
-groups the kept points by parity class, lexicographic inside a class),
-and the sums over the kept points are numpy reductions, never a BLAS dot,
-so repeated evaluations are bit-reproducible whatever the BLAS thread
-count.
+With K points kept, the error bound is T + (N - K) exp(-pi C) <= tol.
+Summation order is fixed, lexicographic, the order np.indices lists the
+box in (a table groups the kept points by parity class, lexicographic
+inside a class), and the sums over the kept points are numpy reductions,
+never a BLAS dot, so repeated evaluations are bit-reproducible whatever
+the BLAS thread count.
 
 Accuracy contract: double precision throughout; tolerances below 1e-13
 are rejected, and callers should keep Im tau >= 0.3 I (the truncation
@@ -99,7 +96,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import imul
 
 import numpy as np
 
@@ -119,18 +117,20 @@ __all__ = [
 _MAX_RADIUS = 64
 _MAX_LATTICE = 4_000_000
 _BLOCK = 16  # eps values per block of weight rows in a table
-# A single evaluation on a box of more than this many points drops the lines
-# of the box that cannot hold a kept point before it casts any (see _rows).
+# A single evaluation or a table on a box of more than this many points drops
+# the lines of the box that cannot hold a kept point before it casts any (see
+# _rows and _table_rows).
 # The line cut's fixed cost, some 12 numpy calls, loses to casting the whole
 # box on small boxes: medians of _rows over six tau, one BLAS thread, whole
 # box against line cut, 33 vs 47 us at g = 3, N = 2,197; 42 vs 52 us at
 # g = 4, N = 2,401; 53 vs 49 us at g = 3, N = 4,913; 59 vs 56 us at g = 5,
 # N = 3,125; 186 vs 67 us at g = 4, N = 6,561; 479 vs 88 us at g = 4,
-# N = 14,641; 4,582 vs 183 us at g = 4, N = 83,521.
+# N = 14,641; 4,582 vs 183 us at g = 4, N = 83,521.  A table's cut
+# (_table_rows) turns at the same size: 50 vs 61 us at g = 3, N = 2,197;
+# 98 vs 104 us at g = 3, N = 4,913; 220 vs 96 us at g = 4, N = 6,561;
+# 553 vs 214 us at g = 4, N = 14,641.
 _LINE_CUT = 5_000
 _U = 2.0**-53  # unit roundoff of a double
-_U32 = 2.0**-24  # unit roundoff of a float32
-_F32_SAFE = 2.0**120  # well inside float32 range, whose largest value is below 2^128
 # _lines stores a box coordinate, at most _MAX_RADIUS in size, as int8.
 if _MAX_RADIUS > np.iinfo(np.int8).max:
     raise InvariantError("the box radius cap outgrows the int8 points of _lines")
@@ -308,31 +308,10 @@ def truncation_radius(tau: PeriodMatrix, z, tol) -> int:
     return _numerics(tau, _z(z, tau.g), tol)[0]
 
 
-@lru_cache(maxsize=32)
-def _table_box(g: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """The box grouped by parity class, in lex order inside a class, for tables.
-
-    Returns the points as float32 rows (exact: |m_k| <= _MAX_RADIUS) and
-    their classes m mod 2, packed like a characteristic block: coordinate
-    k sits at bit g-1-k, so the class is an index into F2^g that pairs with
-    eps and delta by bitwise and.  The classes are uint16, for which
-    numpy's stable argsort is a radix sort.  4g + 2 bytes a point.
-    """
-    pts = np.indices((2 * radius + 1,) * g).reshape(g, -1).T - radius
-    classes = ((pts & 1) @ (1 << np.arange(g - 1, -1, -1))).astype(np.uint16)
-    order = np.argsort(classes, kind="stable")
-    rows = np.take(pts, order, axis=0).astype(np.float32)
-    classes = classes[order]
-    rows.setflags(write=False)
-    classes.setflags(write=False)
-    return rows, classes
-
-
 @lru_cache(maxsize=None)
 def _blocks(g: int) -> np.ndarray:
     """Every g-bit block as a 0/1 row: row b is block b, coordinate k bit g-1-k."""
-    bits = (np.arange(1 << g)[:, None] >> np.arange(g - 1, -1, -1)) & 1
-    arr = bits.astype(float)
+    arr = ((np.arange(1 << g)[:, None] >> np.arange(g - 1, -1, -1)) & 1).astype(float)
     arr.setflags(write=False)
     return arr
 
@@ -361,9 +340,7 @@ def _kept(exponent: np.ndarray, cutoff: float) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _ones(g: int) -> np.ndarray:
     """The read-only all-ones vector of length g: a row sum as one BLAS product."""
-    ones = np.ones(g)
-    ones.setflags(write=False)
-    return ones
+    return _blocks(g)[-1]  # the block with every bit set
 
 
 def _quadratic(m: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -384,8 +361,8 @@ def _lines(g: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     Returns the heads p = (m_1..m_(g-1)) of the (2R + 1)^(g-1) lines, in
     lex order, as floats, and a (lines, 2R + 1, g) int8 array whose row p
     holds the points (p, -R)..(p, R): read row by row, the box in lex
-    order.  No float copy of the box is kept (8g bytes a point): _rows
-    casts the points of the lines it reads.
+    order.  No float copy of the box is kept (8g bytes a point): _rows and
+    _table_rows cast the points of the lines they read.
     """
     side = 2 * radius + 1
     # 0..2R fits int16 and -R..R int8 (see _MAX_RADIUS)
@@ -396,6 +373,21 @@ def _lines(g: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     heads.setflags(write=False)
     points.setflags(write=False)
     return heads, points
+
+
+def _schur(ys: list) -> tuple[float, list, np.ndarray, float]:
+    """Y_gg, the last column y of Y above it, S = Y_pp - y y'/Y_gg and sum_j |y_j| / Y_gg.
+
+    Y is read as nested lists (Y.tolist()): the set-up of a line cut is
+    g-sized, and Python scalars do it faster than numpy calls.  Along the
+    line m = (p, t), m'Ym = Y_gg (t + y.p/Y_gg)^2 + p'Sp, so p'Sp is its
+    minimum over real t.  S, which BLAS reads, is an array.
+    """
+    yg = ys[-1][-1]
+    col = [row[-1] for row in ys[:-1]]
+    q = [v / yg for v in col]
+    s = np.array([[v - cj * qk for v, qk in zip(row[:-1], q)] for row, cj in zip(ys[:-1], col)])
+    return yg, col, s, sum(map(abs, col)) / yg
 
 
 def _rows(g: int, radius: int, y: np.ndarray, b, c0: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
@@ -418,10 +410,8 @@ def _rows(g: int, radius: int, y: np.ndarray, b, c0: float, cutoff: float) -> tu
     b = np.asarray(b, dtype=float)
     if (2 * radius + 1) ** g > _LINE_CUT:
         ys, bs = y.tolist(), b.tolist()
-        yg, bg = ys[-1][-1], bs[-1]
-        col = [row[-1] for row in ys[:-1]]
-        q = [v / yg for v in col]
-        s = np.array([[v - cj * qk for v, qk in zip(row[:-1], q)] for row, cj in zip(ys[:-1], col)])
+        yg, col, s, w = _schur(ys)
+        bg = bs[-1]
         r = bg / yg
         beta = np.array([bj - r * cj for bj, cj in zip(bs[:-1], col)])
         gamma = c0 - bg * bg / (4.0 * yg)
@@ -442,7 +432,6 @@ def _rows(g: int, radius: int, y: np.ndarray, b, c0: float, cutoff: float) -> tu
         # line's least computed row by more than 0.25 of the slack without
         # them.  They stay, as the bound; scripts/mutants.py marks dropping
         # them (line-slack-size) equivalent.
-        w = sum(map(abs, col)) / yg
         size = sum(abs(v) for row in ys for v in row) + sum(map(abs, bs)) + abs(c0)
         size += w * w * yg + abs(bg) * w + bg * bg / (4.0 * yg)
         slack = 2.0 * (3 * g + 4) * _U * (radius + 1) ** 2 * size
@@ -579,11 +568,11 @@ def theta_constant_table(tau: PeriodMatrix, tol=Tolerance()) -> np.ndarray:
 
 
 def _lower_bound(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """m'Ym + sum_k min(0, (Ym)_k) for the rows m, by BLAS in the dtype of m and y."""
+    """m'Ym + sum_k min(0, (Ym)_k) for the rows m, by real BLAS."""
     ym = m @ y
     low = ym * m
     low += np.minimum(ym, 0.0, out=ym)
-    return low @ np.ones(m.shape[1], dtype=m.dtype)
+    return low @ _ones(m.shape[1])
 
 
 def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarray, ...]:
@@ -596,38 +585,49 @@ def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarr
     the 0/1 vector r, m = -r has Ym = -Yr and left side at most
     r'Yr - sum_(k in r) (Yr)_k = 0 < C.
 
-    The cut is a sieve over the class-major box of _table_box: the bound
-    in float32 against C plus a rounding margin finds the candidates, and
-    the bound in float64, computed as a pass over the whole box computes
-    it, decides among them, so the rows kept are exactly those of that
-    pass.  Returns the kept rows' classes and the rows as floats, grouped
-    by parity class, lex order inside a class.
+    The rows are read from the line index _lines, the one index of the box
+    that single evaluations read too.  On a box of more than _LINE_CUT
+    points only the lines that can hold a kept row are read.  The left side
+    is min over eps of (s'Ys - eps'Y eps/4), and along the line m = (p, t)
+    s'Ys is at least its minimum over real t, q'Sq with q = p + eps_p/2 and
+    S the Schur complement of Y_gg (see _schur); q'Sq >= p'Sp + Sp.eps_p
+    since S is positive definite.  With c_max = sum_jk max(0, Y_jk)/4,
+    which is at least eps'Y eps/4 for every 0/1 eps, every row of the line
+    has left side at least p'Sp + sum_k min(0, (Sp)_k) - c_max, and a line
+    whose value is at least C plus a rounding slack holds no kept row.
+    The left side, computed as a pass over the whole box computes it, then
+    decides on the rows of the lines left, so the rows kept are exactly
+    those of that pass.  A stable sort by class, m mod 2 packed like a
+    characteristic block (coordinate k at bit g-1-k, uint16, for which
+    numpy's stable argsort is a radix sort), groups them.  Returns the kept
+    rows' classes and the rows as floats, grouped by parity class, lex
+    order inside a class.
     """
-    g = tau.g
-    rows, classes = _table_box(g, radius)
-    y = tau._y
-    # A row whose float64 bound is below C must pass the sieve.  Each term
-    # of the bound, m_k (Ym)_k or min(0, (Ym)_k), and each partial sum is
-    # at most size = (R + 1)^2 sum_jk |Y_jk| in size.  Rounding Y to float32
-    # moves the exact bound by at most u32 size (min(0, .) is 1-Lipschitz);
-    # the float32 bound then takes at most 2g + 1 roundings of u32 size (g in
-    # each (Ym)_k, two in each term, g - 1 in the row sum) and the float64
-    # bound as many of u64 size.  C + margin is rounded once to a double and
-    # once to float32, at most u32 (C + margin) down.  So, to first order,
-    # (2g + 4) u32 (size + C) covers them all, and the margin is twice that.
-    # C >= log(3)/pi (see _box), so its term also covers float32 underflow,
-    # at most 2^-150 a rounding.  While size and C + margin stay below
-    # _F32_SAFE nothing overflows in float32; otherwise every row is a
-    # candidate, so no overflow or NaN can drop a row.
-    size = (radius + 1) ** 2 * np.abs(y).sum()
-    margin = 2.0 * (2 * g + 4) * _U32 * (size + cutoff)
-    if size < _F32_SAFE and cutoff + margin < _F32_SAFE:
-        sieve = _kept(_lower_bound(rows, y.astype(np.float32)), np.float32(cutoff + margin))
-    else:
-        sieve = np.arange(len(rows))
-    rows = np.take(rows, sieve, axis=0).astype(float)
-    keep = _kept(_lower_bound(rows, y), cutoff)
-    return classes[sieve[keep]], np.take(rows, keep, axis=0)
+    g, y = tau.g, tau._y
+    heads, points = _lines(g, radius)
+    if (2 * radius + 1) ** g > _LINE_CUT:
+        ys = y.tolist()
+        yg, _, s, w = _schur(ys)
+        c_max = sum(max(v, 0.0) for row in ys for v in row) / 4.0
+        # Rounding, to first order: a row's left side and a line's value are
+        # sums of terms each at most (R + 1)^2 times an entry of |Y| or
+        # |y||y|'/Y_gg, so at most (R + 1)^2 size in size.  The row's takes
+        # 2g + 1 roundings; the line's 2g + 1, 3 more in S, one in the
+        # difference and g^2 in c_max, each of those at most
+        # u sum_jk |Y_jk| / 4 <= u (R + 1)^2 size / 16 (R >= 1); C + slack
+        # one more, of at most u (C + slack).  So a row computed below C lies
+        # on a line computed below C + (g^2 + 4g + 7) u ((R + 1)^2 size + C),
+        # and the slack is twice that.
+        size = sum(abs(v) for row in ys for v in row) + w * w * yg
+        slack = 2.0 * (g * g + 4 * g + 7) * _U * ((radius + 1) ** 2 * size + cutoff)
+        lines = _kept(_lower_bound(heads, s) - c_max, cutoff + slack)
+        points = np.take(points, lines, axis=0)
+    m = points.reshape(-1, g).astype(float)
+    keep = _kept(_lower_bound(m, y), cutoff)
+    bits = (np.take(points.reshape(-1, g), keep, axis=0) & 1).astype(float)  # a float product is BLAS
+    classes = (bits @ 2.0 ** np.arange(g - 1, -1, -1)).astype(np.uint16)
+    order = np.argsort(classes, kind="stable")
+    return classes[order], np.take(m, keep[order], axis=0)
 
 
 def _phase_columns(x: np.ndarray, m: np.ndarray, radius: int) -> np.ndarray:
@@ -635,15 +635,19 @@ def _phase_columns(x: np.ndarray, m: np.ndarray, radius: int) -> np.ndarray:
 
     cis(pi (Xm)_k) = prod_j cis(pi X_jk m_j), and m_j is one of the 2R + 1
     integers -R..R: the factors are one g x g x (2R + 1) table of complex
-    exps, and a column takes g gathers and products instead of an exp per
-    row.
+    exps.  One outer product pairs them, coordinates 2i and 2i + 1, into
+    g x (2R + 1)^2 tables keyed by (m_2i + R)(2R + 1) + m_(2i+1) + R, so a
+    column takes ceil(g/2) gathers and products instead of an exp per row;
+    for odd g the last coordinate is gathered from its own factors.
     """
+    g, side = len(x), 2 * radius + 1
     factors = _cis(x[:, :, None] * np.arange(-radius, radius + 1.0))
     index = (m.T + radius).astype(np.intp, order="C")
-    columns = np.take(factors[0], index[0], axis=1)
-    for j in range(1, x.shape[0]):
-        columns *= np.take(factors[j], index[j], axis=1)
-    return columns
+    h = g - g % 2  # the last coordinate of an odd g is gathered alone
+    pairs = factors[0:h:2, :, :, None] * factors[1:h:2, :, None, :]
+    tables = [*pairs.reshape(h // 2, g, side * side), *factors[h:]]
+    keys = [*(index[0:h:2] * side + index[1:h:2]), *index[h:]]
+    return reduce(imul, (np.take(t, k, axis=1) for t, k in zip(tables, keys)))  # in place
 
 
 def _check_odd(table: np.ndarray, odd: np.ndarray, charge: float, bound: np.ndarray) -> None:
@@ -683,10 +687,11 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     a kept row takes one complex exp, for cis(pi m'Xm), not one per eps.
     The eps run in blocks of b = 2^low weight rows, low = min(g, 4): the
     phases of a block by doubling over the last low coordinates (row
-    eps + 2^j is row eps times column g-1-j), the magnitudes by one real
-    exp of the block, and the class sums by one reduction over the rows
-    grouped by class.  The constant factor multiplies the 2^g class sums.
-    After the cut, two (b, K) buffers serve every block.
+    eps + 2^j is row eps times column g-1-j), the magnitudes by one BLAS
+    product of [Ym | m'Ym | 1] against -pi [eps | 1 | eps'Y eps/4] and one
+    real exp of the block, and the class sums by one reduction over the
+    rows grouped by class.  The constant factor multiplies the 2^g class
+    sums.  After the cut, two (b, K) buffers serve every block.
     """
     g = tau.g
     n = 1 << g
@@ -696,12 +701,16 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     classes, m = _table_rows(tau, radius, cutoff)
     x, y = tau._x, tau._y
     blocks = _blocks(g)
-    ym, mym = _quadratic(m, y)
+    # the magnitude exponents -pi (Ym.eps + m'Ym + eps'Y eps/4) of a block
+    # are one product of these rows and coefficients
+    rows = np.ones((len(m), g + 2))
+    rows[:, :g], rows[:, g] = _quadratic(m, y)
+    coef = np.ones((n, g + 2))
+    coef[:, :g], coef[:, g + 1] = blocks, _quadratic(blocks, y)[1] / 4.0
+    coef *= -np.pi
     base = _cis(_quadratic(m, x)[1])
     columns = _phase_columns(x, m, radius)
-    counts = np.bincount(classes, minlength=n)
-    starts = np.cumsum(counts) - counts  # no class is empty (see _table_rows)
-    corners = ((blocks @ y) * blocks) @ np.ones(g) / 4.0
+    starts = np.searchsorted(classes, np.arange(n))  # no class is empty (see _table_rows)
     b = min(n, _BLOCK)
     low = b.bit_length() - 1
     w = np.empty((b, len(m)), dtype=complex)
@@ -714,15 +723,12 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
             w[0] *= columns[k]
         for j in range(low):
             np.multiply(w[: 1 << j], columns[g - 1 - j], out=w[1 << j : 2 << j])
-        np.matmul(blocks[h : h + b], ym.T, out=mag)
-        mag += mym
-        mag += corners[h : h + b, None]
-        mag *= -np.pi
+        np.matmul(coef[h : h + b], rows.T, out=mag)
         np.exp(mag, out=mag)
         mass[h : h + b] = mag.sum(axis=1)
         w *= mag
         sums[h : h + b] = np.add.reduceat(w, starts, axis=1)
-    sums *= _cis(((blocks @ x) * blocks) @ np.ones(g) / 4.0 + _turns(tau, blocks))[:, None]
+    sums *= _cis(_quadratic(blocks, x)[1] / 4.0 + _turns(tau, blocks))[:, None]
     signs, phases = _signs_and_phases(g)
     table = (sums @ signs) * phases
     # Rounding to first order, in units of u times the mass sum_m |w_eps(m)|

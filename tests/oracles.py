@@ -18,7 +18,7 @@ then the whole list; oracle_named_class, the divisor classes as
 combination solved on those dictionaries; oracle_box, the truncation
 search summing the tail at every radius; oracle_lattice, the truncation
 box listed by np.ndindex; oracle_table_rows, a table's row cut in
-float64 over the whole box, which the library's float32 sieve must match
+float64 over the whole box, which the library's line cut must match
 row for row; oracle_sp_apply_form, which moves a form by
 a Gauss-Jordan inverse and 2g evaluations; and gf2_matvec, gf2_mul and
 mat_mul, the bit-matrix products row by row that the Sp action's half

@@ -357,11 +357,32 @@ def test_large_real_parts_are_reduced_exactly():
             assert abs(got - turn * sign * ref) < bound
 
 
+def test_phase_columns_match_a_direct_exp():
+    # The paired lookup against cis(pi Xm) taken directly, at g = 1..5 (odd
+    # g gathers its last coordinate alone), the box's corners included.  Both
+    # round pi (Xm)_k, whose size is at most pi sum_j |X_jk m_j|, and the
+    # lookup multiplies up to g factors: a few ulps of g + that size apart.
+    rng = np.random.default_rng(1211)
+    for g in range(1, 6):
+        for radius in (1, 3, 6, 12):
+            x = rng.uniform(-1.0, 1.0, (g, g))
+            x = (x + x.T) / 2
+            m = rng.integers(-radius, radius + 1, (400, g)).astype(float)
+            m[:2] = [[radius], [-radius]]  # the two corners: each table's first and last entries
+            got = theta._phase_columns(x, m, radius)
+            assert got.shape == (g, len(m)) and got.dtype == complex
+            want = np.exp(1j * np.pi * (m @ x)).T
+            size = g + np.pi * (np.abs(m) @ np.abs(x)).T
+            assert (np.abs(got - want) <= 4 * theta._U * size).all()
+
+
 def test_odd_entries_are_checked_at_run_time(monkeypatch):
-    # the mutant reads coordinate j's factor at m_(j-1): the phases are
-    # no longer those of Xm and the odd entries stop vanishing.  (A lookup
-    # shifted in m_j alone multiplies each eps by a constant phase, which
-    # odd vanishing cannot see; the plain-sum tests above do.)
+    # the mutant keys each pair's table with its two coordinates swapped,
+    # so coordinate 2i's factor is read at m_(2i+1) and the other way
+    # round: the phases are no longer those of Xm and the odd entries stop
+    # vanishing.  (A lookup shifted in m_j alone multiplies each eps by a
+    # constant phase, which odd vanishing cannot see; the plain-sum tests
+    # above do.)
     passing = run_acceptance(only=[5]).results[0]
     assert passing.passed
     monkeypatch.setattr(theta, "_check_odd", lambda *args: None)
@@ -369,12 +390,13 @@ def test_odd_entries_are_checked_at_run_time(monkeypatch):
     assert run_acceptance(only=[5]).results[0] == passing  # the check prints nothing
     monkeypatch.undo()
     source = inspect.getsource(theta._phase_columns)
-    assert source.count("index[j],") == 1
+    key = "index[0:h:2] * side + index[1:h:2]"
+    assert source.count(key) == 1
     namespace = {}
-    exec(source.replace("index[j],", "index[j - 1],"), vars(theta), namespace)
+    exec(source.replace(key, "index[1:h:2] * side + index[0:h:2]"), vars(theta), namespace)
     monkeypatch.setattr(theta, "_phase_columns", namespace["_phase_columns"])
     theta._table.cache_clear()
-    with pytest.raises(InvariantError, match=r"odd theta\[2;2\] = .* exceeds its bound"):
+    with pytest.raises(InvariantError, match=r"odd theta\[1;1\] = .* exceeds its bound"):
         theta_constant_table(TAU_G2)
     (result,) = run_acceptance(only=[5]).results
     assert not result.passed
@@ -532,12 +554,13 @@ def _lex_index(rows, radius):
     return ((rows.astype(np.intp) + radius) @ weights).astype(np.intp)
 
 
-def test_table_sieve_keeps_the_reference_rows():
-    # A table cuts its box with a float32 sieve and decides in float64 on
-    # the candidates: classes and rows must equal the float64
-    # cut over the whole box byte for byte, at every tolerance, for seeded
-    # tau, the two ill-conditioned Im tau of the overflow test and
-    # lambda_min = 0.3 with a near-singular Y.
+def test_table_line_cut_keeps_the_reference_rows(monkeypatch):
+    # A table drops the lines of a large box that cannot hold a kept row and
+    # decides in float64 on the rows left: classes and rows must equal the
+    # float64 cut over the whole box byte for byte, at every tolerance, for
+    # seeded tau, the two ill-conditioned Im tau of the overflow test and
+    # lambda_min = 0.3 with a near-singular Y.  Each case runs as the size
+    # rule picks and again with the line cut forced on every box (g >= 2).
     rng = np.random.default_rng(2029)
     ims = []
     for g, count, top in ((1, 4, 3.0), (2, 4, 3.0), (3, 4, 3.0), (4, 4, 3.0), (5, 2, 2.0)):
@@ -550,26 +573,34 @@ def test_table_sieve_keeps_the_reference_rows():
     for g in (2, 3, 4):  # lambda_min 0.3, condition number about 70
         v = rng.normal(size=g)
         ims.append(0.3 * np.eye(g) + 20.0 * np.outer(v, v) / (v @ v))
-    sieved = 0
+    cut = lines = 0
     for y in ims:
         g = len(y)
         x = rng.uniform(-0.5, 0.5, (g, g))
         tau = PeriodMatrix((x + x.T) / 2 + 1j * (y + y.T) / 2)
         for tol in (1e-12, 1e-8, 1e-4):
             radius, _, cutoff = theta._numerics(tau, (0j,) * g, Tolerance(tol))
+            want = _reference_rows(tau, radius, cutoff)
             got = theta._table_rows(tau, radius, cutoff)
-            _assert_same_rows(got, _reference_rows(tau, radius, cutoff))
-            sieved += len(got[0]) < (2 * radius + 1) ** g
-    assert sieved > 2 * len(ims)  # most cuts are not vacuous
+            _assert_same_rows(got, want)
+            cut += len(got[0]) < (2 * radius + 1) ** g
+            lines += (2 * radius + 1) ** g > theta._LINE_CUT
+            if g > 1:
+                monkeypatch.setattr(theta, "_LINE_CUT", 0)
+                _assert_same_rows(theta._table_rows(tau, radius, cutoff), want)
+                monkeypatch.undo()
+    assert cut > 2 * len(ims)  # most cuts are not vacuous
+    assert lines > 10  # and the size rule picks the line cut on many boxes
 
 
-def test_table_sieve_keeps_a_row_one_ulp_below_the_cutoff():
-    # The sieve's rounding margin at work: put C one ulp above a row's
-    # float64 bound, so the row is kept, and check that the sieve passes it
-    # although its float32 bound often lies at or above C in float32.
+def test_table_line_cut_keeps_a_row_one_ulp_below_the_cutoff():
+    # c_max at work: put C one ulp above a row's float64 bound, so the row is
+    # kept, and check that its line is read although the line's bound
+    # without c_max, p'Sp + sum_k min(0, (Sp)_k), often lies at or above C.
     g, radius = 4, 5
+    assert (2 * radius + 1) ** g > theta._LINE_CUT
     rng = np.random.default_rng(7)
-    rows, _ = theta._table_box(g, radius)
+    heads, _ = theta._lines(g, radius)
     box = oracle_lattice(g, radius)
     above = 0
     for _ in range(20):
@@ -583,32 +614,43 @@ def test_table_sieve_keeps_a_row_one_ulp_below_the_cutoff():
         got = theta._table_rows(tau, radius, cutoff)
         assert pos in _lex_index(got[1], radius)
         _assert_same_rows(got, _reference_rows(tau, radius, cutoff))
-        low32 = theta._lower_bound(rows, tau._y.astype(np.float32))
-        above += low32[_lex_index(rows, radius) == pos][0] >= np.float32(cutoff)
+        s = theta._schur(tau._y.tolist())[2]
+        above += theta._lower_bound(heads, s)[pos // (2 * radius + 1)] >= cutoff
     assert above > 0
 
 
-def test_table_sieve_passes_every_row_when_float32_overflows():
-    # Im tau with entries near 1e39 does not fit float32: the sieve must
-    # then pass every row, so the float64 decision keeps the reference rows.
+def test_table_line_cut_keeps_the_reference_rows_at_huge_im_tau(monkeypatch):
+    # Im tau with entries near 1e39: every rounding is huge in absolute
+    # terms, and the rows kept must still be the reference rows, with the
+    # line cut as the size rule picks it and forced on.
     for g, scale in ((2, 1e39), (4, 1e39), (3, 1e36)):
         y = scale * (np.eye(g) + 0.1 * (np.ones((g, g)) - np.eye(g)))
         tau = PeriodMatrix(1j * y)
         radius, _, cutoff = theta._numerics(tau, (0j,) * g, Tolerance())
+        want = _reference_rows(tau, radius, cutoff)
         got = theta._table_rows(tau, radius, cutoff)
         assert len(got[0]) >= 1 << g
-        _assert_same_rows(got, _reference_rows(tau, radius, cutoff))
+        _assert_same_rows(got, want)
+        monkeypatch.setattr(theta, "_LINE_CUT", 0)
+        _assert_same_rows(theta._table_rows(tau, radius, cutoff), want)
+        monkeypatch.undo()
 
 
-def test_cold_table_builds_no_float_box():
-    # A table reads the class-major float32 box of _table_box alone: a cold
-    # table builds no other box index.
+def test_cold_table_and_single_evaluation_share_one_line_index():
+    # A table and a single evaluation at the same (g, R) read one box index,
+    # the int8 lines of _lines: a cold table builds it and the evaluation
+    # reuses it, and no other cache is keyed by the box radius.
     tau = PeriodMatrix(1j * (0.5 * np.eye(4) + 0.1 * np.ones((4, 4))))
-    for cache in (theta._lines, theta._table_box, theta._table):
+    for cache in (theta._lines, theta._table):
         cache.cache_clear()
     theta_constant_table(tau)
-    assert theta._lines.cache_info().currsize == 0
-    assert theta._table_box.cache_info().currsize == 1
+    assert theta._lines.cache_info().currsize == 1
+    rep = theta_report(tau, None, Characteristic(4, 0, 0))
+    assert rep["radius"] == truncation_radius(tau, None, Tolerance())
+    info = theta._lines.cache_info()
+    assert info.currsize == 1 and info.misses == 1 and info.hits >= 1
+    caches = [f for f in vars(theta).values() if callable(getattr(f, "cache_info", None))]
+    assert [f for f in caches if "radius" in inspect.signature(f).parameters] == [theta._lines]
 
 
 def _both_passes(monkeypatch, g, radius, y, b, c0, cutoff):
@@ -759,7 +801,7 @@ def test_cold_line_cut_builds_no_float_box():
     # stays below one box-sized float array (N g 8 bytes).
     tau = PeriodMatrix(np.array(THIN_G4_TAU) + 1j * np.array(THIN_G4_IM))
     c = Characteristic(4, 0b1010, 0b0110)
-    for cache in (theta._table_box, theta._lines, theta._box):
+    for cache in (theta._lines, theta._box):
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -769,26 +811,17 @@ def test_cold_line_cut_builds_no_float_box():
         tracemalloc.stop()
     box = (2 * report["radius"] + 1) ** 4
     assert report["radius"] == 8 and box > theta._LINE_CUT
-    assert theta._table_box.cache_info().currsize == 0
     assert theta._lines.cache_info().currsize == 1
     assert peak < box * 4 * 8
 
 
 def test_box_indexes_match_the_ndindex_oracle():
-    # Both box indexes list the box in np.ndindex order: the line index
-    # read row by row, and the table box inside each parity class, the
-    # classes running 0..2^g - 1 with coordinate k at bit g-1-k.
+    # The box index lists the box in np.ndindex order: the line index read
+    # row by row.
     for g, radius in ((1, 1), (1, 3), (2, 6), (3, 5), (4, 4), (4, 8)):
         want = oracle_lattice(g, radius)
         got = theta._lines(g, radius)[1].reshape(-1, g).astype(float)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        rows, classes = theta._table_box(g, radius)
-        assert rows.dtype == np.float32 and classes.dtype == np.uint16
-        bits = (want.astype(np.intp) & 1) @ (1 << np.arange(g - 1, -1, -1))
-        for r in range(1 << g):
-            members = want[bits == r].astype(np.float32)
-            assert rows[classes == r].tobytes() == members.tobytes()
-        assert (np.diff(classes.astype(int)) >= 0).all()
 
 
 def test_block_diagonal_theta_factorizes():
