@@ -69,6 +69,8 @@ MUTANTS = (
     Mutant("table-line-cmax", _THETA, "_lower_bound(heads, s) - c_max", "_lower_bound(heads, s)"),
     Mutant("phase-lookup-offset", _THETA, "np.arange(-radius, radius + 1.0)",
            "np.arange(1 - radius, radius + 2.0)"),
+    # the table's error bound: an eps whose weights all underflowed gets inf * 0 = NaN near the Im tau cap
+    Mutant("table-bound-mass", _THETA, "out=np.zeros(n), where=mass > 0.0)", "out=np.zeros(n))"),
     # the single evaluation's line cut
     Mutant("line-gamma", _THETA, "gamma = c0 - bg * bg / (4.0 * yg)", "gamma = c0"),
     Mutant("line-beta-sign", _THETA, "[bj - r * cj for", "[bj + r * cj for"),

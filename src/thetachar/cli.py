@@ -280,12 +280,15 @@ def _cmd_picard(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_acceptance(seed=args.seed, only=args.only)
+    results = report.results
     if args.output == "json":
-        data = {"seed": report.seed, "criteria": _plain(report.results), "passed": report.passed}
-        print(json.dumps(data, indent=2))
-    else:
-        for line in report.render_lines():
-            print(line)
+        _emit({"seed": report.seed, "criteria": _plain(results), "passed": report.passed}, "json")
+    else:  # one line per criterion, then the overall verdict
+        for r in results:
+            print(f"[{r.index:2d}] {'PASS' if r.passed else 'FAIL'}  {r.name}: {r.details}")
+        good = sum(r.passed for r in results)
+        overall = "PASS" if report.passed else "FAIL"
+        print(f"overall: {overall} ({good}/{len(results)} criteria, seed {report.seed})")
     return 0 if report.passed else 1
 
 

@@ -152,19 +152,6 @@ class DivClass:
 
     __rmul__ = __mul__
 
-    def __str__(self) -> str:
-        coeffs = self.coeffs
-        if not coeffs:
-            return "0"
-        parts = []
-        for sym, val in coeffs:
-            sign = "-" if val < 0 else "+"
-            mag = -val if val < 0 else val
-            term = sym if mag == 1 else f"{mag}*{sym}"
-            parts.append(f"{sign} {term}")
-        head = parts[0].lstrip("+ ").replace("- ", "-", 1)
-        return " ".join([head] + parts[1:])
-
 
 def pullback(c: DivClass, space: str = "Sbar_minus") -> DivClass:
     """Pull a class back from Mbar to a spin cover.

@@ -95,6 +95,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import imul
@@ -131,6 +132,18 @@ _BLOCK = 16  # eps values per block of weight rows in a table
 # 553 vs 214 us at g = 4, N = 14,641.
 _LINE_CUT = 5_000
 _U = 2.0**-53  # unit roundoff of a double
+# The cap on sum_jk |Im tau_jk|, checked by PeriodMatrix.  A table's
+# magnitude exponent is one BLAS product of the terms pi (Ym)_k eps_k,
+# pi m'Ym and pi eps'Y eps/4 (see _table).  For rows with |m_j| <= 1, the
+# rows of a radius-1 box, only the g terms of the first can be positive,
+# and together they are at most pi sum_jk |Y_jk| in size.  At the cap that
+# is below the largest double by a factor 4/pi, far more than the few
+# roundings of the product take, so no partial sum reaches +inf and no
+# exponent is inf - inf = NaN.  Im tau = 1e308 at g = 1 gives NaN weights.
+# Near the cap a small lambda_min gives a larger box, whose rows with
+# |m_j| > 1 along a huge direction have an infinite lower bound and are cut
+# before their weights are formed.
+_IM_CAP = sys.float_info.max / 4
 # _lines stores a box coordinate, at most _MAX_RADIUS in size, as int8.
 if _MAX_RADIUS > np.iinfo(np.int8).max:
     raise InvariantError("the box radius cap outgrows the int8 points of _lines")
@@ -180,7 +193,10 @@ class PeriodMatrix:
             raise ValueError("period matrix entries must be finite")
         if flat != tau.T.ravel().tolist():
             raise ValueError("period matrix must be exactly symmetric")
-        lam = float(np.linalg.eigvalsh(tau.imag)[0])
+        y = np.ascontiguousarray(tau.imag)
+        if sum(map(abs, y.ravel().tolist())) > _IM_CAP:
+            raise ValueError(f"the entries of Im tau must sum in size to at most {_IM_CAP:.4e}")
+        lam = float(np.linalg.eigvalsh(y)[0])
         if lam <= 0.0:
             raise ValueError(f"Im tau must be positive definite (lambda_min={lam})")
         tau.setflags(write=False)
@@ -192,7 +208,7 @@ class PeriodMatrix:
         # so |Re| <= 1 there (see _turns); _shift is S mod 4, None for S = 0,
         # which is the case exactly when every |Re tau_jk| <= 1.
         x = np.ascontiguousarray(tau.real)
-        self._y = np.ascontiguousarray(tau.imag)
+        self._y = y
         if max(map(abs, x.ravel().tolist())) <= 1.0:
             self._x, self._shift, self._reduced = x, None, tau
         else:
@@ -736,11 +752,13 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     # (R + 1)^2 sum_jk |tau_jk| in size and takes at most 3g + 4 roundings,
     # which its exp or cis scales by pi; a weight adds 5g^2 + 16 from its
     # exps and complex products; the class sums and the transform add
-    # K + 2^g.
-    norm = np.abs(x).sum() + np.abs(y).sum()
+    # K + 2^g.  Near _IM_CAP, rel overflows to inf (silently: norm is a
+    # Python float); an eps whose every weight underflowed has mass 0 and
+    # no rounding to bound, so it takes no rounding term, not inf * 0 = NaN.
+    norm = float(np.abs(x).sum() + np.abs(y).sum())
     rel = len(m) + n + 5 * g * g + 16 + math.pi * (3 * g + 4) * (radius + 1) ** 2 * norm
     charge = _charge(tail, g, radius, len(m), cutoff)
-    bound = charge + _U * rel * mass
+    bound = charge + np.multiply(_U * rel, mass, out=np.zeros(n), where=mass > 0.0)
     _check_odd(table, signs < 0, charge, bound)  # (-1)^(eps.delta) = -1: odd
     table.setflags(write=False)
     bound.setflags(write=False)

@@ -336,18 +336,6 @@ class AcceptanceReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def render_lines(self) -> list[str]:
-        lines = [
-            f"[{r.index:2d}] {'PASS' if r.passed else 'FAIL'}  {r.name}: {r.details}"
-            for r in self.results
-        ]
-        good = sum(r.passed for r in self.results)
-        lines.append(
-            f"overall: {'PASS' if self.passed else 'FAIL'} "
-            f"({good}/{len(self.results)} criteria, seed {self.seed})"
-        )
-        return lines
-
 
 def run_acceptance(*, seed: int = 0, only=None) -> AcceptanceReport:
     """Run the acceptance criteria (all, or the 1-based subset in `only`).

@@ -1,7 +1,7 @@
 """The fourteen acceptance criteria, one test each.
 
 Every test runs its criterion through the same engine as `thetachar
-verify` (default seed), prints the criterion's pass/fail line, and pins
+verify` (default seed), prints the criterion's result, and pins
 the stated time budget where one exists.  A failure here is a contract
 violation, not a flaky test: nothing in this file is tolerance-tuned
 beyond the gates the criteria themselves define.
@@ -17,7 +17,7 @@ def _run(index, budget=None):
     report = run_acceptance(only=[index])
     elapsed = time.perf_counter() - t0
     (result,) = report.results
-    print(report.render_lines()[0])
+    print(result)
     assert result.passed, f"criterion {index} ({result.name}): {result.details}"
     if budget is not None:
         assert elapsed < budget, f"criterion {index} took {elapsed:.2f}s (budget {budget}s)"

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import math
 import os
+import random
+import resource
 import subprocess
 import sys
 import time
@@ -344,11 +347,22 @@ def test_picard_slopes_and_verdicts_are_frozen(capsys):
         assert hashlib.sha256("".join(out).encode()).hexdigest() == digest, report
 
 
+def _written(c):
+    # a class as the removed DivClass.__str__ wrote it, "11*lambda -
+    # 5/4*alpha_0 - 2*beta_0" ("0" when empty): the text a digest pins
+    out = ""
+    for sym, val in c.coeffs:
+        term = sym if abs(val) == 1 else f"{abs(val)}*{sym}"
+        out += (("-" if val < 0 else "") if not out else (" - " if val < 0 else " + ")) + term
+    return out or "0"
+
+
 def test_picard_classes_and_combinations_are_frozen(capsys):
     # sha256 of every classes report (exit code, then stdout) for g = 2..31,
-    # odd then even cover, and of str(combined) for g = 4..30; both taken
-    # when a class was still a tuple of (symbol, Fraction) pairs, the first
-    # taken again when g = 2 on the odd cover became an empty report
+    # odd then even cover, and of each combined class written out for
+    # g = 4..30; both taken when a class was still a tuple of (symbol,
+    # Fraction) pairs, the first taken again when g = 2 on the odd cover
+    # became an empty report
     out = []
     for g in range(2, 32):
         for space in ("odd", "even"):
@@ -357,7 +371,7 @@ def test_picard_classes_and_combinations_are_frozen(capsys):
     digest = hashlib.sha256("".join(out).encode()).hexdigest()
     assert digest == "80bca10f866b8a92774cd8cb3ebdddca43bba594b45e05866ca942ccf0506df2"
     combined = "".join(
-        f"{slope_combination(g, space).combined}\n"
+        f"{_written(slope_combination(g, space).combined)}\n"
         for g in range(4, 31)
         for space in ("odd", "even")
     )
@@ -578,3 +592,144 @@ def test_main_raises_system_exit():
     with pytest.raises(SystemExit) as exc:
         main(["forms", "--genus", "1", "--count"])
     assert exc.value.code == 0
+
+
+# The CLI fuzz test runs every draw in one child process, which calls
+# cli.run once per draw with stdout and stderr captured, under its own
+# address-space and CPU limits.
+_FUZZ_CHILD = """
+import contextlib, io, json, sys, traceback
+from thetachar.cli import run
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except Exception:
+            code = None
+            traceback.print_exc()
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.__stdout__)
+"""
+
+
+def _diag_tau(g, im):
+    return json.dumps([[[0, im] if j == k else 0 for k in range(g)] for j in range(g)])
+
+
+def _fuzz_draws(rng, tmp_path):
+    """Seeded argv for every subcommand, each draw with the output mode it prints in."""
+    ints = ["0", "-1", str(2**63), str(10**11), "1", "2", "3"]
+    floats = ["nan", "inf", "-inf", "0", "-1", "1e-12", "1e-6", "0.5", str(2**63), "1e11"]
+    deep = "[" * 100_000 + "]" * 100_000
+    junk = ["", "[]", "{}", "null", deep, "[[NaN]]", "[[Infinity]]", "[[0, -1]]", "[1, [2]]"]
+    taus = {g: [_diag_tau(g, 1), _diag_tau(g, 0.8), _diag_tau(g, 1e307), _diag_tau(g, 1e308)]
+            for g in (1, 2, 3, 4)}
+    taus[1] += ["[[0, 1]]", "[[[0.3, 1.2]]]", "[[[1e308, 1]]]"]
+    taus[2] += [TAU_2_JSON, TAU_2_JSON]
+    chars = {"1": ["0;0", "1;1", "1;0"], "2": ["01;10", "11;11", "00;01"]}
+    zs = {"1": ["[0]", "[[0, 0.2]]", "[Infinity]", "[[0, 1e308]]"],
+          "2": ["[0, 0]", "[[0, 0.1], 0.3]", "[Infinity, 0]", "[[NaN, 0], 0]"]}
+
+    def tau(g):
+        g = int(g) if g in ("1", "2", "3", "4") else rng.choice((1, 2, 3))
+        return rng.choice(taus[g] if rng.random() < 0.7 else junk)
+
+    graphs = {"missing": tmp_path / "missing.json"}
+    for name, text in (("banana", json.dumps(BANANA)), ("empty", ""), ("deep", deep),
+                       ("huge", json.dumps({"vertices": [{"id": "a", "genus": 10**11}], "edges": []})),
+                       ("negative", json.dumps({"vertices": [{"id": "a", "genus": -1}], "edges": []}))):
+        graphs[name] = tmp_path / f"{name}.json"
+        graphs[name].write_text(text, encoding="utf-8")
+
+    def forms():
+        argv = ["forms", "--genus", rng.choice(ints)]
+        argv += ["--parity", rng.choice(("even", "odd", "all"))] if rng.random() < 0.5 else []
+        return argv + (["--count"] if rng.random() < 0.3 else [])
+
+    def systems():
+        kind = rng.choice(("tetrads", "fundamental", "gopel", "aronhold"))
+        g = rng.choice(ints if kind in ("aronhold", "fundamental") else ["0", "-1", str(2**63), "1", "2"])
+        return ["systems", "--genus", g, "--kind", kind] + (["--count"] if rng.random() < 0.3 else [])
+
+    def theta():
+        g = rng.choice(["1", "2", "1", "2", "0", "-1", str(2**63)])
+        argv = ["theta", "--genus", g, "--tau", tau(g)]
+        argv += ["--char", rng.choice(chars.get(g, []) * 3 + ["", "2;0", "0;", "0;0", "00;00"])]
+        if rng.random() < 0.4:
+            argv += ["--z", rng.choice(zs.get(g, []) * 2 + junk)]
+        return argv + (["--tol", rng.choice(floats)] if rng.random() < 0.3 else [])
+
+    def amplitude():
+        g = rng.choice(["1", "2", "3", "1", "2", "3", "4", "0", "-1", "5", str(2**63), str(10**11)])
+        argv = ["amplitude", "--genus", g, "--tau", tau(g)]
+        return argv + (["--tol", rng.choice(floats)] if rng.random() < 0.3 else [])
+
+    def factorization():
+        g, k = rng.choice([("2", "1"), ("3", "1"), ("3", "2"), ("2", "2"), ("0", "-1"), (str(2**63), "1")])
+        return ["amplitude", "check-factorization", "--g", g, "--k", k, "--tau1", tau(k), "--tau2",
+                tau(str(int(g) - int(k)) if g in ("2", "3") else g)]
+
+    def boundary():
+        graph = graphs[rng.choice(sorted(graphs))]
+        return ["boundary", "--graph", str(graph), "--report", rng.choice(("components", "degrees"))]
+
+    def picard():
+        g = rng.choice(["0", "-1", "1", "2", "4", "12", "13", "31", "1000", str(2**63), str(10**11)])
+        space = rng.choice(("odd", "even", "Sbar_minus", "Sbar_plus"))
+        return ["picard", "--genus", g, "--space", space, "--report", rng.choice(("classes", "slope", "verdict"))]
+
+    def verify():
+        # every criterion but 14, the one that costs some 0.3 s
+        only = rng.sample(["0", "-1", "15", str(2**63), *map(str, range(1, 14))], rng.randint(1, 3))
+        return ["verify", "--only", *only] + (["--seed", rng.choice(ints)] if rng.random() < 0.3 else [])
+
+    grammars = (forms, systems, theta, amplitude, factorization, boundary, picard, verify)
+    draws = [rng.choice(grammars)() for _ in range(400)]
+    # Im tau = 1e307 I, whose tables must be exact, and 1e308 I, above the cap, at g = 1..3
+    draws += [["amplitude", "--genus", str(g), "--tau", _diag_tau(g, im)] for g in (1, 2, 3) for im in (1e307, 1e308)]
+    out = []
+    for argv in draws:
+        output = rng.choice(("json", "table", None))
+        if output is not None:
+            at = rng.choice((0, len(argv))) if argv[:2] != ["amplitude", "check-factorization"] else len(argv)
+            argv = argv[:at] + ["--output", output] + argv[at:]
+        out.append((argv, output or "json"))
+    return out
+
+
+def _finite(data):
+    if isinstance(data, float):
+        return math.isfinite(data)
+    if isinstance(data, dict):
+        data = list(data.values())
+    return all(map(_finite, data)) if isinstance(data, list) else True
+
+
+def test_cli_fuzz(tmp_path):
+    def limits():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+    draws = _fuzz_draws(random.Random(20261020), tmp_path)
+    src = str(Path(thetachar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _FUZZ_CHILD], input=json.dumps([a for a, _ in draws]),
+                          capture_output=True, text=True, env=env, preexec_fn=limits, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    results = json.loads(proc.stdout)
+    assert len(results) == len(draws)
+    for (argv, output), (code, out, err) in zip(draws, results):
+        where = f"{[a[:60] for a in argv]}: exit {code}, stderr {err[-300:]!r}"
+        assert code in (0, 1, 2), where
+        assert "Traceback" not in out + err, where
+        flagged = any(line.startswith(("error:", "usage:")) for line in err.splitlines())
+        assert flagged == (code != 0), where
+        if code == 0 and output == "json":
+            if "verdict" in argv:  # a verdict prints as one bare word
+                assert out.strip() in ("general_type", "threshold", "inconclusive"), where
+            else:
+                assert _finite(json.loads(out)), where
+    codes = [code for code, _, _ in results]
+    assert codes.count(0) > 50 and codes.count(1) > 50 and codes.count(2) > 0

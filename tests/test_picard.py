@@ -110,16 +110,6 @@ def _spell(x, spelling):
     return x
 
 
-def _render(terms):
-    # the str of a class, written out independently of DivClass.__str__
-    out = ""
-    for sym, val in terms:
-        term = sym if abs(val) == 1 else f"{abs(val)}*{sym}"
-        sign = ("-" if val < 0 else "") if not out else (" - " if val < 0 else " + ")
-        out += sign + term
-    return out or "0"
-
-
 @given(st.lists(term_st, max_size=12), st.randoms(use_true_random=False))
 def test_constructor_agrees_with_a_plain_fraction_sum(terms, rng):
     pairs = [(sym, _spell(x, spelling)) for sym, x, spelling, _ in terms]
@@ -135,7 +125,6 @@ def test_constructor_agrees_with_a_plain_fraction_sum(terms, rng):
     for other in (DivClass("Sbar_minus", 6, pairs), DivClass("Sbar_minus", 6, dict(nonzero))):
         assert other == c and hash(other) == hash(c)
     assert (c == DivClass("Sbar_minus", 6)) == (not nonzero)
-    assert str(c) == _render(nonzero)
     assert _plain(c) == {
         "space": "Sbar_minus",
         "g": 6,
@@ -165,7 +154,6 @@ def _same_class(got, space, g, coeffs):
     want = DivClass(space, g, coeffs)
     assert got == want and hash(got) == hash(want)
     assert got.coeffs == want.coeffs
-    assert str(got) == str(want)
     assert _plain(got) == _plain(want)
 
 
@@ -187,7 +175,7 @@ def test_arithmetic_agrees_with_the_constructor(x, y, q):
     assert halved == a and hash(halved) == hash(a)
     zero = a + (-1) * a
     assert zero == DivClass("Mbar", 7) and hash(zero) == hash(DivClass("Mbar", 7))
-    assert str(zero) == "0" and zero.coeffs == ()
+    assert zero.coeffs == ()
     for c in (a, a + b):
         with pytest.raises(AttributeError):
             c.g = 8
@@ -197,12 +185,12 @@ def test_arithmetic_agrees_with_the_constructor(x, y, q):
 
 def test_divclass_rendering():
     c = sbar(3, **{"lambda": 11, "alpha_0": F(-5, 4), "beta_0": -2})
-    assert str(c) == "11*lambda - 5/4*alpha_0 - 2*beta_0"
-    assert str(mbar(4)) == "0"
     d = _plain(c)
     assert d["space"] == "Sbar_minus"
+    assert (d["coeffs"]["lambda"], d["coeffs"]["beta_0"]) == ("11", "-2")
     assert d["coeffs"]["alpha_0"] == "-5/4"
     assert d["coeffs"]["alpha_1"] == "0"
+    assert set(_plain(mbar(4))["coeffs"].values()) == {"0"}
 
 
 def test_pullback_relations():

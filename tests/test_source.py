@@ -34,6 +34,21 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
+def test_only_the_cli_prints():
+    # the layers hand data to cli.py, which alone decides how a report
+    # prints; a __repr__, for debugging, may stay in a layer
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if name != "cli.py"
+        and (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+            or isinstance(node, ast.FunctionDef) and node.name in ("__str__", "__format__")
+        )
+    ]
+    assert found == []
+
+
 def test_imports_are_the_standard_library_numpy_or_the_package():
     # numpy is the one runtime dependency; a test dependency such as mpmath,
     # or scipy, imports fine wherever the suite runs, so only this sees it

@@ -477,6 +477,31 @@ def test_ill_conditioned_im_tau_does_not_overflow():
             assert abs(theta_value(tau, None, c) - table[c.eps, c.delta]) < bound
 
 
+def test_a_table_at_im_tau_1e307_is_exact():
+    # The rounding term of the table's bound overflows to inf there, and
+    # every weight of an eps != 0 underflows: such an entry has mass 0 and
+    # takes no rounding term, where inf * 0 = NaN failed the odd check.
+    for g in (1, 2, 3):
+        table, bound = theta._table(PeriodMatrix(1e307j * np.eye(g)), Tolerance())
+        want = np.zeros((1 << g, 1 << g))
+        want[0] = 1.0  # theta[0; delta] = 1, every other entry 0
+        assert np.array_equal(table, want)
+        assert bound[0] == math.inf and np.isfinite(bound[1:]).all()
+
+
+# a magnitude exponent below -1.8e308 overflows to -inf, whose exp is the 0 it should be
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+def test_im_tau_is_capped_below_the_overflow_of_a_table_exponent():
+    cap = theta._IM_CAP
+    assert math.pi * cap < 0.8 * np.finfo(float).max  # room for the product's roundings
+    assert theta_constant_table(PeriodMatrix([[cap * 1j]]))[1, 1] == 0
+    y = np.diag([cap / 2, cap / 2])
+    theta_constant_table(PeriodMatrix(1j * y))
+    for tau in ([[1e308j]], 1j * (y + np.diag([0.0, 1e300]))):
+        with pytest.raises(ValueError, match="Im tau must sum in size"):
+            PeriodMatrix(tau)
+
+
 def test_ellipsoid_cut_is_honest():
     # Inside the box, a table sums the rows with
     # m'Ym + sum_k min(0, (Ym)_k) < C and a single evaluation the points
