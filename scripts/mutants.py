@@ -71,6 +71,9 @@ MUTANTS = (
            "np.arange(1 - radius, radius + 2.0)"),
     # the table's error bound: an eps whose weights all underflowed gets inf * 0 = NaN near the Im tau cap
     Mutant("table-bound-mass", _THETA, "out=np.zeros(n), where=mass > 0.0)", "out=np.zeros(n))"),
+    # the table near the Im tau cap: a row bound or magnitude exponent that overflows warns
+    Mutant("row-bound-warns", _THETA, 'with np.errstate(over="ignore", invalid="ignore"):', "if True:"),
+    Mutant("table-exponent-warns", _THETA, 'with np.errstate(over="ignore"):  # near _IM_CAP', "if True:  #"),
     # the single evaluation's line cut
     Mutant("line-gamma", _THETA, "gamma = c0 - bg * bg / (4.0 * yg)", "gamma = c0"),
     Mutant("line-beta-sign", _THETA, "[bj - r * cj for", "[bj + r * cj for"),

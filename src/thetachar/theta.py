@@ -70,15 +70,16 @@ products of.  A single evaluation keeps the points whose imaginary
 exponent is below C.  A table keeps the rows with
 m'Ym + sum_k min(0, (Ym)_k) < C, a lower bound on s'Ys for every eps, so
 they hold every per-eps ellipsoid {s'Ys < C}; a stable sort by parity
-class groups them.  On a box of more than _LINE_CUT points both first
-drop lines: along a line a row's exponent, or its lower bound, is at
-least one quadratic form in the other coordinates, with the Schur
-complement of Y_gg in Y (less a constant, for a table), and every line
-on which that stays at or above C is dropped before any of its points is
-cast (Deconinck et al., section 5; Agostini and Chua, 2021).  The points
-of the lines left take the same BLAS products as the whole box would, so
-the same points are kept with the same exponents, in the same order.  On
-smaller boxes dropping lines costs more than it saves (see _LINE_CUT).
+class groups them.  A table, and a single evaluation on a box of more
+than _LINE_CUT points, first drop lines: along a line a row's exponent,
+or its lower bound, is at least one quadratic form in the other
+coordinates, with the Schur complement of Y_gg in Y (less a constant,
+for a table), and every line on which that stays at or above C is
+dropped before any of its points is cast (Deconinck et al., section 5;
+Agostini and Chua, 2021).  The points of the lines left take the same
+BLAS products as the whole box would, so the same points are kept with
+the same exponents, in the same order.  On a single evaluation's smaller
+boxes dropping lines costs more than it saves (see _LINE_CUT).
 With K points kept, the error bound is T + (N - K) exp(-pi C) <= tol.
 Summation order is fixed, lexicographic, the order np.indices lists the
 box in (a table groups the kept points by parity class, lexicographic
@@ -118,18 +119,16 @@ __all__ = [
 _MAX_RADIUS = 64
 _MAX_LATTICE = 4_000_000
 _BLOCK = 16  # eps values per block of weight rows in a table
-# A single evaluation or a table on a box of more than this many points drops
-# the lines of the box that cannot hold a kept point before it casts any (see
-# _rows and _table_rows).
-# The line cut's fixed cost, some 12 numpy calls, loses to casting the whole
-# box on small boxes: medians of _rows over six tau, one BLAS thread, whole
-# box against line cut, 33 vs 47 us at g = 3, N = 2,197; 42 vs 52 us at
-# g = 4, N = 2,401; 53 vs 49 us at g = 3, N = 4,913; 59 vs 56 us at g = 5,
-# N = 3,125; 186 vs 67 us at g = 4, N = 6,561; 479 vs 88 us at g = 4,
-# N = 14,641; 4,582 vs 183 us at g = 4, N = 83,521.  A table's cut
-# (_table_rows) turns at the same size: 50 vs 61 us at g = 3, N = 2,197;
-# 98 vs 104 us at g = 3, N = 4,913; 220 vs 96 us at g = 4, N = 6,561;
-# 553 vs 214 us at g = 4, N = 14,641.
+# A single evaluation on a box of more than this many points drops the lines
+# of the box that cannot hold a kept point before it casts any (see _rows); a
+# table always does (_table_rows).  The line cut's fixed cost loses to casting
+# the whole box on small boxes: medians of _rows over six tau, one BLAS
+# thread, whole box against line cut, 10 vs 22 us at g = 1, N = 81; 18 vs
+# 32 us at g = 2, N = 1,089; 24 vs 38 us at g = 3, N = 1,331; 59 vs 63 us at
+# g = 3, N = 4,913; 38 vs 42 us at g = 4, N = 2,401; 76 vs 73 us at g = 5,
+# N = 3,125; 178 vs 71 us at g = 4, N = 6,561; 459 vs 109 us at g = 4,
+# N = 14,641.  The benchmark's theta-points workload evaluates on both sides:
+# g <= 3 boxes of at most 1,331 points, g = 4 boxes of at least 6,561.
 _LINE_CUT = 5_000
 _U = 2.0**-53  # unit roundoff of a double
 # The cap on sum_jk |Im tau_jk|, checked by PeriodMatrix.  A table's
@@ -206,19 +205,21 @@ class PeriodMatrix:
         self._key = tau.tobytes()
         # The sums run on tau - 2S, S = round(Re tau / 2) integral symmetric,
         # so |Re| <= 1 there (see _turns); _shift is S mod 4, None for S = 0,
-        # which is the case exactly when every |Re tau_jk| <= 1.
+        # which is the case exactly when every |Re tau_jk| <= 1.  Both paths
+        # are served: the theta-points workload's tau are all unshifted, and
+        # xi-g4 has shifted tau.
         x = np.ascontiguousarray(tau.real)
         self._y = y
         if max(map(abs, x.ravel().tolist())) <= 1.0:
-            self._x, self._shift, self._reduced = x, None, tau
+            self._x, self._shift, reduced = x, None, tau
         else:
             s = np.round(x / 2.0)
             self._x = x - 2.0 * s
             self._shift = np.mod(s, 4.0)
-            self._reduced = self._x + 1j * self._y
+            reduced = self._x + 1j * self._y
         # the rows of tau - 2S as Python complex numbers, for the g-sized
         # algebra of a single evaluation (see _theta_sum)
-        self._reduced_rows = self._reduced.tolist()
+        self._reduced_rows = reduced.tolist()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PeriodMatrix) and self._key == other._key
@@ -353,16 +354,10 @@ def _kept(exponent: np.ndarray, cutoff: float) -> np.ndarray:
     return (exponent < cutoff).nonzero()[0]
 
 
-@lru_cache(maxsize=None)
-def _ones(g: int) -> np.ndarray:
-    """The read-only all-ones vector of length g: a row sum as one BLAS product."""
-    return _blocks(g)[-1]  # the block with every bit set
-
-
 def _quadratic(m: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """am = m a over the box and the row dots m'a m, both by real BLAS."""
     am = m @ a
-    return am, (am * m) @ _ones(a.shape[0])
+    return am, (am * m) @ _blocks(a.shape[0])[-1]  # the all-ones block: a row sum
 
 
 def _exponents(m: np.ndarray, y: np.ndarray, b: np.ndarray, c0: float) -> np.ndarray:
@@ -424,7 +419,7 @@ def _rows(g: int, radius: int, y: np.ndarray, b, c0: float, cutoff: float) -> tu
     """
     heads, points = _lines(g, radius)
     b = np.asarray(b, dtype=float)
-    if (2 * radius + 1) ** g > _LINE_CUT:
+    if (2 * radius + 1) ** g > _LINE_CUT:  # both sides are served (see _LINE_CUT)
         ys, bs = y.tolist(), b.tolist()
         yg, col, s, w = _schur(ys)
         bg = bs[-1]
@@ -493,9 +488,9 @@ def _theta_sum(
     """
     g = tau.g
     at_eps = _positions(g)[c.eps]  # the k with eps_k = 1
-    turns = 0.0 if tau._shift is None else float(_turns(tau, _blocks(g)[c.eps]))
+    turns = float(_turns(tau, _blocks(g)[c.eps]))
     n = [round(w.real) for w in z]  # exact, and so is each w - k below
-    z = [w - k for w, k in zip(z, n)] if any(n) else list(z)
+    z = [w - k for w, k in zip(z, n)]
     turns += sum(map(n.__getitem__, at_eps)) % 2
     for k in _positions(g)[c.delta]:
         z[k] += 0.5
@@ -584,11 +579,17 @@ def theta_constant_table(tau: PeriodMatrix, tol=Tolerance()) -> np.ndarray:
 
 
 def _lower_bound(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """m'Ym + sum_k min(0, (Ym)_k) for the rows m, by real BLAS."""
-    ym = m @ y
-    low = ym * m
-    low += np.minimum(ym, 0.0, out=ym)
-    return low @ _ones(m.shape[1])
+    """m'Ym + sum_k min(0, (Ym)_k) for the rows m, by real BLAS.
+
+    Near _IM_CAP a bound can overflow to inf, or to inf - inf = NaN, and
+    either drops its row or line as it should, silently: an overflowing Ym
+    puts s'Ys far above C, as |Ym|^2 <= lambda_max(Y) m'Ym.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ym = m @ y
+        low = ym * m
+        low += np.minimum(ym, 0.0, out=ym)
+        return low @ _blocks(m.shape[1])[-1]  # the all-ones block: a row sum
 
 
 def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarray, ...]:
@@ -602,8 +603,8 @@ def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarr
     r'Yr - sum_(k in r) (Yr)_k = 0 < C.
 
     The rows are read from the line index _lines, the one index of the box
-    that single evaluations read too.  On a box of more than _LINE_CUT
-    points only the lines that can hold a kept row are read.  The left side
+    that single evaluations read too, and on every box only the lines that
+    can hold a kept row are read.  The left side
     is min over eps of (s'Ys - eps'Y eps/4), and along the line m = (p, t)
     s'Ys is at least its minimum over real t, q'Sq with q = p + eps_p/2 and
     S the Schur complement of Y_gg (see _schur); q'Sq >= p'Sp + Sp.eps_p
@@ -621,23 +622,22 @@ def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarr
     """
     g, y = tau.g, tau._y
     heads, points = _lines(g, radius)
-    if (2 * radius + 1) ** g > _LINE_CUT:
-        ys = y.tolist()
-        yg, _, s, w = _schur(ys)
-        c_max = sum(max(v, 0.0) for row in ys for v in row) / 4.0
-        # Rounding, to first order: a row's left side and a line's value are
-        # sums of terms each at most (R + 1)^2 times an entry of |Y| or
-        # |y||y|'/Y_gg, so at most (R + 1)^2 size in size.  The row's takes
-        # 2g + 1 roundings; the line's 2g + 1, 3 more in S, one in the
-        # difference and g^2 in c_max, each of those at most
-        # u sum_jk |Y_jk| / 4 <= u (R + 1)^2 size / 16 (R >= 1); C + slack
-        # one more, of at most u (C + slack).  So a row computed below C lies
-        # on a line computed below C + (g^2 + 4g + 7) u ((R + 1)^2 size + C),
-        # and the slack is twice that.
-        size = sum(abs(v) for row in ys for v in row) + w * w * yg
-        slack = 2.0 * (g * g + 4 * g + 7) * _U * ((radius + 1) ** 2 * size + cutoff)
-        lines = _kept(_lower_bound(heads, s) - c_max, cutoff + slack)
-        points = np.take(points, lines, axis=0)
+    ys = y.tolist()
+    yg, _, s, w = _schur(ys)
+    c_max = sum(max(v, 0.0) for row in ys for v in row) / 4.0
+    # Rounding, to first order: a row's left side and a line's value are
+    # sums of terms each at most (R + 1)^2 times an entry of |Y| or
+    # |y||y|'/Y_gg, so at most (R + 1)^2 size in size.  The row's takes
+    # 2g + 1 roundings; the line's 2g + 1, 3 more in S, one in the
+    # difference and g^2 in c_max, each of those at most
+    # u sum_jk |Y_jk| / 4 <= u (R + 1)^2 size / 16 (R >= 1); C + slack
+    # one more, of at most u (C + slack).  So a row computed below C lies
+    # on a line computed below C + (g^2 + 4g + 7) u ((R + 1)^2 size + C),
+    # and the slack is twice that.
+    size = sum(abs(v) for row in ys for v in row) + w * w * yg
+    slack = 2.0 * (g * g + 4 * g + 7) * _U * ((radius + 1) ** 2 * size + cutoff)
+    lines = _kept(_lower_bound(heads, s) - c_max, cutoff + slack)
+    points = np.take(points, lines, axis=0)
     m = points.reshape(-1, g).astype(float)
     keep = _kept(_lower_bound(m, y), cutoff)
     bits = (np.take(points.reshape(-1, g), keep, axis=0) & 1).astype(float)  # a float product is BLAS
@@ -659,7 +659,9 @@ def _phase_columns(x: np.ndarray, m: np.ndarray, radius: int) -> np.ndarray:
     g, side = len(x), 2 * radius + 1
     factors = _cis(x[:, :, None] * np.arange(-radius, radius + 1.0))
     index = (m.T + radius).astype(np.intp, order="C")
-    h = g - g % 2  # the last coordinate of an odd g is gathered alone
+    # The last coordinate of an odd g is gathered alone, the only path at odd
+    # g, which no benchmark workload has; the xi-g4 tables pair all four.
+    h = g - g % 2
     pairs = factors[0:h:2, :, :, None] * factors[1:h:2, :, None, :]
     tables = [*pairs.reshape(h // 2, g, side * side), *factors[h:]]
     keys = [*(index[0:h:2] * side + index[1:h:2]), *index[h:]]
@@ -727,6 +729,7 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     base = _cis(_quadratic(m, x)[1])
     columns = _phase_columns(x, m, radius)
     starts = np.searchsorted(classes, np.arange(n))  # no class is empty (see _table_rows)
+    # One block at g <= 4, every xi-g4 table among them; several only at g >= 5.
     b = min(n, _BLOCK)
     low = b.bit_length() - 1
     w = np.empty((b, len(m)), dtype=complex)
@@ -739,7 +742,8 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
             w[0] *= columns[k]
         for j in range(low):
             np.multiply(w[: 1 << j], columns[g - 1 - j], out=w[1 << j : 2 << j])
-        np.matmul(coef[h : h + b], rows.T, out=mag)
+        with np.errstate(over="ignore"):  # near _IM_CAP: -inf, whose exp is the 0 it should be
+            np.matmul(coef[h : h + b], rows.T, out=mag)
         np.exp(mag, out=mag)
         mass[h : h + b] = mag.sum(axis=1)
         w *= mag

@@ -687,8 +687,9 @@ def _fuzz_draws(rng, tmp_path):
 
     grammars = (forms, systems, theta, amplitude, factorization, boundary, picard, verify)
     draws = [rng.choice(grammars)() for _ in range(400)]
-    # Im tau = 1e307 I, whose tables must be exact, and 1e308 I, above the cap, at g = 1..3
-    draws += [["amplitude", "--genus", str(g), "--tau", _diag_tau(g, im)] for g in (1, 2, 3) for im in (1e307, 1e308)]
+    # Im tau = 1e307 I, whose tables must be exact, and 1e308 I, above the cap, at g = 1..4
+    draws += [["amplitude", "--genus", str(g), "--tau", _diag_tau(g, im)]
+              for g in (1, 2, 3, 4) for im in (1e307, 1e308)]
     out = []
     for argv in draws:
         output = rng.choice(("json", "table", None))
@@ -726,6 +727,7 @@ def test_cli_fuzz(tmp_path):
         assert "Traceback" not in out + err, where
         flagged = any(line.startswith(("error:", "usage:")) for line in err.splitlines())
         assert flagged == (code != 0), where
+        assert code != 0 or err == "", where  # no warning on a run that succeeds
         if code == 0 and output == "json":
             if "verdict" in argv:  # a verdict prints as one bare word
                 assert out.strip() in ("general_type", "threshold", "inconclusive"), where

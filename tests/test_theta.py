@@ -9,6 +9,7 @@ import cmath
 import inspect
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -480,17 +481,29 @@ def test_ill_conditioned_im_tau_does_not_overflow():
 def test_a_table_at_im_tau_1e307_is_exact():
     # The rounding term of the table's bound overflows to inf there, and
     # every weight of an eps != 0 underflows: such an entry has mass 0 and
-    # takes no rounding term, where inf * 0 = NaN failed the odd check.
-    for g in (1, 2, 3):
-        table, bound = theta._table(PeriodMatrix(1e307j * np.eye(g)), Tolerance())
-        want = np.zeros((1 << g, 1 << g))
-        want[0] = 1.0  # theta[0; delta] = 1, every other entry 0
-        assert np.array_equal(table, want)
-        assert bound[0] == math.inf and np.isfinite(bound[1:]).all()
+    # takes no rounding term, where inf * 0 = NaN failed the odd check.  At
+    # g = 4 a magnitude exponent overflows to -inf, whose exp is the 0 it
+    # should be, and with a small block beside the huge one row bounds
+    # overflow to inf, which drops their rows as it should: neither warns.
+    theta._table.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in (1, 2, 3, 4):
+            table, bound = theta._table(PeriodMatrix(1e307j * np.eye(g)), Tolerance())
+            want = np.zeros((1 << g, 1 << g))
+            want[0] = 1.0  # theta[0; delta] = 1, every other entry 0
+            assert np.array_equal(table, want)
+            assert bound[0] == math.inf and np.isfinite(bound[1:]).all()
+        small = PeriodMatrix([[1j]])
+        table, bound = theta._table(block_diag(small, PeriodMatrix(1e307j * np.eye(2))), Tolerance())
+        # theta[eps; delta] factors over the blocks, the huge block's factor
+        # being 1 at eps_2 = eps_3 = 0 and 0 elsewhere
+        huge = np.zeros((4, 4))
+        huge[0] = 1.0
+        assert np.array_equal(table, np.kron(theta_constant_table(small), huge))
+        assert np.isfinite(bound[1:4]).all() and np.isfinite(bound[5:]).all()
 
 
-# a magnitude exponent below -1.8e308 overflows to -inf, whose exp is the 0 it should be
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
 def test_im_tau_is_capped_below_the_overflow_of_a_table_exponent():
     cap = theta._IM_CAP
     assert math.pi * cap < 0.8 * np.finfo(float).max  # room for the product's roundings
@@ -579,13 +592,25 @@ def _lex_index(rows, radius):
     return ((rows.astype(np.intp) + radius) @ weights).astype(np.intp)
 
 
+def _spy_lower_bound(monkeypatch):
+    # the shape of the rows of every _lower_bound call: a table bounds its
+    # line heads first, then the rows of the lines it reads
+    calls, real = [], theta._lower_bound
+
+    def spy(m, y):
+        calls.append(m.shape)
+        return real(m, y)
+
+    monkeypatch.setattr(theta, "_lower_bound", spy)
+    return calls
+
+
 def test_table_line_cut_keeps_the_reference_rows(monkeypatch):
-    # A table drops the lines of a large box that cannot hold a kept row and
+    # A table drops the lines of its box that cannot hold a kept row and
     # decides in float64 on the rows left: classes and rows must equal the
     # float64 cut over the whole box byte for byte, at every tolerance, for
     # seeded tau, the two ill-conditioned Im tau of the overflow test and
-    # lambda_min = 0.3 with a near-singular Y.  Each case runs as the size
-    # rule picks and again with the line cut forced on every box (g >= 2).
+    # lambda_min = 0.3 with a near-singular Y.
     rng = np.random.default_rng(2029)
     ims = []
     for g, count, top in ((1, 4, 3.0), (2, 4, 3.0), (3, 4, 3.0), (4, 4, 3.0), (5, 2, 2.0)):
@@ -598,7 +623,8 @@ def test_table_line_cut_keeps_the_reference_rows(monkeypatch):
     for g in (2, 3, 4):  # lambda_min 0.3, condition number about 70
         v = rng.normal(size=g)
         ims.append(0.3 * np.eye(g) + 20.0 * np.outer(v, v) / (v @ v))
-    cut = lines = 0
+    calls = _spy_lower_bound(monkeypatch)
+    cut = dropped = 0
     for y in ims:
         g = len(y)
         x = rng.uniform(-0.5, 0.5, (g, g))
@@ -606,16 +632,13 @@ def test_table_line_cut_keeps_the_reference_rows(monkeypatch):
         for tol in (1e-12, 1e-8, 1e-4):
             radius, _, cutoff = theta._numerics(tau, (0j,) * g, Tolerance(tol))
             want = _reference_rows(tau, radius, cutoff)
+            calls.clear()
             got = theta._table_rows(tau, radius, cutoff)
             _assert_same_rows(got, want)
             cut += len(got[0]) < (2 * radius + 1) ** g
-            lines += (2 * radius + 1) ** g > theta._LINE_CUT
-            if g > 1:
-                monkeypatch.setattr(theta, "_LINE_CUT", 0)
-                _assert_same_rows(theta._table_rows(tau, radius, cutoff), want)
-                monkeypatch.undo()
+            dropped += calls[-1][0] < (2 * radius + 1) ** g  # fewer rows read than the box holds
     assert cut > 2 * len(ims)  # most cuts are not vacuous
-    assert lines > 10  # and the size rule picks the line cut on many boxes
+    assert dropped > len(ims)  # and the line cut drops lines on many boxes (a g = 1 box is one line)
 
 
 def test_table_line_cut_keeps_a_row_one_ulp_below_the_cutoff():
@@ -644,10 +667,9 @@ def test_table_line_cut_keeps_a_row_one_ulp_below_the_cutoff():
     assert above > 0
 
 
-def test_table_line_cut_keeps_the_reference_rows_at_huge_im_tau(monkeypatch):
+def test_table_line_cut_keeps_the_reference_rows_at_huge_im_tau():
     # Im tau with entries near 1e39: every rounding is huge in absolute
-    # terms, and the rows kept must still be the reference rows, with the
-    # line cut as the size rule picks it and forced on.
+    # terms, and the rows kept must still be the reference rows.
     for g, scale in ((2, 1e39), (4, 1e39), (3, 1e36)):
         y = scale * (np.eye(g) + 0.1 * (np.ones((g, g)) - np.eye(g)))
         tau = PeriodMatrix(1j * y)
@@ -656,9 +678,25 @@ def test_table_line_cut_keeps_the_reference_rows_at_huge_im_tau(monkeypatch):
         got = theta._table_rows(tau, radius, cutoff)
         assert len(got[0]) >= 1 << g
         _assert_same_rows(got, want)
-        monkeypatch.setattr(theta, "_LINE_CUT", 0)
-        _assert_same_rows(theta._table_rows(tau, radius, cutoff), want)
-        monkeypatch.undo()
+
+
+def test_a_table_below_the_line_cut_size_reads_its_line_heads(monkeypatch):
+    # Every table takes the line cut, whatever its box size; _LINE_CUT
+    # picks for single evaluations alone.  A g = 2 and a g = 3 table on
+    # boxes below it bound their line heads first and read only the rows of
+    # the lines left, and keep the reference rows.
+    calls = _spy_lower_bound(monkeypatch)
+    for g in (2, 3):
+        # the soft coordinates set the box, the stiff first one drops lines
+        tau = PeriodMatrix(1j * np.diag([3.0] + [0.5] * (g - 1)) + 0.1j * np.ones((g, g)))
+        radius, _, cutoff = theta._numerics(tau, (0j,) * g, Tolerance())
+        box = (2 * radius + 1) ** g
+        assert box < theta._LINE_CUT
+        calls.clear()
+        got = theta._table_rows(tau, radius, cutoff)
+        assert calls[0] == ((2 * radius + 1) ** (g - 1), g - 1)  # one head p a line
+        assert len(calls) == 2 and calls[1][1] == g and calls[1][0] < box
+        _assert_same_rows(got, _reference_rows(tau, radius, cutoff))
 
 
 def test_cold_table_and_single_evaluation_share_one_line_index():
