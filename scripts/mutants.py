@@ -69,15 +69,14 @@ MUTANTS = (
     Mutant("table-line-cmax", _THETA, "_lower_bound(heads, s) - c_max", "_lower_bound(heads, s)"),
     Mutant("phase-lookup-offset", _THETA, "np.arange(-radius, radius + 1.0)",
            "np.arange(1 - radius, radius + 2.0)"),
-    # the table's error bound: an eps whose weights all underflowed gets inf * 0 = NaN near the Im tau cap
-    Mutant("table-bound-mass", _THETA, "out=np.zeros(n), where=mass > 0.0)", "out=np.zeros(n))"),
-    # the table near the Im tau cap: a row bound or magnitude exponent that overflows warns
-    Mutant("row-bound-warns", _THETA, 'with np.errstate(over="ignore", invalid="ignore"):', "if True:"),
-    Mutant("table-exponent-warns", _THETA, 'with np.errstate(over="ignore"):  # near _IM_CAP', "if True:  #"),
+    # the domain of Im tau (PeriodMatrix): the cap back at a quarter of the largest double, where
+    # the kernel's products overflow, and eigvalsh's lambda_min trusted wherever it is positive
+    Mutant("im-cap-at-max", _THETA, "_IM_CAP = sys.float_info.max / 2**32", "_IM_CAP = sys.float_info.max / 4"),
+    Mutant("lambda-min-untrusted", _THETA, "if not lam > 4 * len(y) * _U * top:", "if not lam > 0.0:"),
     # the single evaluation's line cut
-    Mutant("line-gamma", _THETA, "gamma = c0 - bg * bg / (4.0 * yg)", "gamma = c0"),
+    Mutant("line-gamma", _THETA, "gamma = c0 - r * bg / 4.0", "gamma = c0"),
     Mutant("line-beta-sign", _THETA, "[bj - r * cj for", "[bj + r * cj for"),
-    Mutant("line-slack-size", _THETA, "size += w * w * yg + abs(bg) * w + bg * bg / (4.0 * yg)",
+    Mutant("line-slack-size", _THETA, "size += w * (w * yg) + abs(bg) * w + r * bg / 4.0",
            "size += 0.0", equivalent="no double input found that the smaller slack misses; "
            "see the slack in theta._rows"),
     Mutant("line-slack-none", _THETA, "slack = 2.0 * (3 * g + 4) * _U", "slack = 0.0 * (3 * g + 4) * _U"),

@@ -89,7 +89,10 @@ the BLAS thread count.
 
 Accuracy contract: double precision throughout; tolerances below 1e-13
 are rejected, and callers should keep Im tau >= 0.3 I (the truncation
-radius guard trips otherwise).
+radius guard trips otherwise).  PeriodMatrix alone admits Im tau: its
+eigenvalues at most _IM_CAP (about 4.19e298), so that no product below it
+overflows, and a smallest eigenvalue certified above 0 (see _IM_CAP); the
+kernel then needs no overflow guard of its own.
 """
 
 from __future__ import annotations
@@ -131,18 +134,43 @@ _BLOCK = 16  # eps values per block of weight rows in a table
 # g <= 3 boxes of at most 1,331 points, g = 4 boxes of at least 6,561.
 _LINE_CUT = 5_000
 _U = 2.0**-53  # unit roundoff of a double
-# The cap on sum_jk |Im tau_jk|, checked by PeriodMatrix.  A table's
-# magnitude exponent is one BLAS product of the terms pi (Ym)_k eps_k,
-# pi m'Ym and pi eps'Y eps/4 (see _table).  For rows with |m_j| <= 1, the
-# rows of a radius-1 box, only the g terms of the first can be positive,
-# and together they are at most pi sum_jk |Y_jk| in size.  At the cap that
-# is below the largest double by a factor 4/pi, far more than the few
-# roundings of the product take, so no partial sum reaches +inf and no
-# exponent is inf - inf = NaN.  Im tau = 1e308 at g = 1 gives NaN weights.
-# Near the cap a small lambda_min gives a larger box, whose rows with
-# |m_j| > 1 along a huge direction have an infinite lower bound and are cut
-# before their weights are formed.
-_IM_CAP = sys.float_info.max / 4
+# The domain of Im tau is decided once, in PeriodMatrix, by two rules.
+# (a) lambda_max(Y) <= _IM_CAP, Y = Im tau, so that no product the kernel
+# forms reaches the largest double.  Y is positive definite, so with
+# M = lambda_max, |Y_jk| <= sqrt(Y_jj Y_kk) <= M and sum_jk |Y_jk| <= g^2 M.
+# The kernel reads Y only on box rows, |m_k| <= R <= _MAX_RADIUS (64), at
+# g <= 13 (a radius-1 box of 3^g points fits _MAX_LATTICE only there), and
+# only at a z whose box exists: the first excluded shell's term is then
+# below 1, so |Im z| < lambda_min (R + 1/2) / 2 <= R Y_kk for every k.
+# Every partial sum the kernel forms from Y is then below 24 g^2 R^2 M,
+# but one:
+# - (Ym)_k, m'Ym and _lower_bound are below 2 g^2 R^2 M;
+# - a single evaluation's exponent, with b = Y eps + 2 Im z and
+#   c0 = eps'Y eps / 4 + eps.Im z, is below 7 g^2 R^2 M before its
+#   factor pi, and a table's magnitude exponent below
+#   pi (g^2 R + g^2 R^2 + g^2/4) M;
+# - the line cuts' Schur entries, beta, gamma and slack terms are at most
+#   (g + 2R + 1)^2 M <= 16 g^2 R^2 M, each a product bounded by
+#   Cauchy-Schwarz in Y, such as y_j y_k / Y_gg <= M or
+#   b_g^2 / Y_gg <= (g + 2R)^2 M, formed as r b_g and w (w Y_gg), never
+#   as b_g^2 or w^2 (see _rows), and a line's exponent is below
+#   24 g^2 R^2 M;
+# - the one, the table's rounding factor rel, is below
+#   pi (3g + 4)(R + 1)^2 (g^2 + g^2 M) < 2^27 (M + 1).
+# With 24 g^2 R^2 < 2^24, at M <= max / 2^32 each is below max / 16, room
+# for the roundings of its sum, so no exponent, row dot, slack or bound is
+# inf and numpy never warns of an overflow.  eigvalsh returns inf for
+# entries near the largest double (1e308 J at g = 2), which the cap's
+# comparison refuses.
+# (b) eigvalsh reads lambda_min(Y) to about 4 g u lambda_max, and it is
+# trusted only above that.  Below it, Y is certified on Yhat = D^-1 Y D^-1,
+# D = diag(Y)^(1/2): m'Ym >= lambda_min(Yhat) min_k Y_kk |m|^2, and for a
+# positive definite Y the entries of Yhat are at most 1 and its lambda_max
+# at most g, so lambda_min(Yhat), formed and read to about 4 g^2 u, is
+# trusted above that.  A graded Y, D (I/2 + J/2) D with D up to 1e18, is
+# admitted so; a rank-one 1e50 J, whose lambda_min eigvalsh reads as
+# 2.2e18, is refused.
+_IM_CAP = sys.float_info.max / 2**32
 # _lines stores a box coordinate, at most _MAX_RADIUS in size, as int8.
 if _MAX_RADIUS > np.iinfo(np.int8).max:
     raise InvariantError("the box radius cap outgrows the int8 points of _lines")
@@ -175,10 +203,13 @@ class Tolerance:
 class PeriodMatrix:
     """g x g complex symmetric matrix with positive-definite imaginary part.
 
-    Symmetry must hold exactly as stored; positive definiteness is checked
-    numerically through the smallest eigenvalue of Im tau.  Two
-    period matrices are equal, and hash alike, when their entries are equal
-    byte for byte, so caches can key on the matrix itself.
+    Symmetry must hold exactly as stored.  Im tau is admitted by the two
+    rules of _IM_CAP, read off its eigvalsh spectrum: lambda_max at most
+    _IM_CAP, and lambda_min above eigvalsh's own error bound, or else
+    certified on the diagonally scaled Im tau; im_lambda_min is the
+    smallest eigenvalue so read, or that certified bound.  Two period
+    matrices are equal, and hash alike, when their entries are equal byte
+    for byte, so caches can key on the matrix itself.
     """
 
     def __init__(self, entries) -> None:
@@ -193,11 +224,14 @@ class PeriodMatrix:
         if flat != tau.T.ravel().tolist():
             raise ValueError("period matrix must be exactly symmetric")
         y = np.ascontiguousarray(tau.imag)
-        if sum(map(abs, y.ravel().tolist())) > _IM_CAP:
-            raise ValueError(f"the entries of Im tau must sum in size to at most {_IM_CAP:.4e}")
-        lam = float(np.linalg.eigvalsh(y)[0])
-        if lam <= 0.0:
-            raise ValueError(f"Im tau must be positive definite (lambda_min={lam})")
+        spectrum = np.linalg.eigvalsh(y).tolist()
+        lam, top = spectrum[0], spectrum[-1]
+        if not top <= _IM_CAP:  # inf and NaN included (see _IM_CAP)
+            raise ValueError(f"the eigenvalues of Im tau must be at most {_IM_CAP:.4e}, got {top:.4e}")
+        if not lam > 4 * len(y) * _U * top:  # below eigvalsh's own error: rule (b) of _IM_CAP
+            lam = _scaled_lambda_min(y)
+        if not lam > 0.0:
+            raise ValueError("Im tau must be positive definite: no positive lambda_min is certified")
         tau.setflags(write=False)
         self.tau = tau
         self.g = tau.shape[0]
@@ -229,6 +263,22 @@ class PeriodMatrix:
 
     def __repr__(self) -> str:
         return f"PeriodMatrix(g={self.g})"
+
+
+def _scaled_lambda_min(y: np.ndarray) -> float:
+    """lambda_min(Yhat) min_k Y_kk, Yhat = D^-1 Y D^-1 with D = diag(Y)^(1/2), or 0.
+
+    Rule (b) of _IM_CAP, for a Y whose lambda_min eigvalsh cannot read: 0
+    unless lambda_min(Yhat) is above its error 4 g^2 u.  A Y with a
+    diagonal entry <= 0 or some |Y_jk| > 2 sqrt(Y_jj Y_kk) is not positive
+    definite, and gives 0 before Yhat, which could overflow, is formed.
+    """
+    diag = y.diagonal()
+    d = np.sqrt(np.abs(diag))
+    if not (diag.min() > 0.0 and (np.abs(y) <= 2.0 * np.outer(d, d)).all()):
+        return 0.0
+    lam = np.linalg.eigvalsh(y / d[:, None] / d)[0]
+    return float(lam * diag.min()) if lam > 4 * len(y) ** 2 * _U else 0.0
 
 
 def _z(z, g: int) -> tuple[complex, ...]:
@@ -425,7 +475,7 @@ def _rows(g: int, radius: int, y: np.ndarray, b, c0: float, cutoff: float) -> tu
         bg = bs[-1]
         r = bg / yg
         beta = np.array([bj - r * cj for bj, cj in zip(bs[:-1], col)])
-        gamma = c0 - bg * bg / (4.0 * yg)
+        gamma = c0 - r * bg / 4.0
         # Rounding, to first order: an exponent, of a row or of a line's
         # minimum, is a sum of terms each at most (R + 1)^2 times an entry of
         # |Y|, |y||y|'/Y_gg, |b|, |b_g||y|/Y_gg, |c0| or b_g^2/(4 Y_gg),
@@ -444,7 +494,7 @@ def _rows(g: int, radius: int, y: np.ndarray, b, c0: float, cutoff: float) -> tu
         # them.  They stay, as the bound; scripts/mutants.py marks dropping
         # them (line-slack-size) equivalent.
         size = sum(abs(v) for row in ys for v in row) + sum(map(abs, bs)) + abs(c0)
-        size += w * w * yg + abs(bg) * w + bg * bg / (4.0 * yg)
+        size += w * (w * yg) + abs(bg) * w + r * bg / 4.0
         slack = 2.0 * (3 * g + 4) * _U * (radius + 1) ** 2 * size
         lines = _kept(_exponents(heads, s, beta, gamma), cutoff + slack)
         points = np.take(points, lines, axis=0)
@@ -579,17 +629,11 @@ def theta_constant_table(tau: PeriodMatrix, tol=Tolerance()) -> np.ndarray:
 
 
 def _lower_bound(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """m'Ym + sum_k min(0, (Ym)_k) for the rows m, by real BLAS.
-
-    Near _IM_CAP a bound can overflow to inf, or to inf - inf = NaN, and
-    either drops its row or line as it should, silently: an overflowing Ym
-    puts s'Ys far above C, as |Ym|^2 <= lambda_max(Y) m'Ym.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ym = m @ y
-        low = ym * m
-        low += np.minimum(ym, 0.0, out=ym)
-        return low @ _blocks(m.shape[1])[-1]  # the all-ones block: a row sum
+    """m'Ym + sum_k min(0, (Ym)_k) for the rows m, by real BLAS."""
+    ym = m @ y
+    low = ym * m
+    low += np.minimum(ym, 0.0, out=ym)
+    return low @ _blocks(m.shape[1])[-1]  # the all-ones block: a row sum
 
 
 def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarray, ...]:
@@ -634,7 +678,7 @@ def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarr
     # one more, of at most u (C + slack).  So a row computed below C lies
     # on a line computed below C + (g^2 + 4g + 7) u ((R + 1)^2 size + C),
     # and the slack is twice that.
-    size = sum(abs(v) for row in ys for v in row) + w * w * yg
+    size = sum(abs(v) for row in ys for v in row) + w * (w * yg)
     slack = 2.0 * (g * g + 4 * g + 7) * _U * ((radius + 1) ** 2 * size + cutoff)
     lines = _kept(_lower_bound(heads, s) - c_max, cutoff + slack)
     points = np.take(points, lines, axis=0)
@@ -742,8 +786,7 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
             w[0] *= columns[k]
         for j in range(low):
             np.multiply(w[: 1 << j], columns[g - 1 - j], out=w[1 << j : 2 << j])
-        with np.errstate(over="ignore"):  # near _IM_CAP: -inf, whose exp is the 0 it should be
-            np.matmul(coef[h : h + b], rows.T, out=mag)
+        np.matmul(coef[h : h + b], rows.T, out=mag)
         np.exp(mag, out=mag)
         mass[h : h + b] = mag.sum(axis=1)
         w *= mag
@@ -756,13 +799,11 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     # (R + 1)^2 sum_jk |tau_jk| in size and takes at most 3g + 4 roundings,
     # which its exp or cis scales by pi; a weight adds 5g^2 + 16 from its
     # exps and complex products; the class sums and the transform add
-    # K + 2^g.  Near _IM_CAP, rel overflows to inf (silently: norm is a
-    # Python float); an eps whose every weight underflowed has mass 0 and
-    # no rounding to bound, so it takes no rounding term, not inf * 0 = NaN.
-    norm = float(np.abs(x).sum() + np.abs(y).sum())
+    # K + 2^g.
+    norm = np.abs(x).sum() + np.abs(y).sum()
     rel = len(m) + n + 5 * g * g + 16 + math.pi * (3 * g + 4) * (radius + 1) ** 2 * norm
     charge = _charge(tail, g, radius, len(m), cutoff)
-    bound = charge + np.multiply(_U * rel, mass, out=np.zeros(n), where=mass > 0.0)
+    bound = charge + _U * rel * mass
     _check_odd(table, signs < 0, charge, bound)  # (-1)^(eps.delta) = -1: odd
     table.setflags(write=False)
     bound.setflags(write=False)

@@ -618,17 +618,59 @@ def _diag_tau(g, im):
     return json.dumps([[[0, im] if j == k else 0 for k in range(g)] for j in range(g)])
 
 
+_CHARS = {"1": ["0;0", "1;1", "1;0"], "2": ["01;10", "11;11", "00;01"]}
+_CAP = theta._IM_CAP
+_CAP_ERROR = "error: the eigenvalues of Im tau must be at most"
+# Im tau that PeriodMatrix refuses, with its error: above the cap (1e307 I,
+# 1e308 I, diag(0.4, 4e307)), or rank one and so not positive definite
+# (1e50 J; at g = 4 eigvalsh reads its lambda_min as 2.2e18)
+_REFUSED = {_diag_tau(g, im): _CAP_ERROR for g in (1, 2, 3, 4) for im in (1e307, 1e308)}
+_MIXED_OVER_CAP = "[[[0, 0.4], 0], [0, [0, 4e307]]]"
+_RANK_ONE = {g: json.dumps([[[0, 1e50]] * g] * g) for g in (2, 4)}
+_REFUSED[_MIXED_OVER_CAP] = _CAP_ERROR
+_REFUSED.update((tau, "error: Im tau must be positive definite") for tau in _RANK_ONE.values())
+# (cap/4) I, under the cap: a table where theta[0; delta] = 1 and every other entry is 0 exactly
+_EXACT = [["amplitude", "--genus", str(g), "--tau", _diag_tau(g, _CAP / 4)] for g in (1, 2, 3, 4)]
+
+
+def _domain_error(argv):
+    """The error a theta or amplitude draw must end in when its --tol or Im tau is out of domain.
+
+    The handlers check the tolerance first, then (theta) the
+    characteristic, then tau; a refused Im tau ends in its own error once
+    every earlier input is valid.  None when the draw is in domain or an
+    earlier input decides its error.
+    """
+    if argv[0] not in ("theta", "amplitude") or "check-factorization" in argv:
+        return None
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    tol = opts.get("--tol", "1e-12")
+    if tol == "-inf":  # argparse reads it as an option: a usage error
+        return None
+    if not 1e-13 < float(tol) < 1:
+        return "error: tolerance must be in (1e-13, 1)"
+    tau, g = opts["--tau"], opts["--genus"]
+    if tau not in _REFUSED or g != str(len(json.loads(tau))):
+        return None
+    if argv[0] == "theta" and opts["--char"] not in _CHARS.get(g, []):
+        return None
+    return _REFUSED[tau]
+
+
 def _fuzz_draws(rng, tmp_path):
     """Seeded argv for every subcommand, each draw with the output mode it prints in."""
     ints = ["0", "-1", str(2**63), str(10**11), "1", "2", "3"]
-    floats = ["nan", "inf", "-inf", "0", "-1", "1e-12", "1e-6", "0.5", str(2**63), "1e11"]
+    floats = ["nan", "inf", "-inf", "0", "-1", "1e-13", "1e-12", "1e-6", "0.5", str(2**63), "1e11"]
     deep = "[" * 100_000 + "]" * 100_000
     junk = ["", "[]", "{}", "null", deep, "[[NaN]]", "[[Infinity]]", "[[0, -1]]", "[1, [2]]"]
     taus = {g: [_diag_tau(g, 1), _diag_tau(g, 0.8), _diag_tau(g, 1e307), _diag_tau(g, 1e308)]
             for g in (1, 2, 3, 4)}
     taus[1] += ["[[0, 1]]", "[[[0.3, 1.2]]]", "[[[1e308, 1]]]"]
-    taus[2] += [TAU_2_JSON, TAU_2_JSON]
-    chars = {"1": ["0;0", "1;1", "1;0"], "2": ["01;10", "11;11", "00;01"]}
+    # mixed scales under and over the cap, and a rank-one Im tau
+    mixed = [json.dumps([[[0, 0.4], 0], [0, [0, _CAP / 2]]]), json.dumps([[[0.3, 0.5], 0], [0, [-2.5, 1e250]]])]
+    taus[2] += [TAU_2_JSON, TAU_2_JSON, *mixed, _MIXED_OVER_CAP, _RANK_ONE[2]]
+    taus[4].append(_RANK_ONE[4])
+    chars = _CHARS
     zs = {"1": ["[0]", "[[0, 0.2]]", "[Infinity]", "[[0, 1e308]]"],
           "2": ["[0, 0]", "[[0, 0.1], 0.3]", "[Infinity, 0]", "[[NaN, 0], 0]"]}
 
@@ -687,9 +729,12 @@ def _fuzz_draws(rng, tmp_path):
 
     grammars = (forms, systems, theta, amplitude, factorization, boundary, picard, verify)
     draws = [rng.choice(grammars)() for _ in range(400)]
-    # Im tau = 1e307 I, whose tables must be exact, and 1e308 I, above the cap, at g = 1..4
-    draws += [["amplitude", "--genus", str(g), "--tau", _diag_tau(g, im)]
-              for g in (1, 2, 3, 4) for im in (1e307, 1e308)]
+    # Im tau = 1e307 I and 1e308 I, both above the cap, at g = 1..4, the
+    # rank-one Im tau at g = 4, and theta at each mixed-scale and the
+    # rank-one Im tau at g = 2
+    draws += [["amplitude", "--genus", str(g), "--tau", _diag_tau(g, im)] for g in (1, 2, 3, 4) for im in (1e307, 1e308)]
+    draws.append(["amplitude", "--genus", "4", "--tau", _RANK_ONE[4]])
+    draws += [["theta", "--genus", "2", "--tau", tau, "--char", "01;10"] for tau in taus[2][-4:]]
     out = []
     for argv in draws:
         output = rng.choice(("json", "table", None))
@@ -697,6 +742,8 @@ def _fuzz_draws(rng, tmp_path):
             at = rng.choice((0, len(argv))) if argv[:2] != ["amplitude", "check-factorization"] else len(argv)
             argv = argv[:at] + ["--output", output] + argv[at:]
         out.append((argv, output or "json"))
+    # (cap/4) I at g = 1..4, whose tables must be exact: read in json
+    out += [(argv, "json") for argv in _EXACT]
     return out
 
 
@@ -721,6 +768,7 @@ def test_cli_fuzz(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     results = json.loads(proc.stdout)
     assert len(results) == len(draws)
+    exact = 0
     for (argv, output), (code, out, err) in zip(draws, results):
         where = f"{[a[:60] for a in argv]}: exit {code}, stderr {err[-300:]!r}"
         assert code in (0, 1, 2), where
@@ -728,6 +776,20 @@ def test_cli_fuzz(tmp_path):
         flagged = any(line.startswith(("error:", "usage:")) for line in err.splitlines())
         assert flagged == (code != 0), where
         assert code != 0 or err == "", where  # no warning on a run that succeeds
+        at = argv.index("--output") if "--output" in argv else len(argv)
+        domain = _domain_error(argv[:at] + argv[at + 2:])
+        if domain is not None:
+            assert code == 1 and err.startswith(domain), where
+        if argv in _EXACT:
+            # theta[0; delta] = 1 and every other constant 0: Xi = 0, and P_i
+            # counts the i-dimensional subspaces of F_2^g, a Gaussian binomial
+            g = int(argv[2])
+            data = json.loads(out)
+            binomials = [math.prod(2 ** (g - j) - 1 for j in range(i)) // math.prod(2 ** (j + 1) - 1 for j in range(i))
+                         for i in range(g + 1)]
+            assert code == 0 and (data["xi_re"], data["xi_im"]) == (0.0, 0.0), where
+            assert [(p["re"], p["im"]) for p in data["per_i"]] == [(b, 0.0) for b in binomials], where
+            exact += 1
         if code == 0 and output == "json":
             if "verdict" in argv:  # a verdict prints as one bare word
                 assert out.strip() in ("general_type", "threshold", "inconclusive"), where
@@ -735,3 +797,4 @@ def test_cli_fuzz(tmp_path):
                 assert _finite(json.loads(out)), where
     codes = [code for code, _, _ in results]
     assert codes.count(0) > 50 and codes.count(1) > 50 and codes.count(2) > 0
+    assert exact == 4

@@ -7,6 +7,7 @@ cross-check against that oracle stays in the suite.
 
 import cmath
 import inspect
+import json
 import math
 import tracemalloc
 import warnings
@@ -24,7 +25,9 @@ from oracles import (
     oracle_table_rows,
 )
 from thetachar import theta
+from thetachar.amplitude import xi_g
 from thetachar.characteristics import Characteristic
+from thetachar.cli import run
 from thetachar.config import InvariantError
 from thetachar.symplectic import SpMatrix, enumerate_forms, sp_apply
 from thetachar.theta import (
@@ -77,7 +80,7 @@ def test_tolerance_validation():
         Tolerance(1.5)
 
 
-def test_period_matrix_validation():
+def test_period_matrix_validation(capsys):
     assert TAU_G2.g == 2
     assert TAU_G2.im_lambda_min > 0.9
     with pytest.raises(ValueError):
@@ -91,6 +94,30 @@ def test_period_matrix_validation():
     with pytest.raises(ValueError):
         PeriodMatrix([[1j, 2j], [2j, 1j]])  # positive diagonal, but indefinite
     assert PeriodMatrix(np.diag([2.25j, 0.5j, 4j, 1j])).im_lambda_min == 0.5
+    # Rule (b) of theta._IM_CAP: eigvalsh's lambda_min is trusted only above
+    # its error bound 4 g u lambda_max, and below it Im tau is certified on
+    # its diagonal scaling.  Rank one, 1e50 J (whose lambda_min eigvalsh
+    # reads as 2.2e18) and 1e80 J, is refused by theta and amplitude alike.
+    for g, s in ((4, 1e50), (3, 1e80)):
+        tau = json.dumps([[[0, s]] * g] * g)
+        for argv in (["theta", "--char", f"{'0' * g};{'0' * g}"], ["amplitude"]):
+            assert run([*argv, "--genus", str(g), "--tau", tau]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: Im tau must be positive definite"), captured.err
+    # A graded Im tau, lambda_min 0.625, which eigvalsh reads as -1.4e20, is
+    # certified at lambda_min(Yhat) min_k Y_kk = 0.5 and sums right.
+    d = np.diag([1.0, 1e6, 1e12, 1e18])
+    graded = PeriodMatrix(1j * (d @ (0.5 * np.eye(4) + 0.5) @ d))
+    assert graded.im_lambda_min == pytest.approx(0.5, rel=1e-14)
+    rep = theta_report(graded, None, ch("0000;0000"))
+    want = np_theta(graded.tau, [0] * 4, [0] * 4, [0] * 4, 4)
+    assert abs(complex(rep["re"], rep["im"]) - want) <= rep["est_error"] + 1e-15
+    # diag(1, 1e20) i takes the certificate too, and keeps its bytes
+    wide = PeriodMatrix(np.diag([1j, 1e20j]))
+    assert wide.im_lambda_min == 1.0
+    assert theta_report(wide, None, ch("00;00")) == {
+        "re": 1.0864348112133082, "im": 0.0, "radius": 3, "points": 7, "est_error": 1.4309398721775116e-15}
 
 
 def test_theta_arg_coercion():
@@ -478,41 +505,119 @@ def test_ill_conditioned_im_tau_does_not_overflow():
             assert abs(theta_value(tau, None, c) - table[c.eps, c.delta]) < bound
 
 
-def test_a_table_at_im_tau_1e307_is_exact():
-    # The rounding term of the table's bound overflows to inf there, and
-    # every weight of an eps != 0 underflows: such an entry has mass 0 and
-    # takes no rounding term, where inf * 0 = NaN failed the odd check.  At
-    # g = 4 a magnitude exponent overflows to -inf, whose exp is the 0 it
-    # should be, and with a small block beside the huge one row bounds
-    # overflow to inf, which drops their rows as it should: neither warns.
+def test_a_table_at_the_im_tau_cap_is_exact():
+    # At (cap/g) I every weight of an eps != 0 underflows, and no product
+    # the kernel forms overflows (see theta._IM_CAP): the table is exact,
+    # its bounds are finite, and nothing warns.
+    cap = theta._IM_CAP
     theta._table.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for g in (1, 2, 3, 4):
-            table, bound = theta._table(PeriodMatrix(1e307j * np.eye(g)), Tolerance())
+            table, bound = theta._table(PeriodMatrix(cap / g * 1j * np.eye(g)), Tolerance())
             want = np.zeros((1 << g, 1 << g))
             want[0] = 1.0  # theta[0; delta] = 1, every other entry 0
             assert np.array_equal(table, want)
-            assert bound[0] == math.inf and np.isfinite(bound[1:]).all()
+            assert np.isfinite(bound).all()
         small = PeriodMatrix([[1j]])
-        table, bound = theta._table(block_diag(small, PeriodMatrix(1e307j * np.eye(2))), Tolerance())
+        table, bound = theta._table(block_diag(small, PeriodMatrix(cap / 4 * 1j * np.eye(2))), Tolerance())
         # theta[eps; delta] factors over the blocks, the huge block's factor
         # being 1 at eps_2 = eps_3 = 0 and 0 elsewhere
         huge = np.zeros((4, 4))
         huge[0] = 1.0
         assert np.array_equal(table, np.kron(theta_constant_table(small), huge))
-        assert np.isfinite(bound[1:4]).all() and np.isfinite(bound[5:]).all()
+        assert np.isfinite(bound).all()
 
 
 def test_im_tau_is_capped_below_the_overflow_of_a_table_exponent():
-    cap = theta._IM_CAP
-    assert math.pi * cap < 0.8 * np.finfo(float).max  # room for the product's roundings
-    assert theta_constant_table(PeriodMatrix([[cap * 1j]]))[1, 1] == 0
-    y = np.diag([cap / 2, cap / 2])
-    theta_constant_table(PeriodMatrix(1j * y))
-    for tau in ([[1e308j]], 1j * (y + np.diag([0.0, 1e300]))):
-        with pytest.raises(ValueError, match="Im tau must sum in size"):
+    # The largest product the kernel forms is the table's rounding factor
+    # rel, below pi (3g + 4)(R + 1)^2 (g^2 + g^2 lambda_max) for every box
+    # radius R <= 64 and every genus a radius-1 box admits, g <= 13; at the
+    # cap it stays below a sixteenth of the largest double.
+    cap, big = theta._IM_CAP, np.finfo(float).max
+    assert 3**13 <= theta._MAX_LATTICE < 3**14
+    g, r = 13, theta._MAX_RADIUS
+    assert math.pi * (3 * g + 4) * (r + 1) ** 2 * (g * g + g * g * cap) < big / 16
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert theta_constant_table(PeriodMatrix([[cap * 1j]]))[1, 1] == 0
+        y = np.diag([cap / 2, cap / 2])
+        assert np.isfinite(theta_constant_table(PeriodMatrix(1j * y))).all()
+    # above the cap, and where eigvalsh reads lambda_max as inf
+    for tau in ([[1e308j]], [[np.nextafter(cap, math.inf) * 1j]], 1j * (y + np.diag([0.0, cap])),
+                1j * (0.85e308 * np.ones((3, 3)) + np.eye(3))):
+        with pytest.raises(ValueError, match="the eigenvalues of Im tau must be at most"):
             PeriodMatrix(tau)
+
+
+def test_mixed_scale_im_tau_does_not_warn():
+    # One small and one huge direction, Im tau = diag(0.4, .., 0.4, cap/2):
+    # the small ones set the box (a g = 4 box takes the line cut), the huge
+    # one puts (Ym)_k, m'Ym and the line cut's b_g near the cap.  Before
+    # the cap came from lambda_max, 4e307 there overflowed _quadratic.
+    cap = theta._IM_CAP
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in (2, 3, 4):
+            for huge in (0, g - 1):
+                y = np.full(g, 0.4)
+                y[huge] = cap / 2
+                tau = PeriodMatrix(np.diag(1j * y))
+                table = theta_constant_table(tau)
+                rest = [k for k in range(g) if k != huge]
+                for c in enumerate_forms(g)[:: 2 * g - 1]:
+                    rep = theta_report(tau, None, c)
+                    value = complex(rep["re"], rep["im"])
+                    assert abs(value - table[c.eps, c.delta]) < 1e-13
+                    assert rep["est_error"] <= 1e-12
+                    # the huge factor is theta[eps_k; delta_k](i cap/2), 1 at eps_k = 0 and 0 else
+                    e, d = (np.array(list(f"{v:0{g}b}"), dtype=int) for v in (c.eps, c.delta))
+                    want = np_theta(0.4j * np.eye(g - 1), [0] * (g - 1), e[rest], d[rest], 6)
+                    assert abs(value - (1 - e[huge]) * want) < 1e-13
+
+
+def test_im_tau_near_the_cap_never_warns():
+    # Seeded draws over g = 1..4: Im tau diagonal up to the cap, s J + lam I,
+    # rotated spectra spread up to the cap, or diag(0.4, ~cap/2); Re tau in
+    # [-3, 3] (so the Re tau reduction runs); z = 0 or small.  Each is
+    # refused by PeriodMatrix with a ValueError, or gives finite tables,
+    # theta_report values and Xi, and nothing warns.
+    rng = np.random.default_rng(35)
+    cap = theta._IM_CAP
+    admitted = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for draw in range(64):
+            g = 1 + draw % 4
+            kind = draw // 4 % 4
+            lam = rng.uniform(0.3, 2.0)
+            top = lam * 10.0 ** (298 * rng.uniform() ** 3)  # cond up to 1e298, a third below 1e14
+            if kind == 0:
+                y = np.diag(np.exp(rng.uniform(math.log(lam), math.log(top), g)))
+            elif kind == 1:
+                y = top / g * np.ones((g, g)) + lam * np.eye(g)
+            elif kind == 2:
+                q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+                spectrum = np.exp(rng.uniform(math.log(lam), math.log(top), g))
+                y = q @ np.diag(spectrum) @ q.T
+                y = (y + y.T) / 2
+            else:
+                y = np.diag(np.full(g, 0.4))
+                y[-1, -1] = cap * rng.uniform(0.4, 0.5)
+            x = rng.uniform(-3, 3, (g, g))
+            try:
+                tau = PeriodMatrix((x + x.T) / 2 + 1j * y)
+            except ValueError:
+                continue
+            admitted += 1
+            assert np.isfinite(theta_constant_table(tau)).all()
+            assert cmath.isfinite(xi_g(tau, g))
+            z = [0.05 * complex(*rng.uniform(-1, 1, 2)) for _ in range(g)]
+            for c in enumerate_forms(g)[:: 2 * g - 1]:
+                for w in (None, z):
+                    rep = theta_report(tau, w, c)
+                    assert all(map(math.isfinite, rep.values()))
+    assert admitted >= 40
 
 
 def test_ellipsoid_cut_is_honest():
