@@ -122,8 +122,11 @@ MUTANTS = (
     Mutant("cli-default-output", "src/thetachar/cli.py", 'Namespace(output="json"', 'Namespace(output="table"'),
     # table mode alone: every value through json.dumps, which quotes strings
     Mutant("table-quoted", "src/thetachar/cli.py",
-           "value if isinstance(value, (str, int, bool, float)) else json.dumps(value)",
-           "json.dumps(value)"),
+           "value if isinstance(value, (str, int)) else json.dumps(value, allow_nan=False)",
+           "json.dumps(value, allow_nan=False)"),
+    # json mode lets an inf or a nan through as Infinity or NaN
+    Mutant("emit-allow-nan", "src/thetachar/cli.py", "json.dumps(payload, indent=2, allow_nan=False)",
+           "json.dumps(payload, indent=2, allow_nan=True)"),
     Mutant("tolerance-floor", _THETA, "1e-13 < self.abs_tol", "0.0 < self.abs_tol"),
     Mutant("z-finite", _THETA, "if not all(map(cmath.isfinite, z)):", "if False:"),
 )

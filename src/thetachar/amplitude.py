@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .symplectic import _isotropic_bases, _span
+from .gf2 import _span
+from .symplectic import _isotropic_bases
 from .theta import PeriodMatrix, Tolerance, block_diag, theta_constant_table
 
 __all__ = ["P_i_g", "xi_g", "factorization_residual"]

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import InvariantError
+from .gf2 import _span
 
 __all__ = [
     "Vertex",
@@ -164,12 +165,9 @@ def even_edge_sets(graph: DualGraph) -> list[tuple[str, ...]]:
                 odd ^= {u} ^ {v}  # a self-loop meets its vertex twice
         if odd:
             raise InvariantError(f"cycle {cycle:#x} has odd degree at {sorted(odd)}")
-    masks = [0]
-    for cycle in cycles:
-        masks += [m ^ cycle for m in masks]
     sets = sorted(
         tuple(sorted(e.id for j, e in enumerate(graph.edges) if (mask >> j) & 1))
-        for mask in masks
+        for mask in _span(cycles)
     )
     if len(sets) != 1 << b:
         raise InvariantError(f"{len(sets)} even edge sets, expected 2^{b}")

@@ -37,7 +37,7 @@ from math import factorial
 from operator import xor
 
 from .config import InvariantError
-from .gf2 import gf2_rank, parity
+from .gf2 import _span, gf2_rank, parity
 from .symplectic import (
     Characteristic,
     _isotropic_bases,
@@ -45,7 +45,6 @@ from .symplectic import (
     _pairing_masks,
     _pivot_mask,
     _same_genus,
-    _span,
     enumerate_forms,
 )
 

@@ -126,13 +126,20 @@ def _plain(value):
 
 
 def _emit(payload: dict, output: str) -> None:
+    """Print a report, or print nothing and raise ValueError if it holds an inf or a nan.
+
+    Table mode prints a str or an int (a bool too) as it is and anything
+    else as JSON; a finite float reads the same either way.
+    """
     if output == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
         return
     width = max(len(key) for key in payload)
+    lines = []
     for key, value in payload.items():
-        rendered = value if isinstance(value, (str, int, bool, float)) else json.dumps(value)
-        print(f"{key:<{width}}  {rendered}")
+        rendered = value if isinstance(value, (str, int)) else json.dumps(value, allow_nan=False)
+        lines.append(f"{key:<{width}}  {rendered}")
+    print("\n".join(lines))
 
 
 def _cmd_forms(args) -> int:

@@ -13,7 +13,6 @@ from typing import Iterable, List
 __all__ = [
     "parity",
     "gf2_rank",
-    "gf2_rref",
 ]
 
 
@@ -21,27 +20,20 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+def _span(basis) -> list[int]:
+    """All 2^len(basis) sums of the rows: entry i sums the rows at the set bits of i."""
+    span = [0]
+    for row in basis:
+        span += [x ^ row for x in span]
+    return span
+
+
 def gf2_rank(rows: Iterable[int]) -> int:
-    return len(gf2_rref(rows))
-
-
-def gf2_rref(rows: Iterable[int]) -> tuple[int, ...]:
-    """Reduced row-echelon basis, rows sorted by descending pivot.
-
-    The result is the canonical representative of the row span: two inputs
-    span the same subspace iff their rref tuples are equal.
-    """
+    """The dimension of the row span: the length of the basis elimination builds."""
     basis: List[int] = []
     for row in rows:
         for b in basis:
             row = min(row, row ^ b)
         if row:
             basis.append(row)
-    basis.sort(reverse=True)
-    # back-substitute so each pivot column is zero in every other row
-    for i, b in enumerate(basis):
-        piv = 1 << (b.bit_length() - 1)
-        for j in range(i):
-            if basis[j] & piv:
-                basis[j] ^= b
-    return tuple(basis)
+    return len(basis)

@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .gf2 import parity as bit_parity
+from .gf2 import _span, parity as bit_parity
 
 __all__ = [
     "F2Vector",
@@ -307,14 +307,6 @@ def _pivot_mask(basis) -> int:
     for row in basis:
         pivots |= 1 << (row.bit_length() - 1)
     return pivots
-
-
-def _span(basis) -> list[int]:
-    """All 2^len(basis) sums of the rows: entry i sums the rows at the set bits of i."""
-    span = [0]
-    for row in basis:
-        span += [x ^ row for x in span]
-    return span
 
 
 def weil_pairing(u: F2Vector, v: F2Vector) -> int:

@@ -151,6 +151,24 @@ def test_an_overflowing_im_z_is_an_error(capsys):
     assert captured.err.startswith("error: cannot reach the requested tolerance")
 
 
+# theta[1; 0] at Im tau = 1e200 and Im z = 0.4e200: the box admits z, and
+# the kept term's weight exceeds the largest double, so the sum is inf + nan i
+_NON_FINITE_THETA = ["theta", "--genus", "1", "--tau", "[[0, 1e200]]", "--char", "1;0", "--z", "[[0, 0.4e200]]"]
+
+
+def test_a_non_finite_report_exits_1_and_prints_nothing():
+    # a child process: in this one, pytest's RuntimeWarning filter would raise
+    # numpy's overflow warning before the report reaches the printer
+    src = str(Path(thetachar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for output in ("json", "table"):
+        proc = subprocess.run([sys.executable, "-m", "thetachar.cli", *_NON_FINITE_THETA, "--output", output],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, ""), (output, proc.stdout)
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: Out of range float values"), proc.stderr
+
+
 def test_parse_period_matrix_conventions():
     tau = parse_period_matrix(TAU_2_JSON, 2)
     assert isinstance(tau, PeriodMatrix)
@@ -744,15 +762,13 @@ def _fuzz_draws(rng, tmp_path):
         out.append((argv, output or "json"))
     # (cap/4) I at g = 1..4, whose tables must be exact: read in json
     out += [(argv, "json") for argv in _EXACT]
+    # a theta value past the double range, in both output modes
+    out += [(_NON_FINITE_THETA + ["--output", output], output) for output in ("json", "table")]
     return out
 
 
-def _finite(data):
-    if isinstance(data, float):
-        return math.isfinite(data)
-    if isinstance(data, dict):
-        data = list(data.values())
-    return all(map(_finite, data)) if isinstance(data, list) else True
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a report")
 
 
 def test_cli_fuzz(tmp_path):
@@ -775,6 +791,7 @@ def test_cli_fuzz(tmp_path):
         assert "Traceback" not in out + err, where
         flagged = any(line.startswith(("error:", "usage:")) for line in err.splitlines())
         assert flagged == (code != 0), where
+        assert not flagged or out == "", where  # an error prints no report
         assert code != 0 or err == "", where  # no warning on a run that succeeds
         at = argv.index("--output") if "--output" in argv else len(argv)
         domain = _domain_error(argv[:at] + argv[at + 2:])
@@ -793,8 +810,11 @@ def test_cli_fuzz(tmp_path):
         if code == 0 and output == "json":
             if "verdict" in argv:  # a verdict prints as one bare word
                 assert out.strip() in ("general_type", "threshold", "inconclusive"), where
-            else:
-                assert _finite(json.loads(out)), where
+            else:  # every float in a report is finite: no Infinity, no NaN
+                try:
+                    json.loads(out, parse_constant=_refuse_constant)
+                except ValueError as exc:
+                    pytest.fail(f"{where}: {exc}")
     codes = [code for code, _, _ in results]
     assert codes.count(0) > 50 and codes.count(1) > 50 and codes.count(2) > 0
     assert exact == 4

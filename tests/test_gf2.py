@@ -1,12 +1,14 @@
-"""Laws for the bit-packed GF(2) linear algebra kernel."""
+"""Laws for the bit-packed GF(2) kernel (parity, span, rank) and for the oracles' rref and products."""
 
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import gf2_inv, gf2_matvec, gf2_mul
-from thetachar.gf2 import gf2_rank, gf2_rref, parity
+from oracles import gf2_inv, gf2_matvec, gf2_mul, rref
+from thetachar.gf2 import _span, gf2_rank, parity
 
 row_lists = st.lists(st.integers(min_value=0, max_value=255), max_size=7)
 
@@ -20,10 +22,25 @@ def span_of(rows):
 
 @given(row_lists)
 def test_rref_is_idempotent_and_spans_the_same_set(rows):
-    base = gf2_rref(rows)
-    assert gf2_rref(base) == base
+    base = rref(rows)
+    assert rref(base) == base
     assert span_of(base) == span_of(rows)
-    assert len(base) == gf2_rank(rows)
+
+
+@given(row_lists)
+def test_rank_is_the_dimension_of_the_span(rows):
+    assert gf2_rank(rows) == len(rref(rows))
+    assert 2 ** gf2_rank(rows) == len(span_of(rows))
+
+
+@given(row_lists)
+def test_span_entry_i_sums_the_rows_at_the_set_bits_of_i(rows):
+    # the order the coset keys, the half tables and the even spans read
+    span = _span(rows)
+    assert len(span) == 1 << len(rows)
+    for i, x in enumerate(span):
+        assert x == reduce(xor, (row for j, row in enumerate(rows) if i >> j & 1), 0)
+    assert set(span) == span_of(rows)
 
 
 @given(row_lists, st.randoms(use_true_random=False))
@@ -35,7 +52,7 @@ def test_rref_is_invariant_under_row_operations(rows, rnd):
         i, j = rnd.sample(range(len(mixed)), 2)
         mixed[i] ^= mixed[j]
     rnd.shuffle(mixed)
-    assert gf2_rref(mixed) == gf2_rref(rows)
+    assert rref(mixed) == rref(rows)
 
 
 @given(row_lists)
@@ -48,7 +65,7 @@ def test_rank_bounds(rows):
 def test_rref_pivot_shape():
     # pivots strictly decrease and each pivot column is cleared elsewhere
     rows = [0b1101, 0b0111, 0b1010, 0b1101]
-    base = gf2_rref(rows)
+    base = rref(rows)
     pivots = [r.bit_length() - 1 for r in base]
     assert pivots == sorted(pivots, reverse=True)
     for i, r in enumerate(base):
