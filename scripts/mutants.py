@@ -54,10 +54,11 @@ MUTANTS = (
     # the row and column gathers of the theta kernels, each picking wrong entries
     # (theta-sum-rows: the rows a single evaluation keeps, from the box or its lines)
     Mutant("theta-sum-rows", _THETA, "np.take(m, keep, axis=0)", "np.take(m, keep[::-1], axis=0)"),
-    Mutant("line-rows-lines", _THETA, "gamma), cutoff + slack)", "gamma), cutoff + slack) + 1"),
-    Mutant("line-rows-points", _THETA,
-           "gamma), cutoff + slack)\n        points = np.take(points, lines, axis=0)",
-           "gamma), cutoff + slack)\n        points = np.take(points, lines[::-1], axis=0)"),
+    # (line-rows-*: the lines both kernels' line cut leaves, each off by one or reversed)
+    Mutant("line-rows-lines", _THETA, "line_value(heads, s), cutoff + slack)",
+           "line_value(heads, s), cutoff + slack) + 1"),
+    Mutant("line-rows-points", _THETA, "line_value(heads, s), cutoff + slack)",
+           "line_value(heads, s), cutoff + slack)[::-1]"),
     # the compact line index: every box point one step off along each axis
     Mutant("line-points-offset", _THETA, "coords -= radius", "coords -= radius - 1"),
     # the table's phase lookup: every gather's keys reversed, or each table read with the next one's keys
@@ -73,13 +74,14 @@ MUTANTS = (
     # the kernel's products overflow, and eigvalsh's lambda_min trusted wherever it is positive
     Mutant("im-cap-at-max", _THETA, "_IM_CAP = sys.float_info.max / 2**32", "_IM_CAP = sys.float_info.max / 4"),
     Mutant("lambda-min-untrusted", _THETA, "if not lam > 4 * len(y) * _U * top:", "if not lam > 0.0:"),
-    # the single evaluation's line cut
-    Mutant("line-gamma", _THETA, "gamma = c0 - r * bg / 4.0", "gamma = c0"),
-    Mutant("line-beta-sign", _THETA, "[bj - r * cj for", "[bj + r * cj for"),
-    Mutant("line-slack-size", _THETA, "size += w * (w * yg) + abs(bg) * w + r * bg / 4.0",
-           "size += 0.0", equivalent="no double input found that the smaller slack misses; "
-           "see the slack in theta._rows"),
-    Mutant("line-slack-none", _THETA, "slack = 2.0 * (3 * g + 4) * _U", "slack = 0.0 * (3 * g + 4) * _U"),
+    # the line cut: a single evaluation's augmented form with b unhalved, and the one rounding slack
+    # without its Schur size term, or with none
+    Mutant("line-form-half", _THETA, "half = [v / 2.0 for v in b.tolist()]", "half = b.tolist()"),
+    Mutant("line-slack-size", _THETA, "size = sum(abs(v) for row in a for v in row) + w * (w * att)",
+           "size = sum(abs(v) for row in a for v in row)", equivalent="no double input found that the "
+           "smaller slack misses, in either form; see theta._line_cut"),
+    Mutant("line-slack-none", _THETA, "slack = 2.0 * (g * g + 4 * g + 7) * _U",
+           "slack = 0.0 * (g * g + 4 * g + 7) * _U"),
     # the single evaluation's phase sum, and the Re tau reduction's quarter turns
     Mutant("phase-sum-sin-sign", _THETA, "(mag * np.sin(re)).sum()", "-(mag * np.sin(re)).sum()"),
     Mutant("turns-off-diagonal", _THETA, "((e @ tau._shift) * e).sum(axis=-1)",

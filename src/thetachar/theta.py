@@ -71,15 +71,17 @@ exponent is below C.  A table keeps the rows with
 m'Ym + sum_k min(0, (Ym)_k) < C, a lower bound on s'Ys for every eps, so
 they hold every per-eps ellipsoid {s'Ys < C}; a stable sort by parity
 class groups them.  A table, and a single evaluation on a box of more
-than _LINE_CUT points, first drop lines: along a line a row's exponent,
-or its lower bound, is at least one quadratic form in the other
-coordinates, with the Schur complement of Y_gg in Y (less a constant,
-for a table), and every line on which that stays at or above C is
-dropped before any of its points is cast (Deconinck et al., section 5;
-Agostini and Chua, 2021).  The points of the lines left take the same
-BLAS products as the whole box would, so the same points are kept with
-the same exponents, in the same order.  On a single evaluation's smaller
-boxes dropping lines costs more than it saves (see _LINE_CUT).
+than _LINE_CUT points, first drop lines, by one helper (_line_cut): along
+a line a row's exponent, or its lower bound, is at least a quadratic form
+in the line's head, read off the Schur complement of one symmetric matrix
+(the augmented [[c0, b'/2], [b/2, Y]] of a single evaluation's exponent;
+Y for a table, less a constant), and every line on which that stays at
+or above C plus one rounding slack is dropped before any of its points
+is cast (Deconinck et al., section 5; Agostini and Chua, 2021).  The
+points of the lines left take the same BLAS products as the whole box
+would, so the same points are kept with the same exponents, in the same
+order.  On a single evaluation's smaller boxes dropping lines costs more
+than it saves (see _LINE_CUT).
 With K points kept, the error bound is T + (N - K) exp(-pi C) <= tol.
 Summation order is fixed, lexicographic, the order np.indices lists the
 box in (a table groups the kept points by parity class, lexicographic
@@ -126,12 +128,13 @@ _BLOCK = 16  # eps values per block of weight rows in a table
 # of the box that cannot hold a kept point before it casts any (see _rows); a
 # table always does (_table_rows).  The line cut's fixed cost loses to casting
 # the whole box on small boxes: medians of _rows over six tau, one BLAS
-# thread, whole box against line cut, 10 vs 22 us at g = 1, N = 81; 18 vs
-# 32 us at g = 2, N = 1,089; 24 vs 38 us at g = 3, N = 1,331; 59 vs 63 us at
-# g = 3, N = 4,913; 38 vs 42 us at g = 4, N = 2,401; 76 vs 73 us at g = 5,
-# N = 3,125; 178 vs 71 us at g = 4, N = 6,561; 459 vs 109 us at g = 4,
-# N = 14,641.  The benchmark's theta-points workload evaluates on both sides:
-# g <= 3 boxes of at most 1,331 points, g = 4 boxes of at least 6,561.
+# thread, 16 interleaved rounds, whole box against line cut, 10 vs 25 us at
+# g = 1, N = 81; 19 vs 35 us at g = 2, N = 1,089; 24 vs 38 us at g = 3,
+# N = 1,331; 57 vs 65 us at g = 3, N = 4,913; 36 vs 42 us at g = 4,
+# N = 2,401; 50 vs 46 us at g = 5, N = 3,125; 90 vs 56 us at g = 4,
+# N = 6,561; 442 vs 91 us at g = 4, N = 14,641.  The benchmark's
+# theta-points workload evaluates on both sides: g <= 3 boxes of at most
+# 1,331 points, g = 4 boxes of at least 6,561.
 _LINE_CUT = 5_000
 _U = 2.0**-53  # unit roundoff of a double
 # The domain of Im tau is decided once, in PeriodMatrix, by two rules.
@@ -143,20 +146,23 @@ _U = 2.0**-53  # unit roundoff of a double
 # only at a z whose box exists: the first excluded shell's term is then
 # below 1, so |Im z| < lambda_min (R + 1/2) / 2 <= R Y_kk for every k.
 # Every partial sum the kernel forms from Y is then below 24 g^2 R^2 M,
-# but one:
+# but two:
 # - (Ym)_k, m'Ym and _lower_bound are below 2 g^2 R^2 M;
 # - a single evaluation's exponent, with b = Y eps + 2 Im z and
 #   c0 = eps'Y eps / 4 + eps.Im z, is below 7 g^2 R^2 M before its
 #   factor pi, and a table's magnitude exponent below
 #   pi (g^2 R + g^2 R^2 + g^2/4) M;
-# - the line cuts' Schur entries, beta, gamma and slack terms are at most
-#   (g + 2R + 1)^2 M <= 16 g^2 R^2 M, each a product bounded by
-#   Cauchy-Schwarz in Y, such as y_j y_k / Y_gg <= M or
-#   b_g^2 / Y_gg <= (g + 2R)^2 M, formed as r b_g and w (w Y_gg), never
-#   as b_g^2 or w^2 (see _rows), and a line's exponent is below
-#   24 g^2 R^2 M;
-# - the one, the table's rounding factor rel, is below
-#   pi (3g + 4)(R + 1)^2 (g^2 + g^2 M) < 2^27 (M + 1).
+# - the line cut's Schur entries and size terms (_line_cut, on Y for a
+#   table and on the augmented [[c0, b'/2], [b/2, Y]] for a single
+#   evaluation) are at most (3g/2 + R)^2 M <= 16 g^2 R^2 M, each a
+#   product bounded by Cauchy-Schwarz in Y, such as y_j y_k / Y_gg <= M or
+#   (b_g/2)^2 / Y_gg <= (g + 2R)^2 M / 4, formed as c_j (c_k / A_tt) and
+#   w (w A_tt), never as a squared entry such as b_g^2 or w^2, and a
+#   line's value is below 24 g^2 R^2 M;
+# - the two, the slack's (R + 1)^2 size + C and the table's rounding
+#   factor rel, are below 2^27 (M + 1): (R + 1)^2 size is at most
+#   4 R^2 (R^2 + 6gR + 5.5 g^2) M, largest at g = 3, R = 64, and rel is
+#   below pi (3g + 4)(R + 1)^2 (g^2 + g^2 M).
 # With 24 g^2 R^2 < 2^24, at M <= max / 2^32 each is below max / 16, room
 # for the roundings of its sum, so no exponent, row dot, slack or bound is
 # inf and numpy never warns of an overflow.  eigvalsh returns inf for
@@ -171,6 +177,7 @@ _U = 2.0**-53  # unit roundoff of a double
 # admitted so; a rank-one 1e50 J, whose lambda_min eigvalsh reads as
 # 2.2e18, is refused.
 _IM_CAP = sys.float_info.max / 2**32
+_LOG_MAX = math.log(sys.float_info.max)
 # _lines stores a box coordinate, at most _MAX_RADIUS in size, as int8.
 if _MAX_RADIUS > np.iinfo(np.int8).max:
     raise InvariantError("the box radius cap outgrows the int8 points of _lines")
@@ -436,68 +443,67 @@ def _lines(g: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     return heads, points
 
 
-def _schur(ys: list) -> tuple[float, list, np.ndarray, float]:
-    """Y_gg, the last column y of Y above it, S = Y_pp - y y'/Y_gg and sum_j |y_j| / Y_gg.
+def _line_cut(g: int, radius: int, a: list, line_value, cutoff: float) -> np.ndarray:
+    """The int8 points of the _lines rows whose line value is below C plus a rounding slack.
 
-    Y is read as nested lists (Y.tolist()): the set-up of a line cut is
-    g-sized, and Python scalars do it faster than numpy calls.  Along the
-    line m = (p, t), m'Ym = Y_gg (t + y.p/Y_gg)^2 + p'Sp, so p'Sp is its
-    minimum over real t.  S, which BLAS reads, is an array.
+    a is a symmetric matrix A as nested lists, whose last coordinate t runs
+    along a line and whose others are the line's head p (and, for a single
+    evaluation, a constant 1 first).  Along the line, the quadratic form of
+    A is A_tt (t + c.p/A_tt)^2 + p'Sp, with c the last column of A above
+    A_tt and S = A_pp - c c'/A_tt its Schur complement, so p'Sp is its
+    minimum over real t; line_value(heads, S) bounds from below, line by
+    line, the value that decides a row.  The set-up is g-sized, and Python
+    scalars do it faster than numpy calls; only S, which BLAS reads, is an
+    array.
+
+    Rounding, to first order: a row's value and a line's value are sums of
+    terms each at most (R + 1)^2 times an entry of |A| or of |c||c|'/A_tt,
+    so at most (R + 1)^2 size in size, size the sum of those entries.  A
+    row's value takes at most 2g + 2 roundings.  A line's takes at most
+    2g + 3, the 3 of its S entries included; a table's line g^2 + 1 more,
+    in c_max and in the difference, each of those at most
+    u sum_jk |Y_jk| / 4 <= u (R + 1)^2 size / 16 (R >= 1).  C + slack
+    takes one more, of at most u (C + slack).  So a row computed below C
+    lies on a line computed below C + (g^2 + 4g + 7) u ((R + 1)^2 size + C),
+    and the slack is twice that.  The Schur term of size, w (w A_tt), is
+    not shown needed by any input found: placing a line's minimum on a box
+    row of a near-singular A (2,000 single evaluations at g = 4, and 300
+    tables whose S is near-singular along the all-ones p), no computed line
+    value exceeded its row's by more than 0.025 of the slack without it.
+    It stays, as the bound; scripts/mutants.py marks dropping it
+    (line-slack-size) equivalent.
     """
-    yg = ys[-1][-1]
-    col = [row[-1] for row in ys[:-1]]
-    q = [v / yg for v in col]
-    s = np.array([[v - cj * qk for v, qk in zip(row[:-1], q)] for row, cj in zip(ys[:-1], col)])
-    return yg, col, s, sum(map(abs, col)) / yg
+    heads, points = _lines(g, radius)
+    att = a[-1][-1]
+    col = [row[-1] for row in a[:-1]]
+    q = [v / att for v in col]
+    s = np.array([[v - cj * qk for v, qk in zip(row[:-1], q)] for row, cj in zip(a[:-1], col)])
+    w = sum(map(abs, col)) / att
+    size = sum(abs(v) for row in a for v in row) + w * (w * att)
+    slack = 2.0 * (g * g + 4 * g + 7) * _U * ((radius + 1) ** 2 * size + cutoff)
+    return np.take(points, _kept(line_value(heads, s), cutoff + slack), axis=0)
 
 
 def _rows(g: int, radius: int, y: np.ndarray, b, c0: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """The box rows with m'Ym + b.m + c0 < C, in lex order, and their exponents.
 
     On a box of more than _LINE_CUT points only the lines that can hold
-    such a row are read.  With m = (p, t), the exponent along the line of
-    p is a quadratic in t whose minimum over real t is
-    h(p) = p'Sp + beta.p + gamma, with the Schur complement
-    S = Y_pp - y y'/Y_gg (y the last column of Y without Y_gg),
-    beta = b_p - b_g y/Y_gg and gamma = c0 - b_g^2/(4 Y_gg).  Only the
-    lines with h(p) below C plus a rounding slack can hold a row below C.
-    S, beta, gamma and the slack are g-sized and are set up in Python
-    scalars from Y.tolist(); only S and beta, which BLAS reads, become
-    arrays.  Each row read takes the same BLAS products either way, so
-    the same rows are kept with the same exponents, and the lines left are
-    a subsequence of the box, so the rows stay in lex order.
+    such a row are read (_line_cut).  The exponent is the quadratic form of
+    the augmented matrix [[c0, b'/2], [b/2, Y]] on (1, m), whose last
+    coordinate is t = m_g; with m = (p, t), its Schur complement S is a
+    matrix over (1, p), and the line value p'S_pp p + 2 S_1p.p + S_11 is
+    the exponent's minimum over real t.  Each row read takes the same BLAS
+    products either way, so the same rows are kept with the same exponents,
+    and the lines left are a subsequence of the box, so the rows stay in
+    lex order.
     """
-    heads, points = _lines(g, radius)
     b = np.asarray(b, dtype=float)
     if (2 * radius + 1) ** g > _LINE_CUT:  # both sides are served (see _LINE_CUT)
-        ys, bs = y.tolist(), b.tolist()
-        yg, col, s, w = _schur(ys)
-        bg = bs[-1]
-        r = bg / yg
-        beta = np.array([bj - r * cj for bj, cj in zip(bs[:-1], col)])
-        gamma = c0 - r * bg / 4.0
-        # Rounding, to first order: an exponent, of a row or of a line's
-        # minimum, is a sum of terms each at most (R + 1)^2 times an entry of
-        # |Y|, |y||y|'/Y_gg, |b|, |b_g||y|/Y_gg, |c0| or b_g^2/(4 Y_gg),
-        # through at most 3g + 4 roundings (S, beta and gamma included), so
-        # it is off by at most E = (3g + 4) u (R + 1)^2 size, size the sum of
-        # those entries.  A row computed below C is below C + E exactly, so
-        # is the minimum of its line, and its computed h is below C + 2E.
-        # The Schur terms (the three with Y_gg in a denominator) cannot be
-        # shown needed by any test: a line whose h is computed near C yet
-        # holds a row computed below C has its real minimum at that row,
-        # inside the box, so |b_g| <= 2|y.p| + 2R Y_gg and, by Cauchy-Schwarz
-        # in Y, each Schur term is at most about 2g (R + 1)^2 |Y|.  Over
-        # 13,000 adversarial inputs (near-singular Y at g = 2, 3 and 4, a
-        # line's minimum placed on a box row) no computed h exceeded its
-        # line's least computed row by more than 0.25 of the slack without
-        # them.  They stay, as the bound; scripts/mutants.py marks dropping
-        # them (line-slack-size) equivalent.
-        size = sum(abs(v) for row in ys for v in row) + sum(map(abs, bs)) + abs(c0)
-        size += w * (w * yg) + abs(bg) * w + r * bg / 4.0
-        slack = 2.0 * (3 * g + 4) * _U * (radius + 1) ** 2 * size
-        lines = _kept(_exponents(heads, s, beta, gamma), cutoff + slack)
-        points = np.take(points, lines, axis=0)
+        half = [v / 2.0 for v in b.tolist()]
+        a = [[c0, *half], *([h, *row] for h, row in zip(half, y.tolist()))]  # on (1, m)
+        points = _line_cut(g, radius, a, lambda p, s: _exponents(p, s[1:, 1:], 2.0 * s[0, 1:], s[0, 0]), cutoff)
+    else:
+        points = _lines(g, radius)[1]
     m = points.reshape(-1, g).astype(float)
     im = _exponents(m, y, b, c0)
     keep = _kept(im, cutoff)
@@ -552,7 +558,18 @@ def _theta_sum(
     re += _quadratic(m, tau._x)[1]
     re += const.real + turns
     re *= np.pi
-    im *= -np.pi
+    im *= -np.pi  # the log magnitudes
+    # Each kept exponent s'Ys + 2 s.Im z is at least -|Im z|^2 / lambda_min,
+    # so log sum |w| <= pi |Im z|^2 / lambda_min + log N.  Only past half the
+    # exponent range of a double, the other half left to that bound's
+    # rounding, is log sum |w| itself taken, and a sum that could pass the
+    # largest double (less 1e-6 for the rounding of the sum) is refused
+    # before its exp overflows.
+    zn = math.hypot(*(w.imag for w in z))  # |Im z|
+    if math.pi * (zn / tau.im_lambda_min) * zn + g * math.log(2 * radius + 1) > _LOG_MAX / 2 and len(im):
+        top = im.max()
+        if top + math.log(np.exp(im - top).sum()) > _LOG_MAX - 1e-6:
+            raise ValueError("theta exceeds the largest double: |Im z| is too large for this Im tau")
     mag = np.exp(im, out=im)
     return complex((mag * np.cos(re)).sum(), (mag * np.sin(re)).sum()), len(m)
 
@@ -648,14 +665,13 @@ def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarr
 
     The rows are read from the line index _lines, the one index of the box
     that single evaluations read too, and on every box only the lines that
-    can hold a kept row are read.  The left side
+    can hold a kept row are read (_line_cut, on A = Y).  The left side
     is min over eps of (s'Ys - eps'Y eps/4), and along the line m = (p, t)
     s'Ys is at least its minimum over real t, q'Sq with q = p + eps_p/2 and
-    S the Schur complement of Y_gg (see _schur); q'Sq >= p'Sp + Sp.eps_p
-    since S is positive definite.  With c_max = sum_jk max(0, Y_jk)/4,
-    which is at least eps'Y eps/4 for every 0/1 eps, every row of the line
-    has left side at least p'Sp + sum_k min(0, (Sp)_k) - c_max, and a line
-    whose value is at least C plus a rounding slack holds no kept row.
+    S the Schur complement of Y_gg; q'Sq >= p'Sp + Sp.eps_p since S is
+    positive definite.  With c_max = sum_jk max(0, Y_jk)/4, which is at
+    least eps'Y eps/4 for every 0/1 eps, every row of the line has left
+    side at least p'Sp + sum_k min(0, (Sp)_k) - c_max, the line's value.
     The left side, computed as a pass over the whole box computes it, then
     decides on the rows of the lines left, so the rows kept are exactly
     those of that pass.  A stable sort by class, m mod 2 packed like a
@@ -665,23 +681,9 @@ def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarr
     order inside a class.
     """
     g, y = tau.g, tau._y
-    heads, points = _lines(g, radius)
     ys = y.tolist()
-    yg, _, s, w = _schur(ys)
     c_max = sum(max(v, 0.0) for row in ys for v in row) / 4.0
-    # Rounding, to first order: a row's left side and a line's value are
-    # sums of terms each at most (R + 1)^2 times an entry of |Y| or
-    # |y||y|'/Y_gg, so at most (R + 1)^2 size in size.  The row's takes
-    # 2g + 1 roundings; the line's 2g + 1, 3 more in S, one in the
-    # difference and g^2 in c_max, each of those at most
-    # u sum_jk |Y_jk| / 4 <= u (R + 1)^2 size / 16 (R >= 1); C + slack
-    # one more, of at most u (C + slack).  So a row computed below C lies
-    # on a line computed below C + (g^2 + 4g + 7) u ((R + 1)^2 size + C),
-    # and the slack is twice that.
-    size = sum(abs(v) for row in ys for v in row) + w * (w * yg)
-    slack = 2.0 * (g * g + 4 * g + 7) * _U * ((radius + 1) ** 2 * size + cutoff)
-    lines = _kept(_lower_bound(heads, s) - c_max, cutoff + slack)
-    points = np.take(points, lines, axis=0)
+    points = _line_cut(g, radius, ys, lambda heads, s: _lower_bound(heads, s) - c_max, cutoff)
     m = points.reshape(-1, g).astype(float)
     keep = _kept(_lower_bound(m, y), cutoff)
     bits = (np.take(points.reshape(-1, g), keep, axis=0) & 1).astype(float)  # a float product is BLAS

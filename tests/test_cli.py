@@ -18,7 +18,7 @@ from thetachar import amplitude, theta
 from thetachar import boundary as bnd
 from thetachar import picard as pic
 from thetachar.amplitude import P_i_g, xi_g
-from thetachar.cli import GENUS_CAP, main, parse_period_matrix, run
+from thetachar.cli import GENUS_CAP, _emit, main, parse_period_matrix, run
 from thetachar.picard import slope_combination
 from thetachar.theta import PeriodMatrix
 from thetachar.verify import run_acceptance
@@ -152,21 +152,33 @@ def test_an_overflowing_im_z_is_an_error(capsys):
 
 
 # theta[1; 0] at Im tau = 1e200 and Im z = 0.4e200: the box admits z, and
-# the kept term's weight exceeds the largest double, so the sum is inf + nan i
+# the kept term's weight exceeds the largest double
 _NON_FINITE_THETA = ["theta", "--genus", "1", "--tau", "[[0, 1e200]]", "--char", "1;0", "--z", "[[0, 0.4e200]]"]
 
 
 def test_a_non_finite_report_exits_1_and_prints_nothing():
-    # a child process: in this one, pytest's RuntimeWarning filter would raise
-    # numpy's overflow warning before the report reaches the printer
+    # a child process, with and without warnings as errors: the sum is
+    # refused before its exp overflows, so no numpy warning and no traceback
+    # reaches stderr, only the one error line
     src = str(Path(thetachar.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    for output in ("json", "table"):
-        proc = subprocess.run([sys.executable, "-m", "thetachar.cli", *_NON_FINITE_THETA, "--output", output],
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert (proc.returncode, proc.stdout) == (1, ""), (output, proc.stdout)
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and errors[0].startswith("error: Out of range float values"), proc.stderr
+    for flags in ([], ["-W", "error"]):
+        for output in ("json", "table"):
+            proc = subprocess.run([sys.executable, *flags, "-m", "thetachar.cli", *_NON_FINITE_THETA, "--output",
+                                   output], capture_output=True, text=True, env=env, timeout=60)
+            assert (proc.returncode, proc.stdout) == (1, ""), (flags, output, proc.stdout)
+            errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+            assert len(errors) == 1 and errors[0].startswith("error: theta exceeds the largest double"), proc.stderr
+            assert "Warning" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_emit_refuses_a_non_finite_value_and_prints_nothing(output, capsys):
+    # no report the library makes reaches the printer with an inf any more;
+    # the printer still refuses one
+    with pytest.raises(ValueError, match="Out of range float values"):
+        _emit({"re": math.inf}, output)
+    assert capsys.readouterr().out == ""
 
 
 def test_parse_period_matrix_conventions():

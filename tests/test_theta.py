@@ -746,7 +746,7 @@ def test_table_line_cut_keeps_the_reference_rows(monkeypatch):
     assert dropped > len(ims)  # and the line cut drops lines on many boxes (a g = 1 box is one line)
 
 
-def test_table_line_cut_keeps_a_row_one_ulp_below_the_cutoff():
+def test_table_line_cut_keeps_a_row_one_ulp_below_the_cutoff(monkeypatch):
     # c_max at work: put C one ulp above a row's float64 bound, so the row is
     # kept, and check that its line is read although the line's bound
     # without c_max, p'Sp + sum_k min(0, (Sp)_k), often lies at or above C.
@@ -755,6 +755,7 @@ def test_table_line_cut_keeps_a_row_one_ulp_below_the_cutoff():
     rng = np.random.default_rng(7)
     heads, _ = theta._lines(g, radius)
     box = oracle_lattice(g, radius)
+    calls = _spy_line_values(monkeypatch)
     above = 0
     for _ in range(20):
         q, _ = np.linalg.qr(rng.normal(size=(g, g)))
@@ -767,7 +768,7 @@ def test_table_line_cut_keeps_a_row_one_ulp_below_the_cutoff():
         got = theta._table_rows(tau, radius, cutoff)
         assert pos in _lex_index(got[1], radius)
         _assert_same_rows(got, _reference_rows(tau, radius, cutoff))
-        s = theta._schur(tau._y.tolist())[2]
+        s = calls[-1][0]
         above += theta._lower_bound(heads, s)[pos // (2 * radius + 1)] >= cutoff
     assert above > 0
 
@@ -869,15 +870,35 @@ def _assert_same_rows(got, want):
         assert a.tobytes() == b.tobytes()
 
 
+def _spy_line_values(monkeypatch):
+    # the Schur complement S and the line values of every _line_cut call,
+    # as the cut computes them
+    calls, real = [], theta._line_cut
+
+    def spy(g, radius, a, line_value, cutoff):
+        def recorded(heads, s):
+            calls.append((s, line_value(heads, s)))
+            return calls[-1][1]
+
+        return real(g, radius, a, recorded, cutoff)
+
+    monkeypatch.setattr(theta, "_line_cut", spy)
+    return calls
+
+
 def test_line_cut_keeps_a_row_at_its_line_minimum(monkeypatch):
-    # The rounding slack at work: on a near-singular Y, put a line's real
-    # minimum on a box row and C just above that row's computed exponent.
-    # The line's computed minimum h then often lies at or above C, so the
-    # line is kept only through the slack, and the cut must still keep the
-    # row and match the box pass.  (No input was found on which the slack
-    # without its Schur terms fails; see _rows.)
-    g, radius = 4, 5
+    # The rounding slack at work, in both forms of the cut.  Put a line's
+    # minimum on a box row and C just above that row's computed value; the
+    # line's computed value then often lies at or above C, so the line is
+    # kept only through the slack, and the cut must still keep the row.
+    # (No input was found on which the slack without its Schur size term
+    # fails; see _line_cut.)
+    g = 4
     rng = np.random.default_rng(1)
+    calls = _spy_line_values(monkeypatch)
+    # A single evaluation on a near-singular Y: the exponent's minimum along
+    # the line of p0 sits at t0, and the cut must match the box pass.
+    radius = 5
     heads, points = theta._lines(g, radius)
     above = 0
     for _ in range(20):
@@ -892,13 +913,43 @@ def test_line_cut_keeps_a_row_at_its_line_minimum(monkeypatch):
         line = np.flatnonzero((heads == p0).all(axis=1))[0]
         pos = line * (2 * radius + 1) + t0 + radius
         cutoff = np.nextafter(theta._exponents(oracle_lattice(g, radius), y, b, c0)[pos], np.inf)
+        calls.clear()
         cut, box = _both_passes(monkeypatch, g, radius, y, b, c0, cutoff)
         (kept,) = np.flatnonzero(_lex_index(box[0], radius) == pos)
         assert np.array_equal(box[0][kept], points[line, t0 + radius])
         _assert_same_rows(cut, box)
-        s = y[:-1, :-1] - np.outer(col, col / yg)
-        h = theta._exponents(heads, s, b[:-1] - b[-1] / yg * col, c0 - b[-1] ** 2 / (4.0 * yg))
-        above += h[line] >= cutoff
+        above += calls[-1][1][line] >= cutoff
+    assert above > 0
+    # A table, on a Y >= 0 whose S is near-singular along the all-ones p:
+    # the row (c, .., c, -c - 1) reaches its line's value p'Sp +
+    # sum_k min(0, (Sp)_k) - c_max up to 1'S1/4, which is at the size of
+    # the rounding, and the cut must keep the reference rows.
+    radius = 9
+    heads = theta._lines(g, radius)[0]
+    box = oracle_lattice(g, radius)
+    proj = np.eye(g - 1) - 1.0 / (g - 1)
+    above = admitted = 0
+    while admitted < 20:
+        col = rng.uniform(0.5, 1.5, g - 1)
+        near = proj @ np.diag(rng.uniform(0.001, 0.01, g - 1)) @ proj + 10 ** rng.uniform(-14, -13.7) * np.eye(g - 1)
+        y = np.empty((g, g))
+        y[:-1, :-1] = np.outer(col, col) / col.sum() + near
+        y[:-1, -1] = y[-1, :-1] = col
+        y[-1, -1] = col.sum()
+        try:
+            tau = PeriodMatrix(1j * (y + y.T) / 2)
+        except ValueError:  # lambda_min not certified
+            continue
+        admitted += 1
+        c = int(rng.integers(1 - radius, -radius // 2))
+        line = np.flatnonzero((heads == c).all(axis=1))[0]
+        pos = line * (2 * radius + 1) - c - 1 + radius
+        cutoff = float(np.nextafter(theta._lower_bound(box, tau._y)[pos], np.inf))
+        calls.clear()
+        got = theta._table_rows(tau, radius, cutoff)
+        assert pos in _lex_index(got[1], radius)
+        _assert_same_rows(got, _reference_rows(tau, radius, cutoff))
+        above += calls[-1][1][line] >= cutoff
     assert above > 0
 
 
