@@ -52,9 +52,9 @@ class Mutant(NamedTuple):
 _THETA = "src/thetachar/theta.py"
 MUTANTS = (
     # the row and column gathers of the theta kernels, each picking wrong entries
-    # (theta-sum-rows: the rows a single evaluation keeps, from the box or its lines)
-    Mutant("theta-sum-rows", _THETA, "np.take(m, keep, axis=0)", "np.take(m, keep[::-1], axis=0)"),
-    # (line-rows-*: the lines both kernels' line cut leaves, each off by one or reversed)
+    # (theta-sum-rows: the real exponents a single evaluation pairs with the points it keeps)
+    Mutant("theta-sum-rows", _THETA, "re[keep]", "re[keep[::-1]]"),
+    # (line-rows-*: the lines a table's line cut leaves, each off by one or reversed)
     Mutant("line-rows-lines", _THETA, "line_value(heads, s), cutoff + slack)",
            "line_value(heads, s), cutoff + slack) + 1"),
     Mutant("line-rows-points", _THETA, "line_value(heads, s), cutoff + slack)",
@@ -74,12 +74,15 @@ MUTANTS = (
     # the kernel's products overflow, and eigvalsh's lambda_min trusted wherever it is positive
     Mutant("im-cap-at-max", _THETA, "_IM_CAP = sys.float_info.max / 2**32", "_IM_CAP = sys.float_info.max / 4"),
     Mutant("lambda-min-untrusted", _THETA, "if not lam > 4 * len(y) * _U * top:", "if not lam > 0.0:"),
-    # the line cut: a single evaluation's augmented form with b unhalved, and the one rounding slack
-    # without its Schur size term, or with none
-    Mutant("line-form-half", _THETA, "half = [v / 2.0 for v in b.tolist()]", "half = b.tolist()"),
+    # a single evaluation's line form: each line's minimum t* reflected through 0, and lines
+    # dropped at lv >= C (1 - 1e-12), which takes off the exact drop's last ulps
+    Mutant("line-form-offset-sign", _THETA, "u = offset + root * t", "u = root * t - offset"),
+    Mutant("line-drop-relative", _THETA, "lines = _kept(coef[0], cutoff)",
+           "lines = _kept(coef[0], cutoff * (1 - 1e-12))"),
+    # a table's line cut: its rounding slack without the Schur size term, or with none
     Mutant("line-slack-size", _THETA, "size = sum(abs(v) for row in a for v in row) + w * (w * att)",
            "size = sum(abs(v) for row in a for v in row)", equivalent="no double input found that the "
-           "smaller slack misses, in either form; see theta._line_cut"),
+           "smaller slack misses; see theta._line_cut"),
     Mutant("line-slack-none", _THETA, "slack = 2.0 * (g * g + 4 * g + 7) * _U",
            "slack = 0.0 * (g * g + 4 * g + 7) * _U"),
     # the single evaluation's phase sum, and the Re tau reduction's quarter turns

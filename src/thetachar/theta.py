@@ -18,15 +18,19 @@ The kernel evaluates the exponent through one exact split,
 
     s' tau s + 2 s' z = m' tau m + m'(tau eps + 2 z) + (eps' tau eps / 4 + eps' z),
 
-taken separately for X = Re tau and Y = Im tau.  Ym = m Y and the row
-dots m'Ym come from real BLAS products over the box (for a large box,
-over the lines of it that the cut below leaves), Xm = m X and
-m'Xm over the points kept inside it, once per call; everything else is a
-mat-vec or a constant.  A single evaluation does the g-sized part, the
-linear coefficient and the constant, in Python scalars: at g <= 4 a numpy
-call on a g-vector costs more than its arithmetic.  Each weight is a real
-Gaussian magnitude exp(-pi (imaginary part)) times a unit-modulus phase
-exp(pi i (real part)).  The magnitude is always one exp of the whole
+taken separately for X = Re tau and Y = Im tau.  A table takes Ym = m Y
+and the row dots m'Ym by real BLAS products over the rows of the lines
+its cut leaves, and Xm = m X and m'Xm over the rows it keeps.  A single
+evaluation reads the box as lines m = (p, t) along the last coordinate:
+on each, the imaginary part is Y_gg (t - t*)^2 + lv and the real part
+X_gg t^2 + alpha t + rho, with t* and alpha linear and lv and rho
+quadratic in the head p, so one BLAS product of four coefficient rows,
+set up in Python scalars (at g <= 4 a numpy call on a g-vector costs more
+than its arithmetic), against a cached design of the head monomials gives
+them for every line (_line_coefficients).  Its points are then evaluated
+elementwise, line by line, and no BLAS product runs over points.  Each
+weight is a real Gaussian magnitude exp(-pi (imaginary part)) times a
+unit-modulus phase exp(pi i (real part)).  The magnitude is always one exp of the whole
 imaginary part and is never split into factors: for an ill-conditioned Y
 the factors exp(-pi Ym[:, k]) overflow long before the product underflows
 (Y = [[50, 49.7], [49.7, 50]] at m = (-5, -5) gives exp(1566) times
@@ -62,26 +66,25 @@ the box only the points whose term can exceed exp(-pi C) are summed
 (the ellipsoid cut of Deconinck, Heil, Bobenko, van Hoeij and Schmies,
 Math. Comp. 73, 2004): C is at least the exponent of the tail bound's
 first excluded shell, and large enough that the N box points can drop at
-most tol - T together.  Both paths read the box from one compact index,
-the box as lines along the last coordinate (_lines: int8 points, g bytes
-a point, one cached copy per (g, R) shared by tables and single
-evaluations), and cast to float only the points they take the BLAS
-products of.  A single evaluation keeps the points whose imaginary
-exponent is below C.  A table keeps the rows with
+most tol - T together.  Both paths read the box as lines along the last
+coordinate, drop the lines that cannot hold a kept point first
+(Deconinck et al., section 5; Agostini and Chua, 2021), and make no float
+copy of the box.  A single evaluation keeps the points whose imaginary
+exponent is below C.  Its lines' minima over real t, lv, come with the
+coefficients, every line with lv >= C is dropped, exactly (see
+_line_coefficients), and the lines left are evaluated on a
+(lines, 2R + 1) grid; it reads no box point, only the head monomials
+(_line_design).  A table keeps the rows with
 m'Ym + sum_k min(0, (Ym)_k) < C, a lower bound on s'Ys for every eps, so
 they hold every per-eps ellipsoid {s'Ys < C}; a stable sort by parity
-class groups them.  A table, and a single evaluation on a box of more
-than _LINE_CUT points, first drop lines, by one helper (_line_cut): along
-a line a row's exponent, or its lower bound, is at least a quadratic form
-in the line's head, read off the Schur complement of one symmetric matrix
-(the augmented [[c0, b'/2], [b/2, Y]] of a single evaluation's exponent;
-Y for a table, less a constant), and every line on which that stays at
-or above C plus one rounding slack is dropped before any of its points
-is cast (Deconinck et al., section 5; Agostini and Chua, 2021).  The
-points of the lines left take the same BLAS products as the whole box
-would, so the same points are kept with the same exponents, in the same
-order.  On a single evaluation's smaller boxes dropping lines costs more
-than it saves (see _LINE_CUT).
+class groups them.  It reads the int8 points of _lines (g bytes a point,
+one cached copy per (g, R)) and first drops lines (_line_cut): along a
+line a row's bound is at least a quadratic form in the line's head, read
+off the Schur complement of Y_gg in Y, less a constant, and every line on
+which that stays at or above C plus one rounding slack is dropped before
+any of its points is cast.  The points of the lines left take the same
+BLAS products as the whole box would, so the same rows are kept, in the
+same order.
 With K points kept, the error bound is T + (N - K) exp(-pi C) <= tol.
 Summation order is fixed, lexicographic, the order np.indices lists the
 box in (a table groups the kept points by parity class, lexicographic
@@ -124,18 +127,6 @@ __all__ = [
 _MAX_RADIUS = 64
 _MAX_LATTICE = 4_000_000
 _BLOCK = 16  # eps values per block of weight rows in a table
-# A single evaluation on a box of more than this many points drops the lines
-# of the box that cannot hold a kept point before it casts any (see _rows); a
-# table always does (_table_rows).  The line cut's fixed cost loses to casting
-# the whole box on small boxes: medians of _rows over six tau, one BLAS
-# thread, 16 interleaved rounds, whole box against line cut, 10 vs 25 us at
-# g = 1, N = 81; 19 vs 35 us at g = 2, N = 1,089; 24 vs 38 us at g = 3,
-# N = 1,331; 57 vs 65 us at g = 3, N = 4,913; 36 vs 42 us at g = 4,
-# N = 2,401; 50 vs 46 us at g = 5, N = 3,125; 90 vs 56 us at g = 4,
-# N = 6,561; 442 vs 91 us at g = 4, N = 14,641.  The benchmark's
-# theta-points workload evaluates on both sides: g <= 3 boxes of at most
-# 1,331 points, g = 4 boxes of at least 6,561.
-_LINE_CUT = 5_000
 _U = 2.0**-53  # unit roundoff of a double
 # The domain of Im tau is decided once, in PeriodMatrix, by two rules.
 # (a) lambda_max(Y) <= _IM_CAP, Y = Im tau, so that no product the kernel
@@ -147,18 +138,26 @@ _U = 2.0**-53  # unit roundoff of a double
 # below 1, so |Im z| < lambda_min (R + 1/2) / 2 <= R Y_kk for every k.
 # Every partial sum the kernel forms from Y is then below 24 g^2 R^2 M,
 # but two:
-# - (Ym)_k, m'Ym and _lower_bound are below 2 g^2 R^2 M;
-# - a single evaluation's exponent, with b = Y eps + 2 Im z and
-#   c0 = eps'Y eps / 4 + eps.Im z, is below 7 g^2 R^2 M before its
-#   factor pi, and a table's magnitude exponent below
-#   pi (g^2 R + g^2 R^2 + g^2/4) M;
-# - the line cut's Schur entries and size terms (_line_cut, on Y for a
-#   table and on the augmented [[c0, b'/2], [b/2, Y]] for a single
-#   evaluation) are at most (3g/2 + R)^2 M <= 16 g^2 R^2 M, each a
-#   product bounded by Cauchy-Schwarz in Y, such as y_j y_k / Y_gg <= M or
-#   (b_g/2)^2 / Y_gg <= (g + 2R)^2 M / 4, formed as c_j (c_k / A_tt) and
-#   w (w A_tt), never as a squared entry such as b_g^2 or w^2, and a
-#   line's value is below 24 g^2 R^2 M;
+# - (Ym)_k, m'Ym and _lower_bound are below 2 g^2 R^2 M, and a table's
+#   magnitude exponent below pi (g^2 R + g^2 R^2 + g^2/4) M;
+# - a single evaluation's line form (_line_coefficients), with
+#   b = Y eps + 2 Im z and c0 = eps'Y eps / 4 + eps.Im z, divides by
+#   sqrt(Y_gg): r_j = Y_jg / sqrt(Y_gg) <= sqrt(Y_jj) <= sqrt(M) and
+#   r_0 = (b_g/2) / sqrt(Y_gg) <= (g + R + 1) sqrt(M) / 2.  So the offset
+#   r.(1, p) and u = sqrt(Y_gg) t + r.(1, p) are below 2.5 g R sqrt(M),
+#   u u = Y_gg (t - t*)^2 below 6.25 g^2 R^2 M, and lv's rows, c0 - r_0^2,
+#   2 (b_j/2 - r_0 r_j) and Y_jk - r_j r_k (twice off the diagonal), times
+#   the head monomials (at most R^2) below 5 g^2 R^2 M, in every partial
+#   sum of the product.  t* = -r.(1, p) / sqrt(Y_gg) and t - t* are never
+#   formed: |Y_gj| / Y_gg reaches sqrt(M / lambda_min) on a graded Y, and
+#   (t - t*)^2 could pass max / 16 there.  The real rows hold entries of
+#   Re tau - 2S and the reduced Re z, at most 1, and are below
+#   pi (g + 2)^2 R^2 whatever M;
+# - a table's line cut (_line_cut, on Y) forms Schur entries and size
+#   terms of at most (3g/2 + R)^2 M <= 16 g^2 R^2 M, each a product bounded
+#   by Cauchy-Schwarz in Y, such as y_j y_k / Y_gg <= M, formed as
+#   c_j (c_k / A_tt) and w (w A_tt), never as a squared entry such as w^2,
+#   and a line's value is below 24 g^2 R^2 M;
 # - the two, the slack's (R + 1)^2 size + C and the table's rounding
 #   factor rel, are below 2^27 (M + 1): (R + 1)^2 size is at most
 #   4 R^2 (R^2 + 6gR + 5.5 g^2) M, largest at g = 3, R = 64, and rel is
@@ -231,7 +230,8 @@ class PeriodMatrix:
         if flat != tau.T.ravel().tolist():
             raise ValueError("period matrix must be exactly symmetric")
         y = np.ascontiguousarray(tau.imag)
-        spectrum = np.linalg.eigvalsh(y).tolist()
+        # eigvalsh returns the entry of a 1 x 1 matrix, so g = 1 reads it off
+        spectrum = [flat[0].imag] if len(flat) == 1 else np.linalg.eigvalsh(y).tolist()
         lam, top = spectrum[0], spectrum[-1]
         if not top <= _IM_CAP:  # inf and NaN included (see _IM_CAP)
             raise ValueError(f"the eigenvalues of Im tau must be at most {_IM_CAP:.4e}, got {top:.4e}")
@@ -259,7 +259,7 @@ class PeriodMatrix:
             self._shift = np.mod(s, 4.0)
             reduced = self._x + 1j * self._y
         # the rows of tau - 2S as Python complex numbers, for the g-sized
-        # algebra of a single evaluation (see _theta_sum)
+        # algebra of a single evaluation (see _line_coefficients)
         self._reduced_rows = reduced.tolist()
 
     def __eq__(self, other) -> bool:
@@ -323,8 +323,8 @@ def _tail_bound(lam: float, g: int, z_im_norm: float, radius: int) -> float:
 
 
 @lru_cache(maxsize=256)
-def _box(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tuple[int, float, float]:
-    """Box radius R, box tail T and cutoff exponent C for one set of numerics.
+def _box(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tuple[int, float, float, bool]:
+    """Box radius R, box tail T, cutoff exponent C and overflow flag for one set of numerics.
 
     R is the smallest radius whose _tail_bound T is at most the tolerance.
     A box point is summed when its term can exceed exp(-pi C).  C is at
@@ -343,6 +343,11 @@ def _box(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tuple[int, flo
     over until that shell comes first.  The radius found is checked to be
     the least: R - 1 must fail, by its first excluded shell or by its
     tail, or the search raises InvariantError.
+
+    The flag is set when pi |Im z|^2 / lambda_min + log N, a bound on the
+    log of the sum of a single evaluation's moduli, passes half the
+    exponent range of a double (see _theta_sum).  Im z is that of every
+    real shift of z, so one flag serves every characteristic.
     """
     for radius in range(1, _MAX_RADIUS + 1):
         if (2 * radius + 1) ** g > _MAX_LATTICE:
@@ -360,18 +365,19 @@ def _box(g: int, lam: float, z_im_norm: float, abs_tol: float) -> tuple[int, flo
             or _tail_bound(lam, g, z_im_norm, radius - 1) > abs_tol
         ):
             raise InvariantError(f"truncation radius {radius - 1} already reaches tol {abs_tol}")
+        big = math.pi * (z_im_norm / lam) * z_im_norm + g * math.log(2 * radius + 1) > _LOG_MAX / 2
         if tail == abs_tol:
-            return radius, tail, math.inf
+            return radius, tail, math.inf, big
         shell = lam * (radius + 0.5) ** 2 - 2.0 * math.sqrt(g) * (radius + 1.5) * z_im_norm
         budget = math.log((2 * radius + 1) ** g / (abs_tol - tail)) / math.pi
-        return radius, tail, max(shell, budget)
+        return radius, tail, max(shell, budget), big
     raise ValueError(
         "cannot reach the requested tolerance: Im tau too small or |Im z| too "
         "large for the supported truncation range (keep Im tau >= 0.3 I)"
     )
 
 
-def _numerics(tau: PeriodMatrix, z: tuple, tol: Tolerance) -> tuple[int, float, float]:
+def _numerics(tau: PeriodMatrix, z: tuple, tol: Tolerance) -> tuple[int, float, float, bool]:
     z_im_norm = math.hypot(*(w.imag for w in z))
     return _box(tau.g, tau.im_lambda_min, z_im_norm, tol.abs_tol)
 
@@ -412,14 +418,9 @@ def _kept(exponent: np.ndarray, cutoff: float) -> np.ndarray:
 
 
 def _quadratic(m: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """am = m a over the box and the row dots m'a m, both by real BLAS."""
+    """am = m a over the rows m and the row dots m'a m, both by real BLAS."""
     am = m @ a
     return am, (am * m) @ _blocks(a.shape[0])[-1]  # the all-ones block: a row sum
-
-
-def _exponents(m: np.ndarray, y: np.ndarray, b: np.ndarray, c0: float) -> np.ndarray:
-    """m'Ym + b.m + c0 for the rows m: the imaginary exponent of a single evaluation."""
-    return _quadratic(m, y)[1] + m @ b + c0
 
 
 @lru_cache(maxsize=32)
@@ -429,8 +430,8 @@ def _lines(g: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     Returns the heads p = (m_1..m_(g-1)) of the (2R + 1)^(g-1) lines, in
     lex order, as floats, and a (lines, 2R + 1, g) int8 array whose row p
     holds the points (p, -R)..(p, R): read row by row, the box in lex
-    order.  No float copy of the box is kept (8g bytes a point): _rows and
-    _table_rows cast the points of the lines they read.
+    order.  No float copy of the box is kept (8g bytes a point): _table_rows
+    casts the points of the lines it reads.
     """
     side = 2 * radius + 1
     # 0..2R fits int16 and -R..R int8 (see _MAX_RADIUS)
@@ -446,32 +447,30 @@ def _lines(g: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
 def _line_cut(g: int, radius: int, a: list, line_value, cutoff: float) -> np.ndarray:
     """The int8 points of the _lines rows whose line value is below C plus a rounding slack.
 
-    a is a symmetric matrix A as nested lists, whose last coordinate t runs
-    along a line and whose others are the line's head p (and, for a single
-    evaluation, a constant 1 first).  Along the line, the quadratic form of
-    A is A_tt (t + c.p/A_tt)^2 + p'Sp, with c the last column of A above
-    A_tt and S = A_pp - c c'/A_tt its Schur complement, so p'Sp is its
-    minimum over real t; line_value(heads, S) bounds from below, line by
-    line, the value that decides a row.  The set-up is g-sized, and Python
-    scalars do it faster than numpy calls; only S, which BLAS reads, is an
-    array.
+    A table's line cut (_table_rows).  a is Y as nested lists, whose last
+    coordinate t runs along a line and whose others are the line's head p.
+    Along the line, the quadratic form of A is A_tt (t + c.p/A_tt)^2 + p'Sp,
+    with c the last column of A above A_tt and S = A_pp - c c'/A_tt its
+    Schur complement, so p'Sp is its minimum over real t; line_value(heads,
+    S) bounds from below, line by line, the bound that decides a row.  The
+    set-up is g-sized, and Python scalars do it faster than numpy calls;
+    only S, which BLAS reads, is an array.
 
-    Rounding, to first order: a row's value and a line's value are sums of
+    Rounding, to first order: a row's bound and a line's value are sums of
     terms each at most (R + 1)^2 times an entry of |A| or of |c||c|'/A_tt,
     so at most (R + 1)^2 size in size, size the sum of those entries.  A
-    row's value takes at most 2g + 2 roundings.  A line's takes at most
-    2g + 3, the 3 of its S entries included; a table's line g^2 + 1 more,
-    in c_max and in the difference, each of those at most
+    row's bound takes at most 2g + 2 roundings.  A line's value takes at
+    most 2g + 3, the 3 of its S entries included, and g^2 + 1 more, in
+    c_max and in the difference, each of those at most
     u sum_jk |Y_jk| / 4 <= u (R + 1)^2 size / 16 (R >= 1).  C + slack
     takes one more, of at most u (C + slack).  So a row computed below C
     lies on a line computed below C + (g^2 + 4g + 7) u ((R + 1)^2 size + C),
     and the slack is twice that.  The Schur term of size, w (w A_tt), is
     not shown needed by any input found: placing a line's minimum on a box
-    row of a near-singular A (2,000 single evaluations at g = 4, and 300
-    tables whose S is near-singular along the all-ones p), no computed line
-    value exceeded its row's by more than 0.025 of the slack without it.
-    It stays, as the bound; scripts/mutants.py marks dropping it
-    (line-slack-size) equivalent.
+    row (300 tables whose S is near-singular along the all-ones p), no
+    computed line value exceeded its row's by more than 0.025 of the slack
+    without it.  It stays, as the bound; scripts/mutants.py marks dropping
+    it (line-slack-size) equivalent.
     """
     heads, points = _lines(g, radius)
     att = a[-1][-1]
@@ -482,32 +481,6 @@ def _line_cut(g: int, radius: int, a: list, line_value, cutoff: float) -> np.nda
     size = sum(abs(v) for row in a for v in row) + w * (w * att)
     slack = 2.0 * (g * g + 4 * g + 7) * _U * ((radius + 1) ** 2 * size + cutoff)
     return np.take(points, _kept(line_value(heads, s), cutoff + slack), axis=0)
-
-
-def _rows(g: int, radius: int, y: np.ndarray, b, c0: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """The box rows with m'Ym + b.m + c0 < C, in lex order, and their exponents.
-
-    On a box of more than _LINE_CUT points only the lines that can hold
-    such a row are read (_line_cut).  The exponent is the quadratic form of
-    the augmented matrix [[c0, b'/2], [b/2, Y]] on (1, m), whose last
-    coordinate is t = m_g; with m = (p, t), its Schur complement S is a
-    matrix over (1, p), and the line value p'S_pp p + 2 S_1p.p + S_11 is
-    the exponent's minimum over real t.  Each row read takes the same BLAS
-    products either way, so the same rows are kept with the same exponents,
-    and the lines left are a subsequence of the box, so the rows stay in
-    lex order.
-    """
-    b = np.asarray(b, dtype=float)
-    if (2 * radius + 1) ** g > _LINE_CUT:  # both sides are served (see _LINE_CUT)
-        half = [v / 2.0 for v in b.tolist()]
-        a = [[c0, *half], *([h, *row] for h, row in zip(half, y.tolist()))]  # on (1, m)
-        points = _line_cut(g, radius, a, lambda p, s: _exponents(p, s[1:, 1:], 2.0 * s[0, 1:], s[0, 0]), cutoff)
-    else:
-        points = _lines(g, radius)[1]
-    m = points.reshape(-1, g).astype(float)
-    im = _exponents(m, y, b, c0)
-    keep = _kept(im, cutoff)
-    return np.take(m, keep, axis=0), im[keep]
 
 
 def _turns(tau: PeriodMatrix, e: np.ndarray) -> np.ndarray | float:
@@ -522,25 +495,49 @@ def _turns(tau: PeriodMatrix, e: np.ndarray) -> np.ndarray | float:
     return np.mod(((e @ tau._shift) * e).sum(axis=-1), 4.0) / 2.0
 
 
-def _theta_sum(
-    tau: PeriodMatrix, z: tuple[complex, ...], c: Characteristic, radius: int, cutoff: float
-) -> tuple[complex, int]:
-    """theta[eps; delta](tau, z) = theta[eps; 0](tau, z + delta/2), and its point count.
+@lru_cache(maxsize=32)
+def _line_design(g: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The monomials of (1, p) over the line heads, and the coordinate t of a line.
 
-    The sum of w_eps(m; z + delta/2) over the box points whose imaginary
-    exponent is below the cutoff, by the split: the imaginary part is
-    taken over the box, or over the lines of a large one that can hold a
-    kept point (_rows), the real part over the kept points only.  The
-    g-sized algebra, the shift z + delta/2, the linear coefficient
-    tau eps + 2z and the constant, is done in Python complex scalars on
-    the rows of tau - 2S; only the real and imaginary parts of the linear
-    coefficient become arrays, for BLAS.  The sum runs on Re tau reduced
-    mod 2 (_turns, read only when the reduction shifted tau) and, when
-    some |Re z_k| > 1/2, on z - n, n = round(Re z), by
-    theta[eps; delta](tau, z + n) = (-1)^(eps.n) theta[eps; delta](tau, z).
-    The kept weights are summed as two real reductions, the magnitudes
-    exp(-pi im) times cos and times sin of pi re, so no complex array of
-    the kept points is made.
+    A single evaluation reads the box as lines m = (p, t), t = m_g, whose
+    heads p = (m_1..m_(g-1)) run in lex order.  Row k of the design is one
+    monomial over every head: 1, then p_j, then p_j p_k for j <= k, the
+    order _line_coefficients lists their coefficients in; t is -R..R.  Both
+    are exact floats made from the heads alone, so no box point is built.
+    The design holds (g^2 + g)/2 floats a line, fewer than the line's
+    points as floats (g(2R + 1)) wherever 2R + 1 > (g + 1)/2, so at every R
+    up to g = 4; at most 31 MB up to g = 11, and 110 and 387 MB at g = 12
+    and 13, whose boxes admit R = 1 only.
+    """
+    side = 2 * radius + 1
+    p = np.indices((side,) * (g - 1), dtype=np.int16).reshape(g - 1, side ** (g - 1)) - radius
+    design = np.empty(((g * g + g) // 2, side ** (g - 1)))
+    design[0], design[1:g], row = 1.0, p, g
+    for j in range(g - 1):  # p_j p_k, k >= j, exact in int16 (at most 64^2), in place
+        np.multiply(p[j], p[j:], out=design[row : row + g - 1 - j])
+        row += g - 1 - j
+    t = np.arange(-radius, radius + 1, dtype=float)
+    design.setflags(write=False)
+    t.setflags(write=False)
+    return design, t
+
+
+def _line_coefficients(tau: PeriodMatrix, z: tuple, c: Characteristic, radius: int,
+                       cutoff: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The lines with lv < C, their rows lv, r.(1, p), alpha and rho, sqrt(Y_gg) and pi X_gg.
+
+    The exponent s' tau s + 2 s.(z + delta/2), by the split and on the
+    reductions, is the form of the complex [[kappa, h'], [h, tau - 2S]] on
+    (1, m), h = (tau - 2S) eps / 2 + z and kappa its constant.  On the line
+    m = (p, t), t = m_g, its imaginary part is u^2 + lv with
+    u = sqrt(Y_gg) (t - t*) = sqrt(Y_gg) t + r.(1, p), r the imaginary part
+    of the column of t above tau_gg, over sqrt(Y_gg); lv, its minimum over
+    real t, is the form on (1, p) of the imaginary part less r r', the
+    Schur complement of Y_gg.  pi times its real part is
+    pi X_gg t^2 + alpha t + rho.  r.(1, p) and alpha are linear in the head
+    p, lv and rho quadratic, so one BLAS product of the four coefficient
+    rows, set up in Python complex scalars on the rows of tau - 2S, against
+    the cached _line_design gives all four for every line.
     """
     g = tau.g
     at_eps = _positions(g)[c.eps]  # the k with eps_k = 1
@@ -550,28 +547,81 @@ def _theta_sum(
     turns += sum(map(n.__getitem__, at_eps)) % 2
     for k in _positions(g)[c.delta]:
         z[k] += 0.5
+    *rows, last = tau._reduced_rows  # last: the row, and by symmetry the column, of t
     te = [sum(map(row.__getitem__, at_eps)) for row in tau._reduced_rows]  # (tau - 2S) eps
-    lin = [t + 2.0 * w for t, w in zip(te, z)]
-    const = sum(map(te.__getitem__, at_eps)) / 4.0 + sum(map(z.__getitem__, at_eps))
-    m, im = _rows(g, radius, tau._y, [w.imag for w in lin], const.imag, cutoff)
-    re = m @ np.array([w.real for w in lin])
-    re += _quadratic(m, tau._x)[1]
-    re += const.real + turns
-    re *= np.pi
+    *half, ht = [t / 2.0 + w for t, w in zip(te, z)]
+    const = sum(map(te.__getitem__, at_eps)) / 4.0 + sum(map(z.__getitem__, at_eps)) + turns
+    root = math.sqrt(last[-1].imag)
+    r0, pi, two_pi = ht.imag / root, math.pi, 2.0 * math.pi
+    r = [v.imag / root for v in last[:-1]]
+    lv = [const.imag - r0 * r0, *(2.0 * (h.imag - r0 * rj) for h, rj in zip(half, r))]
+    alpha = [two_pi * v.real for v in (ht, *last[:-1])]
+    rho = [pi * const.real, *(two_pi * h.real for h in half)]
+    for j in range(g - 1):  # p_j p_k, k >= j, counted twice off the diagonal
+        for k in range(j, g - 1):
+            lv.append((2.0 - (j == k)) * (rows[j][k].imag - r[j] * r[k]))
+            rho.append((2.0 - (j == k)) * pi * rows[j][k].real)
+    pad = [0.0] * (len(lv) - g)
+    coef = np.array([*lv, r0, *r, *pad, *alpha, *pad, *rho]).reshape(4, -1) @ _line_design(g, radius)[0]
+    # A line with lv >= C holds no kept point, so dropping it is exact:
+    # u u, rounded, is at least 0, and rounding is monotone, so every
+    # computed exponent on the line, the rounded sum of u u and lv, is at
+    # least lv.  The points kept are those of every line, with the same
+    # exponents, and no rounding slack is needed.
+    lines = _kept(coef[0], cutoff)
+    return lines, np.take(coef, lines, axis=1), root, pi * last[-1].real
+
+
+def _line_points(coef: np.ndarray, root: float, xtt: float, t: np.ndarray, cutoff: float):
+    """The points of the lines of coef whose imaginary exponent is below C, and both exponents.
+
+    Each line is one row of a (lines, 2R + 1) grid, by broadcasting: the
+    imaginary exponent u u + lv, u = sqrt(Y_gg) t + r.(1, p), which is
+    Y_gg (t - t*)^2 + lv with neither t* nor (t - t*)^2 formed (on a graded
+    Y their size can pass the largest double; see _IM_CAP), and pi times
+    the real one, (alpha + pi X_gg t) t + rho.  Returns the kept points'
+    flat indices in the grid, in lex order, and their exponents, imaginary
+    and real.
+    """
+    lv, offset, alpha, rho = coef[:, :, None]
+    u = offset + root * t
+    im = np.add(np.multiply(u, u, out=u), lv, out=u).ravel()
+    keep = _kept(im, cutoff)
+    re = alpha + xtt * t
+    re = np.add(np.multiply(re, t, out=re), rho, out=re).ravel()
+    return keep, im[keep], re[keep]
+
+
+def _theta_sum(
+    tau: PeriodMatrix, z: tuple[complex, ...], c: Characteristic, radius: int, cutoff: float, big: bool
+) -> tuple[complex, int]:
+    """theta[eps; delta](tau, z) = theta[eps; 0](tau, z + delta/2), and its point count.
+
+    The sum of w_eps(m; z + delta/2) over the box points whose imaginary
+    exponent is below the cutoff, line by line (_line_coefficients,
+    _line_points).  The sum runs on Re tau reduced mod 2 (_turns, read only
+    when the reduction shifted tau) and, when some |Re z_k| > 1/2, on
+    z - n, n = round(Re z), by
+    theta[eps; delta](tau, z + n) = (-1)^(eps.n) theta[eps; delta](tau, z).
+    The kept weights are summed as two real reductions, the magnitudes
+    exp(-pi im) times cos and times sin of pi re, so no complex array of
+    the kept points is made.  big is _box's overflow flag.
+    """
+    _, coef, root, xtt = _line_coefficients(tau, z, c, radius, cutoff)
+    keep, im, re = _line_points(coef, root, xtt, _line_design(tau.g, radius)[1], cutoff)
     im *= -np.pi  # the log magnitudes
     # Each kept exponent s'Ys + 2 s.Im z is at least -|Im z|^2 / lambda_min,
     # so log sum |w| <= pi |Im z|^2 / lambda_min + log N.  Only past half the
-    # exponent range of a double, the other half left to that bound's
-    # rounding, is log sum |w| itself taken, and a sum that could pass the
-    # largest double (less 1e-6 for the rounding of the sum) is refused
-    # before its exp overflows.
-    zn = math.hypot(*(w.imag for w in z))  # |Im z|
-    if math.pi * (zn / tau.im_lambda_min) * zn + g * math.log(2 * radius + 1) > _LOG_MAX / 2 and len(im):
+    # exponent range of a double (big, see _box), the other half left to
+    # that bound's rounding, is log sum |w| itself taken, and a sum that
+    # could pass the largest double (less 1e-6 for the rounding of the sum)
+    # is refused before its exp overflows.
+    if big and len(im):
         top = im.max()
         if top + math.log(np.exp(im - top).sum()) > _LOG_MAX - 1e-6:
             raise ValueError("theta exceeds the largest double: |Im z| is too large for this Im tau")
     mag = np.exp(im, out=im)
-    return complex((mag * np.cos(re)).sum(), (mag * np.sin(re)).sum()), len(m)
+    return complex((mag * np.cos(re)).sum(), (mag * np.sin(re)).sum()), len(keep)
 
 
 @lru_cache(maxsize=None)
@@ -615,8 +665,8 @@ def theta_report(tau: PeriodMatrix, z, c: Characteristic, tol=Tolerance()) -> di
     # The public call stays so that a wrapped truncation_radius sees the
     # radius of every evaluation; the tail then comes from the same search.
     radius = truncation_radius(tau, z, tol)
-    _, tail, cutoff = _numerics(tau, z, tol)
-    value, points = _theta_sum(tau, z, c, radius, cutoff)
+    _, tail, cutoff, big = _numerics(tau, z, tol)
+    value, points = _theta_sum(tau, z, c, radius, cutoff, big)
     est_error = _charge(tail, tau.g, radius, points, cutoff)
     return dict(re=value.real, im=value.imag, radius=radius, points=points, est_error=est_error)
 
@@ -663,9 +713,8 @@ def _table_rows(tau: PeriodMatrix, radius: int, cutoff: float) -> tuple[np.ndarr
     the 0/1 vector r, m = -r has Ym = -Yr and left side at most
     r'Yr - sum_(k in r) (Yr)_k = 0 < C.
 
-    The rows are read from the line index _lines, the one index of the box
-    that single evaluations read too, and on every box only the lines that
-    can hold a kept row are read (_line_cut, on A = Y).  The left side
+    The rows are read from the line index _lines, and on every box only the
+    lines that can hold a kept row are read (_line_cut, on A = Y).  The left side
     is min over eps of (s'Ys - eps'Y eps/4), and along the line m = (p, t)
     s'Ys is at least its minimum over real t, q'Sq with q = p + eps_p/2 and
     S the Schur complement of Y_gg; q'Sq >= p'Sp + Sp.eps_p since S is
@@ -761,7 +810,7 @@ def _table(tau: PeriodMatrix, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     n = 1 << g
     z = (0j,) * g
     radius = truncation_radius(tau, z, tol)
-    _, tail, cutoff = _numerics(tau, z, tol)
+    _, tail, cutoff, _ = _numerics(tau, z, tol)
     classes, m = _table_rows(tau, radius, cutoff)
     x, y = tau._x, tau._y
     blocks = _blocks(g)

@@ -796,7 +796,7 @@ def main():
         a = rng.uniform(-0.25, 0.25, (g, g))
         x = rng.uniform(-0.6, 0.6, (g, g))
         tau = PeriodMatrix((x + x.T) / 2 + 1j * (lam * np.eye(g) + a @ a.T))
-        radius, tail, cutoff = _numerics(tau, (0j,) * g, Tolerance())
+        radius, tail, cutoff, _ = _numerics(tau, (0j,) * g, Tolerance())
         box = (2 * radius + 1) ** g
         kept = len(_table_rows(tau, radius, cutoff)[1])
         charge = tail + (box - kept) * math.exp(-math.pi * cutoff)

@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     mp_tail,
@@ -120,6 +121,36 @@ def test_period_matrix_validation(capsys):
         "re": 1.0864348112133082, "im": 0.0, "radius": 3, "points": 7, "est_error": 1.4309398721775116e-15}
 
 
+def test_genus_1_reads_lambda_off_the_entry():
+    # At g = 1 PeriodMatrix reads lambda_min = lambda_max = Im tau_11 off the
+    # entry, which is what eigvalsh returns for a 1 x 1 matrix.  Over seeded
+    # y from 1e-3 to the cap, and 0, -0, -1 and twice the cap, the admitted
+    # lambda_min and the refusal message equal, byte for byte, those of the
+    # same class on the eigvalsh route.
+    source = inspect.getsource(PeriodMatrix)
+    old = "[flat[0].imag] if len(flat) == 1 else np.linalg.eigvalsh(y).tolist()"
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, "np.linalg.eigvalsh(y).tolist()"), vars(theta), namespace)
+    rng = np.random.default_rng(31)
+    cap = theta._IM_CAP
+    draws = [*10.0 ** rng.uniform(-3.0, math.log10(cap), 200), 1e-3, cap, 0.0, -0.0, -1.0, 2 * cap]
+    outcomes = []
+    for y in draws:
+        entry = [[complex(rng.uniform(-3.0, 3.0), y)]]
+        pair = []
+        for cls in (PeriodMatrix, namespace["PeriodMatrix"]):
+            try:
+                pair.append(repr(cls(entry).im_lambda_min))
+            except ValueError as err:
+                pair.append(str(err))
+        assert pair[0] == pair[1]
+        outcomes.append(pair[0])
+    assert outcomes[:202] == [repr(float(y)) for y in draws[:202]]  # admitted, at lambda_min = y
+    assert outcomes[202:205] == ["Im tau must be positive definite: no positive lambda_min is certified"] * 3
+    assert outcomes[205].startswith("the eigenvalues of Im tau must be at most")
+
+
 def test_theta_arg_coercion():
     assert theta._z(None, 2) == (0j, 0j)
     assert theta._z([1, 2j], 2) == (1 + 0j, 2j)
@@ -180,7 +211,7 @@ def test_box_passes_over_radii_as_the_full_search_does():
     # that sums each tail, over small and large lambda, |Im z| up to 40
     # (overflowing tails) and g up to 6 (the lattice cap)
     search = theta._box.__wrapped__
-    reached = failed = 0
+    reached = failed = flagged = 0
     for g in range(1, 7):
         for lam in (0.05, 0.1, 0.3, 0.7, 1.5, 4.0, 12.0, 30.0):
             for z_im in (0.0, 0.2, 1.0, 3.0, 8.0, 20.0, 40.0):
@@ -190,10 +221,16 @@ def test_box_passes_over_radii_as_the_full_search_does():
                         got = search(g, lam, z_im, tol)
                     except ValueError as err:
                         got = str(err)
+                    if isinstance(got, tuple):  # R, T and C, and the overflow flag
+                        log_n = g * math.log(2 * got[0] + 1)
+                        assert got[3] == (math.pi * z_im * z_im / lam + log_n > theta._LOG_MAX / 2)
+                        flagged += got[3]
+                        got = got[:3]
                     assert got == want, (g, lam, z_im, tol)
                     reached += isinstance(want, tuple)
                     failed += isinstance(want, str)
     assert reached > 300 and failed > 300  # both outcomes are well covered
+    assert flagged > 0
 
 
 def test_theta_constant_reference_values_g1():
@@ -354,7 +391,7 @@ def test_large_real_parts_are_reduced_exactly():
                 got = theta_value(shifted, z + n, c)
                 ref = np_theta(tau, z, _bits(c.eps, g), _bits(c.delta, g), radius)
                 assert abs(got - turn * sign * ref) < bound
-    # g = 4 on boxes above _LINE_CUT, so the line cut's Schur pieces are set
+    # g = 4 on boxes of at least 9^4 points, whose line coefficients are set
     # up from the reduced tau and the reduced z; a sample of characteristics,
     # each against the plain sum at z and at 0
     g = 4
@@ -370,7 +407,7 @@ def test_large_real_parts_are_reduced_exactly():
         shifted = PeriodMatrix(tau + 2 * s)
         assert np.abs(shifted.tau.real).min() > 1 and np.abs((z + n).real).min() > 0.5
         radius = truncation_radius(shifted, z, Tolerance())
-        assert (2 * radius + 1) ** g > theta._LINE_CUT
+        assert radius >= 4
         bound = 1e-14 * (2 * radius + 1) ** g
         for k in rng.choice(len(forms), 6, replace=False):
             c = forms[k]
@@ -434,23 +471,33 @@ def test_odd_entries_are_checked_at_run_time(monkeypatch):
 
 
 def test_single_evaluation_matches_plain_sum_off_zero():
-    # theta_report at Im z != 0 against one plain einsum sum over the
-    # same box, even and odd characteristics alike
+    # theta_report at Im z != 0 against one plain einsum sum over the same
+    # box, even and odd characteristics alike, over the strata of the
+    # theta-points workload: g = 1..4, lambda_min(Im tau) from 2 down to
+    # 0.31 and |Im z| up to 0.2, so radii 2..8.
     rng = np.random.default_rng(4041)
-    for g in (3, 4):
-        re = rng.uniform(-0.3, 0.3, (g, g))
-        im = rng.uniform(-0.05, 0.05, (g, g))
-        tau = PeriodMatrix((re + re.T) / 2 + 1j * ((im + im.T) / 2 + 0.8 * np.eye(g)))
-        z = rng.uniform(-0.4, 0.4, g) + 1j * rng.uniform(-0.15, 0.15, g)
+    strata = ((1, 2.0, 0.0), (1, 0.9, 0.1), (1, 0.3, 0.2), (2, 2.0, 0.0), (2, 0.8, 0.1), (2, 0.3, 0.2),
+              (3, 1.4, 0.05), (3, 0.7, 0.01), (3, 0.48, 0.02), (4, 0.89, 0.02), (4, 0.5, 0.02),
+              (4, 0.35, 0.02), (4, 0.31, 0.1), (4, 0.31, 0.195))
+    radii = set()
+    for g, lam, zim in strata:
+        q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+        y = q @ np.diag([lam, *rng.uniform(lam, 2.0, g - 1)]) @ q.T
+        re = rng.uniform(-0.5, 0.5, (g, g))
+        tau = PeriodMatrix((re + re.T) / 2 + 1j * (y + y.T) / 2)
+        im = rng.normal(size=g)
+        z = rng.uniform(-0.5, 0.5, g) + 1j * im * zim / np.linalg.norm(im)
         radius = truncation_radius(tau, z, Tolerance())
+        radii.add(radius)
         bound = 1e-14 * (2 * radius + 1) ** g
         chars = enumerate_forms(g)
         for parity in (0, 1):
             pool = [c for c in chars if c.parity == parity]
-            for k in rng.choice(len(pool), 3, replace=False):
+            for k in rng.choice(len(pool), min(len(pool), 2), replace=False):
                 c = pool[k]
                 want = np_theta(tau.tau, z, _bits(c.eps, g), _bits(c.delta, g), radius)
                 assert abs(theta_value(tau, z, c) - want) < bound
+    assert radii == set(range(2, 9))
 
 
 def test_sp_action_matches_theta_transformations():
@@ -617,6 +664,17 @@ def test_im_tau_near_the_cap_never_warns():
                 for w in (None, z):
                     rep = theta_report(tau, w, c)
                     assert all(map(math.isfinite, rep.values()))
+        # Graded Y = D (I/2 + J/2) D, the stiff coordinates first, near the
+        # cap, and the soft one last: the slope Y_tj / Y_tt of a line's
+        # minimum t* is about 1e149, the line form's offsets about 1e150.
+        for g, soft in ((2, 0.2), (3, 0.2), (4, 0.5)):
+            d = np.diag([math.sqrt(cap / g)] * (g - 1) + [soft])
+            tau = PeriodMatrix(0.3 + 1j * (d @ (0.5 * np.eye(g) + 0.5) @ d))
+            assert np.isfinite(theta_constant_table(tau)).all()
+            for c in enumerate_forms(g)[:: 2 * g - 1]:
+                for w in (None, [0.01j] * g):
+                    rep = theta_report(tau, w, c)
+                    assert all(map(math.isfinite, rep.values()))
     assert admitted >= 40
 
 
@@ -629,7 +687,7 @@ def test_ellipsoid_cut_is_honest():
     # keeps every point of every per-eps ellipsoid {s'Ys < C}, s = m + eps/2,
     # and (c) est_error <= tol.  The table cut keeps no more rows than the
     # triangle rule ||m||_Y < sqrt(C) + max_eps ||eps/2||_Y did.  The last
-    # case's single evaluations cut an 83,521-point box by lines.
+    # case's single evaluations read an 83,521-point box by lines.
     rng = np.random.default_rng(3141)
     cases = []
     for g, count in ((2, 2), (3, 2), (4, 1)):
@@ -649,7 +707,7 @@ def test_ellipsoid_cut_is_honest():
     for entries, fixed_z in cases:
         tau = PeriodMatrix(entries)
         g = tau.g
-        radius, tail, cutoff = theta._numerics(tau, (0j,) * g, tol)
+        radius, tail, cutoff, _ = theta._numerics(tau, (0j,) * g, tol)
         assert radius == truncation_radius(tau, None, tol)
         box = (2 * radius + 1) ** g
         keep = _lex_index(theta._table_rows(tau, radius, cutoff)[1], radius)
@@ -678,8 +736,8 @@ def test_ellipsoid_cut_is_honest():
             value = complex(rep["re"], rep["im"])
             assert theta_report(tau, z, c, tol) == rep  # bit-reproducible
             assert rep["points"] <= (2 * rep["radius"] + 1) ** g
-            if fixed_z is not None:  # the line cut runs
-                assert (2 * rep["radius"] + 1) ** g > theta._LINE_CUT
+            if fixed_z is not None:
+                assert (2 * rep["radius"] + 1) ** g == 83_521
             assert rep["est_error"] <= tol.abs_tol  # (c), single evaluation
             bound = rep["est_error"] - eval_tail + 1e-14 * (2 * rep["radius"] + 1) ** g
             want = np_theta(tau.tau, z, _bits(c.eps, g), _bits(c.delta, g), rep["radius"])
@@ -735,7 +793,7 @@ def test_table_line_cut_keeps_the_reference_rows(monkeypatch):
         x = rng.uniform(-0.5, 0.5, (g, g))
         tau = PeriodMatrix((x + x.T) / 2 + 1j * (y + y.T) / 2)
         for tol in (1e-12, 1e-8, 1e-4):
-            radius, _, cutoff = theta._numerics(tau, (0j,) * g, Tolerance(tol))
+            radius, _, cutoff, _ = theta._numerics(tau, (0j,) * g, Tolerance(tol))
             want = _reference_rows(tau, radius, cutoff)
             calls.clear()
             got = theta._table_rows(tau, radius, cutoff)
@@ -751,7 +809,6 @@ def test_table_line_cut_keeps_a_row_one_ulp_below_the_cutoff(monkeypatch):
     # kept, and check that its line is read although the line's bound
     # without c_max, p'Sp + sum_k min(0, (Sp)_k), often lies at or above C.
     g, radius = 4, 5
-    assert (2 * radius + 1) ** g > theta._LINE_CUT
     rng = np.random.default_rng(7)
     heads, _ = theta._lines(g, radius)
     box = oracle_lattice(g, radius)
@@ -779,7 +836,7 @@ def test_table_line_cut_keeps_the_reference_rows_at_huge_im_tau():
     for g, scale in ((2, 1e39), (4, 1e39), (3, 1e36)):
         y = scale * (np.eye(g) + 0.1 * (np.ones((g, g)) - np.eye(g)))
         tau = PeriodMatrix(1j * y)
-        radius, _, cutoff = theta._numerics(tau, (0j,) * g, Tolerance())
+        radius, _, cutoff, _ = theta._numerics(tau, (0j,) * g, Tolerance())
         want = _reference_rows(tau, radius, cutoff)
         got = theta._table_rows(tau, radius, cutoff)
         assert len(got[0]) >= 1 << g
@@ -787,17 +844,17 @@ def test_table_line_cut_keeps_the_reference_rows_at_huge_im_tau():
 
 
 def test_a_table_below_the_line_cut_size_reads_its_line_heads(monkeypatch):
-    # Every table takes the line cut, whatever its box size; _LINE_CUT
-    # picks for single evaluations alone.  A g = 2 and a g = 3 table on
-    # boxes below it bound their line heads first and read only the rows of
-    # the lines left, and keep the reference rows.
+    # Every table takes the line cut, whatever its box size.  A g = 2 and a
+    # g = 3 table on boxes of at most 11^3 points bound their line heads
+    # first and read only the rows of the lines left, and keep the
+    # reference rows.
     calls = _spy_lower_bound(monkeypatch)
     for g in (2, 3):
         # the soft coordinates set the box, the stiff first one drops lines
         tau = PeriodMatrix(1j * np.diag([3.0] + [0.5] * (g - 1)) + 0.1j * np.ones((g, g)))
-        radius, _, cutoff = theta._numerics(tau, (0j,) * g, Tolerance())
+        radius, _, cutoff, _ = theta._numerics(tau, (0j,) * g, Tolerance())
         box = (2 * radius + 1) ** g
-        assert box < theta._LINE_CUT
+        assert box <= 11**3
         calls.clear()
         got = theta._table_rows(tau, radius, cutoff)
         assert calls[0] == ((2 * radius + 1) ** (g - 1), g - 1)  # one head p a line
@@ -805,61 +862,120 @@ def test_a_table_below_the_line_cut_size_reads_its_line_heads(monkeypatch):
         _assert_same_rows(got, _reference_rows(tau, radius, cutoff))
 
 
-def test_cold_table_and_single_evaluation_share_one_line_index():
-    # A table and a single evaluation at the same (g, R) read one box index,
-    # the int8 lines of _lines: a cold table builds it and the evaluation
-    # reuses it, and no other cache is keyed by the box radius.
+def test_cold_table_and_single_evaluation_build_their_own_line_indexes():
+    # A table reads its box from the int8 lines of _lines, a single
+    # evaluation from the head monomials of _line_design: a cold table
+    # builds the one and not the other, a cold evaluation at the same
+    # (g, R) the other and not the one, and no other cache is keyed by the
+    # box radius.
     tau = PeriodMatrix(1j * (0.5 * np.eye(4) + 0.1 * np.ones((4, 4))))
-    for cache in (theta._lines, theta._table):
+    for cache in (theta._lines, theta._line_design, theta._table):
         cache.cache_clear()
     theta_constant_table(tau)
     assert theta._lines.cache_info().currsize == 1
+    assert theta._line_design.cache_info().currsize == 0
     rep = theta_report(tau, None, Characteristic(4, 0, 0))
     assert rep["radius"] == truncation_radius(tau, None, Tolerance())
+    assert theta._line_design.cache_info().currsize == 1
     info = theta._lines.cache_info()
-    assert info.currsize == 1 and info.misses == 1 and info.hits >= 1
+    assert info.currsize == 1 and info.misses == 1 and info.hits == 0
     caches = [f for f in vars(theta).values() if callable(getattr(f, "cache_info", None))]
-    assert [f for f in caches if "radius" in inspect.signature(f).parameters] == [theta._lines]
+    keyed = [f for f in caches if "radius" in inspect.signature(f).parameters]
+    assert sorted(f.__name__ for f in keyed) == ["_line_design", "_lines"]
 
 
-def _both_passes(monkeypatch, g, radius, y, b, c0, cutoff):
-    # _rows with the lines dropped by their minimum, and with every line
-    # kept; _LINE_CUT picks which.  The full pass keeps its rows in lex order.
-    monkeypatch.setattr(theta, "_LINE_CUT", 0)
-    cut = theta._rows(g, radius, y, b, c0, cutoff)
-    monkeypatch.setattr(theta, "_LINE_CUT", theta._MAX_LATTICE)
-    box = theta._rows(g, radius, y, b, c0, cutoff)
-    assert (np.diff(_lex_index(box[0], radius)) > 0).all()
-    return cut, box
+def _line_passes(tau, z, c, radius, cutoff):
+    # A single evaluation's points on the lines its drop at lv >= C leaves,
+    # and on every line (none has lv >= inf): for each, the points' box
+    # positions in lex order and their imaginary and real exponents.  Also
+    # every line's lv and the lines the drop leaves.
+    t = theta._line_design(tau.g, radius)[1]
+    side = len(t)
+    read, passes = [], []
+    for drop in (cutoff, math.inf):
+        lines, coef, root, xtt = theta._line_coefficients(tau, theta._z(z, tau.g), c, radius, drop)
+        keep, im, re = theta._line_points(coef, root, xtt, t, cutoff)
+        read.append(lines)
+        passes.append((lines[keep // side] * side + keep % side, im, re))
+    return coef[0], read[0], *passes
 
 
-def test_line_cut_keeps_the_box_rows_in_box_order(monkeypatch):
-    # A single evaluation on a large box drops whole lines along the last
-    # coordinate before it computes any row's exponent.  It must keep exactly
-    # the rows one pass over the box keeps, in box order, with the same
-    # exponents, whichever of the two the size rule would pick.  delta only
-    # shifts Re z, so it never reaches the imaginary exponent m'Ym + b.m + c0
-    # with b = Y eps + 2 Im z and c0 = eps'Y eps/4 + eps.Im z.
+def _assert_same_points(got, want):
+    # box positions and exponents, each byte for byte
+    assert len(got) == len(want) == 3
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _random_z(rng, g, top):
+    # Re z in [-0.6, 0.6] (so the reduction by round(Re z) runs), |Im z| <= top
+    im = rng.uniform(-1.0, 1.0, g)
+    im *= top * rng.uniform() / max(np.linalg.norm(im), 1e-300)
+    return rng.uniform(-0.6, 0.6, g) + 1j * im
+
+
+def test_line_cut_keeps_the_box_rows_in_box_order():
+    # A single evaluation drops every line whose lv, its exponent's minimum
+    # over real t, is at least C, before it evaluates any point of it.  It
+    # must keep exactly the points that evaluating every line keeps, in box
+    # order, with the same imaginary and real exponents, byte for byte:
+    # seeded Y at g = 4, R = 4..9 and g = 5, R = 3..5, the ill-conditioned
+    # Y of the overflow test, and graded D (I/2 + J/2) D with the stiff
+    # coordinates first or last (|Y_tj| / Y_tt from 5e-7 to 5e17).
     rng = np.random.default_rng(2029)
     cases = []
     for g, radii in ((4, range(4, 10)), (5, range(3, 6))):
         for radius in radii:
             q, _ = np.linalg.qr(rng.normal(size=(g, g)))
             y = q @ np.diag(rng.uniform(0.3, 2.0, g)) @ q.T
-            cases.append(((y + y.T) / 2, radius))
-    # the ill-conditioned Im tau of the overflow test
-    cases += [(0.35 * np.eye(4) + 14.9 * np.ones((4, 4)), radius) for radius in range(4, 10)]
-    for y, radius in cases:
+            cases.append(((y + y.T) / 2, radius, True))
+    cases += [(0.35 * np.eye(4) + 14.9 * np.ones((4, 4)), radius, True) for radius in range(4, 10)]
+    for scales in ([1.0, 1e6, 1e12, 1e18], [1e18, 1e12, 1e6, 1.0]):
+        d = np.diag(scales)
+        cases += [(d @ (0.5 * np.eye(4) + 0.5) @ d, radius, False) for radius in (4, 7)]
+    dropped = 0
+    for y, radius, plain in cases:
         g = len(y)
-        cutoff = np.linalg.eigvalsh(y)[0] * (radius + 0.5) ** 2
+        x = rng.uniform(-0.5, 0.5, (g, g))
+        tau = PeriodMatrix((x + x.T) / 2 + 1j * y)
+        cutoff = tau.im_lambda_min * (radius + 0.5) ** 2
         for _ in range(3):
-            eps = rng.integers(0, 2, g).astype(float)
-            zim = rng.uniform(-0.2, 0.2, g)
-            zim *= min(1.0, 0.2 / np.linalg.norm(zim))  # |Im z| <= 0.2
-            b, c0 = y @ eps + 2.0 * zim, eps @ y @ eps / 4.0 + eps @ zim
-            cut, box = _both_passes(monkeypatch, g, radius, y, b, c0, cutoff)
-            assert 0 < len(box[0]) < (2 * radius + 1) ** g
-            _assert_same_rows(cut, box)
+            c = Characteristic(g, int(rng.integers(1 << g)), int(rng.integers(1 << g)))
+            _, lines, cut, every = _line_passes(tau, _random_z(rng, g, 0.2), c, radius, cutoff)
+            _assert_same_points(cut, every)
+            assert (np.diff(every[0]) > 0).all()
+            if plain:  # the graded Y keep few points, or none
+                assert 0 < len(every[0]) < (2 * radius + 1) ** g
+            dropped += len(lines) < (2 * radius + 1) ** (g - 1)
+    assert dropped == 3 * len(cases)  # every evaluation drops lines
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_a_lines_value_bounds_every_exponent_on_it(data):
+    # lv is at most every computed imaginary exponent on its line, so a
+    # line with lv >= C holds no point below C: on random positive definite
+    # Y, plain or graded, random z and characteristics, and every line read
+    # with no cutoff.
+    g = data.draw(st.integers(1, 5), label="g")
+    radius = data.draw(st.integers(1, 6 if g < 5 else 3), label="R")
+    unit = st.floats(-1.0, 1.0)
+    a = np.array(data.draw(st.lists(unit, min_size=g * g, max_size=g * g))).reshape(g, g)
+    lam = data.draw(st.floats(0.05, 2.0), label="lambda")
+    grade = np.diag(10.0 ** np.array(data.draw(st.lists(st.integers(-1, 8), min_size=g, max_size=g))))
+    y = grade @ (a @ a.T + lam * np.eye(g)) @ grade
+    x = np.array(data.draw(st.lists(unit, min_size=g * g, max_size=g * g))).reshape(g, g)
+    try:
+        tau = PeriodMatrix((x + x.T) / 2 + 1j * (y + y.T) / 2)
+    except ValueError:  # lambda_min not certified
+        assume(False)
+    z = [complex(*data.draw(st.tuples(unit, unit))) for _ in range(g)]
+    c = Characteristic(g, data.draw(st.integers(0, (1 << g) - 1)), data.draw(st.integers(0, (1 << g) - 1)))
+    lv, lines, cut, every = _line_passes(tau, z, c, radius, math.inf)
+    side = 2 * radius + 1
+    assert len(lines) == len(lv) == side ** (g - 1) and len(every[1]) == side**g  # nothing is below inf
+    assert (every[1].reshape(-1, side) >= lv[:, None]).all()
 
 
 def _assert_same_rows(got, want):
@@ -887,39 +1003,38 @@ def _spy_line_values(monkeypatch):
 
 
 def test_line_cut_keeps_a_row_at_its_line_minimum(monkeypatch):
-    # The rounding slack at work, in both forms of the cut.  Put a line's
-    # minimum on a box row and C just above that row's computed value; the
-    # line's computed value then often lies at or above C, so the line is
-    # kept only through the slack, and the cut must still keep the row.
-    # (No input was found on which the slack without its Schur size term
-    # fails; see _line_cut.)
-    g = 4
+    # The drop at its edge, in both forms of the cut.  A single evaluation,
+    # on a near-singular Y: put the exponent's minimum along the line of p0
+    # at t0, and C one ulp above that row's exponent as evaluating every
+    # line computes it.  lv then lies within rounding of C, so a drop with
+    # any slack taken off would lose the row; the exact drop must keep it.
+    g, radius = 4, 5
     rng = np.random.default_rng(1)
-    calls = _spy_line_values(monkeypatch)
-    # A single evaluation on a near-singular Y: the exponent's minimum along
-    # the line of p0 sits at t0, and the cut must match the box pass.
-    radius = 5
-    heads, points = theta._lines(g, radius)
-    above = 0
+    side = 2 * radius + 1
+    heads = oracle_lattice(g - 1, radius)
+    near = 0
     for _ in range(20):
         yg, col = 0.01, rng.uniform(-1.0, 1.0, g - 1)
         y = np.empty((g, g))
         y[:-1, :-1] = np.outer(col, col) / yg + 0.01 * np.eye(g - 1)
         y[:-1, -1] = y[-1, :-1] = col
         y[-1, -1] = yg
+        tau = PeriodMatrix(rng.uniform(-0.5, 0.5) + 1j * y)
         p0, t0 = rng.integers(-radius, radius + 1, g - 1), rng.integers(-radius, radius + 1)
-        b = np.append(rng.uniform(-1.0, 1.0, g - 1), -2.0 * (yg * t0 + col @ p0))
-        c0 = rng.uniform(-1.0, 1.0)
+        # eps = 0: the exponent is m'Ym + 2 Im z.m, least along the line at t0
+        z = rng.uniform(-0.5, 0.5, g) + 1j * np.append(rng.uniform(-0.05, 0.05, g - 1), -(yg * t0 + col @ p0))
+        c = Characteristic(g, 0, int(rng.integers(1 << g)))
         line = np.flatnonzero((heads == p0).all(axis=1))[0]
-        pos = line * (2 * radius + 1) + t0 + radius
-        cutoff = np.nextafter(theta._exponents(oracle_lattice(g, radius), y, b, c0)[pos], np.inf)
-        calls.clear()
-        cut, box = _both_passes(monkeypatch, g, radius, y, b, c0, cutoff)
-        (kept,) = np.flatnonzero(_lex_index(box[0], radius) == pos)
-        assert np.array_equal(box[0][kept], points[line, t0 + radius])
-        _assert_same_rows(cut, box)
-        above += calls[-1][1][line] >= cutoff
-    assert above > 0
+        pos = line * side + t0 + radius
+        every = _line_passes(tau, z, c, radius, math.inf)[3]
+        cutoff = float(np.nextafter(every[1][pos], np.inf))
+        lv, _, cut, every = _line_passes(tau, z, c, radius, cutoff)
+        assert pos in cut[0]
+        _assert_same_points(cut, every)
+        assert lv[line] < cutoff
+        near += lv[line] > cutoff - 1e-12 * abs(cutoff)
+    assert near > 10
+    calls = _spy_line_values(monkeypatch)
     # A table, on a Y >= 0 whose S is near-singular along the all-ones p:
     # the row (c, .., c, -c - 1) reaches its line's value p'Sp +
     # sum_k min(0, (Sp)_k) - c_max up to 1'S1/4, which is at the size of
@@ -980,20 +1095,20 @@ def test_box_caps_must_fit_the_line_index_types():
         exec(code, {"__name__": "thetachar.theta_caps", "__package__": "thetachar"})
 
 
-def test_line_cut_at_the_largest_radius_matches_the_box(monkeypatch):
+def test_line_cut_at_the_largest_radius_matches_the_box():
     # g = 2, R = _MAX_RADIUS: box coordinates run up to +-64, and 0..2R
-    # does not fit an int8; the line cut still keeps the box pass's rows.
+    # does not fit an int8; dropping lines still keeps the points and
+    # exponents of evaluating every line.
     g, radius = 2, theta._MAX_RADIUS
-    assert (2 * radius + 1) ** g > theta._LINE_CUT
-    y = np.array([[0.002, 0.0002], [0.0002, 0.0005]])
+    tau = PeriodMatrix([[0.3 + 0.002j, -0.1 + 0.0002j], [-0.1 + 0.0002j, 0.2 + 0.0005j]])
     rng = np.random.default_rng(64)
+    cutoff = 0.002 * (radius - 10) ** 2
     for _ in range(3):
-        b, c0 = rng.uniform(-0.05, 0.05, g), rng.uniform(-0.1, 0.1)
-        cutoff = 0.002 * (radius - 10) ** 2
-        cut, box = _both_passes(monkeypatch, g, radius, y, b, c0, cutoff)
-        assert 0 < len(box[0]) < (2 * radius + 1) ** g
-        assert np.abs(box[0][:, -1]).max() == radius  # the cut reaches the box's edge
-        _assert_same_rows(cut, box)
+        c = Characteristic(g, int(rng.integers(4)), int(rng.integers(4)))
+        _, lines, cut, every = _line_passes(tau, _random_z(rng, g, 0.02), c, radius, cutoff)
+        assert 0 < len(every[0]) < (2 * radius + 1) ** g and len(lines) < 2 * radius + 1
+        assert np.abs(every[0] % (2 * radius + 1) - radius).max() == radius  # the cut reaches the box's edge
+        _assert_same_points(cut, every)
 
 
 def test_single_evaluation_memory_is_the_kept_points_not_the_box():
@@ -1015,12 +1130,13 @@ def test_single_evaluation_memory_is_the_kept_points_not_the_box():
 
 
 def test_cold_line_cut_builds_no_float_box():
-    # A cold theta_report on a box above _LINE_CUT reads the lines of the
-    # compact index only: no other box index appears, and its peak memory
-    # stays below one box-sized float array (N g 8 bytes).
+    # A cold theta_report reads its box as line heads only: it builds the
+    # line design of its (g, R) and no _lines entry, and its peak memory,
+    # the design and every line's coefficients included, stays below two
+    # floats a box point (N 16 bytes), half a float copy of the box's points.
     tau = PeriodMatrix(np.array(THIN_G4_TAU) + 1j * np.array(THIN_G4_IM))
     c = Characteristic(4, 0b1010, 0b0110)
-    for cache in (theta._lines, theta._box):
+    for cache in (theta._lines, theta._line_design, theta._box):
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -1029,9 +1145,10 @@ def test_cold_line_cut_builds_no_float_box():
     finally:
         tracemalloc.stop()
     box = (2 * report["radius"] + 1) ** 4
-    assert report["radius"] == 8 and box > theta._LINE_CUT
-    assert theta._lines.cache_info().currsize == 1
-    assert peak < box * 4 * 8
+    assert report["radius"] == 8
+    assert theta._lines.cache_info().currsize == 0
+    assert theta._line_design.cache_info().currsize == 1
+    assert peak < box * 2 * 8
 
 
 def test_box_indexes_match_the_ndindex_oracle():
